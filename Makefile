@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-curve shard-check sweep figures fuzz chaos soak stream-soak sybilwar clean
+.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-gate-sharded bench-harness-test bench-curve shard-check sweep figures fuzz chaos soak stream-soak sybilwar clean
 
 # The BENCH_<pr> suffix for perf reports; bump per perf-focused PR.
-BENCH_PR ?= 8
+BENCH_PR ?= 15
 
 all: build lint test
 
@@ -53,21 +53,31 @@ cover:
 
 # Record the performance-trajectory report (docs/PERFORMANCE.md): runs
 # the fixed dhtbench workload matrix and writes BENCH_$(BENCH_PR).json,
-# carrying the existing report's current section forward as the new
-# baseline when one is present.
+# carrying the newest committed report's current section forward as the
+# new baseline (BENCH_$(BENCH_PR).json itself when re-recording, the
+# previous perf PR's report the first time).
 bench:
-	@if [ -f BENCH_$(BENCH_PR).json ]; then \
-	  $(GO) run ./cmd/dhtbench -trials 3 -seed 1 -label pr$(BENCH_PR) \
-	    -baseline BENCH_$(BENCH_PR).json -out BENCH_$(BENCH_PR).json; \
-	else \
-	  $(GO) run ./cmd/dhtbench -trials 3 -seed 1 -label pr$(BENCH_PR) \
-	    -out BENCH_$(BENCH_PR).json; \
-	fi
+	@base=$$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1); \
+	$(GO) run ./cmd/dhtbench -trials 3 -seed 1 -label pr$(BENCH_PR) \
+	  $${base:+-baseline $$base} -out BENCH_$(BENCH_PR).json
 
 # Compare fresh runs against the committed report; fails on >15% ns/tick
 # regression (and on any tick-count drift, which is a determinism break).
 bench-gate:
 	$(GO) run ./cmd/dhtbench -gate BENCH_$(BENCH_PR).json -tolerance 0.15
+
+# The same gate with every workload forced to four shards: -shards is a
+# pure performance knob, so the tick totals must match the committed
+# serial recording exactly (the CI sharded-tick job).
+bench-gate-sharded:
+	$(GO) run ./cmd/dhtbench -gate BENCH_$(BENCH_PR).json -tolerance 0.15 -shards 4
+
+# The repository benchmark's own tests (benchmarks/README.md): arithmetic,
+# golden canary digests for both simulator workloads, and a -short smoke
+# of all four workloads. benchmarks/ is a nested module, so the root
+# `go test ./...` does not reach them.
+bench-harness-test:
+	cd benchmarks && $(GO) test -short ./...
 
 # Record the shard scaling curve (docs/PERFORMANCE.md): the scale-*
 # workloads at 1/2/4/8 intra-trial workers, identical seeds, with a
@@ -107,7 +117,9 @@ figures:
 # Exercise the fuzz targets beyond their seed corpora.
 fuzz:
 	$(GO) test -fuzz=FuzzOperationSequences -fuzztime=30s ./internal/ring/
+	$(GO) test -fuzz=FuzzBuiltRingModel -fuzztime=30s ./internal/ring/
 	$(GO) test -fuzz=FuzzArithmeticLaws -fuzztime=30s ./internal/ids/
+	$(GO) test -fuzz=FuzzCompare -fuzztime=30s ./internal/ids/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store/

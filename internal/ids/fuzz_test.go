@@ -53,6 +53,36 @@ func FuzzArithmeticLaws(f *testing.F) {
 	})
 }
 
+// FuzzCompare pins the word-wise Compare and Less to the byte-wise
+// definition, including on pairs that share any number of leading bytes
+// and differ only in a later word — down to the last 4 bytes.
+func FuzzCompare(f *testing.F) {
+	f.Add([]byte{1}, []byte{2}, byte(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 20), bytes.Repeat([]byte{0xff}, 20), byte(0))
+	f.Add(bytes.Repeat([]byte{0x80}, 20), []byte{}, byte(19))
+	f.Add(bytes.Repeat([]byte{0x7f}, 20), []byte{0xff, 0xff, 0xff, 0xff}, byte(16))
+	f.Add(bytes.Repeat([]byte{0x01}, 20), []byte{0xff}, byte(8))
+	f.Fuzz(func(t *testing.T, araw, braw []byte, keep byte) {
+		a, b := FromBytes(araw), FromBytes(braw)
+		// The fuzzer rarely finds 16 equal leading bytes on its own: copy
+		// a's first keep bytes over b's so only the rest can differ.
+		copy(b[:int(keep)%(Bytes+1)], a[:])
+		for _, p := range [][2]ID{{a, b}, {b, a}, {a, a}} {
+			x, y := p[0], p[1]
+			want := bytes.Compare(x[:], y[:])
+			if got := x.Compare(y); got != want {
+				t.Fatalf("Compare(%v, %v) = %d, bytes.Compare says %d", x, y, got, want)
+			}
+			if got := x.Less(y); got != (want < 0) {
+				t.Fatalf("Less(%v, %v) = %v, bytes.Compare says %d", x, y, got, want)
+			}
+		}
+		if a.Less(b) && a.Prefix() > b.Prefix() {
+			t.Fatalf("Prefix not monotone: %v < %v", a, b)
+		}
+	})
+}
+
 func FuzzUniformInRange(f *testing.F) {
 	f.Add([]byte{10}, []byte{20}, uint64(1))
 	f.Add(bytes.Repeat([]byte{0xff}, 20), []byte{5}, uint64(2))

@@ -3,6 +3,7 @@ package ids
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -411,5 +412,29 @@ func TestModID(t *testing.T) {
 func TestShort(t *testing.T) {
 	if got := MustHex("deadbeef00000000000000000000000000000000").Short(); got != "deadbeef" {
 		t.Errorf("Short = %q", got)
+	}
+}
+
+// byLess sorts identifiers through the by-value Less, the way every
+// sort.Interface adapter in the repository calls it.
+type byLess []ID
+
+func (s byLess) Len() int           { return len(s) }
+func (s byLess) Less(i, j int) bool { return s[i].Less(s[j]) }
+func (s byLess) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// BenchmarkSortByLess is the measurement Less's comment quotes: 4096
+// random identifiers through sort.Sort.
+func BenchmarkSortByLess(b *testing.B) {
+	rng := xrand.New(42)
+	src := make([]ID, 4096)
+	for i := range src {
+		src[i] = Random(rng)
+	}
+	buf := make(byLess, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		sort.Sort(buf)
 	}
 }

@@ -5,7 +5,7 @@ package ring
 // isolate the individual operations the O(1)-hot-path work targeted so a
 // regression can be localized without re-profiling the full engine. The
 // zero-alloc guards are ordinary tests, so `go test ./internal/ring`
-// fails immediately if Succ, PredID, or Consume ever start allocating.
+// fails immediately if Succ, PredID, Get, or Consume ever start allocating.
 
 import (
 	"testing"
@@ -126,7 +126,7 @@ func BenchmarkRingSeed(b *testing.B) {
 	}
 }
 
-// TestHotPathsZeroAlloc pins the allocation-free contract of the three
+// TestHotPathsZeroAlloc pins the allocation-free contract of the
 // per-tick hot calls. AllocsPerRun averages over many runs, so a single
 // lazy index-hint repair (which allocates nothing anyway) cannot hide a
 // real regression.
@@ -148,6 +148,21 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 	}{
 		{"Succ", func() { benchSink = r.Succ(nodes[17], 3).ID() }},
 		{"PredID", func() { benchSink = nodes[42].PredID() }},
+		{"Get hit", func() {
+			if n, ok := r.Get(nodes[99].ID()); ok {
+				benchSink = n.ID()
+			}
+		}},
+		{"Get miss", func() {
+			if _, ok := r.Get(nodes[99].ID().Succ()); !ok {
+				benchSink = ids.Zero
+			}
+		}},
+		{"ids.Less", func() {
+			if nodes[3].ID().Less(nodes[4].ID()) {
+				benchSink = ids.Zero
+			}
+		}},
 		{"Consume", func() {
 			if k, ok := heavy.Consume(); ok {
 				benchSink = k

@@ -26,16 +26,20 @@
 // Remove reuses the successor's consumed front (or hands the whole
 // window over) instead of allocating a merged slice whenever it can.
 //
-// The ring order itself is stored as *segments* of 4-byte slot indices
-// into a stable node arena. Build picks a power-of-two segment count
-// sized to the population (~512 nodes per segment, a single segment for
-// small rings) and routes each identifier to the segment addressed by
-// its top 16 bits, so segment order concatenated is exactly ascending ID
-// order. A join or leave then splices one segment — an O(n/S) barrier-
-// free memmove instead of the O(n) splice a flat order array pays, which
-// is the difference between quadratic and near-linear total churn cost
-// on 100k–1M-node rings. Segments double as the shard-aware iteration
-// surface (Arcs) the parallel tick engine in internal/sim scans.
+// The ring order itself is stored as *segments*: parallel arrays of
+// 8-byte ID prefixes and 4-byte slot indices into a stable node arena.
+// Build picks a power-of-two segment count sized to the population
+// (~64 nodes per segment, a single segment for small rings) and routes
+// each identifier to the segment addressed by its top 16 bits, so
+// segment order concatenated is exactly ascending ID order. Locating an
+// identifier is a binary search over one segment's prefix array — one
+// contiguous, cache-resident run of integers; a node is dereferenced
+// only to break a tie between equal prefixes. A join or leave then
+// splices one segment — an O(n/S) barrier-free memmove instead of the
+// O(n) splice a flat order array pays, which is the difference between
+// quadratic and near-linear total churn cost on 100k–1M-node rings.
+// Segments double as the shard-aware iteration surface (Arcs) the
+// parallel tick engine in internal/sim scans.
 package ring
 
 import (
@@ -79,30 +83,81 @@ const (
 // Segment geometry: Build aims for about segTarget nodes per segment and
 // never exceeds 1<<segMaxBits segments (the segment address is the ID's
 // top 16 bits right-shifted, so 12 bits leaves at least a 4-bit shift).
+//
+// segTarget trades the splice's memmove (12 bytes per entry right of the
+// insertion point) and the number of position hints each splice leaves
+// stale against per-segment overhead (48 bytes of slice headers, one
+// more length for At and the wrapping walks to step over). Measured on
+// the random-injection world dhtbench calls scale-100k (100k hosts, 2M
+// tasks, best sim.Run of three, three interleaved rounds): 32 → 1.24 to
+// 1.33 s, 64 → 1.28 to 1.36 s, 128 → 1.42 to 1.52 s, 256 → 1.50 to
+// 1.60 s, 512 (the previous value) → 1.53 to 1.62 s; 10k hosts orders
+// the same way and 1k hosts cannot tell them apart. 64 takes nearly all
+// of the gain; halving again buys 3% for twice the segments.
 const (
-	segTarget  = 512
+	segTarget  = 64
 	segMaxBits = 12
 )
+
+// segment is one run of the ring order. The two arrays are parallel:
+// entry i describes the segment's i-th node in ascending ID order.
+type segment struct {
+	// pfx[i] is the node's ID prefix (ids.ID.Prefix). Searches run over
+	// this array alone; prefixes are monotone in the ID, so only entries
+	// whose prefix equals the probe's need the full 20-byte comparison.
+	pfx []uint64
+	// slots[i] is the node's index in the ring's slots arena.
+	slots []int32
+}
+
+// insert splices (p, slot) in at offset off.
+func (g *segment) insert(off int, p uint64, slot int32) {
+	g.pfx = append(g.pfx, 0)
+	copy(g.pfx[off+1:], g.pfx[off:])
+	g.pfx[off] = p
+	g.slots = append(g.slots, 0)
+	copy(g.slots[off+1:], g.slots[off:])
+	g.slots[off] = slot
+}
+
+// remove splices the entry at offset off out.
+func (g *segment) remove(off int) {
+	copy(g.pfx[off:], g.pfx[off+1:])
+	g.pfx = g.pfx[:len(g.pfx)-1]
+	copy(g.slots[off:], g.slots[off+1:])
+	g.slots = g.slots[:len(g.slots)-1]
+}
 
 // Ring is a set of virtual nodes ordered by identifier, each owning a
 // contiguous arc of the key space. T is caller data attached to each node
 // (the simulator stores its host bookkeeping there).
 type Ring[T any] struct {
 	// The ring order lives in segs: segment s holds, ascending by ID, the
-	// slots (indices into the stable slots arena) of every node whose
-	// identifier's top 16 bits shifted right by segShift equal s. That
-	// address is monotone in the ID, so iterating segments in index order
-	// visits nodes in exactly ascending ID order. Keeping spliced arrays
-	// as 4-byte integers instead of pointers makes every join/leave
-	// splice a plain memmove with no GC write barriers, and segmenting
-	// bounds each splice at one segment instead of the whole ring.
-	// slots never moves an entry; freed slots are recycled LIFO through
-	// free.
+	// prefixes and slots (indices into the stable slots arena) of every
+	// node whose identifier's top 16 bits shifted right by segShift equal
+	// s. That address is monotone in the ID, so iterating segments in
+	// index order visits nodes in exactly ascending ID order. Keeping the
+	// spliced arrays as plain integers instead of pointers makes every
+	// join/leave splice a memmove with no GC write barriers, and
+	// segmenting bounds each splice at one segment instead of the whole
+	// ring. slots never moves an entry; freed slots are recycled LIFO
+	// through free.
 	slots    []*Node[T]
 	free     []int32
-	segs     [][]int32
+	segs     []segment
 	segShift uint
 	count    int
+
+	// memo remembers the most recent locate until the next splice, so
+	// the callers that probe an identifier and then insert at it (the
+	// simulator draws a free ID with Get, re-checks it with Get, then
+	// calls Insert) pay for one search, not three.
+	memo struct {
+		id     ids.ID
+		s, off int
+		found  bool
+		valid  bool
+	}
 
 	totalKeys int
 	mode      ConsumeMode
@@ -207,7 +262,16 @@ func (r *Ring[T]) ConsumeModeSetting() ConsumeMode { return r.mode }
 // Node is one virtual node on the ring. The zero value is not usable;
 // nodes are created only by Ring.Insert and Ring.Build.
 type Node[T any] struct {
-	id   ids.ID
+	id ids.ID
+	// seg is the node's segment, fixed for its lifetime (it is a pure
+	// function of the immutable ID's top 16 bits and the ring's segment
+	// shift). fromBack alternates the consumption end so that remaining
+	// keys stay spread across the arc instead of piling up at one edge,
+	// which would bias every later split. The two share the word the
+	// 20-byte ID leaves half empty.
+	seg      uint16
+	fromBack bool
+
 	Data T
 
 	// keys[head:] are the unconsumed task keys this node owns, in ring
@@ -216,15 +280,9 @@ type Node[T any] struct {
 	// from a split may safely share a backing array.
 	keys []ids.ID
 	head int
-	// fromBack alternates the consumption end so that remaining keys stay
-	// spread across the arc instead of piling up at one edge, which would
-	// bias every later split.
-	fromBack bool
 
-	// seg is the node's segment, fixed for its lifetime (it is a pure
-	// function of the immutable ID and the ring's segment shift). off is
-	// a self-repairing offset hint within that segment: when
-	// segs[seg][off] == slot it is exact and posOf is O(1).
+	// off is a self-repairing offset hint within the node's segment:
+	// when segs[seg].slots[off] == slot it is exact and posOf is O(1).
 	// Insert/Remove shift offsets without eagerly rewriting every hint to
 	// their right (that would make each splice strictly more expensive
 	// than its memmove); a stale hint is detected by the identity check
@@ -232,7 +290,6 @@ type Node[T any] struct {
 	// docs/PERFORMANCE.md for the invariant. slot is the node's fixed
 	// position in the ring's arena, assigned at insert and never moved
 	// while the node is on the ring.
-	seg  int32
 	off  int32
 	slot int32
 
@@ -241,7 +298,7 @@ type Node[T any] struct {
 
 // New returns an empty ring.
 func New[T any]() *Ring[T] {
-	return &Ring[T]{segs: make([][]int32, 1), segShift: 16}
+	return &Ring[T]{segs: make([]segment, 1), segShift: 16}
 }
 
 // Len returns the number of nodes on the ring.
@@ -260,18 +317,20 @@ func (r *Ring[T]) segOf(id ids.ID) int {
 }
 
 // node returns the node stored at segment position (s, off).
-func (r *Ring[T]) node(s, off int) *Node[T] { return r.slots[r.segs[s][off]] }
+func (r *Ring[T]) node(s, off int) *Node[T] { return r.slots[r.segs[s].slots[off]] }
 
 // searchIn returns the insertion offset for id within segment s: the
-// first offset whose node ID is >= id. The binary search is inlined
-// (rather than using sort.Search) so the hot lookup paths stay
-// allocation- and closure-free.
+// first offset whose node ID is >= id. The binary search runs over the
+// segment's prefix array and loads a node only when its prefix ties
+// with id's; it is inlined (rather than using sort.Search) so the hot
+// lookup paths stay allocation- and closure-free.
 func (r *Ring[T]) searchIn(s int, id ids.ID) int {
-	seg := r.segs[s]
-	lo, hi := 0, len(seg)
+	g := &r.segs[s]
+	p := id.Prefix()
+	lo, hi := 0, len(g.pfx)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.slots[seg[mid]].id.Less(id) {
+		if q := g.pfx[mid]; q < p || q == p && r.slots[g.slots[mid]].id.Less(id) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -280,12 +339,28 @@ func (r *Ring[T]) searchIn(s int, id ids.ID) int {
 	return lo
 }
 
+// locate returns id's segment, its insertion offset there, and whether
+// the node at that offset has exactly that ID — answered from the prefix
+// array unless the prefixes tie. The answer is remembered until the next
+// splice.
+func (r *Ring[T]) locate(id ids.ID) (s, off int, found bool) {
+	if m := &r.memo; m.valid && m.id == id {
+		return m.s, m.off, m.found
+	}
+	s = r.segOf(id)
+	off = r.searchIn(s, id)
+	g := &r.segs[s]
+	found = off < len(g.pfx) && g.pfx[off] == id.Prefix() && r.slots[g.slots[off]].id == id
+	r.memo.id, r.memo.s, r.memo.off, r.memo.found, r.memo.valid = id, s, off, found, true
+	return s, off, found
+}
+
 // occupiedFrom resolves the possibly-virtual position (s, off) — off may
 // equal len(segs[s]) — to the first occupied position at or after it,
 // wrapping past the highest segment to the lowest. The ring must be
 // non-empty.
 func (r *Ring[T]) occupiedFrom(s, off int) (int, int) {
-	for off >= len(r.segs[s]) {
+	for off >= len(r.segs[s].slots) {
 		s++
 		if s == len(r.segs) {
 			s = 0
@@ -304,7 +379,7 @@ func (r *Ring[T]) occupiedBefore(s, off int) (int, int) {
 		if s < 0 {
 			s = len(r.segs) - 1
 		}
-		off = len(r.segs[s])
+		off = len(r.segs[s].slots)
 	}
 	return s, off - 1
 }
@@ -322,7 +397,7 @@ func (r *Ring[T]) firstPos() (int, int) { return r.occupiedFrom(0, 0) }
 // non-empty.
 func (r *Ring[T]) lastPos() (int, int) {
 	s := len(r.segs) - 1
-	return r.occupiedBefore(s, len(r.segs[s]))
+	return r.occupiedBefore(s, len(r.segs[s].slots))
 }
 
 // At returns the i-th node in ascending ID order. It panics if i is out
@@ -330,7 +405,8 @@ func (r *Ring[T]) lastPos() (int, int) {
 // (O(segments)); hot paths address nodes by *Node, not by rank.
 func (r *Ring[T]) At(i int) *Node[T] {
 	if i >= 0 {
-		for _, seg := range r.segs {
+		for s := range r.segs {
+			seg := r.segs[s].slots
 			if i < len(seg) {
 				return r.slots[seg[i]]
 			}
@@ -340,14 +416,12 @@ func (r *Ring[T]) At(i int) *Node[T] {
 	panic("ring: At index out of range")
 }
 
-// Get returns the node with exactly the given ID, if present.
+// Get returns the node with exactly the given ID, if present. Like the
+// position-hint repair in Succ and PredID it updates search state, so it
+// must not run concurrently with other calls on the ring.
 func (r *Ring[T]) Get(id ids.ID) (*Node[T], bool) {
-	s := r.segOf(id)
-	off := r.searchIn(s, id)
-	if off < len(r.segs[s]) {
-		if n := r.node(s, off); n.id == id {
-			return n, true
-		}
+	if s, off, found := r.locate(id); found {
+		return r.node(s, off), true
 	}
 	return nil, false
 }
@@ -372,11 +446,12 @@ func (r *Ring[T]) posOf(n *Node[T]) (int, int) {
 		panic(ErrRemoved)
 	}
 	s := int(n.seg)
-	if off := int(n.off); off < len(r.segs[s]) && r.segs[s][off] == n.slot {
+	seg := r.segs[s].slots
+	if off := int(n.off); off < len(seg) && seg[off] == n.slot {
 		return s, off
 	}
 	off := r.searchIn(s, n.id)
-	if off >= len(r.segs[s]) || r.segs[s][off] != n.slot {
+	if off >= len(seg) || seg[off] != n.slot {
 		panic(fmt.Sprintf("ring: node %s not found at its position", n.id.Short()))
 	}
 	n.off = int32(off)
@@ -408,57 +483,70 @@ func (r *Ring[T]) Pred(n *Node[T], k int) *Node[T] {
 	return r.Succ(n, -k)
 }
 
+// Walk calls fn on the k nodes that follow n clockwise, nearest first
+// (counterclockwise for negative k). It locates n once and takes one
+// step per node visited, wrapping — and revisiting — when |k| exceeds
+// the ring size. fn must not change the ring's topology.
+func (r *Ring[T]) Walk(n *Node[T], k int, fn func(*Node[T])) {
+	s, off := r.posOf(n)
+	for ; k > 0; k-- {
+		s, off = r.stepNext(s, off)
+		fn(r.node(s, off))
+	}
+	for ; k < 0; k++ {
+		s, off = r.occupiedBefore(s, off)
+		fn(r.node(s, off))
+	}
+}
+
 // Insert places a new node at id carrying data, splitting the key range of
 // the current owner of id. It returns ErrOccupied if a node already has
 // that ID.
 func (r *Ring[T]) Insert(id ids.ID, data T) (*Node[T], error) {
-	s := r.segOf(id)
-	off := r.searchIn(s, id)
-	if off < len(r.segs[s]) && r.node(s, off).id == id {
+	s, off, found := r.locate(id)
+	if found {
 		return nil, ErrOccupied
 	}
 	n := &Node[T]{id: id, Data: data, r: r}
 	n.slot = r.alloc(n)
-	n.seg, n.off = int32(s), int32(off)
-	if r.count == 0 {
-		r.segs[s] = append(r.segs[s], n.slot)
-		r.count = 1
-		return n, nil
-	}
-	// The node that currently owns id (n's successor-to-be) and n's
-	// predecessor, the node before the insertion point.
-	ss, soff := r.occupiedFrom(s, off)
-	succ := r.node(ss, soff)
-	ps, poff := r.occupiedBefore(s, off)
-	pred := r.node(ps, poff)
-
-	// Split succ's keys: n takes those in (pred, id], i.e. the active
-	// prefix whose ring distance from pred.id is <= dist(pred, id).
-	active := succ.keys[succ.head:]
-	limit := pred.id.Distance(id)
-	lo, hi := 0, len(active)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pred.id.Distance(active[mid]).Compare(limit) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+	n.seg, n.off = uint16(s), int32(off)
+	if r.count > 0 {
+		// The node that currently owns id (n's successor-to-be).
+		ss, soff := r.occupiedFrom(s, off)
+		succ := r.node(ss, soff)
+		active := succ.keys[succ.head:]
+		cut := 0
+		if len(active) > 0 {
+			// Split succ's keys: n takes those in (pred, id], i.e. the
+			// active prefix whose ring distance from pred.id is <=
+			// dist(pred, id). An empty window has nothing to split, so
+			// the predecessor — a cache miss, and on late-run rings the
+			// common case — is loaded only here.
+			ps, poff := r.occupiedBefore(s, off)
+			predID := r.node(ps, poff).id
+			limit := predID.Distance(id)
+			lo, hi := 0, len(active)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if limit.Less(predID.Distance(active[mid])) {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			cut = lo
+			n.keys = active[:cut]
 		}
+		succ.keys = active[cut:]
+		succ.head = 0
 	}
-	cut := lo
-	n.keys = active[:cut]
-	succ.keys = active[cut:]
-	succ.head = 0
-
 	// Splice into the segment. Offset hints of the shifted nodes go
 	// stale and self-repair on their next posOf; the copy moves plain
-	// int32s within one segment, so there is no write-barrier traffic
+	// integers within one segment, so there is no write-barrier traffic
 	// and the move is bounded by the segment length, not the ring size.
-	seg := append(r.segs[s], 0)
-	copy(seg[off+1:], seg[off:])
-	seg[off] = n.slot
-	r.segs[s] = seg
+	r.segs[s].insert(off, id.Prefix(), n.slot)
 	r.count++
+	r.memo.valid = false
 	return n, nil
 }
 
@@ -513,15 +601,30 @@ func (r *Ring[T]) Build(nodeIDs []ids.ID, data []T) ([]*Node[T], error) {
 		bits++
 	}
 	r.segShift = uint(16 - bits)
-	r.segs = make([][]int32, 1<<bits)
+	r.segs = make([]segment, 1<<bits)
 	r.slots = sorted
 	r.free = r.free[:0]
-	for i, n := range sorted {
-		n.slot = int32(i)
-		s := r.segOf(n.id)
-		n.seg = int32(s)
-		n.off = int32(len(r.segs[s]))
-		r.segs[s] = append(r.segs[s], n.slot)
+	r.memo.valid = false
+	// Segments are contiguous runs of the sorted order. Each takes its
+	// run's share of one backing array per field, doubled: the nodes
+	// sorted[i:j] get the region [2i, 2j), so a segment can double in
+	// population before a splice has to reallocate it.
+	pfx := make([]uint64, 2*len(sorted))
+	slots := make([]int32, 2*len(sorted))
+	for i := 0; i < len(sorted); {
+		s := r.segOf(sorted[i].id)
+		j := i + 1
+		for j < len(sorted) && r.segOf(sorted[j].id) == s {
+			j++
+		}
+		g := segment{pfx: pfx[2*i : 2*i : 2*j], slots: slots[2*i : 2*i : 2*j]}
+		for off, n := range sorted[i:j] {
+			n.slot, n.seg, n.off = int32(i+off), uint16(s), int32(off)
+			g.pfx = append(g.pfx, n.id.Prefix())
+			g.slots = append(g.slots, n.slot)
+		}
+		r.segs[s] = g
+		i = j
 	}
 	r.count = len(sorted)
 	return out, nil
@@ -546,19 +649,15 @@ func (r *Ring[T]) Remove(n *Node[T]) error {
 		return ErrRemoved
 	}
 	s, off := r.posOf(n)
-	if r.count == 1 {
-		if n.Workload() > 0 {
+	if w := n.Workload(); w > 0 {
+		if r.count == 1 {
 			return ErrLastNode
 		}
-		r.segs[s] = r.segs[s][:0]
-		r.count = 0
-		r.release(n)
-		return nil
-	}
-	ss, soff := r.stepNext(s, off)
-	succ := r.node(ss, soff)
-	if w := n.Workload(); w > 0 {
-		// n's keys precede succ's in ring order from n's predecessor.
+		// n's keys precede succ's in ring order from n's predecessor. (A
+		// node with nothing to hand over leaves without its successor
+		// being loaded at all.)
+		ss, soff := r.stepNext(s, off)
+		succ := r.node(ss, soff)
 		switch sw := succ.Workload(); {
 		case sw == 0:
 			// The successor is idle: hand the whole window over.
@@ -580,10 +679,9 @@ func (r *Ring[T]) Remove(n *Node[T]) error {
 			succ.head = 0
 		}
 	}
-	seg := r.segs[s]
-	copy(seg[off:], seg[off+1:])
-	r.segs[s] = seg[:len(seg)-1]
+	r.segs[s].remove(off)
 	r.count--
+	r.memo.valid = false
 	r.release(n)
 	n.keys = nil
 	return nil
@@ -720,8 +818,8 @@ func (n *Node[T]) mergeSeed(predID ids.ID, run []ids.ID) {
 // Workloads returns every node's residual key count in ring order.
 func (r *Ring[T]) Workloads() []int {
 	out := make([]int, 0, r.count)
-	for _, seg := range r.segs {
-		for _, slot := range seg {
+	for s := range r.segs {
+		for _, slot := range r.segs[s].slots {
 			out = append(out, r.slots[slot].Workload())
 		}
 	}
@@ -760,7 +858,7 @@ func (r *Ring[T]) Arcs(k int) []ArcView[T] {
 // Each visits the arc's nodes in ascending ID order.
 func (a ArcView[T]) Each(fn func(*Node[T])) {
 	for s := a.lo; s < a.hi; s++ {
-		for _, slot := range a.r.segs[s] {
+		for _, slot := range a.r.segs[s].slots {
 			fn(a.r.slots[slot])
 		}
 	}
@@ -770,7 +868,7 @@ func (a ArcView[T]) Each(fn func(*Node[T])) {
 func (a ArcView[T]) Len() int {
 	n := 0
 	for s := a.lo; s < a.hi; s++ {
-		n += len(a.r.segs[s])
+		n += len(a.r.segs[s].slots)
 	}
 	return n
 }
@@ -786,11 +884,21 @@ func (r *Ring[T]) CheckInvariants() error {
 		ls, loff := r.lastPos()
 		prev = r.node(ls, loff) // the first node's predecessor wraps
 	}
-	for s, seg := range r.segs {
-		for off, slot := range seg {
+	for s := range r.segs {
+		g := &r.segs[s]
+		if len(g.pfx) != len(g.slots) {
+			return fmt.Errorf("ring: segment %d has %d prefixes for %d slots", s, len(g.pfx), len(g.slots))
+		}
+		for off, slot := range g.slots {
 			n := r.slots[slot]
 			if n == nil {
 				return fmt.Errorf("ring: segment %d offset %d points at a freed slot", s, off)
+			}
+			if g.pfx[off] != n.id.Prefix() {
+				return fmt.Errorf("ring: segment %d offset %d prefix %016x is not node %s's", s, off, g.pfx[off], n.id.Short())
+			}
+			if off > 0 && g.pfx[off] < g.pfx[off-1] {
+				return fmt.Errorf("ring: segment %d prefixes decrease at offset %d", s, off)
 			}
 			if n.slot != slot {
 				return fmt.Errorf("ring: node %s slot field disagrees with order", n.id.Short())

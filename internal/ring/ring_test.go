@@ -169,6 +169,112 @@ func TestSuccPred(t *testing.T) {
 	}
 }
 
+// TestBuildLeavesSegmentHeadroom pins Build's allocation contract: both
+// arrays of every segment can double in population before a splice has
+// to reallocate them.
+func TestBuildLeavesSegmentHeadroom(t *testing.T) {
+	r, _ := buildRing(t, 1000, 0)
+	if r.Segments() < 2 {
+		t.Fatalf("%d segments, want several", r.Segments())
+	}
+	for s, g := range r.segs {
+		if cap(g.pfx) != 2*len(g.pfx) || cap(g.slots) != 2*len(g.slots) {
+			t.Errorf("segment %d: %d nodes, prefix cap %d, slot cap %d; want twice the nodes",
+				s, len(g.slots), cap(g.pfx), cap(g.slots))
+		}
+	}
+}
+
+// TestWalkMatchesSucc pins Walk to the k-th-successor definition on a
+// multi-segment ring with stale hints: one located start, one step per
+// neighbour, same nodes in the same order as Succ(n, ±i).
+func TestWalkMatchesSucc(t *testing.T) {
+	r, nodes := buildRing(t, 400, 0)
+	if r.Segments() < 2 {
+		t.Fatalf("%d segments, want several", r.Segments())
+	}
+	for i := 0; i < 50; i++ { // splices leave hints stale
+		if err := r.Remove(nodes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []*Node[int]{nodes[50], nodes[77], r.At(0), r.At(r.Len() - 1)} {
+		for _, k := range []int{0, 1, 5, -1, -5, r.Len() - 1, -(r.Len() - 1)} {
+			var got []*Node[int]
+			r.Walk(n, k, func(m *Node[int]) { got = append(got, m) })
+			dir, steps := 1, k
+			if k < 0 {
+				dir, steps = -1, -k
+			}
+			if len(got) != steps {
+				t.Fatalf("Walk(%d) visited %d nodes", k, len(got))
+			}
+			for i, m := range got {
+				if want := r.Succ(n, dir*(i+1)); m != want {
+					t.Fatalf("Walk(%d) step %d = %v, Succ says %v", k, i+1, m.ID(), want.ID())
+				}
+			}
+		}
+	}
+}
+
+// TestGetTracksSplices checks that the search Get remembers for a
+// following Insert never outlives a topology change.
+func TestGetTracksSplices(t *testing.T) {
+	r := New[int]()
+	mustInsert(t, r, 10)
+	mustInsert(t, r, 30)
+	if _, ok := r.Get(u(20)); ok {
+		t.Fatal("Get(20) hit on {10,30}")
+	}
+	n := mustInsert(t, r, 20) // reuses the remembered miss
+	if got, ok := r.Get(u(20)); !ok || got != n {
+		t.Fatal("Get(20) missed right after Insert(20)")
+	}
+	if _, err := r.Insert(u(20), 0); err != ErrOccupied { // reuses the remembered hit
+		t.Fatalf("second Insert(20) = %v, want ErrOccupied", err)
+	}
+	if err := r.Remove(n); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Get(u(20)); ok {
+		t.Fatal("Get(20) hit after Remove")
+	}
+	if _, ok := r.Get(u(30)); !ok {
+		t.Fatal("Get(30) missed")
+	}
+	mustInsert(t, r, 5) // shifts 30's offset under the remembered hit
+	if got, ok := r.Get(u(30)); !ok || got.ID() != u(30) {
+		t.Fatal("Get(30) wrong after a splice to its left")
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesPrefixDrift corrupts the prefix array the
+// way a splice that updated only one of a segment's two arrays would.
+func TestCheckInvariantsCatchesPrefixDrift(t *testing.T) {
+	for name, corrupt := range map[string]func(g *segment){
+		"stale prefix":   func(g *segment) { g.pfx[1] = g.pfx[0] },
+		"missing prefix": func(g *segment) { g.pfx = g.pfx[:len(g.pfx)-1] },
+	} {
+		r := New[int]()
+		for _, bit := range []int{120, 130, 140} { // three distinct prefixes
+			if _, err := r.Insert(ids.PowerOfTwo(bit), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&r.segs[0])
+		if err := r.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		}
+	}
+}
+
 func TestSingleNodeOwnsEverything(t *testing.T) {
 	r := New[int]()
 	n := mustInsert(t, r, 100)

@@ -194,7 +194,7 @@ func (s *Simulation) defenseStep() {
 	}
 	s.adv.victims = s.adv.victims[:0]
 	for _, pos := range flagged {
-		s.adv.victims = append(s.adv.victims, s.ring.At(pos).Data)
+		s.adv.victims = append(s.adv.victims, &s.ring.At(pos).Data)
 	}
 	for _, v := range s.adv.victims {
 		if !v.rn.OnRing() || s.ring.Len() <= 1 {
@@ -250,12 +250,7 @@ func (s *Simulation) rekeyPrimary(v *vnode) {
 // removeVNode takes one virtual node off the ring and out of its host's
 // list, invalidating the two affected workload caches.
 func (s *Simulation) removeVNode(v *vnode) {
-	if s.ring.Len() > 1 {
-		s.ring.Succ(v.rn, 1).Data.host.wlEpoch = 0
-	}
-	if err := s.ring.Remove(v.rn); err != nil {
-		panic(err)
-	}
+	s.detach(v)
 	h := v.host
 	for i, w := range h.vnodes {
 		if w == v {

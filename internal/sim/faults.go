@@ -160,13 +160,7 @@ func (s *Simulation) crashHost(h *hostState, delay int) {
 			lost = append(lost, v.rn.Keys()...)
 			v.rn.ConsumeN(w)
 		}
-		if s.ring.Len() > 1 {
-			// The successor inherits whatever survived the drain.
-			s.ring.Succ(v.rn, 1).Data.host.wlEpoch = 0
-		}
-		if err := s.ring.Remove(v.rn); err != nil {
-			panic(err)
-		}
+		s.detach(v) // the successor inherits whatever survived the drain
 	}
 	h.vnodes = h.vnodes[:0]
 	h.wlEpoch = 0

@@ -396,9 +396,11 @@ type Result struct {
 }
 
 // vnode is one virtual node: the engine-side implementation of
-// strategy.VNode.
+// strategy.VNode. It is stored by value as its ring node's Data, so an
+// identity's ring and engine halves are one allocation; the *vnode the
+// engine passes around is &rn.Data.
 type vnode struct {
-	rn      *ring.Node[*vnode]
+	rn      *ring.Node[vnode]
 	host    *hostState
 	isSybil bool
 }
@@ -419,8 +421,10 @@ type hostState struct {
 	sim *Simulation
 	// wl caches the host's aggregate workload; it is valid iff wlEpoch
 	// equals sim.wlEpoch. Invalidation is precise: an Insert split or
-	// Remove hand-off zeroes the wlEpoch of exactly the two hosts whose
-	// keys moved (self and the ring successor's host), Seed routing —
+	// Remove hand-off that moves at least one key zeroes the wlEpoch of
+	// exactly the two hosts whose keys moved (self and the ring
+	// successor's host) — a virtual node that arrives or leaves empty
+	// changes no host's sum, so both caches stay warm — Seed routing —
 	// which can land keys anywhere — bumps sim.wlEpoch globally, and
 	// consume delta-updates still-valid caches in place. Untouched
 	// hosts therefore keep warm caches across ticks, which lets consume
@@ -464,7 +468,7 @@ type Simulation struct {
 	cfg    Config
 	params strategy.Params
 	rng    *xrand.Rand
-	ring   *ring.Ring[*vnode]
+	ring   *ring.Ring[vnode]
 	pool   *sybil.Pool
 	hosts  []*hostState
 	msgs   MessageStats
@@ -653,7 +657,7 @@ func New(cfg Config) (*Simulation, error) {
 	s := &Simulation{
 		cfg:  cfg,
 		rng:  xrand.New(cfg.Seed),
-		ring: ring.New[*vnode](),
+		ring: ring.New[vnode](),
 		msgs: MessageStats{Strategy: make(map[string]int)},
 
 		completedByStrength: make(map[int]int),
@@ -730,12 +734,10 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	nvn := cfg.Nodes * (1 + cfg.StaticVNodes)
 	nodeIDs := make([]ids.ID, 0, nvn)
-	data := make([]*vnode, 0, nvn)
+	data := make([]vnode, 0, nvn)
 	addVN := func(h *hostState) {
-		v := &vnode{host: h}
 		nodeIDs = append(nodeIDs, freshID())
-		data = append(data, v)
-		h.vnodes = append(h.vnodes, v)
+		data = append(data, vnode{host: h})
 	}
 	for _, h := range s.hosts[:cfg.Nodes] {
 		addVN(h)
@@ -751,8 +753,10 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err // unreachable: freshID never repeats an ID
 	}
-	for i, rn := range rns {
-		data[i].rn = rn
+	for _, rn := range rns { // input order: each host's primary first
+		v := &rn.Data
+		v.rn = rn
+		v.host.vnodes = append(v.host.vnodes, v)
 	}
 	// Seed the job's initial task keys; streamed tasks arrive later.
 	s.tasks = newTaskStream(cfg)
@@ -796,21 +800,40 @@ func New(cfg Config) (*Simulation, error) {
 }
 
 // attach puts host h onto the ring at id with a fresh virtual node.
-// The insert splits keys off the successor, so exactly two hosts'
-// workload caches go stale: h's and the successor's.
+// When the insert splits keys off the successor, exactly two hosts'
+// workload caches go stale: h's and the successor's. When the new node
+// lands on an empty stretch of its successor's arc — most Sybils late in
+// a run — no host's sum changed, and the successor is not even looked
+// up.
 func (s *Simulation) attach(h *hostState, id ids.ID, isSybil bool) *vnode {
-	v := &vnode{host: h, isSybil: isSybil}
-	rn, err := s.ring.Insert(id, v)
+	rn, err := s.ring.Insert(id, vnode{host: h, isSybil: isSybil})
 	if err != nil {
 		panic(fmt.Sprintf("sim: attach at occupied id %s", id.Short()))
 	}
+	v := &rn.Data
 	v.rn = rn
 	h.vnodes = append(h.vnodes, v)
-	h.wlEpoch = 0
-	if s.ring.Len() > 1 {
+	if rn.Workload() > 0 {
+		h.wlEpoch = 0
 		s.ring.Succ(rn, 1).Data.host.wlEpoch = 0
 	}
 	return v
+}
+
+// detach takes v off the ring and reports whether it handed keys to its
+// successor. Only then does the successor's host's cached workload go
+// stale; an empty node leaves without its successor being looked up.
+// (Removing the last node while it holds keys panics, as Remove's
+// ErrLastNode always has.)
+func (s *Simulation) detach(v *vnode) (moved bool) {
+	moved = v.rn.Workload() > 0
+	if moved {
+		s.ring.Succ(v.rn, 1).Data.host.wlEpoch = 0
+	}
+	if err := s.ring.Remove(v.rn); err != nil {
+		panic(err)
+	}
+	return moved
 }
 
 // IdealTicks returns the ideal runtime of the configured job.
@@ -1154,18 +1177,10 @@ func (s *Simulation) churn() {
 }
 
 // detachAll removes every virtual node of h from the ring (Sybils first so
-// the primary inherits any of their keys that fall back to it last). Each
-// removal hands keys to the successor at removal time, so that node's
-// host cache is invalidated alongside h's own.
+// the primary inherits any of their keys that fall back to it last).
 func (s *Simulation) detachAll(h *hostState) {
 	for i := len(h.vnodes) - 1; i >= 0; i-- {
-		v := h.vnodes[i]
-		if s.ring.Len() > 1 {
-			s.ring.Succ(v.rn, 1).Data.host.wlEpoch = 0
-		}
-		if err := s.ring.Remove(v.rn); err != nil {
-			panic(err)
-		}
+		s.detach(h.vnodes[i])
 	}
 	h.vnodes = h.vnodes[:0]
 	h.wlEpoch = 0
@@ -1283,14 +1298,13 @@ func (s *Simulation) Predecessors(v strategy.VNode, k int) []strategy.VNode {
 }
 
 func (s *Simulation) walk(v strategy.VNode, k, dir int) []strategy.VNode {
-	vn := v.(*vnode)
 	if k > s.ring.Len()-1 {
 		k = s.ring.Len() - 1
 	}
 	out := make([]strategy.VNode, 0, k)
-	for i := 1; i <= k; i++ {
-		out = append(out, s.ring.Succ(vn.rn, dir*i).Data)
-	}
+	s.ring.Walk(v.(*vnode).rn, dir*k, func(n *ring.Node[vnode]) {
+		out = append(out, &n.Data)
+	})
 	return out
 }
 
@@ -1323,25 +1337,19 @@ func (s *Simulation) CreateSybil(h strategy.Host, id ids.ID) (int, bool) {
 func (s *Simulation) DropSybils(h strategy.Host) {
 	host := h.(*hostState)
 	kept := host.vnodes[:0]
-	dropped := false
+	moved := false
 	for _, v := range host.vnodes {
 		if !v.isSybil {
 			kept = append(kept, v)
 			continue
 		}
 		s.recordEvent(EventSybilDrop, host.Index(), v.ID(), v.rn.Workload())
-		if s.ring.Len() > 1 {
-			s.ring.Succ(v.rn, 1).Data.host.wlEpoch = 0
-		}
-		if err := s.ring.Remove(v.rn); err != nil {
-			panic(err)
-		}
+		moved = s.detach(v) || moved
 		host.acct.DroppedSybil()
 		s.msgs.SybilsDropped++
-		dropped = true
 	}
 	host.vnodes = kept
-	if dropped {
+	if moved {
 		host.wlEpoch = 0 // keys were handed off this host
 	}
 }

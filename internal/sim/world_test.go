@@ -180,3 +180,84 @@ func TestWorldChargeMessages(t *testing.T) {
 		t.Errorf("charge accumulation wrong: %v", s.msgs.Strategy)
 	}
 }
+
+// TestWorldSybilCacheInvalidation pins what the workload-cache skip is
+// keyed on. A Sybil that takes keys on arrival, or hands keys back on
+// withdrawal, must invalidate both its own host's cache and the ring
+// successor's host's; one that arrives and leaves empty changes no
+// host's sum and leaves both caches warm. Being a Sybil decides
+// neither.
+func TestWorldSybilCacheInvalidation(t *testing.T) {
+	trueLoad := func(h *hostState) int {
+		w := 0
+		for _, v := range h.vnodes {
+			w += v.rn.Workload()
+		}
+		return w
+	}
+	check := func(s *Simulation, when string, wantWarm bool) {
+		t.Helper()
+		for _, h := range s.hosts[:s.cfg.Nodes] {
+			if warm := h.wlEpoch == s.wlEpoch; warm != wantWarm {
+				t.Errorf("%s: host %d cache warm = %v, want %v", when, h.Index(), warm, wantWarm)
+			}
+			if got, want := h.Workload(), trueLoad(h); got != want { // also re-warms
+				t.Errorf("%s: host %d reports workload %d, its vnodes hold %d", when, h.Index(), got, want)
+			}
+		}
+	}
+
+	s := newWorld(t, Config{Nodes: 2, Tasks: 1000, Seed: 5, CheckInvariants: true})
+	check(s, "fresh", false)
+	owner, helper := s.hosts[0], s.hosts[1]
+	if helper.Workload() > owner.Workload() {
+		owner, helper = helper, owner
+	}
+	id, ok := s.SplitPoint(owner.vnodes[0])
+	if !ok {
+		t.Fatal("no split point on the loaded host")
+	}
+	before := owner.Workload()
+	acquired, ok := s.CreateSybil(helper, id)
+	if !ok || acquired == 0 {
+		t.Fatalf("Sybil at the split point acquired %d keys (ok=%v)", acquired, ok)
+	}
+	check(s, "after a Sybil split a loaded arc", false)
+	if got := owner.Workload(); got != before-acquired {
+		t.Errorf("owner reports %d after losing %d of %d keys", got, acquired, before)
+	}
+	s.DropSybils(helper)
+	check(s, "after the Sybil handed its keys back", false)
+	if got := owner.Workload(); got != before {
+		t.Errorf("owner reports %d after getting its %d keys back", got, before)
+	}
+
+	// The same two operations on arcs with no keys move nothing.
+	s = newWorld(t, Config{Nodes: 2, Tasks: 0, Seed: 5, CheckInvariants: true})
+	check(s, "fresh, empty", false)
+	if acquired, ok := s.CreateSybil(s.hosts[1], s.RandomID()); !ok || acquired != 0 {
+		t.Fatalf("Sybil on an empty ring acquired %d keys (ok=%v)", acquired, ok)
+	}
+	check(s, "after an empty Sybil arrived", true)
+	s.DropSybils(s.hosts[1])
+	check(s, "after an empty Sybil left", true)
+}
+
+// TestSybilLifecycleOneAllocation pins the steady-state cost of one
+// Sybil: the ring node, with the engine's vnode inside it. Segment
+// headroom, the slot free list and the host's vnode slice absorb
+// everything else once warm.
+func TestSybilLifecycleOneAllocation(t *testing.T) {
+	s := newWorld(t, Config{Nodes: 200, Tasks: 2000, Seed: 8})
+	h := s.hosts[0]
+	cycle := func() {
+		if _, ok := s.CreateSybil(h, s.RandomID()); !ok {
+			t.Fatal("CreateSybil refused a free ID")
+		}
+		s.DropSybils(h)
+	}
+	cycle() // warm: grows h.vnodes and the free list once
+	if avg := testing.AllocsPerRun(200, cycle); avg != 1 {
+		t.Errorf("one Sybil birth and retirement allocates %.2f times; want 1", avg)
+	}
+}
