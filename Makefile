@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-gate-sharded bench-harness-test bench-curve shard-check sweep figures fuzz chaos soak stream-soak sybilwar clean
+.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-harness-test sweep figures fuzz chaos soak stream-soak sybilwar clean
 
 # The BENCH_<pr> suffix for perf reports; bump per perf-focused PR.
 BENCH_PR ?= 15
@@ -66,33 +66,12 @@ bench:
 bench-gate:
 	$(GO) run ./cmd/dhtbench -gate BENCH_$(BENCH_PR).json -tolerance 0.15
 
-# The same gate with every workload forced to four shards: -shards is a
-# pure performance knob, so the tick totals must match the committed
-# serial recording exactly (the CI sharded-tick job).
-bench-gate-sharded:
-	$(GO) run ./cmd/dhtbench -gate BENCH_$(BENCH_PR).json -tolerance 0.15 -shards 4
-
 # The repository benchmark's own tests (benchmarks/README.md): arithmetic,
 # golden canary digests for both simulator workloads, and a -short smoke
 # of all four workloads. benchmarks/ is a nested module, so the root
 # `go test ./...` does not reach them.
 bench-harness-test:
 	cd benchmarks && $(GO) test -short ./...
-
-# Record the shard scaling curve (docs/PERFORMANCE.md): the scale-*
-# workloads at 1/2/4/8 intra-trial workers, identical seeds, with a
-# tick-equality determinism check built in. Writes CURVE_$(BENCH_PR).json
-# plus a Markdown rendering alongside it.
-bench-curve:
-	$(GO) run ./cmd/dhtbench -curve -curve-cores 1,2,4,8 \
-	  -workloads scale-100k,scale-1m -label pr$(BENCH_PR) \
-	  -out CURVE_$(BENCH_PR).json
-
-# Shard-identity referee: the golden matrix at 1/2/4/8 shards, shard-count
-# invariance, and the sharded experiment driver, all under the race
-# detector (docs/PERFORMANCE.md).
-shard-check:
-	$(GO) test -race -run 'Shard|DeterminismGolden' ./internal/sim/
 
 # Go micro/paper benchmarks: table/figure reproductions at the repo root
 # plus the ring and sim hot-path benchmarks (reduced trials).
@@ -140,8 +119,8 @@ stream-soak:
 	$(GO) test -tags soak -run TestSoakStream -v -timeout 10m ./internal/netchord/
 
 # Adversary smoke (docs/ADVERSARY.md): the sybilwar referees under the
-# race detector — the hostile-engine golden matrix at 1/2/4 shards, the
-# eclipse-vs-defense dose ladder, the sweep's serial/parallel identity,
+# race detector — the hostile-engine golden matrix, the eclipse-vs-defense
+# dose ladder, the sweep's serial/parallel identity,
 # the full adversary unit suite, and the live-cluster half (puzzle join
 # gate + eclipse suppression over real sockets).
 sybilwar:

@@ -13,15 +13,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"chordbalance/internal/bench"
@@ -50,20 +46,6 @@ func run(args []string, out io.Writer) error {
 		filter    = fs.String("workloads", "", "comma-separated workload names (default: all)")
 		list      = fs.Bool("list", false, "list workloads and exit")
 
-		// Sharded-engine knobs (docs/PERFORMANCE.md, "Sharding the tick
-		// engine"). -shards/-cores override every workload's config; since
-		// both are pure performance knobs the measured tick totals — and
-		// the gate's determinism check — are unaffected.
-		shards = fs.Int("shards", 0, "override Config.Shards on every workload (0: leave workloads as defined)")
-		cores  = fs.Int("cores", 0, "override Config.ShardWorkers on every workload (0: leave workloads as defined)")
-
-		// Scaling-curve mode: re-run the selected workloads at each core
-		// count in -curve-cores with identical seeds and report ns/tick,
-		// speedup, and a tick-equality determinism check.
-		curve      = fs.Bool("curve", false, "scaling-curve mode: vary ShardWorkers over -curve-cores")
-		curveCores = fs.String("curve-cores", "1,2,4,8", "comma-separated ShardWorkers values for -curve")
-		minSpeedup = fs.Float64("min-speedup", 0, "fail -curve if the largest core count's speedup is below this (skipped when the host has fewer cores)")
-
 		// Untimed trace capture (docs/OBSERVABILITY.md): one traced,
 		// unmeasured run of trial 0 per workload, written before the timed
 		// trials so tracing can never contaminate the numbers.
@@ -85,21 +67,6 @@ func run(args []string, out io.Writer) error {
 	workloads, err := bench.Filter(bench.Workloads(), *filter)
 	if err != nil {
 		return err
-	}
-	if *shards != 0 || *cores != 0 {
-		for i := range workloads {
-			inner := workloads[i].Config
-			workloads[i].Config = func(seed uint64) sim.Config {
-				cfg := inner(seed)
-				if *shards != 0 {
-					cfg.Shards = *shards
-				}
-				if *cores != 0 {
-					cfg.ShardWorkers = *cores
-				}
-				return cfg
-			}
-		}
 	}
 	if *list {
 		for _, w := range workloads {
@@ -126,11 +93,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %d traces to %s\n", len(workloads), *traceDir)
-	}
-
-	if *curve {
-		return runCurve(workloads, *curveCores, *trials, *seed, *label,
-			*minSpeedup, *outFile, clock, out)
 	}
 
 	if *gateFile != "" {
@@ -208,113 +170,6 @@ func captureTraces(dir string, workloads []bench.Workload, seed uint64) error {
 		}
 	}
 	return nil
-}
-
-// runCurve measures the shard scaling curve, writes the JSON report (and
-// a Markdown rendering next to it when writing to a file), and applies
-// the optional minimum-speedup assertion. The assertion only fires when
-// the host actually has the cores the largest point requests — a 1-core
-// machine proves nothing about scaling, so there it degrades to a
-// warning.
-func runCurve(workloads []bench.Workload, coresCSV string, trials int,
-	seed uint64, label string, minSpeedup float64, outFile string,
-	clock bench.Clock, out io.Writer) error {
-	cores, err := parseCores(coresCSV)
-	if err != nil {
-		return err
-	}
-	progress := func(p bench.CurvePoint) {
-		fmt.Fprintf(os.Stderr, "%-20s cores=%-3d ns/tick=%-10.0f speedup=%.2fx wall=%v\n",
-			p.Workload, p.Cores, p.NsPerTick, p.Speedup,
-			time.Duration(p.WallNs).Round(time.Millisecond))
-	}
-	rep, err := bench.MeasureCurve(workloads, cores, trials, seed, clock, progress)
-	if err != nil {
-		return err
-	}
-	rep.Label = label
-	if outFile == "" {
-		if err := writeCurveJSON(out, rep); err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return err
-		}
-		if err := writeCurveJSON(f, rep); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		mdFile := strings.TrimSuffix(outFile, filepath.Ext(outFile)) + ".md"
-		md, err := os.Create(mdFile)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteCurveMarkdown(md, rep); err != nil {
-			_ = md.Close()
-			return err
-		}
-		if err := md.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s and %s (%d points)\n", outFile, mdFile, len(rep.Points))
-	}
-	if minSpeedup > 0 {
-		maxCores := cores[len(cores)-1]
-		for _, c := range cores {
-			if c > maxCores {
-				maxCores = c
-			}
-		}
-		if runtime.NumCPU() < maxCores {
-			fmt.Fprintf(out, "min-speedup check skipped: host has %d cores, curve tops out at %d\n",
-				runtime.NumCPU(), maxCores)
-			return nil
-		}
-		for _, w := range workloads {
-			sp, ok := rep.Speedup(w.Name, maxCores)
-			if !ok {
-				return fmt.Errorf("curve has no %d-core point for %s", maxCores, w.Name)
-			}
-			if sp < minSpeedup {
-				return fmt.Errorf("%s: speedup %.2fx at %d cores below required %.2fx",
-					w.Name, sp, maxCores, minSpeedup)
-			}
-			fmt.Fprintf(out, "min-speedup ok: %s %.2fx at %d cores (required %.2fx)\n",
-				w.Name, sp, maxCores, minSpeedup)
-		}
-	}
-	return nil
-}
-
-func writeCurveJSON(w io.Writer, rep bench.CurveReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// parseCores parses the -curve-cores list, requiring positive values.
-func parseCores(csv string) ([]int, error) {
-	var cores []int
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		c, err := strconv.Atoi(part)
-		if err != nil || c <= 0 {
-			return nil, fmt.Errorf("bad -curve-cores entry %q", part)
-		}
-		cores = append(cores, c)
-	}
-	if len(cores) == 0 {
-		return nil, fmt.Errorf("-curve-cores is empty")
-	}
-	return cores, nil
 }
 
 // runGate re-runs each committed workload at its recorded trial count and

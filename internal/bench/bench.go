@@ -122,20 +122,19 @@ func Workloads() []Workload {
 		},
 		{
 			Name: "scale-100k",
-			Desc: "sharded tick engine at 100k hosts: 2M tasks, churn 0.001, random strategy, 8 shards",
+			Desc: "tick engine at 100k hosts: 2M tasks, churn 0.001, random strategy",
 			Config: func(seed uint64) sim.Config {
 				return sim.Config{Nodes: 100000, Tasks: 2000000, ChurnRate: 0.001,
-					Strategy: mustStrategy("random"), Seed: seed,
-					Shards: 8, ShardWorkers: 0}
+					Strategy: mustStrategy("random"), Seed: seed}
 			},
 			Trials: 1,
 		},
 		{
 			Name: "scale-1m",
-			Desc: "sharded tick engine at 1M hosts: 4M tasks, churn 0.0001, 8 shards",
+			Desc: "tick engine at 1M hosts: 4M tasks, churn 0.0001",
 			Config: func(seed uint64) sim.Config {
 				return sim.Config{Nodes: 1000000, Tasks: 4000000, ChurnRate: 0.0001,
-					Seed: seed, Shards: 8, ShardWorkers: 0}
+					Seed: seed}
 			},
 			Trials: 1,
 		},

@@ -22,17 +22,6 @@ type Options struct {
 	Trials int
 	// Workers bounds trial parallelism; 0 uses GOMAXPROCS.
 	Workers int
-	// Shards enables intra-trial parallelism: every trial's engine runs
-	// its tick phases across this many shards (sim.Config.Shards). It
-	// composes with Workers — trials in parallel, each trial itself
-	// parallel — and, like the engine knob, cannot affect any result
-	// byte. A ConfigFn that sets its own Shards wins. 0 leaves configs
-	// untouched.
-	Shards int
-	// ShardWorkers bounds each trial's intra-trial goroutines
-	// (sim.Config.ShardWorkers); 0 uses GOMAXPROCS. Keep Workers ×
-	// ShardWorkers near the core count when combining both.
-	ShardWorkers int
 	// Seed is the base seed; trial i of cell c uses a deterministic
 	// stream derived from (Seed, c, i).
 	Seed uint64
@@ -127,10 +116,6 @@ func FactorStat(fn ConfigFn, cell int, opt Options) (TrialStat, error) {
 		cfg := fn(trialSeed(opt.Seed, cell, i))
 		if opt.Trace != nil {
 			cfg.Trace = opt.Trace(cell, i)
-		}
-		if opt.Shards != 0 && cfg.Shards == 0 {
-			cfg.Shards = opt.Shards
-			cfg.ShardWorkers = opt.ShardWorkers
 		}
 		res, err := sim.Run(cfg)
 		if cerr := cfg.Trace.Close(); err == nil && cerr != nil {

@@ -143,10 +143,6 @@ func Sybilwar(opt Options) ([]SybilwarCell, error) {
 		}
 		results, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (outcome, error) {
 			cfg := sybilwarConfig(c, trialSeed(opt.Seed, ci, i))
-			if opt.Shards != 0 && cfg.Shards == 0 {
-				cfg.Shards = opt.Shards
-				cfg.ShardWorkers = opt.ShardWorkers
-			}
 			res, err := sim.Run(cfg)
 			if err != nil {
 				return outcome{}, err

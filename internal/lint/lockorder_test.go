@@ -96,13 +96,12 @@ func reenter() {
 	wantFindings(t, got, "lockorder", 9, 21)
 }
 
-// TestLockOrderShardMergePhase models the sharded tick engine's
-// phase/merge shape. The clean half mirrors the real engine: shard
-// workers write disjoint per-shard scratch with no locks at all, and
-// the merge runs strictly after the fan-out returns — nothing to flag.
-// The dirty half is the design the engine deliberately avoids: shard
-// workers taking a shared stats lock while the coordinator holds the
-// engine lock, with the merge path acquiring the same pair inverted.
+// TestLockOrderShardMergePhase models a fan-out/merge phase. In the
+// clean half shard workers write disjoint per-shard scratch with no
+// locks at all, and the merge runs strictly after the fan-out returns —
+// nothing to flag. In the dirty half shard workers take a shared stats
+// lock while the coordinator holds the engine lock, with the merge path
+// acquiring the same pair inverted.
 func TestLockOrderShardMergePhase(t *testing.T) {
 	src := `package fixture
 
@@ -114,7 +113,7 @@ var statsMu sync.Mutex
 type shard struct{ consumed int }
 
 // Clean: per-shard scratch, barrier, lock-free shard-order merge.
-func tickSharded(shards []shard) int {
+func tickFanOut(shards []shard) int {
 	var wg sync.WaitGroup
 	for i := range shards {
 		wg.Add(1)

@@ -38,8 +38,6 @@
 // splices one segment — an O(n/S) barrier-free memmove instead of the
 // O(n) splice a flat order array pays, which is the difference between
 // quadratic and near-linear total churn cost on 100k–1M-node rings.
-// Segments double as the shard-aware iteration surface (Arcs) the
-// parallel tick engine in internal/sim scans.
 package ring
 
 import (
@@ -826,53 +824,6 @@ func (r *Ring[T]) Workloads() []int {
 	return out
 }
 
-// ArcView is a read-only view of one contiguous run of order segments —
-// the shard-aware iteration surface for parallel scans. Arc views from
-// one Arcs call cover disjoint node sets whose concatenation in arc
-// order is exactly ring order, so a per-arc scan merged arc-by-arc is
-// indistinguishable from one serial pass. Callers may run Each on
-// different arcs concurrently provided fn neither mutates ring topology
-// nor touches nodes outside its arc.
-type ArcView[T any] struct {
-	r      *Ring[T]
-	lo, hi int // segment range [lo, hi)
-}
-
-// Arcs partitions the ring order into at most k contiguous arcs of whole
-// segments. Fewer than k arcs are returned when the ring has fewer
-// segments than k.
-func (r *Ring[T]) Arcs(k int) []ArcView[T] {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(r.segs) {
-		k = len(r.segs)
-	}
-	out := make([]ArcView[T], k)
-	for i := range out {
-		out[i] = ArcView[T]{r: r, lo: i * len(r.segs) / k, hi: (i + 1) * len(r.segs) / k}
-	}
-	return out
-}
-
-// Each visits the arc's nodes in ascending ID order.
-func (a ArcView[T]) Each(fn func(*Node[T])) {
-	for s := a.lo; s < a.hi; s++ {
-		for _, slot := range a.r.segs[s].slots {
-			fn(a.r.slots[slot])
-		}
-	}
-}
-
-// Len returns the number of nodes currently inside the arc.
-func (a ArcView[T]) Len() int {
-	n := 0
-	for s := a.lo; s < a.hi; s++ {
-		n += len(a.r.segs[s].slots)
-	}
-	return n
-}
-
 // CheckInvariants verifies structural invariants; tests and the simulator's
 // debug mode call it. It returns a descriptive error on the first
 // violation found.
@@ -1016,18 +967,6 @@ func (n *Node[T]) SplitKey() (id ids.ID, ok bool) {
 // parity, total-key count) the equivalent sequence of Consume calls
 // would leave.
 func (n *Node[T]) ConsumeN(max int) int {
-	c := n.ConsumeNDeferred(max)
-	n.r.totalKeys -= c
-	return c
-}
-
-// ConsumeNDeferred is ConsumeN without the ring-level total-key update:
-// the node's window moves exactly as ConsumeN moves it, but the caller
-// owns reporting the count back through CommitConsumed. This is the
-// shard-phase form — parallel workers consuming disjoint node sets
-// would otherwise race on the shared total, so each shard sums its
-// consumption locally and the merge phase commits once.
-func (n *Node[T]) ConsumeNDeferred(max int) int {
 	if w := n.Workload(); max > w {
 		max = w
 	}
@@ -1056,10 +995,6 @@ func (n *Node[T]) ConsumeNDeferred(max int) int {
 	default: // ConsumeFront
 		n.head += max
 	}
+	n.r.totalKeys -= max
 	return max
 }
-
-// CommitConsumed subtracts a batch of deferred consumption (the sum of
-// ConsumeNDeferred returns) from the ring's total-key count. Call it
-// once per parallel phase, after every worker has finished.
-func (r *Ring[T]) CommitConsumed(consumed int) { r.totalKeys -= consumed }

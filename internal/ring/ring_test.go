@@ -20,76 +20,6 @@ func mustInsert(t *testing.T, r *Ring[int], id uint64) *Node[int] {
 	return n
 }
 
-// TestArcsCoverRingOrder pins the ArcView contract: for any k, the arcs
-// are disjoint and their concatenation in arc order is exactly ring
-// order — on a bulk-built multi-segment ring, after churn, and on an
-// incrementally built single-segment ring.
-func TestArcsCoverRingOrder(t *testing.T) {
-	rng := xrand.New(11)
-	mk := func(n int) *Ring[int] {
-		idsIn := make([]ids.ID, n)
-		data := make([]int, n)
-		for i := range idsIn {
-			idsIn[i] = ids.FromUint64(rng.Uint64())
-		}
-		r := New[int]()
-		if _, err := r.Build(idsIn, data); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	check := func(r *Ring[int]) {
-		t.Helper()
-		for _, k := range []int{1, 2, 3, 8, 64, r.Segments() + 5} {
-			arcs := r.Arcs(k)
-			if len(arcs) > k || len(arcs) > r.Segments() {
-				t.Fatalf("Arcs(%d) returned %d arcs on %d segments", k, len(arcs), r.Segments())
-			}
-			var got []ids.ID
-			total := 0
-			for _, a := range arcs {
-				total += a.Len()
-				a.Each(func(n *Node[int]) { got = append(got, n.ID()) })
-			}
-			if total != r.Len() || len(got) != r.Len() {
-				t.Fatalf("Arcs(%d): covered %d/%d nodes (Len sum %d)", k, len(got), r.Len(), total)
-			}
-			for i, id := range got {
-				if want := r.At(i).ID(); id != want {
-					t.Fatalf("Arcs(%d): position %d = %v, ring order has %v", k, i, id, want)
-				}
-			}
-		}
-	}
-
-	big := mk(3000) // multi-segment geometry
-	if big.Segments() < 2 {
-		t.Fatalf("3000-node built ring has %d segments, want several", big.Segments())
-	}
-	check(big)
-
-	// Churn the built ring and re-check: splices must not break coverage.
-	for i := 0; i < 500; i++ {
-		big.Remove(big.At(int(rng.Uint64() % uint64(big.Len()))))
-		if _, err := big.Insert(ids.FromUint64(rng.Uint64()), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := big.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	check(big)
-
-	small := New[int]()
-	for i := 0; i < 40; i++ {
-		mustInsert(t, small, rng.Uint64())
-	}
-	if small.Segments() != 1 {
-		t.Fatalf("incremental ring has %d segments, want 1", small.Segments())
-	}
-	check(small)
-}
-
 func TestEmptyRing(t *testing.T) {
 	r := New[int]()
 	if r.Len() != 0 || r.TotalKeys() != 0 {

@@ -1,7 +1,7 @@
 package sim
 
 // Adversary/defense co-simulation: the engine-side wiring of
-// internal/adversary. Two serial tick phases — adversaryStep (mint
+// internal/adversary. Two tick phases — adversaryStep (mint
 // clustered hostile identities into the target arc) and defenseStep
 // (density-scan the ring order array and evict flagged identities) —
 // plus puzzle-cost admission charged wherever an identity enters the
@@ -9,11 +9,9 @@ package sim
 // non-zero Attack or Defense config, so zero-config runs are provably
 // untouched (the faults.Injector pattern).
 //
-// Determinism and sharding: both phases are serial and the adversary
-// draws from its own seeded stream, so the engine RNG sees exactly the
-// honest draw sequence. Puzzle debt is charged serially and paid by the
-// host's own consume slot, which keeps the sharded consume phase free
-// of cross-host coordination.
+// Determinism: the adversary draws from its own seeded stream, so the
+// engine RNG sees exactly the honest draw sequence. Puzzle debt is paid
+// by the host's own consume slot.
 
 import (
 	"chordbalance/internal/adversary"

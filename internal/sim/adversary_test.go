@@ -2,11 +2,11 @@ package sim_test
 
 // Determinism-under-attack tests: the adversary/defense co-simulation
 // must hold the same contracts as the honest engine — same seed, same
-// bytes, at every shard count — and the zero configs must be provably
-// inert (the pre-adversary goldens in determinism_test.go are the
-// referee for that). The sybilwar golden matrix here pins the hostile
-// code paths: attack alone, attack versus each defense, and the
-// defenses running against a purely honest network.
+// bytes — and the zero configs must be provably inert (the pre-adversary
+// goldens in determinism_test.go are the referee for that). The
+// sybilwar golden matrix here pins the hostile code paths: attack alone,
+// attack versus each defense, and the defenses running against a purely
+// honest network.
 
 import (
 	"fmt"
@@ -125,34 +125,6 @@ func TestSybilwarGolden(t *testing.T) {
 			t.Errorf("%s: hostile engine output drifted:\n got:  %s\n want: %s",
 				name, got[name], want[name])
 		}
-	}
-}
-
-// TestSybilwarShardIdentity extends the shard referee to the hostile
-// matrix: Shards stays a pure performance knob with the adversary and
-// defense phases active, at every shard count, byte for byte against
-// the serial-recorded golden.
-func TestSybilwarShardIdentity(t *testing.T) {
-	want := loadGolden(t, filepath.Join("testdata", "sybilwar_golden.txt"))
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, c := range sybilwarCases() {
-				cfg := c.cfg
-				cfg.Shards = shards
-				cfg.ShardWorkers = 4
-				res, err := sim.Run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				if want[c.name] == "" {
-					t.Fatalf("%s: no golden entry", c.name)
-				}
-				if got := advSummary(res); got != want[c.name] {
-					t.Errorf("%s: sharded hostile run drifted from serial golden:\n got:  %s\n want: %s",
-						c.name, got, want[c.name])
-				}
-			}
-		})
 	}
 }
 

@@ -89,23 +89,37 @@ func determinismConfig(t *testing.T, name string, seed uint64) sim.Config {
 }
 
 // TestRunSeedReproducible runs each strategy twice with the same seed
-// and demands byte-identical summaries.
+// and demands byte-identical summaries. The stream-static-vnodes input
+// is the only identity check over streaming arrivals plus static
+// virtual nodes, which the golden matrix does not cover.
 func TestRunSeedReproducible(t *testing.T) {
-	for _, name := range determinismStrategies {
+	// mk builds the config afresh for each run: strategies such as
+	// neighbor carry state.
+	check := func(name string, mk func() sim.Config) {
 		t.Run(name, func(t *testing.T) {
 			var got [2]string
 			for i := range got {
-				res, err := sim.Run(determinismConfig(t, name, 42))
+				res, err := sim.Run(mk())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got[i] = summarize(res)
+				got[i] = fullSummary(res)
 			}
 			if got[0] != got[1] {
 				t.Errorf("same seed, different outcome:\n run1: %s\n run2: %s", got[0], got[1])
 			}
 		})
 	}
+	for _, name := range determinismStrategies {
+		check(name, func() sim.Config { return determinismConfig(t, name, 42) })
+	}
+	check("stream-static-vnodes", func() sim.Config {
+		cfg := determinismConfig(t, "neighbor", 815)
+		cfg.StreamTasks = 2000
+		cfg.StreamRate = 40
+		cfg.StaticVNodes = 2
+		return cfg
+	})
 }
 
 // fullSummary extends summarize with everything else a Result carries:

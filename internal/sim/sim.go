@@ -19,7 +19,6 @@ import (
 	"chordbalance/internal/ids"
 	"chordbalance/internal/keys"
 	"chordbalance/internal/obs"
-	"chordbalance/internal/parallel"
 	"chordbalance/internal/ring"
 	"chordbalance/internal/strategy"
 	"chordbalance/internal/sybil"
@@ -116,19 +115,6 @@ type Config struct {
 	// charged against the strategy's runtime. 0 derives the default
 	// min(3, NumSuccessors); -1 disables replication.
 	Replicas int
-	// Shards partitions each tick's per-host phases — workload
-	// consumption, churn-scan classification, snapshot capture — into
-	// this many contiguous index-range shards executed concurrently and
-	// merged in fixed shard order. Sharding is purely a performance
-	// knob: the run's output is byte-identical at every shard count,
-	// including to the serial engine, because the phases that fan out
-	// consume no randomness (the churn scan's Bernoulli draws are
-	// buffered serially first; see docs/PERFORMANCE.md). 0 or 1 runs
-	// the serial engine.
-	Shards int
-	// ShardWorkers caps the goroutines driving the shard phases;
-	// 0 (default) uses GOMAXPROCS. Like Shards it cannot affect output.
-	ShardWorkers int
 	// Seed makes the run fully deterministic.
 	Seed uint64
 	// MaxTicks aborts runaway runs; 0 derives 200×ideal+1000.
@@ -221,10 +207,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Replicas must be >= -1, got %d", c.Replicas)
 	case c.NumSuccessors < 0:
 		return fmt.Errorf("sim: NumSuccessors must be >= 0, got %d", c.NumSuccessors)
-	case c.Shards < 0:
-		return fmt.Errorf("sim: Shards must be >= 0, got %d", c.Shards)
-	case c.ShardWorkers < 0:
-		return fmt.Errorf("sim: ShardWorkers must be >= 0, got %d", c.ShardWorkers)
 	}
 	// A replica lives on a successor; asking for more replicas than the
 	// successor list is long cannot be satisfied by the protocol.
@@ -438,9 +420,7 @@ type hostState struct {
 	// puzzleDebt is unpaid identity-admission work (Defense.PuzzleBits):
 	// each join, Sybil mint, or forced rekey charges the puzzle cost
 	// here, and consumeHost pays it down out of the host's per-tick work
-	// budget before any task is consumed. Host-local: charged only in
-	// serial phases, paid only by the host's own consume slot, so the
-	// sharded engine needs no coordination.
+	// budget before any task is consumed.
 	puzzleDebt int
 }
 
@@ -527,18 +507,6 @@ type Simulation struct {
 	// is disabled, which is the only flag the hot loop ever checks.
 	obsm *simMetrics
 
-	// shards holds per-shard scratch for the parallel tick phases; empty
-	// for the serial engine (Config.Shards <= 1), which is the only flag
-	// the phase dispatchers check. shardWorkers caps the goroutines
-	// parallel.ForEach drives the phases with (0 = GOMAXPROCS).
-	// churnDraws buffers the churn scan's serially-drawn Bernoulli
-	// variates — one Uint64 per host in index order, exactly the stream
-	// the serial scan consumes — so classification can fan out without
-	// touching the RNG.
-	shards       []tickShard
-	shardWorkers int
-	churnDraws   []uint64
-
 	// scratch buffers reused across ticks
 	leavers     []*hostState
 	joiners     []*hostState
@@ -546,34 +514,6 @@ type Simulation struct {
 	burstPool   []*hostState
 	newlyAlive  []*hostState
 	activeMerge []*hostState
-}
-
-// tickShard is one shard's private scratch for the parallel tick phases.
-// Each phase hands shard i the contiguous host-index range
-// [i*n/S, (i+1)*n/S); the shard accumulates into these fields only, and
-// the merge phase folds shards together in fixed shard order — which,
-// because shards are contiguous index ranges, reproduces the serial
-// iteration order exactly.
-type tickShard struct {
-	// consumed and doneByStrength accumulate the consume phase
-	// (doneByStrength is a dense slice, not a map, so the merge iterates
-	// deterministically and the shard loop never allocates).
-	consumed       int
-	doneByStrength []int
-	// leavers and joiners collect the churn classification.
-	leavers []*hostState
-	joiners []*hostState
-	// hostWL and vnodeWL stage snapshot vectors for concatenation.
-	hostWL  []int
-	vnodeWL []int
-}
-
-// addDone counts completed work against a strength class.
-func (sh *tickShard) addDone(strength, n int) {
-	for len(sh.doneByStrength) <= strength {
-		sh.doneByStrength = append(sh.doneByStrength, 0)
-	}
-	sh.doneByStrength[strength] += n
 }
 
 // aliveHosts returns the live hosts in stable index order. The cached
@@ -662,10 +602,6 @@ func New(cfg Config) (*Simulation, error) {
 
 		completedByStrength: make(map[int]int),
 		wlEpoch:             1, // zero-valued hostState caches start invalid
-	}
-	if cfg.Shards > 1 {
-		s.shards = make([]tickShard, cfg.Shards)
-		s.shardWorkers = cfg.ShardWorkers
 	}
 	s.ring.SetConsumeMode(cfg.ConsumeMode)
 	if cfg.Trace != nil {
@@ -950,63 +886,15 @@ func (s *Simulation) Run() *Result {
 // It iterates the active-host list (skipping the waiting pool outright
 // — consume draws no randomness, so the iteration set is free to
 // shrink) and delta-updates still-valid workload caches in place.
-//
-// Consumption is embarrassingly shard-parallel: each host touches only
-// its own virtual nodes' windows and its own cache, and the ring-level
-// total is deferred (ConsumeNDeferred) and committed once after the
-// phase, so contiguous host-index shards can run concurrently and the
-// commutative integer merge reproduces the serial totals exactly.
 func (s *Simulation) consume() int {
-	hosts := s.aliveHosts()
-	if len(s.shards) == 0 {
-		return s.consumeSerial(hosts)
-	}
-	return s.consumeSharded(hosts)
-}
-
-func (s *Simulation) consumeSerial(hosts []*hostState) int {
 	total := 0
 	epoch := s.wlEpoch
-	for _, h := range hosts {
+	for _, h := range s.aliveHosts() {
 		if done := s.consumeHost(h, epoch); done > 0 {
 			total += done
 			s.completedByStrength[h.acct.Strength()] += done
 		}
 	}
-	s.ring.CommitConsumed(total)
-	return total
-}
-
-func (s *Simulation) consumeSharded(hosts []*hostState) int {
-	ns := len(s.shards)
-	epoch := s.wlEpoch
-	parallel.ForEach(ns, s.shardWorkers, func(i int) {
-		sh := &s.shards[i]
-		sh.consumed = 0
-		for j := range sh.doneByStrength {
-			sh.doneByStrength[j] = 0
-		}
-		for _, h := range hosts[i*len(hosts)/ns : (i+1)*len(hosts)/ns] {
-			if done := s.consumeHost(h, epoch); done > 0 {
-				sh.consumed += done
-				sh.addDone(h.acct.Strength(), done)
-			}
-		}
-	})
-	// Merge in fixed shard order. The per-class sums are commutative, so
-	// the map ends up exactly as the serial per-host loop leaves it: an
-	// entry exists iff some host of that strength completed work.
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		total += sh.consumed
-		for st, v := range sh.doneByStrength {
-			if v > 0 {
-				s.completedByStrength[st] += v
-			}
-		}
-	}
-	s.ring.CommitConsumed(total)
 	return total
 }
 
@@ -1014,8 +902,6 @@ func (s *Simulation) consumeSharded(hosts []*hostState) int {
 // the work completed. The single-vnode fast path is the common case:
 // one batched consume replaces the best-of loop, which for one vnode
 // always picks that vnode until either the budget or the arc is empty.
-// It touches only host-local state (the ring total is deferred), so
-// shards may call it concurrently on disjoint hosts.
 func (s *Simulation) consumeHost(h *hostState, epoch uint64) int {
 	debt := 0
 	if h.puzzleDebt != 0 {
@@ -1038,7 +924,7 @@ func (s *Simulation) consumeHost(h *hostState, epoch uint64) int {
 	done := 0
 	if len(h.vnodes) == 1 {
 		if v := h.vnodes[0]; v.rn.Workload() > 0 {
-			done = v.rn.ConsumeNDeferred(budget)
+			done = v.rn.ConsumeN(budget)
 		}
 	} else {
 		for budget > 0 {
@@ -1053,7 +939,7 @@ func (s *Simulation) consumeHost(h *hostState, epoch uint64) int {
 			if best == nil {
 				break
 			}
-			n := best.rn.ConsumeNDeferred(budget)
+			n := best.rn.ConsumeN(budget)
 			budget -= n
 			done += n
 		}
@@ -1093,50 +979,13 @@ func (s *Simulation) churn() {
 	}
 	s.leavers = s.leavers[:0]
 	s.joiners = s.joiners[:0]
-	if len(s.shards) == 0 || rate >= 1 {
-		// Serial scan; also the rate >= 1 edge, where Bool consumes no
-		// randomness at all and buffering would inject draws.
-		for i, alive := range s.aliveBit {
-			if alive {
-				if s.rng.Bool(rate) {
-					s.leavers = append(s.leavers, s.hosts[i])
-				}
-			} else if s.rng.Bool(rate) {
-				s.joiners = append(s.joiners, s.hosts[i])
+	for i, alive := range s.aliveBit {
+		if alive {
+			if s.rng.Bool(rate) {
+				s.leavers = append(s.leavers, s.hosts[i])
 			}
-		}
-	} else {
-		// The scan's randomness is position-independent — the serial loop
-		// draws exactly one Uint64 per host in index order, alive and
-		// waiting alike — so buffer that stream serially, then classify
-		// in parallel and concatenate per-shard lists in shard order,
-		// which (shards being contiguous index ranges) is index order.
-		draws := s.churnDraws[:0]
-		for range s.hosts {
-			draws = append(draws, s.rng.Uint64())
-		}
-		s.churnDraws = draws
-		ns := len(s.shards)
-		parallel.ForEach(ns, s.shardWorkers, func(k int) {
-			sh := &s.shards[k]
-			sh.leavers = sh.leavers[:0]
-			sh.joiners = sh.joiners[:0]
-			for i := k * len(s.hosts) / ns; i < (k+1)*len(s.hosts)/ns; i++ {
-				// Exactly Bool(rate)'s acceptance test over the buffered
-				// draw (0 < rate < 1 here).
-				hit := float64(draws[i]>>11)/(1<<53) < rate
-				if s.aliveBit[i] {
-					if hit {
-						sh.leavers = append(sh.leavers, s.hosts[i])
-					}
-				} else if hit {
-					sh.joiners = append(sh.joiners, s.hosts[i])
-				}
-			}
-		})
-		for k := range s.shards {
-			s.leavers = append(s.leavers, s.shards[k].leavers...)
-			s.joiners = append(s.joiners, s.shards[k].joiners...)
+		} else if s.rng.Bool(rate) {
+			s.joiners = append(s.joiners, s.hosts[i])
 		}
 	}
 	for _, h := range s.leavers {
@@ -1213,35 +1062,12 @@ func (s *Simulation) snapshot(tick int) Snapshot {
 		HostWorkloads:  make([]int, 0, len(alive)),
 		VNodeWorkloads: make([]int, 0, s.ring.Len()),
 	}
-	if len(s.shards) == 0 {
-		for _, h := range alive {
-			snap.AliveHosts++
-			snap.HostWorkloads = append(snap.HostWorkloads, h.Workload())
-			for _, v := range h.vnodes {
-				snap.VNodeWorkloads = append(snap.VNodeWorkloads, v.rn.Workload())
-			}
+	for _, h := range alive {
+		snap.AliveHosts++
+		snap.HostWorkloads = append(snap.HostWorkloads, h.Workload())
+		for _, v := range h.vnodes {
+			snap.VNodeWorkloads = append(snap.VNodeWorkloads, v.rn.Workload())
 		}
-	} else {
-		// Capture is read-only over the ring (cache warming writes only
-		// shard-owned hosts); per-shard staging concatenated in shard
-		// order reproduces the serial host-major vectors byte for byte.
-		ns := len(s.shards)
-		parallel.ForEach(ns, s.shardWorkers, func(k int) {
-			sh := &s.shards[k]
-			sh.hostWL = sh.hostWL[:0]
-			sh.vnodeWL = sh.vnodeWL[:0]
-			for _, h := range alive[k*len(alive)/ns : (k+1)*len(alive)/ns] {
-				sh.hostWL = append(sh.hostWL, h.Workload())
-				for _, v := range h.vnodes {
-					sh.vnodeWL = append(sh.vnodeWL, v.rn.Workload())
-				}
-			}
-		})
-		for k := range s.shards {
-			snap.HostWorkloads = append(snap.HostWorkloads, s.shards[k].hostWL...)
-			snap.VNodeWorkloads = append(snap.VNodeWorkloads, s.shards[k].vnodeWL...)
-		}
-		snap.AliveHosts = len(alive)
 	}
 	snap.VNodes = s.ring.Len()
 	snap.CrashedHosts = s.fstats.Crashes

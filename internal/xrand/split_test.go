@@ -30,8 +30,8 @@ func TestSplitMatchesNewStream(t *testing.T) {
 }
 
 // TestSplitSeedRegression pins the derivation so a refactor cannot
-// silently change every sharded stream (which would invalidate any
-// recorded result keyed by (seed, shard)).
+// silently change every derived stream (which would invalidate any
+// recorded result keyed by (seed, streamID)).
 func TestSplitSeedRegression(t *testing.T) {
 	cases := []struct {
 		seed, streamID, want uint64

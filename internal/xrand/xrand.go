@@ -57,9 +57,9 @@ func NewStream(seed uint64, i int) *Rand {
 // Split derives an independent generator for the given 64-bit stream ID
 // of the base seed. Distinct (seed, streamID) pairs give statistically
 // independent streams, and the derivation is a pure function of its
-// arguments — the sharded tick engine hands shard s the stream
-// Split(trialSeed, s) so per-shard randomness is reproducible regardless
-// of how many shards run or on how many cores.
+// arguments — internal/streamload hands viewer i the stream
+// Split(cfg.Seed, i) so per-viewer randomness is reproducible regardless
+// of how many viewers run or in what order they are scheduled.
 func Split(seed, streamID uint64) *Rand {
 	return New(SplitSeed(seed, streamID))
 }
