@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-harness-test sweep figures fuzz chaos soak stream-soak sybilwar clean
 
 # The BENCH_<pr> suffix for perf reports; bump per perf-focused PR.
-BENCH_PR ?= 15
+BENCH_PR ?= 17
 
 all: build lint test
 

@@ -8,7 +8,9 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"chordbalance/internal/ids"
 	"chordbalance/internal/stats"
@@ -46,10 +48,16 @@ func NewGenerator(salt uint64) *Generator {
 
 // Next returns the next identifier in the stream.
 func (g *Generator) Next() ids.ID {
+	g.next++
+	return g.at(g.next - 1)
+}
+
+// at returns the stream's i-th identifier, SHA-1(salt‖i): a pure
+// function of i, so any part of the stream can be hashed anywhere.
+func (g *Generator) at(i uint64) ids.ID {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], g.salt)
-	binary.BigEndian.PutUint64(buf[8:], g.next)
-	g.next++
+	binary.BigEndian.PutUint64(buf[8:], i)
 	sum := sha1.Sum(buf[:])
 	return ids.FromBytes(sum[:])
 }
@@ -69,14 +77,79 @@ func (g *Generator) NodeIDs(n int) []ids.ID {
 	return out
 }
 
+// taskKeyChunk is the slice of the counter range one TaskKeys worker
+// hashes per claim: a 100k-key trial splits into ~25 chunks, and the
+// streamed per-tick arrivals (one chunk or less) stay serial.
+const taskKeyChunk = 4096
+
 // TaskKeys returns n task keys (duplicates allowed, as for real file
-// chunks; SHA-1 makes them vanishingly rare anyway).
+// chunks; SHA-1 makes them vanishingly rare anyway): exactly n calls of
+// Next, with batches over one chunk hashed by the caller and up to
+// GOMAXPROCS-1 hashers, each chunk from its own counter indices.
 func (g *Generator) TaskKeys(n int) []ids.ID {
 	out := make([]ids.ID, n)
-	for i := range out {
-		out[i] = g.Next()
+	base := g.next
+	g.next += uint64(n)
+	chunks := (n + taskKeyChunk - 1) / taskKeyChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if workers <= 1 {
+		g.fill(out, base)
+		return out
+	}
+	var claimed, filled atomic.Int64
+	hash := func() {
+		for c := int(claimed.Add(1)) - 1; c < chunks; c = int(claimed.Add(1)) - 1 {
+			lo := c * taskKeyChunk
+			g.fill(out[lo:min(n, lo+taskKeyChunk)], base+uint64(lo))
+			filled.Add(1)
+		}
+	}
+	for ; workers > 1; workers-- {
+		wakeHasher(hash)
+	}
+	hash()
+	// at most one chunk's wait; yield, never park (see the hashers)
+	for filled.Load() < int64(chunks) {
+		runtime.Gosched()
 	}
 	return out
+}
+
+// fill sets out[i] to the stream's (from+i)-th identifier.
+func (g *Generator) fill(out []ids.ID, from uint64) {
+	for i := range out {
+		out[i] = g.at(from + uint64(i))
+	}
+}
+
+// TaskKeys' hashers live for the process, holding nothing between
+// batches: spawning per batch, or parking the caller on a WaitGroup,
+// would add runtime allocations (goroutine structs, wait-queue entries)
+// whose count depends on scheduling, and a trial's allocation count
+// must repeat exactly (benchmarks' TestDigestStable). A wake-up is
+// dropped when hasherWake (a few batches deep at up to 64 cores) is
+// full and is a no-op once its batch's chunks are all claimed.
+var (
+	hasherN    atomic.Int64
+	hasherWake = make(chan func(), 64)
+)
+
+// wakeHasher hands hash to an idle hasher, starting one if fewer than
+// GOMAXPROCS-1 exist.
+func wakeHasher(hash func()) {
+	if hasherN.Add(1) < int64(runtime.GOMAXPROCS(0)) {
+		go func() {
+			for h := range hasherWake {
+				h()
+			}
+		}()
+	} else {
+		hasherN.Add(-1)
+	}
+	select {
+	case hasherWake <- hash:
+	default:
+	}
 }
 
 // EvenIDs returns n identifiers spaced exactly evenly around the ring,

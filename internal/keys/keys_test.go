@@ -3,7 +3,9 @@ package keys
 import (
 	"crypto/sha1"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +61,58 @@ func TestTaskKeysCount(t *testing.T) {
 	if got := NewGenerator(2).TaskKeys(500); len(got) != 500 {
 		t.Errorf("TaskKeys(500) length %d", len(got))
 	}
+}
+
+// TestTaskKeysMatchesNext pins the parallel generator to the serial
+// stream: whatever the worker count, TaskKeys(n) is n calls of Next, and
+// the stream continues after it with no gap or repeat.
+func TestTaskKeysMatchesNext(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, taskKeyChunk - 1, taskKeyChunk, taskKeyChunk + 1, 3*taskKeyChunk + 17} {
+			g, twin := NewGenerator(77), NewGenerator(77)
+			g.Next() // start mid-stream, not at counter 0
+			twin.Next()
+			got := g.TaskKeys(n)
+			if len(got) != n {
+				t.Fatalf("procs=%d: TaskKeys(%d) returned %d keys", procs, n, len(got))
+			}
+			for i, k := range got {
+				if want := twin.Next(); k != want {
+					t.Fatalf("procs=%d n=%d: key %d = %v, serial stream says %v", procs, n, i, k, want)
+				}
+			}
+			if a, b := g.Next(), twin.Next(); a != b {
+				t.Fatalf("procs=%d n=%d: stream after TaskKeys = %v, serial stream says %v", procs, n, a, b)
+			}
+		}
+	}
+}
+
+// TestTaskKeysConcurrentCallers runs several generators at once, as a
+// sweep's parallel trials do: they share TaskKeys' hashers, so wake-ups
+// go stale or are dropped, and every caller must still get its own
+// serial stream.
+func TestTaskKeysConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func(salt uint64) {
+			defer wg.Done()
+			g, twin := NewGenerator(salt), NewGenerator(salt)
+			for round := 0; round < 5; round++ {
+				for i, k := range g.TaskKeys(2*taskKeyChunk + 5) {
+					if want := twin.Next(); k != want {
+						t.Errorf("salt %d round %d: key %d = %v, serial stream says %v", salt, round, i, k, want)
+						return
+					}
+				}
+			}
+		}(uint64(c))
+	}
+	wg.Wait()
 }
 
 func TestEvenIDsSpacing(t *testing.T) {

@@ -109,7 +109,8 @@ func modelSearch(model []ids.ID, id ids.ID) int {
 // FuzzBuiltRingModel drives a Build-constructed, multi-segment ring
 // whose population is dense in equal prefixes and segment-boundary
 // neighbours through arbitrary Insert/Remove/Get/Owner/Seed/Consume
-// sequences, and checks every answer against a sorted slice.
+// sequences, and checks every answer against a sorted slice. One Seed
+// in sixteen is at least radixMin keys, so the radix arena path runs too.
 func FuzzBuiltRingModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 2, 0, 3, 1, 4, 9, 5, 3})
 	for seed := uint64(1); seed <= 4; seed++ { // long mixed programs for plain `go test`
@@ -174,6 +175,14 @@ func FuzzBuiltRingModel(f *testing.F) {
 				}
 			case 4:
 				batch := []ids.ID{id, id.Succ(), pick(program[i+2], program[i+1])}
+				if program[i+1]%16 == 0 {
+					// A radix-sized batch: the fuzz-derived IDs repeated
+					// with pool neighbours, so equal prefixes and
+					// segment-boundary IDs stay in it.
+					for j := 0; len(batch) < radixMin; j++ {
+						batch = append(batch, batch[j%3], pick(byte(j), program[i+2]))
+					}
+				}
 				if err := r.Seed(batch); err != nil {
 					t.Fatal(err)
 				}

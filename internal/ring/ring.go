@@ -20,9 +20,10 @@
 // topology changes and never worse than one segment-local binary search
 // after one; searches are inlined (no sort.Search closures, zero
 // allocations); Seed sorts each incoming batch by identifier once
-// (radix-assisted for large batches), hands every owner its contiguous
-// segment — one binary search per distinct owner, not per key — and
-// merges it with the node's residual keys in a single two-run pass;
+// (radix-assisted for large batches) into one fresh arena, hands every
+// owner its contiguous run — one binary search per distinct owner, not
+// per key — as its window in place, or merges it with the node's
+// residual keys in a single two-run pass;
 // Remove reuses the successor's consumed front (or hands the whole
 // window over) instead of allocating a merged slice whenever it can.
 //
@@ -159,59 +160,37 @@ type Ring[T any] struct {
 
 	totalKeys int
 	mode      ConsumeMode
-
-	// seedScratch holds the sorted copy of each Seed batch and is reused
-	// across calls so streamed task arrivals do not allocate a routing
-	// buffer every tick. wrapScratch assembles the wrapping node's
-	// tail+head run when both segments are non-empty.
-	seedScratch []ids.ID
-	wrapScratch []ids.ID
-	// radixCount and radixOut serve sortIDs's bucket pass; allocated on
-	// the first large batch and reused afterwards.
-	radixCount []int
-	radixOut   []ids.ID
 }
 
-// radixMin is the batch size above which sortIDs switches from
+// radixMin is the batch size above which sortedCopy switches from
 // comparison sort to the two-byte radix scatter. Below it, the fixed
 // cost of clearing 64Ki bucket counters outweighs the comparison
 // savings (streamed per-tick seed batches stay under this).
 const radixMin = 4096
 
-// sortIDs sorts s ascending by identifier and returns the sorted slice
-// (possibly a different backing array, with s recycled as the next
-// scatter buffer). Large batches take an MSD radix pass on the first
-// two ID bytes — uniform SHA-1 keys spread ~evenly over 64Ki buckets —
-// followed by tiny per-bucket sorts, replacing O(k log k) 20-byte
-// comparisons with one O(k) scatter. The result is the identical total
-// order a pure comparison sort yields; equal keys are identical bytes,
-// so bucket-internal tie order is unobservable.
-func (r *Ring[T]) sortIDs(s []ids.ID) []ids.ID {
+// sortedCopy returns a fresh, exactly-sized copy of s sorted ascending
+// by identifier — the arena Seed carves owners' windows from — and never
+// writes to s. Large batches take an MSD radix pass on the first two ID
+// bytes (uniform SHA-1 keys spread ~evenly over 64Ki buckets), scattered
+// straight from s into the arena, then tiny per-bucket sorts: one O(k)
+// scatter instead of O(k log k) 20-byte comparisons. Counters are 32-bit
+// (2^31 keys would be 40 GiB). Equal keys are identical bytes, so the
+// result is exactly the order a comparison sort yields.
+func sortedCopy(s []ids.ID) []ids.ID {
+	out := make([]ids.ID, len(s))
 	if len(s) < radixMin {
-		sort.Sort(idKeys(s))
-		return s
+		copy(out, s)
+		sort.Sort(idKeys(out))
+		return out
 	}
-	if r.radixCount == nil {
-		r.radixCount = make([]int, 1<<16)
-	}
-	count := r.radixCount
-	for i := range count {
-		count[i] = 0
-	}
+	count := make([]int32, 1<<16)
 	for _, k := range s {
 		count[int(k[0])<<8|int(k[1])]++
 	}
-	sum := 0
-	for i := range count {
-		c := count[i]
-		count[i] = sum
+	var sum int32
+	for b, c := range count {
+		count[b] = sum
 		sum += c
-	}
-	out := r.radixOut
-	if cap(out) < len(s) {
-		out = make([]ids.ID, len(s))
-	} else {
-		out = out[:len(s)]
 	}
 	for _, k := range s {
 		b := int(k[0])<<8 | int(k[1])
@@ -219,15 +198,13 @@ func (r *Ring[T]) sortIDs(s []ids.ID) []ids.ID {
 		count[b]++
 	}
 	// count[b] is now the end offset of bucket b.
-	start := 0
-	for b := 0; b < 1<<16; b++ {
-		end := count[b]
+	var start int32
+	for _, end := range count {
 		if end-start > 1 {
 			sortBucket(out[start:end])
 		}
 		start = end
 	}
-	r.radixOut = s[:0] // ping-pong the buffers
 	return out
 }
 
@@ -275,7 +252,8 @@ type Node[T any] struct {
 	// keys[head:] are the unconsumed task keys this node owns, in ring
 	// order ascending from the node's predecessor. The window only ever
 	// shrinks (consumption) or is split/replaced (join/leave), so windows
-	// from a split may safely share a backing array.
+	// from a split, or carved from one Seed arena, may safely share a
+	// backing array: each stays inside its own region of it.
 	keys []ids.ID
 	head int
 
@@ -580,8 +558,10 @@ func (r *Ring[T]) Build(nodeIDs []ids.ID, data []T) ([]*Node[T], error) {
 	}
 	out := make([]*Node[T], len(nodeIDs))
 	sorted := make([]*Node[T], len(nodeIDs))
+	slab := make([]Node[T], len(nodeIDs)) // one allocation for the population
 	for i := range nodeIDs {
-		n := &Node[T]{id: nodeIDs[i], Data: data[i], r: r}
+		n := &slab[i]
+		n.id, n.Data, n.r = nodeIDs[i], data[i], r
 		out[i] = n
 		sorted[i] = n
 	}
@@ -707,20 +687,22 @@ func (s idKeys) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // whose nodes already hold keys; new keys are merged in ring order. It
 // returns ErrEmpty if the ring has no nodes.
 //
-// The batch is sorted by absolute identifier once; every owner's bucket
-// is then a contiguous segment, located with one binary search per
-// *distinct* owner instead of one per key. The wrapping node (the first
-// on the ring) owns two segments — keys above the last node and keys at
-// or below itself — which concatenate, tail first, into exactly its
+// The batch is sorted by absolute identifier once, out of place, into a
+// fresh arena; every owner's bucket is then a contiguous run of it,
+// located with one binary search per *distinct* owner instead of one per
+// key. An owner with no residual keys takes its run as its window in
+// place, so the arena is the windows' shared backing array — disjoint
+// windows over one array, exactly what Insert splits already produce —
+// and Seed never keeps a reference to taskKeys. The wrapping node (the
+// first on the ring) owns two runs — keys above the last node and keys
+// at or below itself — which concatenate, tail first, into exactly its
 // ring-distance order from its predecessor. With a single node the two
-// segments compose to the whole circle, so no special case is needed.
+// runs compose to the whole circle, so no special case is needed.
 func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 	if r.count == 0 {
 		return ErrEmpty
 	}
-	sorted := r.seedScratch[:0]
-	sorted = append(sorted, taskKeys...)
-	sorted = r.sortIDs(sorted)
+	sorted := sortedCopy(taskKeys)
 	fs, foff := r.firstPos()
 	ls, loff := r.lastPos()
 	first, last := r.node(fs, foff), r.node(ls, loff)
@@ -769,15 +751,12 @@ func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 		switch {
 		case len(run) == 0:
 			run = sorted[:headEnd]
-		case headEnd > 0:
-			comb := append(r.wrapScratch[:0], run...)
-			comb = append(comb, sorted[:headEnd]...)
-			r.wrapScratch = comb
-			run = comb
+		case headEnd > 0: // the two runs sit at opposite ends of the arena
+			comb := make([]ids.ID, 0, len(run)+headEnd)
+			run = append(append(comb, run...), sorted[:headEnd]...)
 		}
 		first.mergeSeed(last.id, run)
 	}
-	r.seedScratch = sorted[:0] // keep the routing buffer for the next Seed
 	r.totalKeys += len(taskKeys)
 	return nil
 }
@@ -788,11 +767,10 @@ func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 func (n *Node[T]) mergeSeed(predID ids.ID, run []ids.ID) {
 	res := n.keys[n.head:]
 	if len(res) == 0 {
-		// Fast path: no residual keys — the run is the new window. Copy:
-		// run aliases a reusable scratch buffer.
-		out := make([]ids.ID, len(run))
-		copy(out, run)
-		n.keys = out
+		// Fast path: no residual keys — the run, a region of Seed's fresh
+		// arena that no other window covers, is the new window in place.
+		// The capacity cap keeps the window inside its own region.
+		n.keys = run[:len(run):len(run)]
 		n.head = 0
 		return
 	}

@@ -634,8 +634,10 @@ func New(cfg Config) (*Simulation, error) {
 		MaxSybils:     cfg.MaxSybils,
 	}, s.rng)
 	s.hosts = make([]*hostState, s.pool.Len())
+	slab := make([]hostState, len(s.hosts)) // one allocation for the population
 	for i := range s.hosts {
-		s.hosts[i] = &hostState{acct: s.pool.Host(i), sim: s}
+		slab[i] = hostState{acct: s.pool.Host(i), sim: s}
+		s.hosts[i] = &slab[i]
 	}
 	// Populate the active-host list and the packed liveness mirror once
 	// by full scan; from here on both are repaired incrementally (see

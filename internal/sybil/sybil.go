@@ -128,18 +128,20 @@ func NewPool(cfg PoolConfig, rng *xrand.Rand) *Pool {
 	}
 	total := cfg.Hosts + cfg.WaitingHosts
 	p := &Pool{hosts: make([]*Host, total), cfg: cfg}
+	slab := make([]Host, total) // one allocation for the population
 	for i := range p.hosts {
 		strength, cap := 1, cfg.MaxSybils
 		if cfg.Heterogeneous {
 			strength = rng.IntRange(1, cfg.MaxSybils)
 			cap = strength
 		}
-		p.hosts[i] = &Host{
+		slab[i] = Host{
 			index:    i,
 			strength: strength,
 			maxSybil: cap,
 			alive:    i < cfg.Hosts,
 		}
+		p.hosts[i] = &slab[i]
 	}
 	return p
 }
