@@ -3,10 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench bench-micro bench-gate bench-harness-test sweep figures fuzz chaos soak stream-soak sybilwar clean
-
-# The BENCH_<pr> suffix for perf reports; bump per perf-focused PR.
-BENCH_PR ?= 17
+.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench-micro bench-harness-test sweep sweep-quick figures fuzz chaos soak stream-soak sybilwar clean
 
 all: build lint test
 
@@ -51,21 +48,6 @@ test-race:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Record the performance-trajectory report (docs/PERFORMANCE.md): runs
-# the fixed dhtbench workload matrix and writes BENCH_$(BENCH_PR).json,
-# carrying the newest committed report's current section forward as the
-# new baseline (BENCH_$(BENCH_PR).json itself when re-recording, the
-# previous perf PR's report the first time).
-bench:
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1); \
-	$(GO) run ./cmd/dhtbench -trials 3 -seed 1 -label pr$(BENCH_PR) \
-	  $${base:+-baseline $$base} -out BENCH_$(BENCH_PR).json
-
-# Compare fresh runs against the committed report; fails on >15% ns/tick
-# regression (and on any tick-count drift, which is a determinism break).
-bench-gate:
-	$(GO) run ./cmd/dhtbench -gate BENCH_$(BENCH_PR).json -tolerance 0.15
-
 # The repository benchmark's own tests (benchmarks/README.md): arithmetic,
 # golden canary digests for both simulator workloads, and a -short smoke
 # of all four workloads. benchmarks/ is a nested module, so the root
@@ -74,9 +56,10 @@ bench-harness-test:
 	cd benchmarks && $(GO) test -short ./...
 
 # Go micro/paper benchmarks: table/figure reproductions at the repo root
-# plus the ring and sim hot-path benchmarks (reduced trials).
+# plus the ring and sim hot-path benchmarks (reduced trials). -run '^$'
+# skips the unit tests, which `make test` covers.
 bench-micro:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Publication-strength sweep of every experiment (slow; the paper used
 # 100 trials per cell).

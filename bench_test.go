@@ -27,8 +27,6 @@ import (
 	"chordbalance/internal/experiments"
 	"chordbalance/internal/ids"
 	"chordbalance/internal/keys"
-	"chordbalance/internal/sim"
-	"chordbalance/internal/strategy"
 	"chordbalance/internal/xrand"
 )
 
@@ -278,23 +276,6 @@ func BenchmarkSybilPlacement(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSimulationTick measures raw engine throughput: one full
-// reference run per iteration, reporting ticks/op via custom metrics.
-func BenchmarkSimulationTick(b *testing.B) {
-	totalTicks := 0
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
-			Nodes: 1000, Tasks: 100000, Seed: uint64(i),
-			Strategy: strategy.NewRandomInjection(),
-		})
-		if err != nil || !res.Completed {
-			b.Fatal("run failed")
-		}
-		totalTicks += res.Ticks
-	}
-	b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/run")
 }
 
 // BenchmarkChordLookup validates the O(log n) lookup-cost model the tick

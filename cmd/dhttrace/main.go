@@ -1,5 +1,5 @@
 // Command dhttrace analyzes the per-tick JSONL traces written by
-// dhtsim/dhtsweep/dhtbench -trace (docs/OBSERVABILITY.md):
+// dhtsim/dhtsweep -trace (docs/OBSERVABILITY.md):
 //
 //	dhttrace summary run.jsonl              # meta, run shape, key signals
 //	dhttrace metrics run.jsonl              # the metric catalog

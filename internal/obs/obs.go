@@ -20,7 +20,7 @@
 //     every method is nil-receiver safe and returns immediately, callers
 //     guard their metric-gathering work with one pointer test, and the
 //     engine's hot loop performs zero additional allocations (asserted
-//     by AllocsPerRun guards and the dhtbench regression gate).
+//     by AllocsPerRun guards).
 //
 // See docs/OBSERVABILITY.md for the metric catalog and the trace schema.
 package obs

@@ -1,6 +1,6 @@
 // Package prof wires the stdlib runtime/pprof profilers behind the
-// -cpuprofile/-memprofile flags shared by cmd/dhtsim, cmd/dhtsweep and
-// cmd/dhtbench, so perf PRs can attach evidence (EXPERIMENTS.md,
+// -cpuprofile/-memprofile flags shared by cmd/dhtsim and cmd/dhtsweep,
+// so a performance change can attach evidence (EXPERIMENTS.md,
 // docs/PERFORMANCE.md). It never reads the wall clock and is inert when
 // both paths are empty.
 package prof

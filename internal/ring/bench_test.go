@@ -1,9 +1,10 @@
 package ring
 
 // Micro-benchmarks and allocation guards for the ring hot paths. The
-// macro numbers live in cmd/dhtbench (whole-simulation ns/tick); these
-// isolate the individual operations the O(1)-hot-path work targeted so a
-// regression can be localized without re-profiling the full engine. The
+// macro numbers live in benchmarks/ (whole-trial build and tick-loop
+// cost, benchmarks/README.md); these isolate the individual operations
+// the O(1)-hot-path work targeted so a regression can be localized
+// without re-profiling the full engine. The
 // zero-alloc guards are ordinary tests, so `go test ./internal/ring`
 // fails immediately if Succ, PredID, Get, or Consume ever start allocating.
 

@@ -87,10 +87,10 @@ const (
 // insertion point) and the number of position hints each splice leaves
 // stale against per-segment overhead (48 bytes of slice headers, one
 // more length for At and the wrapping walks to step over). Measured on
-// the random-injection world dhtbench calls scale-100k (100k hosts, 2M
-// tasks, best sim.Run of three, three interleaved rounds): 32 → 1.24 to
-// 1.33 s, 64 → 1.28 to 1.36 s, 128 → 1.42 to 1.52 s, 256 → 1.50 to
-// 1.60 s, 512 (the previous value) → 1.53 to 1.62 s; 10k hosts orders
+// the random-injection world benchmarks/ calls sim-scale-100k (100k
+// hosts, 2M tasks, best sim.Run of three, three interleaved rounds):
+// 32 → 1.24 to 1.33 s, 64 → 1.28 to 1.36 s, 128 → 1.42 to 1.52 s, 256 →
+// 1.50 to 1.60 s, 512 (the previous value) → 1.53 to 1.62 s; 10k hosts orders
 // the same way and 1k hosts cannot tell them apart. 64 takes nearly all
 // of the gain; halving again buys 3% for twice the segments.
 const (

@@ -1,10 +1,10 @@
 package sim_test
 
 // BenchmarkSimTick measures whole-engine per-tick cost on a mid-size
-// churn workload — the same shape cmd/dhtbench's table2-churn workloads
-// use, scaled down so `go test -bench` stays quick. Each iteration is a
-// complete run (construction included, amortized over its ticks), so the
-// reported ns/tick is directly comparable to dhtbench output.
+// churn workload — the Table II churn shape, scaled down so `go test
+// -bench` stays quick. Each iteration is a complete run (construction
+// included, amortized over its ticks). It is a local probe; the
+// repository's calibrated measurement is benchmarks/ (benchmarks/README.md).
 
 import (
 	"testing"
