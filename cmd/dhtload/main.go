@@ -73,6 +73,13 @@ type summary struct {
 	LookupsOK     int     `json:"lookups_ok"`
 	LookupSuccess float64 `json:"lookup_success"`
 
+	// RouteHits and RouteLookups are the client's Client.RouteStats over
+	// the put, task and verify phases: keyed operations that reached a
+	// cached owner in one round trip, and iterative lookups run instead.
+	// A warm run against a stable ring is almost all hits.
+	RouteHits    uint64 `json:"route_hits"`
+	RouteLookups uint64 `json:"route_lookups"`
+
 	// Durability verification (-verify): every acknowledged write must
 	// later read back at >= its acknowledged version, with the exact
 	// bytes when the version matches. VerifyLost must be zero on any
@@ -425,6 +432,8 @@ func run(args []string, out io.Writer) error {
 		checkKey(key, want, 8)
 	}
 
+	s.RouteHits, s.RouteLookups = client.RouteStats()
+
 	// Phase 4: the lookup probe — routability after whatever the run
 	// (faults, churn, Sybils) did to the ring.
 	for i := 0; i < *lookups; i++ {
@@ -463,6 +472,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "store acked=%d anti-entropy rounds=%d repairs=%d bytes=%d\n",
 			s.Net.StoreAcked, s.Net.AntiEntropyRounds, s.Net.AntiEntropyRepairs, s.Net.AntiEntropyBytes)
 	}
+	fmt.Fprintf(out, "route-hits=%d route-lookups=%d\n", s.RouteHits, s.RouteLookups)
 	fmt.Fprintf(out, "lookup-success=%.3f (%d/%d)\n", s.LookupSuccess, s.LookupsOK, s.Lookups)
 	return nil
 }

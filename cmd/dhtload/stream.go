@@ -60,9 +60,8 @@ type streamSummary struct {
 	// ingest (TotalChunks by construction on a virtual run).
 	IngestAcked uint64            `json:"ingest_acked"`
 	Stream      streamload.Result `json:"stream"`
-	// RouteHits and RouteLookups split the read path: direct fetches off
-	// a cached route versus full ownership resolutions (cold keys plus
-	// every churn-invalidated route).
+	// RouteHits and RouteLookups are the client's Client.RouteStats over
+	// the whole run, ingest included.
 	RouteHits    uint64 `json:"route_hits"`
 	RouteLookups uint64 `json:"route_lookups"`
 	// VerifyLost counts delivered chunks whose bytes did not match the
@@ -192,7 +191,7 @@ func runStreamLive(o streamOpts, cat *streamload.Catalog, scfg streamload.Config
 	}
 	sum.IngestAcked = ing.acked.Load()
 
-	fetcher := streamload.NewCachedFetcher(client, cat, true)
+	fetcher := streamload.NewNetFetcher(client, cat, true)
 	eng, err := streamload.NewEngine(scfg)
 	if err != nil {
 		return err
@@ -241,7 +240,7 @@ func runStreamLive(o streamOpts, cat *streamload.Catalog, scfg streamload.Config
 			sum.Net = &nc
 		}
 	}
-	sum.RouteHits, sum.RouteLookups = fetcher.RouteStats()
+	sum.RouteHits, sum.RouteLookups = client.RouteStats()
 	sum.VerifyLost = fetcher.Corrupt()
 	return nil
 }

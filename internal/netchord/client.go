@@ -1,6 +1,9 @@
 package netchord
 
 import (
+	"errors"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,16 +19,79 @@ import (
 // identifier on the ring it is measuring, or it would attract a share
 // of the workload it is supposed to impose.
 //
+// Keyed operations (Get, Put, SubmitTask) route through an owner cache:
+// every owner the client has been routed to, sorted by ID. A key goes
+// to its successor among the cached owners, so the steady state is one
+// round trip per operation. Servers refuse keys outside their arc with
+// CodeNotOwner, which is what keeps the cache honest while churn and
+// Sybil injection move ownership under it.
+//
 // A Client is safe for concurrent use; each peer address gets one
 // pooled connection with the same retry/backoff policy as node-to-node
 // RPCs.
 type Client struct {
-	cfg  Config
-	pool *peerPool
-	seed wire.NodeRef
-	id   ids.ID
-	salt uint64
-	seq  atomic.Uint64
+	cfg    Config
+	pool   *peerPool
+	seed   wire.NodeRef
+	id     ids.ID
+	salt   uint64
+	seq    atomic.Uint64
+	routes routeCache
+
+	hits, lookups, refused atomic.Uint64
+}
+
+// routeCache is the owners a client has been routed to, ascending by
+// ID. Its size is bounded by ring membership, not by key count.
+type routeCache struct {
+	mu   sync.RWMutex
+	refs []wire.NodeRef
+}
+
+// search returns the index of the first cached owner whose ID is at or
+// after key; callers hold mu.
+func (rc *routeCache) search(key ids.ID) int {
+	i, _ := slices.BinarySearchFunc(rc.refs, key, func(r wire.NodeRef, k ids.ID) int { return r.ID.Compare(k) })
+	return i
+}
+
+// successor returns key's successor among the cached owners, wrapping
+// past the top of the identifier space.
+func (rc *routeCache) successor(key ids.ID) (wire.NodeRef, bool) {
+	rc.mu.RLock()
+	defer rc.mu.RUnlock()
+	if len(rc.refs) == 0 {
+		return wire.NodeRef{}, false
+	}
+	i := rc.search(key)
+	if i == len(rc.refs) {
+		i = 0
+	}
+	return rc.refs[i], true
+}
+
+// remember caches r, replacing any entry with the same ID or the same
+// address (a node re-keyed by churn, or an identity at a new address).
+func (rc *routeCache) remember(r wire.NodeRef) {
+	if r.Addr == "" {
+		return
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if i := rc.search(r.ID); i < len(rc.refs) && rc.refs[i] == r {
+		return
+	}
+	rc.refs = slices.DeleteFunc(rc.refs, func(c wire.NodeRef) bool { return c.ID == r.ID || c.Addr == r.Addr })
+	rc.refs = slices.Insert(rc.refs, rc.search(r.ID), r)
+}
+
+// forget drops r, a cached owner that failed.
+func (rc *routeCache) forget(r wire.NodeRef) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if i := rc.search(r.ID); i < len(rc.refs) && rc.refs[i] == r {
+		rc.refs = slices.Delete(rc.refs, i, i+1)
+	}
 }
 
 // NewClient returns a client that routes through seedAddr. seed feeds
@@ -53,6 +119,13 @@ func (c *Client) Close() { c.pool.close() }
 
 // Stats snapshots the client's RPC counters.
 func (c *Client) Stats() RPCStats { return c.pool.stats() }
+
+// RouteStats returns how keyed operations were routed: hits completed
+// in one round trip to a cached owner; lookups counts the iterative
+// lookups run instead (cold keys, refusals and failed owners).
+func (c *Client) RouteStats() (hits, lookups uint64) {
+	return c.hits.Load(), c.lookups.Load()
+}
 
 // token returns a fresh nonzero idempotency token.
 func (c *Client) token() uint64 {
@@ -102,10 +175,55 @@ func (c *Client) Lookup(key ids.ID) (wire.NodeRef, int, error) {
 	return wire.NodeRef{}, hops, ErrNoRoute
 }
 
-// Put stores value under key at its owner, re-resolving the owner after
-// any failure (storing is idempotent, so blind re-sends are safe). A
-// nil error means the write is durable: fsynced at the owner and
-// acknowledged by its replica quorum.
+// routed sends m, a request keyed by key, to key's owner. The first
+// try goes to the cached successor of key; a cache miss, a refusal or a
+// failed owner falls into the reroute ladder — lookup, send (walking a
+// join window back to the owner, see peerPool.callOwner), and a
+// stabilization beat between attempts. The owner that accepts is
+// remembered.
+func (c *Client) routed(key ids.ID, m *wire.Msg) (*wire.Msg, error) {
+	if owner, ok := c.routes.successor(key); ok {
+		reply, err := c.pool.call(owner, m)
+		if err == nil {
+			c.hits.Add(1)
+			return reply, nil
+		}
+		c.failed(owner, err)
+	}
+	var err error
+	for attempt := 0; attempt < rerouteAttempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(c.cfg.Ticks(c.cfg.StabilizeEveryTicks))
+		}
+		c.lookups.Add(1)
+		var owner wire.NodeRef
+		if owner, _, err = c.Lookup(key); err != nil {
+			continue
+		}
+		var reply *wire.Msg
+		if reply, owner, err = c.pool.callOwner(owner, m); err == nil {
+			c.routes.remember(owner)
+			return reply, nil
+		}
+		c.failed(owner, err)
+	}
+	return nil, err
+}
+
+// failed records a failed send to owner. A refusal keeps the cache
+// entry — the node is alive, it just does not own this key — while any
+// other failure forgets it.
+func (c *Client) failed(owner wire.NodeRef, err error) {
+	if errors.Is(err, ErrNotOwner) {
+		c.refused.Add(1)
+		return
+	}
+	c.routes.forget(owner)
+}
+
+// Put stores value under key at its owner, re-sending after any failure
+// (storing is idempotent). A nil error means the write is durable:
+// fsynced at the owner and acknowledged by its replica quorum.
 func (c *Client) Put(key ids.ID, value []byte) error {
 	_, err := c.PutVer(key, value)
 	return err
@@ -115,22 +233,11 @@ func (c *Client) Put(key ids.ID, value []byte) error {
 // the handle a verifier needs to later prove the write survived (a read
 // at version >= this one with these bytes, or newer).
 func (c *Client) PutVer(key ids.ID, value []byte) (uint64, error) {
-	var err error
-	for attempt := 0; attempt < rerouteAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.cfg.Ticks(c.cfg.StabilizeEveryTicks))
-		}
-		var owner wire.NodeRef
-		owner, _, err = c.Lookup(key)
-		if err != nil {
-			continue
-		}
-		var reply *wire.Msg
-		if reply, err = c.pool.call(owner, &wire.Msg{Type: wire.TPut, Key: key, Value: value}); err == nil {
-			return reply.A, nil
-		}
+	reply, err := c.routed(key, &wire.Msg{Type: wire.TPut, Key: key, Value: value})
+	if err != nil {
+		return 0, err
 	}
-	return 0, err
+	return reply.A, nil
 }
 
 // Get fetches the value stored under key from its owner.
@@ -142,33 +249,17 @@ func (c *Client) Get(key ids.ID) ([]byte, error) {
 // GetVer is Get returning the owner's stored version alongside the
 // value.
 func (c *Client) GetVer(key ids.ID) ([]byte, uint64, error) {
-	owner, _, err := c.Lookup(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c.GetFrom(owner, key)
+	return getResult(c.routed(key, &wire.Msg{Type: wire.TGet, Key: key}))
 }
 
-// GetFrom fetches key directly from a node the caller already believes
-// owns it, skipping the lookup — the cached-route read path behind
-// streaming fetch pipelines (internal/streamload), where sequential
-// chunks of one object resolve to the same owner for long stretches.
-// Any error (including a not-found at a node that stopped owning the
-// key after churn) tells the caller to drop its cache entry and
-// re-resolve with GetVer.
+// GetFrom fetches key directly from owner, skipping both the lookup and
+// the owner cache. A node that does not own key refuses with
+// ErrNotOwner.
 func (c *Client) GetFrom(owner wire.NodeRef, key ids.ID) ([]byte, uint64, error) {
-	reply, err := c.pool.call(owner, &wire.Msg{Type: wire.TGet, Key: key})
-	if err != nil {
-		return nil, 0, err
-	}
-	if !reply.Flag {
-		return nil, 0, ErrNotFound
-	}
-	return reply.Value, reply.A, nil
+	return getResult(c.pool.call(owner, &wire.Msg{Type: wire.TGet, Key: key}))
 }
 
-// Owner resolves key's owner — GetVer's lookup half, exposed so a
-// caching fetcher can refresh its route map without refetching bytes.
+// Owner resolves key's owner with an uncached lookup.
 func (c *Client) Owner(key ids.ID) (wire.NodeRef, error) {
 	owner, _, err := c.Lookup(key)
 	return owner, err
@@ -195,20 +286,6 @@ func (c *Client) ReportStream(addr string, chunks, misses, rebuffers, bytes uint
 // idempotency token across re-routes so the units land exactly once
 // even when an owner dies (or refuses, mid-leave) between attempts.
 func (c *Client) SubmitTask(key ids.ID, units uint64) error {
-	tok := c.token()
-	var err error
-	for attempt := 0; attempt < rerouteAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.cfg.Ticks(c.cfg.StabilizeEveryTicks))
-		}
-		var owner wire.NodeRef
-		owner, _, err = c.Lookup(key)
-		if err != nil {
-			continue
-		}
-		if _, err = c.pool.call(owner, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: tok}); err == nil {
-			return nil
-		}
-	}
+	_, err := c.routed(key, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: c.token()})
 	return err
 }

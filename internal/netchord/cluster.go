@@ -86,20 +86,32 @@ func (c *Cluster) Nodes() []*Node {
 }
 
 // Converged reports whether the ring's pointers agree with the sorted
-// membership: every node's successor is the next live ID clockwise and
-// its predecessor the previous one. This is an in-process oracle for
-// tests and readiness checks, not something a deployment could compute.
+// membership: every node's predecessor is the previous live ID, and its
+// replica set — the first Replicas-1 entries of its successor list,
+// led by its successor — the next live IDs clockwise. Successor lists
+// settle a stabilization round or so after the successor pointers; a
+// write acknowledged before then can leave a replica on a node outside
+// the set, which anti-entropy never removes. This is an in-process
+// oracle for tests and readiness checks, not something a deployment
+// could compute.
 func (c *Cluster) Converged() bool {
 	nodes := c.Nodes()
 	if len(nodes) == 0 {
 		return false
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID().Less(nodes[j].ID()) })
+	depth := min(c.cfg.Replicas-1, len(nodes)-1)
 	for i, n := range nodes {
 		next := nodes[(i+1)%len(nodes)]
 		prev := nodes[(i-1+len(nodes))%len(nodes)]
 		if n.Successor().ID != next.ID() {
 			return false
+		}
+		list := n.SuccessorList()
+		for k := 1; k < depth; k++ {
+			if k >= len(list) || list[k].ID != nodes[(i+1+k)%len(nodes)].ID() {
+				return false
+			}
 		}
 		pred, ok := n.Predecessor()
 		if !ok || pred.ID != prev.ID() {

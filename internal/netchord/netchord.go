@@ -49,6 +49,9 @@ var (
 	ErrClosed = errors.New("netchord: closed")
 	// ErrRemote wraps a TError reply from a peer.
 	ErrRemote = errors.New("netchord: remote error")
+	// ErrNotOwner marks a CodeNotOwner refusal: the peer is alive but the
+	// key lies outside its arc. It is always wrapped alongside ErrRemote.
+	ErrNotOwner = errors.New("netchord: not the key's owner")
 )
 
 // Config tunes one node (and, via Host/Cluster, a whole runtime). The

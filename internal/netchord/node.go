@@ -65,6 +65,10 @@ const (
 	// contract right now (not enough reachable replicas); the caller
 	// should re-resolve the owner and retry.
 	CodeUnavailable = 4
+	// CodeNotOwner means the key lies outside the callee's arc
+	// (pred, self]: the callee is alive but does not own the key, so the
+	// caller should re-resolve the owner and send again.
+	CodeNotOwner = 5
 )
 
 // putVersionAttempts bounds the owner's version-bump retry loop: when a
@@ -614,6 +618,18 @@ func (n *Node) routeStep(key ids.ID) (done bool, next wire.NodeRef, list []wire.
 	return false, next, append([]wire.NodeRef(nil), n.succ...)
 }
 
+// owns reports whether key lies in the node's arc (pred, self]. A node
+// with no predecessor, or alone on the ring, cannot tell a foreign key
+// from its own and accepts every key.
+func (n *Node) owns(key ids.ID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.hasPred || n.pred.ID == n.ref.ID {
+		return true
+	}
+	return ids.BetweenRightIncl(key, n.pred.ID, n.ref.ID)
+}
+
 // closestPrecedingLocked scans fingers farthest-first, then the
 // successor list, for the candidate most closely preceding key;
 // callers hold n.mu.
@@ -636,18 +652,47 @@ func (n *Node) closestPrecedingLocked(key ids.ID) wire.NodeRef {
 	return best
 }
 
-// rerouteAttempts bounds how many times a client re-resolves a key's
-// owner after an authoritative refusal (a node mid-leave answers
-// CodeShutdown; the ring needs a beat to route around it).
+// rerouteAttempts bounds how many times a keyed operation re-resolves a
+// key's owner after a failure (a node mid-leave answers CodeShutdown, a
+// node whose arc just shrank answers CodeNotOwner; the ring needs a beat
+// to route around either).
 const rerouteAttempts = 5
+
+// rerouted runs one keyed request m against key's owner under the
+// reroute ladder: resolve the owner, send, and after any failure — an
+// owner that refuses because it is leaving or no longer owns the key,
+// an owner that died mid-call — wait a stabilization beat, resolve
+// again and re-send. When the owner is this node, local serves the
+// request without a round trip. Every keyed request is safe to re-send:
+// storing is idempotent, reads have no effect, and a task carries one
+// idempotency token across all attempts.
+func (n *Node) rerouted(key ids.ID, m *wire.Msg, local func() (*wire.Msg, error)) (*wire.Msg, error) {
+	var err error
+	for attempt := 0; attempt < rerouteAttempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
+		}
+		var owner wire.NodeRef
+		if owner, _, err = n.Lookup(key); err != nil {
+			continue
+		}
+		var reply *wire.Msg
+		if owner.Addr == n.ref.Addr {
+			reply, err = local()
+		} else {
+			reply, _, err = n.pool.callOwner(owner, m)
+		}
+		if err == nil {
+			return reply, nil
+		}
+	}
+	return nil, err
+}
 
 // Put stores value under key at its owner, which acknowledges only
 // after the record is durable locally and at the owner's replica
 // quorum (Config.Replicas copies in total, successor list permitting).
-// Storing a key is idempotent, so every failure — an owner that refuses
-// because it is leaving, an owner that died mid-call — is handled the
-// same way: wait a stabilization beat, resolve the owner again, and
-// re-send.
+// Any failure re-sends under the reroute ladder.
 func (n *Node) Put(key ids.ID, value []byte) error {
 	_, err := n.PutVer(key, value)
 	return err
@@ -655,29 +700,14 @@ func (n *Node) Put(key ids.ID, value []byte) error {
 
 // PutVer is Put returning the version the write was acknowledged at.
 func (n *Node) PutVer(key ids.ID, value []byte) (uint64, error) {
-	var err error
-	for attempt := 0; attempt < rerouteAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
-		}
-		var owner wire.NodeRef
-		owner, _, err = n.Lookup(key)
-		if err != nil {
-			continue
-		}
-		if owner.Addr == n.ref.Addr {
-			var ver uint64
-			if ver, err = n.putDurable(key, value); err == nil {
-				return ver, nil
-			}
-			continue
-		}
-		var reply *wire.Msg
-		if reply, err = n.pool.call(owner, &wire.Msg{Type: wire.TPut, Key: key, Value: value}); err == nil {
-			return reply.A, nil
-		}
+	reply, err := n.rerouted(key, &wire.Msg{Type: wire.TPut, Key: key, Value: value}, func() (*wire.Msg, error) {
+		ver, err := n.putDurable(key, value)
+		return &wire.Msg{A: ver}, err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, err
+	return reply.A, nil
 }
 
 // Get fetches the value for key from its owner.
@@ -686,23 +716,19 @@ func (n *Node) Get(key ids.ID) ([]byte, error) {
 	return v, err
 }
 
-// GetVer is Get returning the version the owner served.
+// GetVer is Get returning the version the owner served. A read that
+// lands on a refusing node during a join window retries after a beat
+// rather than failing.
 func (n *Node) GetVer(key ids.ID) ([]byte, uint64, error) {
-	owner, _, err := n.Lookup(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if owner.Addr == n.ref.Addr {
+	return getResult(n.rerouted(key, &wire.Msg{Type: wire.TGet, Key: key}, func() (*wire.Msg, error) {
 		v, ver, ok, err := n.st.Get(key)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return nil, 0, ErrNotFound
-		}
-		return v, ver, nil
-	}
-	reply, err := n.pool.call(owner, &wire.Msg{Type: wire.TGet, Key: key})
+		return &wire.Msg{Flag: ok, Value: v, A: ver}, err
+	}))
+}
+
+// getResult unpacks a TGetOK reply: a found value and its version, or
+// ErrNotFound when the owner does not hold the key.
+func getResult(reply *wire.Msg, err error) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -718,28 +744,14 @@ func (n *Node) GetVer(key ids.ID) ([]byte, uint64, error) {
 // are applied at most once — re-submission after any failure is safe.
 func (n *Node) SubmitTask(key ids.ID, units uint64) error {
 	tok := n.newToken()
-	var err error
-	for attempt := 0; attempt < rerouteAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
+	_, err := n.rerouted(key, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: tok}, func() (*wire.Msg, error) {
+		n.mu.Lock()
+		if n.applyTokenLocked(tok) {
+			n.addTaskLocked(key, units)
 		}
-		var owner wire.NodeRef
-		owner, _, err = n.Lookup(key)
-		if err != nil {
-			continue
-		}
-		if owner.Addr == n.ref.Addr {
-			n.mu.Lock()
-			if n.applyTokenLocked(tok) {
-				n.addTaskLocked(key, units)
-			}
-			n.mu.Unlock()
-			return nil
-		}
-		if _, err = n.pool.call(owner, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: tok}); err == nil {
-			return nil
-		}
-	}
+		n.mu.Unlock()
+		return nil, nil
+	})
 	return err
 }
 
@@ -1192,6 +1204,15 @@ func (n *Node) serveConn(raw net.Conn, conn net.Conn) {
 // between nodes can never deadlock on n.mu.
 func (n *Node) handle(req *wire.Msg) *wire.Msg {
 	n.served[req.Type].Add(1)
+	switch req.Type {
+	case wire.TGet, wire.TPut, wire.TTask:
+		// A keyed request outside the arc is refused before it touches
+		// the store or consumes an idempotency token, so a sender with a
+		// stale route learns of it instead of reading a leftover replica.
+		if !n.owns(req.Key) {
+			return errorMsg(CodeNotOwner, "key outside this node's arc")
+		}
+	}
 	switch req.Type {
 	case wire.TPing:
 		return &wire.Msg{Type: wire.TPong}

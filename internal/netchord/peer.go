@@ -198,6 +198,26 @@ func (p *peerPool) tryOnce(ref wire.NodeRef, m *wire.Msg) error {
 	return err
 }
 
+// callOwner sends m, a keyed request, to owner, the node a lookup
+// resolved for the key. A refusal there means a join window: the
+// refuser's predecessor pointer already names a joiner that routing
+// (successor pointers, fixed at the next stabilization) has not yet
+// learned of. Ownership is decided by predecessor pointers, so the call
+// walks back along them, at most SuccessorListLen steps, until a node
+// accepts. It returns the reply and the node that answered or failed.
+func (p *peerPool) callOwner(owner wire.NodeRef, m *wire.Msg) (*wire.Msg, wire.NodeRef, error) {
+	reply, err := p.call(owner, m)
+	for step := 0; errors.Is(err, ErrNotOwner) && step < p.cfg.SuccessorListLen; step++ {
+		pr, perr := p.call(owner, &wire.Msg{Type: wire.TGetPred})
+		if perr != nil || !pr.Flag || pr.Node.Addr == "" || pr.Node.ID == owner.ID {
+			break
+		}
+		owner = pr.Node
+		reply, err = p.call(owner, m)
+	}
+	return reply, owner, err
+}
+
 // attempt runs one transmission: ensure a connection, write the
 // request, read until the matching reply or the deadline. Any error
 // discards the pooled connection.
@@ -240,6 +260,9 @@ func (p *peerPool) attempt(pr *peer, ref wire.NodeRef, m *wire.Msg, timeout time
 			continue // stale or duplicated reply from an earlier attempt
 		}
 		if reply.Type == wire.TError {
+			if reply.A == CodeNotOwner {
+				return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotOwner, reply.Text)
+			}
 			return nil, fmt.Errorf("%w: %s (code %d)", ErrRemote, reply.Text, reply.A)
 		}
 		return reply, nil

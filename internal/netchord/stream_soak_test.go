@@ -79,14 +79,14 @@ func TestSoakStream(t *testing.T) {
 	}
 	t.Logf("ingested %d chunks (%d bytes)", cat.TotalChunks(), cat.TotalBytes())
 
-	// A real client over TCP, exactly what dhtload -stream runs: cached
-	// routes, full payload verification against the catalog.
+	// A real client over TCP, exactly what dhtload -stream runs: the
+	// client's owner cache, full payload verification against the catalog.
 	client := NewClient(cfg, TCP{}, c.SeedAddr(), 909)
 	defer client.Close()
 	if err := client.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	fetcher := streamload.NewCachedFetcher(client, cat, true)
+	fetcher := streamload.NewNetFetcher(client, cat, true)
 	eng, err := streamload.NewEngine(streamload.Config{
 		Catalog:       cat,
 		Viewers:       32,
@@ -141,7 +141,7 @@ func TestSoakStream(t *testing.T) {
 	close(repStop)
 	<-repDone
 	nf.Heal() // idempotent: make sure the ring is whole for the sweep
-	hits, lookups := fetcher.RouteStats()
+	hits, lookups := client.RouteStats()
 	t.Logf("stream window done: sessions=%d chunks=%d errors=%d rebuffer-rate=%.4f "+
 		"miss-rate=%.4f p99=%.0fus route-hits=%d lookups=%d",
 		res.Sessions, res.Chunks, res.FetchErrors, res.RebufferRate,
@@ -162,11 +162,11 @@ func TestSoakStream(t *testing.T) {
 	}
 
 	// (3) Zero acked-chunk loss: after the heal, every ingested chunk
-	// must read back byte-exact through a fresh fetch (no cached route).
+	// must read back byte-exact through a fresh verifying fetcher.
 	if !c.AwaitConverged(60 * time.Second) {
 		t.Fatal("ring did not re-converge after heal")
 	}
-	sweep := streamload.NewCachedFetcher(client, cat, true)
+	sweep := streamload.NewNetFetcher(client, cat, true)
 	lost := 0
 	for obj := 0; obj < cat.Objects; obj++ {
 		for chunk := 0; chunk < cat.ObjectChunks; chunk++ {

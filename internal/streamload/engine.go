@@ -16,7 +16,7 @@ import (
 // blocks for the full round trip (the Engine pipelines calls from many
 // goroutines, so implementations must be safe for concurrent use) and
 // must eventually return — a fetch that can hang forever would wedge a
-// viewer's pipeline slot. CachedFetcher adapts a netchord client; the
+// viewer's pipeline slot. NetFetcher adapts a netchord client; the
 // virtual driver synthesizes fetches from a latency model instead.
 type Fetcher interface {
 	Fetch(obj, chunk int, key ids.ID) (int, error)

@@ -3,13 +3,11 @@ package streamload
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"chordbalance/internal/ids"
-	"chordbalance/internal/wire"
 )
 
 // memFetcher serves chunks from the catalog with a fixed delay and an
@@ -97,82 +95,53 @@ func TestEngineCancelDrainsCleanly(t *testing.T) {
 	}
 }
 
-// flakyKV is an in-memory KV whose reads through a designated owner
-// fail until healed, exercising the route-cache drop/re-resolve path.
-type flakyKV struct {
-	cat *Catalog
-
-	mu      sync.Mutex
-	rev     map[ids.ID][2]int // key -> (obj, chunk)
-	badAddr string
-	owner   wire.NodeRef
+// catalogKV serves a catalog's payloads by key, with one key's bytes
+// damaged and one key unreachable.
+type catalogKV struct {
+	cat          *Catalog
+	damaged, bad ids.ID
 }
 
-func newFlakyKV(cat *Catalog, owner wire.NodeRef) *flakyKV {
-	kv := &flakyKV{cat: cat, rev: make(map[ids.ID][2]int), owner: owner}
-	for obj := 0; obj < cat.Objects; obj++ {
-		for c := 0; c < cat.ObjectChunks; c++ {
-			kv.rev[cat.ChunkKey(obj, c)] = [2]int{obj, c}
+func (kv catalogKV) Get(key ids.ID) ([]byte, error) {
+	if key == kv.bad {
+		return nil, errors.New("owner unreachable")
+	}
+	for obj := 0; obj < kv.cat.Objects; obj++ {
+		for c := 0; c < kv.cat.ObjectChunks; c++ {
+			if kv.cat.ChunkKey(obj, c) != key {
+				continue
+			}
+			v := kv.cat.ChunkPayload(obj, c)
+			if key == kv.damaged {
+				v[0] ^= 0xff
+			}
+			return v, nil
 		}
 	}
-	return kv
+	return nil, errors.New("no such key")
 }
 
-func (kv *flakyKV) setOwner(o wire.NodeRef, badAddr string) {
-	kv.mu.Lock()
-	kv.owner, kv.badAddr = o, badAddr
-	kv.mu.Unlock()
-}
-
-func (kv *flakyKV) GetFrom(owner wire.NodeRef, key ids.ID) ([]byte, uint64, error) {
-	kv.mu.Lock()
-	bad := kv.badAddr
-	oc, ok := kv.rev[key]
-	kv.mu.Unlock()
-	if owner.Addr == bad {
-		return nil, 0, errors.New("owner unreachable")
-	}
-	if !ok {
-		return nil, 0, errors.New("no such key")
-	}
-	return kv.cat.ChunkPayload(oc[0], oc[1]), 1, nil
-}
-
-func (kv *flakyKV) Owner(key ids.ID) (wire.NodeRef, error) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.owner, nil
-}
-
-func TestCachedFetcherDropsStaleRoutes(t *testing.T) {
+func TestNetFetcherVerifiesPayloads(t *testing.T) {
 	cat := &Catalog{Objects: 1, ObjectChunks: 4, ChunkBytes: 32, Salt: 8}
-	ownerA := wire.NodeRef{Addr: "a"}
-	ownerB := wire.NodeRef{Addr: "b"}
-	kv := newFlakyKV(cat, ownerA)
-	cf := NewCachedFetcher(kv, cat, true)
+	kv := catalogKV{cat: cat, damaged: cat.ChunkKey(0, 1), bad: cat.ChunkKey(0, 2)}
+	nf := NewNetFetcher(kv, cat, true)
 
-	key := cat.ChunkKey(0, 0)
-	if n, err := cf.Fetch(0, 0, key); err != nil || n != 32 {
-		t.Fatalf("cold fetch = (%d, %v), want (32, nil)", n, err)
+	if n, err := nf.Fetch(0, 0, cat.ChunkKey(0, 0)); err != nil || n != 32 {
+		t.Fatalf("good fetch = (%d, %v), want (32, nil)", n, err)
 	}
-	if n, err := cf.Fetch(0, 0, key); err != nil || n != 32 {
-		t.Fatalf("warm fetch = (%d, %v)", n, err)
+	if nf.Corrupt() != 0 {
+		t.Fatalf("verification flagged a good chunk")
 	}
-	hits, lookups := cf.RouteStats()
-	if hits != 1 || lookups != 1 {
-		t.Fatalf("route stats = (%d hits, %d lookups), want (1, 1)", hits, lookups)
+	if n, err := nf.Fetch(0, 1, cat.ChunkKey(0, 1)); err != nil || n != 32 {
+		t.Fatalf("damaged fetch = (%d, %v), want (32, nil): damage is counted, not an error", n, err)
 	}
-
-	// Ownership moves: the cached route to A goes dead, B takes over.
-	kv.setOwner(ownerB, "a")
-	if n, err := cf.Fetch(0, 0, key); err != nil || n != 32 {
-		t.Fatalf("post-churn fetch = (%d, %v), want recovery via re-resolve", n, err)
+	if nf.Corrupt() != 1 {
+		t.Fatalf("corrupt = %d after one damaged chunk, want 1", nf.Corrupt())
 	}
-	hits, lookups = cf.RouteStats()
-	if hits != 1 || lookups != 2 {
-		t.Fatalf("route stats after churn = (%d, %d), want (1, 2)", hits, lookups)
+	if _, err := nf.Fetch(0, 2, cat.ChunkKey(0, 2)); err == nil {
+		t.Fatal("fetch from an unreachable owner succeeded")
 	}
-	if cf.Corrupt() != 0 {
-		t.Fatalf("verification flagged %d good chunks", cf.Corrupt())
+	if nf.Corrupt() != 1 {
+		t.Fatalf("a failed fetch changed the corrupt count to %d", nf.Corrupt())
 	}
 }

@@ -1,108 +1,49 @@
 package streamload
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"chordbalance/internal/ids"
-	"chordbalance/internal/wire"
 )
 
-// KV is the read slice of a netchord client that a CachedFetcher
-// drives: a direct fetch from a believed owner, and a lookup to
-// (re-)resolve ownership. *netchord.Client satisfies it.
+// KV is the read slice of a netchord client that a NetFetcher drives.
+// *netchord.Client satisfies it; its owner cache makes the steady state
+// one round trip per chunk, and its servers' ownership check keeps that
+// cache honest while churn and Sybil injection move ownership under a
+// running stream.
 type KV interface {
-	GetFrom(owner wire.NodeRef, key ids.ID) ([]byte, uint64, error)
-	Owner(key ids.ID) (wire.NodeRef, error)
+	Get(key ids.ID) ([]byte, error)
 }
 
-// CachedFetcher fetches chunks over the wire with a route cache: the
-// resolved owner of each key is remembered, so the steady state is one
-// round trip per chunk instead of a multi-hop lookup plus a fetch. Any
-// error on a cached route drops the entry and re-resolves — churn and
-// Sybil injection move ownership under a running stream, and this is
-// the recovery discipline. Optionally it verifies every payload against
-// the catalog, the check the soak test uses to prove zero acked-chunk
-// loss. Safe for concurrent use.
-type CachedFetcher struct {
-	kv     KV
-	cat    *Catalog
-	verify bool
-
-	mu     sync.Mutex
-	routes map[ids.ID]wire.NodeRef
-
-	hits    atomic.Uint64
-	lookups atomic.Uint64
+// NetFetcher fetches chunks over the wire and, optionally, verifies
+// every payload against the catalog — the check the soak test uses to
+// prove zero acked-chunk loss. Safe for concurrent use.
+type NetFetcher struct {
+	kv      KV
+	cat     *Catalog
+	verify  bool
 	corrupt atomic.Uint64
 }
 
-// NewCachedFetcher wraps kv. With verify set, every delivered chunk is
+// NewNetFetcher wraps kv. With verify set, every delivered chunk is
 // compared byte-for-byte against cat's deterministic payload.
-func NewCachedFetcher(kv KV, cat *Catalog, verify bool) *CachedFetcher {
-	return &CachedFetcher{kv: kv, cat: cat, verify: verify, routes: make(map[ids.ID]wire.NodeRef)}
+func NewNetFetcher(kv KV, cat *Catalog, verify bool) *NetFetcher {
+	return &NetFetcher{kv: kv, cat: cat, verify: verify}
 }
 
-// route returns the cached owner of key, if any.
-func (cf *CachedFetcher) route(key ids.ID) (wire.NodeRef, bool) {
-	cf.mu.Lock()
-	owner, ok := cf.routes[key]
-	cf.mu.Unlock()
-	return owner, ok
-}
-
-// remember caches key's resolved owner.
-func (cf *CachedFetcher) remember(key ids.ID, owner wire.NodeRef) {
-	cf.mu.Lock()
-	cf.routes[key] = owner
-	cf.mu.Unlock()
-}
-
-// forget drops a stale route.
-func (cf *CachedFetcher) forget(key ids.ID) {
-	cf.mu.Lock()
-	delete(cf.routes, key)
-	cf.mu.Unlock()
-}
-
-// Fetch implements Fetcher: cached route first, then resolve-and-fetch.
-func (cf *CachedFetcher) Fetch(obj, chunk int, key ids.ID) (int, error) {
-	if owner, ok := cf.route(key); ok {
-		if v, _, err := cf.kv.GetFrom(owner, key); err == nil {
-			cf.hits.Add(1)
-			return cf.deliver(obj, chunk, v)
-		}
-		cf.forget(key)
-	}
-	cf.lookups.Add(1)
-	owner, err := cf.kv.Owner(key)
+// Fetch implements Fetcher.
+func (nf *NetFetcher) Fetch(obj, chunk int, key ids.ID) (int, error) {
+	v, err := nf.kv.Get(key)
 	if err != nil {
 		return 0, err
 	}
-	v, _, err := cf.kv.GetFrom(owner, key)
-	if err != nil {
-		return 0, err
-	}
-	cf.remember(key, owner)
-	return cf.deliver(obj, chunk, v)
-}
-
-// deliver verifies (when enabled) and sizes a fetched payload.
-func (cf *CachedFetcher) deliver(obj, chunk int, v []byte) (int, error) {
-	if cf.verify && !cf.cat.VerifyChunk(obj, chunk, v) {
-		cf.corrupt.Add(1)
+	if nf.verify && !nf.cat.VerifyChunk(obj, chunk, v) {
+		nf.corrupt.Add(1)
 	}
 	return len(v), nil
-}
-
-// RouteStats returns cache hits (direct fetches off a cached route)
-// and lookups (full resolutions, on both cold keys and dropped
-// routes).
-func (cf *CachedFetcher) RouteStats() (hits, lookups uint64) {
-	return cf.hits.Load(), cf.lookups.Load()
 }
 
 // Corrupt returns the number of delivered chunks whose bytes did not
 // match the catalog. Nonzero on a verifying run means acked data was
 // lost or damaged.
-func (cf *CachedFetcher) Corrupt() uint64 { return cf.corrupt.Load() }
+func (nf *NetFetcher) Corrupt() uint64 { return nf.corrupt.Load() }
