@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBuiltRingModel -fuzztime=30s ./internal/ring/
 	$(GO) test -fuzz=FuzzArithmeticLaws -fuzztime=30s ./internal/ids/
 	$(GO) test -fuzz=FuzzCompare -fuzztime=30s ./internal/ids/
+	$(GO) test -fuzz=FuzzKeyHash -fuzztime=30s ./internal/keys/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store/

@@ -55,11 +55,9 @@ func (g *Generator) Next() ids.ID {
 // at returns the stream's i-th identifier, SHA-1(salt‖i): a pure
 // function of i, so any part of the stream can be hashed anywhere.
 func (g *Generator) at(i uint64) ids.ID {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], g.salt)
-	binary.BigEndian.PutUint64(buf[8:], i)
-	sum := sha1.Sum(buf[:])
-	return ids.FromBytes(sum[:])
+	var id [1]ids.ID
+	g.fill(id[:], i)
+	return id[0]
 }
 
 // NodeIDs returns n distinct SHA-1 node identifiers.
@@ -115,10 +113,15 @@ func (g *Generator) TaskKeys(n int) []ids.ID {
 	return out
 }
 
-// fill sets out[i] to the stream's (from+i)-th identifier.
-func (g *Generator) fill(out []ids.ID, from uint64) {
-	for i := range out {
-		out[i] = g.at(from + uint64(i))
+// sha1Portable sets out[k] to SHA-1(salt‖from+k), both counters
+// big-endian, through crypto/sha1: the definition every build's
+// Generator.fill must match.
+func sha1Portable(out []ids.ID, salt, from uint64) {
+	var buf [16]byte
+	binary.BigEndian.PutUint64(buf[:8], salt)
+	for k := range out {
+		binary.BigEndian.PutUint64(buf[8:], from+uint64(k))
+		out[k] = sha1.Sum(buf[:])
 	}
 }
 
