@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzDigestModel -fuzztime=30s ./internal/store/
 
 # 60-second loopback soak of the networked runtime (docs/NETWORK.md):
 # a 16-host cluster over real TCP sockets under frame loss and a mid-run

@@ -11,7 +11,9 @@ package netchord
 // behind the soak build tag so `go test ./...` stays fast.
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -279,7 +281,9 @@ func TestSoakDurableStore(t *testing.T) {
 	}
 
 	// (2) Post-heal Merkle convergence: every node's primary-arc digest
-	// equals its replicas' digests over the same arc.
+	// equals its replicas' digests over the same arc, and so do the
+	// arc's per-key metas. Metas bypass the digest memo, so a memo that
+	// served a stale digest on both sides cannot vouch for itself here.
 	byID := make(map[ids.ID]*Node)
 	for _, n := range c.Nodes() {
 		byID[n.ID()] = n
@@ -294,13 +298,16 @@ func TestSoakDurableStore(t *testing.T) {
 				continue
 			}
 			want, _ := n.Store().Digest(pred.ID, n.ID())
+			wantMetas, _ := n.Store().Metas(pred.ID, n.ID(), math.MaxInt)
 			reps := dedupeRefs(n.SuccessorList(), n.ID(), cfg.Replicas-1)
 			for _, r := range reps {
 				rep := byID[r.ID]
 				if rep == nil {
 					continue // ref to a node outside this cluster snapshot
 				}
-				if got, _ := rep.Store().Digest(pred.ID, n.ID()); got != want {
+				got, _ := rep.Store().Digest(pred.ID, n.ID())
+				gotMetas, _ := rep.Store().Metas(pred.ID, n.ID(), math.MaxInt)
+				if got != want || !slices.Equal(gotMetas, wantMetas) {
 					diverged++
 				}
 			}
@@ -313,7 +320,7 @@ func TestSoakDurableStore(t *testing.T) {
 		}
 		time.Sleep(cfg.Ticks(cfg.AntiEntropyEveryTicks * 2))
 	}
-	t.Logf("all primary arcs digest-equal across replicas")
+	t.Logf("all primary arcs digest-equal and metas-equal across replicas")
 
 	// (3) Goroutine-exact shutdown.
 	c.Close()

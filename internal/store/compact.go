@@ -89,8 +89,8 @@ func (s *Store) Compact() error {
 	// live bytes minus what the index references.
 	s.mu.Lock()
 	var live int64
-	for _, key := range s.keys {
-		live += s.index[key].size
+	for _, e := range s.index {
+		live += e.size
 	}
 	s.deadBytes = s.totalBytes - live
 	s.mu.Unlock()

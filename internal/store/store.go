@@ -17,8 +17,9 @@
 //     torn tail (a partially written final record) is truncated, not
 //     fatal.
 //  3. Comparable by digest. The index keeps each value's SHA-256 sum,
-//     so two replicas can compare whole key arcs by exchanging one
-//     32-byte Merkle digest (merkle.go) without touching values.
+//     and a sorted leaf arena keeps every (key, version, sum), so two
+//     replicas can compare whole key arcs by exchanging one 32-byte
+//     Merkle digest (merkle.go) without touching values.
 //
 // The locking is layered so that no mutex is ever held across a
 // blocking syscall class the repo's linter tracks: wmu serializes
@@ -114,15 +115,24 @@ type Store struct {
 
 	// mu guards the fields below for readers; writers hold wmu AND take
 	// mu for the brief structural update.
-	mu         sync.RWMutex
-	index      map[ids.ID]entry
-	keys       []ids.ID // sorted ascending; the arc-iteration order
+	mu    sync.RWMutex
+	index map[ids.ID]entry
+	// leaves is the leaf arena (merkle.go): one leafLen-byte leaf per
+	// live key, sorted ascending by key. gen counts its changes and keys
+	// the digest memo; it starts at 1 so a zero memo slot never matches.
+	leaves     []byte
+	gen        uint64
 	segs       []*segment
 	active     *segment
 	nextSeg    uint64
 	closed     bool
 	totalBytes int64
 	deadBytes  int64
+
+	// memoMu guards the digest memo and its hasher. It nests inside mu:
+	// a digest reads the arena under mu.RLock.
+	memoMu sync.Mutex
+	memo   digestMemo
 
 	stats struct {
 		appends     atomic.Uint64
@@ -169,6 +179,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:   dir,
 		opts:  opts.withDefaults(),
 		index: make(map[ids.ID]entry),
+		gen:   1,
 	}
 	if dir == "" {
 		return s, nil
@@ -270,7 +281,7 @@ func (s *Store) applyReplayed(rec Rec, seg uint64, off, size int64) {
 	if rec.Tombstone {
 		if ok {
 			delete(s.index, rec.Key)
-			s.removeKey(rec.Key)
+			s.dropLeaf(rec.Key)
 		}
 		s.deadBytes += size
 		return
@@ -279,9 +290,7 @@ func (s *Store) applyReplayed(rec Rec, seg uint64, off, size int64) {
 		ver: rec.Ver, sum: sum, seg: seg, off: off,
 		vlen: uint32(len(rec.Value)), size: size,
 	}
-	if !ok {
-		s.insertKey(rec.Key)
-	}
+	s.putLeaf(rec.Key, rec.Ver, sum)
 }
 
 // wins reports whether (ver, sum) supersedes (curVer, curSum): higher
@@ -292,23 +301,6 @@ func wins(ver uint64, sum [sha256.Size]byte, curVer uint64, curSum [sha256.Size]
 		return ver > curVer
 	}
 	return bytes.Compare(sum[:], curSum[:]) > 0
-}
-
-// insertKey adds key to the sorted key slice (caller holds mu or is
-// single-threaded replay).
-func (s *Store) insertKey(key ids.ID) {
-	i := sort.Search(len(s.keys), func(i int) bool { return !s.keys[i].Less(key) })
-	s.keys = append(s.keys, ids.ID{})
-	copy(s.keys[i+1:], s.keys[i:])
-	s.keys[i] = key
-}
-
-// removeKey drops key from the sorted key slice.
-func (s *Store) removeKey(key ids.ID) {
-	i := sort.Search(len(s.keys), func(i int) bool { return !s.keys[i].Less(key) })
-	if i < len(s.keys) && s.keys[i] == key {
-		s.keys = append(s.keys[:i], s.keys[i+1:]...)
-	}
 }
 
 // Put durably stores value under key at the next local version and
@@ -463,7 +455,7 @@ func (s *Store) appendLocked(rec Rec, sum [sha256.Size]byte) (uint64, error) {
 	if rec.Tombstone {
 		if had {
 			delete(s.index, rec.Key)
-			s.removeKey(rec.Key)
+			s.dropLeaf(rec.Key)
 		}
 		s.deadBytes += int64(len(buf))
 	} else {
@@ -471,9 +463,7 @@ func (s *Store) appendLocked(rec Rec, sum [sha256.Size]byte) (uint64, error) {
 			ver: rec.Ver, sum: sum, seg: s.active.id, off: off,
 			vlen: uint32(len(rec.Value)), size: int64(len(buf)),
 		}
-		if !had {
-			s.insertKey(rec.Key)
-		}
+		s.putLeaf(rec.Key, rec.Ver, sum)
 	}
 	s.totalBytes += int64(len(buf))
 	s.mu.Unlock()
@@ -617,14 +607,18 @@ func (s *Store) Ver(key ids.ID) (uint64, bool) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.keys)
+	return s.lenLocked()
 }
 
 // Keys returns the live keys in ascending ring order (a copy).
 func (s *Store) Keys() []ids.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]ids.ID(nil), s.keys...)
+	keys := make([]ids.ID, s.lenLocked())
+	for i := range keys {
+		keys[i] = s.keyAt(i)
+	}
+	return keys
 }
 
 // segByIDLocked finds a segment by id; caller holds mu.
@@ -640,7 +634,7 @@ func (s *Store) segByIDLocked(id uint64) *segment {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st := Stats{
-		Keys:       len(s.keys),
+		Keys:       s.lenLocked(),
 		Segments:   len(s.segs),
 		TotalBytes: s.totalBytes,
 		DeadBytes:  s.deadBytes,
