@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzKeyHash -fuzztime=30s ./internal/keys/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzConnStream -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzDigestModel -fuzztime=30s ./internal/store/
 

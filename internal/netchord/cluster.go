@@ -191,10 +191,11 @@ func collectorCall(tr Transport, cfg Config, addr string, req, want wire.Type) (
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := wire.WriteMsg(conn, &wire.Msg{Type: req, Req: 1}); err != nil {
+	fc := wire.NewConn(conn)
+	if err := fc.WriteMsg(&wire.Msg{Type: req, Req: 1}); err != nil {
 		return nil, err
 	}
-	reply, err := wire.ReadMsg(conn)
+	reply, err := fc.ReadMsg()
 	if err != nil {
 		return nil, err
 	}

@@ -316,39 +316,24 @@ func (c *Collector) acceptLoop() {
 			return
 		}
 		c.mu.Lock()
+		select {
+		case <-c.closed:
+			// Accepted while Close runs: Close would never close it.
+			c.mu.Unlock()
+			_ = conn.Close()
+			return
+		default:
+		}
 		c.conns[conn] = struct{}{}
 		c.mu.Unlock()
 		c.wg.Add(1)
-		go c.serveConn(conn)
-	}
-}
-
-// serveConn answers one connection's requests until error or shutdown.
-func (c *Collector) serveConn(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-	}()
-	idle := c.cfg.Ticks(c.cfg.IdleConnTicks)
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
-			return
-		}
-		req, err := wire.ReadMsg(conn)
-		if err != nil {
-			return
-		}
-		reply := c.handle(req)
-		reply.Req = req.Req
-		if err := conn.SetWriteDeadline(time.Now().Add(c.cfg.rpcTimeout())); err != nil {
-			return
-		}
-		if err := wire.WriteMsg(conn, reply); err != nil {
-			return
-		}
+		go func() {
+			defer c.wg.Done()
+			serveConn(c.cfg, conn, conn, c.handle)
+			c.mu.Lock()
+			delete(c.conns, conn)
+			c.mu.Unlock()
+		}()
 	}
 }
 

@@ -1161,39 +1161,53 @@ func (n *Node) acceptLoop() {
 		// unknown server-side, so only drop/dup/delay apply; the client
 		// side already enforces the partition).
 		wrapped := n.nf.Wrap(conn, n.ref.ID, ids.Zero)
+		// A conn accepted while Close runs (a listener may still hand
+		// one over after it closed) must not outlive it: Close would
+		// never close it, and a peer still using it would keep serveConn,
+		// and so Close's wait, alive.
 		n.connMu.Lock()
+		select {
+		case <-n.closed:
+			n.connMu.Unlock()
+			_ = conn.Close()
+			return
+		default:
+		}
 		n.conns[conn] = struct{}{}
 		n.connMu.Unlock()
 		n.wg.Add(1)
-		go n.serveConn(conn, wrapped)
+		go func() {
+			defer n.wg.Done()
+			serveConn(n.cfg, conn, wrapped, n.handle)
+			n.connMu.Lock()
+			delete(n.conns, conn)
+			n.connMu.Unlock()
+		}()
 	}
 }
 
-// serveConn reads frames until error, idle timeout, or shutdown,
-// answering each through the handler.
-func (n *Node) serveConn(raw net.Conn, conn net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		_ = raw.Close()
-		n.connMu.Lock()
-		delete(n.conns, raw)
-		n.connMu.Unlock()
-	}()
-	idle := n.cfg.Ticks(n.cfg.IdleConnTicks)
+// serveConn answers the requests on one accepted connection until EOF,
+// idle timeout, a malformed frame or shutdown, then closes it. raw
+// carries the deadlines; conn is raw itself or raw behind the fault
+// layer, and carries the frames. Node and Collector both serve this way.
+func serveConn(cfg Config, raw, conn net.Conn, handle func(*wire.Msg) *wire.Msg) {
+	defer func() { _ = raw.Close() }()
+	fc := wire.NewConn(conn)
+	idle := cfg.Ticks(cfg.IdleConnTicks)
 	for {
 		if err := raw.SetReadDeadline(time.Now().Add(idle)); err != nil {
 			return
 		}
-		req, err := wire.ReadMsg(conn)
+		req, err := fc.ReadMsg()
 		if err != nil {
-			return // EOF, idle timeout, or malformed frame: drop the conn
-		}
-		reply := n.handle(req)
-		reply.Req = req.Req
-		if err := raw.SetWriteDeadline(time.Now().Add(n.cfg.rpcTimeout())); err != nil {
 			return
 		}
-		if err := wire.WriteMsg(conn, reply); err != nil {
+		reply := handle(req)
+		reply.Req = req.Req
+		if err := raw.SetWriteDeadline(time.Now().Add(cfg.rpcTimeout())); err != nil {
+			return
+		}
+		if err := fc.WriteMsg(reply); err != nil {
 			return
 		}
 	}

@@ -57,10 +57,13 @@ type peerPool struct {
 	calls, retries, timeouts, backoff, reconnects, refusals atomic.Int64
 }
 
-// peer is one pooled connection (possibly nil until first use).
+// peer is one pooled connection (possibly nil until first use): the
+// conn, which carries the deadlines, and the framed stream over it.
+// Both are set and dropped together.
 type peer struct {
 	mu   sync.Mutex
 	conn net.Conn
+	fc   *wire.Conn
 }
 
 func newPeerPool(tr Transport, cfg Config, nf *NetFaults, local func() ids.ID) *peerPool {
@@ -98,7 +101,7 @@ func (p *peerPool) close() {
 		pr.mu.Lock()
 		if pr.conn != nil {
 			_ = pr.conn.Close()
-			pr.conn = nil
+			pr.conn, pr.fc = nil, nil
 		}
 		pr.mu.Unlock()
 	}
@@ -222,36 +225,32 @@ func (p *peerPool) callOwner(owner wire.NodeRef, m *wire.Msg) (*wire.Msg, wire.N
 // request, read until the matching reply or the deadline. Any error
 // discards the pooled connection.
 func (p *peerPool) attempt(pr *peer, ref wire.NodeRef, m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	conn := pr.conn
+	conn, fc := pr.conn, pr.fc
 	if conn == nil {
 		raw, err := p.tr.Dial(ref.Addr, timeout)
 		if err != nil {
 			return nil, err
 		}
 		conn = p.nf.Wrap(raw, p.local(), ref.ID)
-		pr.conn = conn
+		fc = wire.NewConn(conn)
+		pr.conn, pr.fc = conn, fc
 		p.reconnects.Add(1)
 	}
 	drop := func() {
 		_ = conn.Close()
-		pr.conn = nil
+		pr.conn, pr.fc = nil, nil
 	}
 	m.Req = atomic.AddUint64(&p.reqID, 1)
-	deadline := time.Now().Add(timeout)
-	if err := conn.SetWriteDeadline(deadline); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		drop()
 		return nil, err
 	}
-	if err := wire.WriteMsg(conn, m); err != nil {
-		drop()
-		return nil, err
-	}
-	if err := conn.SetReadDeadline(deadline); err != nil {
+	if err := fc.WriteMsg(m); err != nil {
 		drop()
 		return nil, err
 	}
 	for {
-		reply, err := wire.ReadMsg(conn)
+		reply, err := fc.ReadMsg()
 		if err != nil {
 			drop()
 			return nil, err

@@ -10,9 +10,9 @@ import (
 
 // FuzzWireRoundTrip locks in the codec's two safety properties:
 //
-//  1. Encode→Decode identity: any message assembled from fuzz inputs
-//     that Encode accepts must decode back to exactly the same struct
-//     (after masking to the type's field set, which Encode guarantees).
+//  1. Append→Decode identity: any message assembled from fuzz inputs
+//     that Append accepts must decode back to exactly the same struct
+//     (after masking to the type's field set, which Append guarantees).
 //  2. Decoding arbitrary bytes never panics and never over-allocates:
 //     element storage allocated while decoding is bounded by the input
 //     length, enforced structurally by reader.count.
@@ -21,7 +21,7 @@ import (
 // Decode, and the structured inputs drive the round trip.
 func FuzzWireRoundTrip(f *testing.F) {
 	for ty := TPing; ty < typeCount; ty++ {
-		frame, err := Encode(&Msg{Type: ty, Req: uint64(ty)})
+		frame, err := Append(nil, &Msg{Type: ty, Req: uint64(ty)})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -32,9 +32,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, ty byte, req uint64, val []byte, addr string, a uint64, flag bool) {
 		// Direction 1: arbitrary bytes must never panic the decoder, and
 		// a successful decode must re-encode to the identical frame
-		// (canonical form: Decode∘Encode is the identity on valid frames).
+		// (canonical form: Decode∘Append is the identity on valid frames).
 		if m, n, err := Decode(raw); err == nil {
-			re, err := Encode(m)
+			re, err := Append(nil, m)
 			if err != nil {
 				t.Fatalf("decoded message failed to re-encode: %v", err)
 			}
@@ -42,70 +42,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("re-encode mismatch:\n in: %x\nout: %x", raw[:n], re)
 			}
 		}
-		// ReadMsg must agree with Decode on the same bytes.
-		if _, err := ReadMsg(bytes.NewReader(raw)); err != nil {
-			_ = err // any error is fine; only panics are bugs
-		}
+		// A Conn reading the same bytes as a stream must reach the same
+		// verdict as Decode.
+		checkSameVerdict(t, raw)
 
 		// Direction 2: a structured message round-trips exactly.
-		typ := Type(ty%byte(typeCount-1) + 1) // valid, non-TInvalid
-		in := &Msg{Type: typ, Req: req}
-		mask := Fields(typ)
-		if mask&fKey != 0 {
-			in.Key = ids.FromUint64(a)
-		}
-		if mask&fKey2 != 0 {
-			in.Key2 = ids.FromUint64(a ^ 0x5a5a)
-		}
-		if len(addr) > MaxAddrLen {
-			addr = addr[:MaxAddrLen]
-		}
-		if mask&fFrom != 0 {
-			in.From = NodeRef{ID: ids.FromBytes(val), Addr: addr}
-		}
-		if mask&fNode != 0 {
-			in.Node = NodeRef{ID: ids.FromUint64(req), Addr: addr}
-		}
-		if mask&fList != 0 && flag {
-			in.List = []NodeRef{{ID: ids.FromUint64(a), Addr: addr}}
-		}
-		if mask&fRecs != 0 && len(val) <= MaxValueLen {
-			in.Recs = []Rec{{Key: ids.FromUint64(a), Ver: req, Value: normalize(val)}}
-		}
-		if mask&fTasks != 0 {
-			in.Tasks = []Task{{Key: ids.FromUint64(req), Units: a}}
-		}
-		if mask&fMetas != 0 {
-			meta := Meta{Key: ids.FromUint64(a), Ver: req}
-			copy(meta.Sum[:], val)
-			in.Metas = []Meta{meta}
-		}
-		if mask&fValue != 0 && len(val) <= MaxValueLen {
-			in.Value = normalize(val)
-		}
-		if mask&fA != 0 {
-			in.A = a
-		}
-		if mask&fB != 0 {
-			in.B = a ^ req
-		}
-		if mask&fC != 0 {
-			in.C = a + req
-		}
-		if mask&fD != 0 {
-			in.D = a - req
-		}
-		if mask&fFlag != 0 {
-			in.Flag = flag
-		}
-		if mask&fText != 0 {
-			text := addr
-			if len(text) > MaxTextLen {
-				text = text[:MaxTextLen]
-			}
-			in.Text = text
-		}
-		frame, err := Encode(in)
+		in := fuzzMsg(ty, req, val, addr, a, flag)
+		frame, err := Append(nil, in)
 		if err != nil {
 			t.Fatalf("encode of in-bounds message failed: %v", err)
 		}
@@ -120,6 +63,69 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch\n in: %+v\nout: %+v", in, out)
 		}
 	})
+}
+
+// fuzzMsg builds a valid, in-bounds message of a type chosen by ty from
+// fuzz inputs, with every field that type carries set.
+func fuzzMsg(ty byte, req uint64, val []byte, addr string, a uint64, flag bool) *Msg {
+	typ := Type(ty%byte(typeCount-1) + 1) // valid, non-TInvalid
+	in := &Msg{Type: typ, Req: req}
+	mask := Fields(typ)
+	if mask&fKey != 0 {
+		in.Key = ids.FromUint64(a)
+	}
+	if mask&fKey2 != 0 {
+		in.Key2 = ids.FromUint64(a ^ 0x5a5a)
+	}
+	if len(addr) > MaxAddrLen {
+		addr = addr[:MaxAddrLen]
+	}
+	if mask&fFrom != 0 {
+		in.From = NodeRef{ID: ids.FromBytes(val), Addr: addr}
+	}
+	if mask&fNode != 0 {
+		in.Node = NodeRef{ID: ids.FromUint64(req), Addr: addr}
+	}
+	if mask&fList != 0 && flag {
+		in.List = []NodeRef{{ID: ids.FromUint64(a), Addr: addr}}
+	}
+	if mask&fRecs != 0 && len(val) <= MaxValueLen {
+		in.Recs = []Rec{{Key: ids.FromUint64(a), Ver: req, Value: normalize(val)}}
+	}
+	if mask&fTasks != 0 {
+		in.Tasks = []Task{{Key: ids.FromUint64(req), Units: a}}
+	}
+	if mask&fMetas != 0 {
+		meta := Meta{Key: ids.FromUint64(a), Ver: req}
+		copy(meta.Sum[:], val)
+		in.Metas = []Meta{meta}
+	}
+	if mask&fValue != 0 && len(val) <= MaxValueLen {
+		in.Value = normalize(val)
+	}
+	if mask&fA != 0 {
+		in.A = a
+	}
+	if mask&fB != 0 {
+		in.B = a ^ req
+	}
+	if mask&fC != 0 {
+		in.C = a + req
+	}
+	if mask&fD != 0 {
+		in.D = a - req
+	}
+	if mask&fFlag != 0 {
+		in.Flag = flag
+	}
+	if mask&fText != 0 {
+		text := addr
+		if len(text) > MaxTextLen {
+			text = text[:MaxTextLen]
+		}
+		in.Text = text
+	}
+	return in
 }
 
 // normalize maps empty slices to nil, matching the decoder's convention

@@ -27,7 +27,7 @@ func TestStatsRoundTrip(t *testing.T) {
 
 func TestStatsRoundTripThroughMsg(t *testing.T) {
 	in := Stats{Hosts: 12, Consumed: 1 << 40, StreamChunks: 1_000_000, StreamBytes: 1 << 50}
-	frame, err := Encode(&Msg{Type: TStatsOK, Req: 7, Value: AppendStats(nil, &in)})
+	frame, err := Append(nil, &Msg{Type: TStatsOK, Req: 7, Value: AppendStats(nil, &in)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,14 @@
 // message set — find_successor routing steps, notify, get/put and task
 // submission, versioned replica records and Merkle anti-entropy digest
 // exchanges (internal/store), workload queries, the Sybil invite/inject
-// strategy traffic, and consume reports — as self-describing records
-// that can be written to any net.Conn with a single Write call.
+// strategy traffic, and consume reports — as self-describing records.
+// Conn frames them over a byte stream, one Write call per frame.
 //
 // The format is deliberately tiny and strict:
 //
 //	offset  size  field
 //	0       2     magic "CB"
-//	2       1     version (currently 2)
+//	2       1     version (currently 3)
 //	3       1     message type
 //	4       8     request id (big endian)
 //	12      4     payload length (big endian, <= MaxPayload)
@@ -18,7 +18,7 @@
 //
 // Each message type carries a fixed subset of Msg's fields (see
 // fieldsOf); fields not in the subset are never encoded and decode to
-// their zero values, so Encode/Decode is an exact round trip for valid
+// their zero values, so Append/Decode is an exact round trip for valid
 // messages. Every length read from the wire is bounds-checked against
 // both a hard cap and the bytes actually remaining in the payload, so a
 // malicious or corrupt peer can neither panic the decoder nor make it
@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"chordbalance/internal/ids"
 )
@@ -296,7 +295,7 @@ type Task struct {
 
 // Msg is the decoded form of every message: one Type plus the union of
 // all field slots. Each type uses the fixed subset listed in its
-// constant's doc comment; Encode rejects nothing (it simply skips
+// constant's doc comment; Append rejects nothing (it simply skips
 // fields outside the subset) and Decode leaves them zero.
 type Msg struct {
 	Type Type
@@ -516,11 +515,6 @@ func appendRef(dst []byte, r NodeRef) []byte {
 	dst = append(dst, r.ID[:]...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Addr)))
 	return append(dst, r.Addr...)
-}
-
-// Encode returns m as a freshly allocated frame.
-func Encode(m *Msg) ([]byte, error) {
-	return Append(make([]byte, 0, HeaderLen+64), m)
 }
 
 // reader walks one payload with bounds checks; all take methods return
@@ -796,41 +790,4 @@ func Decode(b []byte) (*Msg, int, error) {
 		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTrailing, r.remaining())
 	}
 	return m, total, nil
-}
-
-// WriteMsg encodes m and writes the complete frame with one Write call.
-// A single Write per frame is a protocol invariant: the fault-injecting
-// conn wrapper in internal/netchord treats each Write as one message
-// when deciding drops and duplicates.
-func WriteMsg(w io.Writer, m *Msg) error {
-	frame, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// ReadMsg reads exactly one frame from r. It tolerates any stream
-// framing (io.ReadFull on the header, then the declared payload) and
-// applies the same bounds checks as Decode.
-func ReadMsg(r io.Reader) (*Msg, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	plen := binary.BigEndian.Uint32(hdr[12:16])
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
-	}
-	frame := make([]byte, HeaderLen+int(plen))
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[HeaderLen:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	m, _, err := Decode(frame)
-	return m, err
 }

@@ -77,7 +77,7 @@ func sample(t Type) *Msg {
 func TestRoundTripEveryType(t *testing.T) {
 	for ty := TPing; ty < typeCount; ty++ {
 		in := sample(ty)
-		frame, err := Encode(in)
+		frame, err := Append(nil, in)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", ty, err)
 		}
@@ -96,14 +96,15 @@ func TestRoundTripEveryType(t *testing.T) {
 
 func TestReadWriteStream(t *testing.T) {
 	var buf bytes.Buffer
+	c := NewConn(&buf)
 	msgs := []*Msg{sample(TFindSuccessor), sample(TJoinOK), sample(TConsumeReport)}
 	for _, m := range msgs {
-		if err := WriteMsg(&buf, m); err != nil {
+		if err := c.WriteMsg(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := ReadMsg(&buf)
+		got, err := c.ReadMsg()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,13 +112,13 @@ func TestReadWriteStream(t *testing.T) {
 			t.Errorf("stream mismatch: %+v vs %+v", want, got)
 		}
 	}
-	if _, err := ReadMsg(&buf); err != io.EOF {
+	if _, err := c.ReadMsg(); err != io.EOF {
 		t.Errorf("empty stream: got %v, want EOF", err)
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	good, err := Encode(sample(TPut))
+	good, err := Append(nil, sample(TPut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestDecodeBoundsListCount(t *testing.T) {
 	// A TSuccListOK frame declaring 60000 refs in a 4-byte payload must
 	// fail as truncated without allocating the declared list.
 	m := &Msg{Type: TSuccListOK, Req: 1}
-	frame, err := Encode(m)
+	frame, err := Append(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func TestEncodeRejectsOversizedFields(t *testing.T) {
 		{Type: TTransfer, Tasks: make([]Task, MaxTasks+1)},
 	}
 	for _, m := range cases {
-		if _, err := Encode(m); !errors.Is(err, ErrTooLarge) {
+		if _, err := Append(nil, m); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%v: got %v, want ErrTooLarge", m.Type, err)
 		}
 	}
-	if _, err := Encode(&Msg{Type: typeCount}); !errors.Is(err, ErrBadType) {
+	if _, err := Append(nil, &Msg{Type: typeCount}); !errors.Is(err, ErrBadType) {
 		t.Errorf("invalid type: got %v, want ErrBadType", err)
 	}
 }
@@ -190,7 +191,7 @@ func TestUnmaskedFieldsAreNotEncoded(t *testing.T) {
 	// TPing carries no fields: junk in the struct must not leak onto the
 	// wire, so the round trip normalizes to the empty message.
 	in := &Msg{Type: TPing, Req: 7, Key: ids.FromUint64(1), Text: "junk", A: 9}
-	frame, err := Encode(in)
+	frame, err := Append(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
