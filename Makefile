@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench-micro bench-harness-test sweep sweep-quick figures fuzz chaos soak stream-soak sybilwar clean
+.PHONY: all build lint doccheck mdcheck trace-check test test-race cover bench-micro bench-harness-test sweep sweep-quick repro-check figures fuzz chaos soak stream-soak sybilwar clean
 
 all: build lint test
 
@@ -69,6 +69,12 @@ sweep:
 # Quick sweep matching sweep_results.txt.
 sweep-quick:
 	$(GO) run ./cmd/dhtsweep -exp all -trials 5 -seed 1
+
+# Reproduction referee: rerun the quick sweep and fail on any byte of
+# drift from the committed sweep_results.txt. The per-experiment timing
+# lines go to stderr, so stdout is a pure function of the flags.
+repro-check:
+	$(GO) run ./cmd/dhtsweep -exp all -trials 5 -seed 1 | diff -u sweep_results.txt -
 
 # Regenerate every figure as SVG into ./figures/.
 figures:

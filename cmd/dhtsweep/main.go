@@ -25,13 +25,16 @@ import (
 type runner func(experiments.Options) error
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dhtsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run executes the sweep. Results go to out; the per-experiment
+// wall-clock lines go to log, so out is a pure function of the flags and
+// can be diffed against the committed sweep_results.txt.
+func run(args []string, out, log io.Writer) error {
 	fs := flag.NewFlagSet("dhtsweep", flag.ContinueOnError)
 	var (
 		exp     = fs.String("exp", "baseline", "experiment to run (or 'all'); see -list")
@@ -275,7 +278,8 @@ func run(args []string, out io.Writer) error {
 				if terr != nil {
 					return fmt.Errorf("%s: opening trace sink: %w", name, terr)
 				}
-				fmt.Fprintf(out, "(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+				fmt.Fprintln(out)
+				fmt.Fprintf(log, "(%s in %v)\n", name, time.Since(start).Round(time.Millisecond))
 				return nil
 			}
 		}

@@ -1,13 +1,14 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunList(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-list"}, &out); err != nil {
+	if err := run([]string{"-list"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -21,28 +22,31 @@ func TestRunList(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "nope"}, &out); err == nil {
+	if err := run([]string{"-exp", "nope"}, &out, io.Discard); err == nil {
 		t.Error("unknown experiment must fail")
 	}
 }
 
 func TestRunArcsText(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "arcs", "-trials", "1"}, &out); err != nil {
+	var out, log strings.Builder
+	if err := run([]string{"-exp", "arcs", "-trials", "1"}, &out, &log); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
 	if !strings.Contains(s, "Arc-length analysis") || !strings.Contains(s, "sha1") {
 		t.Errorf("arcs output wrong:\n%s", s)
 	}
-	if !strings.Contains(s, "(arcs in ") {
+	if !strings.Contains(log.String(), "(arcs in ") {
 		t.Error("missing timing footer")
+	}
+	if strings.Contains(s, "(arcs in ") {
+		t.Error("timing footer must not reach the results stream")
 	}
 }
 
 func TestRunArcsCSV(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "arcs", "-trials", "1", "-csv"}, &out); err != nil {
+	if err := run([]string{"-exp", "arcs", "-trials", "1", "-csv"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "placement,nodes,") {
@@ -52,7 +56,7 @@ func TestRunArcsCSV(t *testing.T) {
 
 func TestRunChordHops(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "chord-hops", "-trials", "20"}, &out); err != nil {
+	if err := run([]string{"-exp", "chord-hops", "-trials", "20"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "mean hops") {
