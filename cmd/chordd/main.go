@@ -25,12 +25,14 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"chordbalance/internal/faults"
 	"chordbalance/internal/netchord"
 	"chordbalance/internal/obs"
+	"chordbalance/internal/strategy"
 )
 
 func main() {
@@ -54,7 +56,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("chordd", flag.ContinueOnError)
 	var (
 		nodes     = fs.Int("nodes", 1, "hosts to run in this process")
-		strat     = fs.String("strategy", "none", "none|churn|random|neighbor|invitation")
+		strat     = fs.String("strategy", "none", strings.Join(strategy.Names(), "|"))
 		seed      = fs.Uint64("seed", 1, "deterministic seed for the hosts' RNG streams")
 		join      = fs.String("join", "", "seed address of an existing ring (empty = create a new ring)")
 		collector = fs.String("collector", "", "collector address to report to (with -join; ring creators start their own)")
@@ -70,7 +72,7 @@ func run(args []string, out io.Writer) error {
 		maxSybils = fs.Int("maxsybils", 8, "Sybil cap per host")
 		threshold = fs.Uint64("threshold", 0, "sybilThreshold: residual at or below which a host seeks work")
 		invite    = fs.Uint64("invite-threshold", 8, "workload above which an invitation-strategy node calls for help")
-		churnProb = fs.Float64("churn-prob", 0.05, "per-decision leave+rejoin probability (churn strategy)")
+		churnProb = fs.Float64("churn-prob", 0, "per-decision leave+rejoin probability (-strategy churn without it: 0.05)")
 		dataDir   = fs.String("data", "", "base directory for durable segment logs (empty = memory-backed); restart with the same -seed and -data to recover from the logs")
 		noSync    = fs.Bool("nosync", false, "skip fsync-on-acknowledge (benchmarks only: crashes may lose acked writes)")
 		readWork  = fs.Uint64("read-work", 0, "task units a served read charges its owner, so read pressure drives the strategies (0 = reads are free; see docs/STREAMING.md)")
@@ -92,9 +94,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	strategy, err := netchord.ParseStrategy(*strat)
-	if err != nil {
-		return err
+	if _, ok := strategy.ByName(*strat); !ok {
+		return fmt.Errorf("unknown strategy %q", *strat)
+	}
+	if *strat == "churn" && *churnProb == 0 {
+		*churnProb = 0.05 // the churn strategy is the baseline plus turnover
 	}
 	cfg := netchord.Config{
 		TickEvery:          *tick,
@@ -126,6 +130,7 @@ func run(args []string, out io.Writer) error {
 		plan.Seed = *seed
 	}
 	if !plan.Zero() {
+		var err error
 		if nf, err = netchord.NewNetFaults(plan, cfg.TickEvery); err != nil {
 			return err
 		}
@@ -144,14 +149,14 @@ func run(args []string, out io.Writer) error {
 	var hosts []*netchord.Host
 	var col *netchord.Collector
 	if *join == "" {
-		cluster, err := netchord.NewCluster(cfg, tr, nf, *nodes, strategy, *seed, tracer)
+		cluster, err := netchord.NewCluster(cfg, tr, nf, *nodes, *strat, *seed, tracer)
 		if err != nil {
 			return err
 		}
 		defer cluster.Close()
 		hosts, col = cluster.Hosts(), cluster.Collector()
 		fmt.Fprintf(out, "ring seed=%s collector=%s hosts=%d strategy=%s\n",
-			cluster.SeedAddr(), col.Addr(), len(hosts), strategy)
+			cluster.SeedAddr(), col.Addr(), len(hosts), *strat)
 	} else {
 		if tracer != nil {
 			// The trace comes from the collector, which lives in the
@@ -161,7 +166,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-trace requires creating the ring (omit -join)")
 		}
 		for i := 0; i < *nodes; i++ {
-			h, err := netchord.NewHost(cfg, tr, nf, *indexBase+i, strategy, *seed, *join, *collector)
+			h, err := netchord.NewHost(cfg, tr, nf, *indexBase+i, *strat, *seed, *join, *collector)
 			if err != nil {
 				for _, prev := range hosts {
 					prev.Close()
@@ -170,7 +175,7 @@ func run(args []string, out io.Writer) error {
 			}
 			h.Start()
 			hosts = append(hosts, h)
-			fmt.Fprintf(out, "host %d joined via %s as %s\n", h.Index(), *join, h.Primary().Addr())
+			fmt.Fprintf(out, "host %d joined via %s as %s\n", h.Index(), *join, h.PrimaryNode().Addr())
 		}
 		defer func() {
 			for _, h := range hosts {
@@ -194,7 +199,7 @@ func run(args []string, out io.Writer) error {
 		<-sig
 	}
 
-	s := summary{Hosts: len(hosts), Strategy: strategy.String()}
+	s := summary{Hosts: len(hosts), Strategy: *strat}
 	if col != nil {
 		s.Progress = col.Progress()
 	}

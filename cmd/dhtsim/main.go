@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		nodes     = fs.Int("nodes", 1000, "initial network size")
 		tasks     = fs.Int("tasks", 100000, "job size in tasks")
-		strat     = fs.String("strategy", "none", "none|churn|random|neighbor|smart-neighbor|invitation|strength-invitation|strength-random|targeted")
+		strat     = fs.String("strategy", "none", strings.Join(strategy.Names(), "|"))
 		churn     = fs.Float64("churn", 0, "per-tick leave/join probability")
 		hetero    = fs.Bool("hetero", false, "heterogeneous strengths U{1..maxsybils}")
 		byStr     = fs.Bool("work-by-strength", false, "consume strength tasks per tick")

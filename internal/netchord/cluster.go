@@ -26,9 +26,9 @@ type Cluster struct {
 // NewCluster starts a collector and nhosts hosts: host 0 creates the
 // ring, the rest join through host 0's primary. Hosts are created
 // sequentially (each join completes before the next starts) and their
-// loops all start before NewCluster returns. tracer may be nil; nf may
-// be nil.
-func NewCluster(cfg Config, tr Transport, nf *NetFaults, nhosts int, strat Strategy, seed uint64, tracer *obs.Tracer) (*Cluster, error) {
+// loops all start before NewCluster returns. strat is any name
+// strategy.ByName accepts. tracer may be nil; nf may be nil.
+func NewCluster(cfg Config, tr Transport, nf *NetFaults, nhosts int, strat string, seed uint64, tracer *obs.Tracer) (*Cluster, error) {
 	if nhosts <= 0 {
 		return nil, fmt.Errorf("netchord: cluster needs at least one host, got %d", nhosts)
 	}
@@ -41,7 +41,7 @@ func NewCluster(cfg Config, tr Transport, nf *NetFaults, nhosts int, strat Strat
 	for i := 0; i < nhosts; i++ {
 		join := ""
 		if i > 0 {
-			join = c.hosts[0].Primary().Addr()
+			join = c.hosts[0].PrimaryNode().Addr()
 		}
 		h, err := NewHost(cfg, tr, nf, i, strat, seed, join, col.Addr())
 		if err != nil {
@@ -74,7 +74,7 @@ func (c *Cluster) Collector() *Collector { return c.collector }
 
 // SeedAddr returns host 0's current primary address — the address new
 // processes should join through.
-func (c *Cluster) SeedAddr() string { return c.hosts[0].Primary().Addr() }
+func (c *Cluster) SeedAddr() string { return c.hosts[0].PrimaryNode().Addr() }
 
 // Nodes returns every live virtual node across all hosts.
 func (c *Cluster) Nodes() []*Node {

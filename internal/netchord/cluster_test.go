@@ -41,7 +41,7 @@ func TestCluster16Invitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(cfg, NewPipeTransport(), nf, 16, StrategyInvitation, 77, nil)
+	c, err := NewCluster(cfg, NewPipeTransport(), nf, 16, "invitation", 77, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestCluster16Invitation(t *testing.T) {
 	keys := make([]ids.ID, 32)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := c.Hosts()[i%16].Primary().Put(keys[i], []byte{byte(i)}); err != nil {
+		if err := c.Hosts()[i%16].PrimaryNode().Put(keys[i], []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 
 	// The paper's skewed workload: every task unit lands in one arc, so
 	// a single primary starts with all the work and must invite helpers.
-	target := c.Hosts()[5].Primary()
+	target := c.Hosts()[5].PrimaryNode()
 	pred, ok := target.Predecessor()
 	if !ok {
 		t.Fatal("target has no predecessor after convergence")
@@ -75,7 +75,7 @@ func TestCluster16Invitation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[0].Primary().SubmitTask(key, 8); err != nil {
+		if err := c.Hosts()[0].PrimaryNode().SubmitTask(key, 8); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		submitted += 8
@@ -105,7 +105,7 @@ func TestCluster16Invitation(t *testing.T) {
 	lookups, ok := 0, true
 	for _, h := range c.Hosts() {
 		for trial := 0; trial < 4; trial++ {
-			if _, _, err := h.Primary().Lookup(ids.Random(rng)); err != nil {
+			if _, _, err := h.PrimaryNode().Lookup(ids.Random(rng)); err != nil {
 				t.Errorf("lookup from host %d failed after heal: %v", h.Index(), err)
 				ok = false
 			}
@@ -113,7 +113,7 @@ func TestCluster16Invitation(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		if _, err := c.Hosts()[(i+7)%16].Primary().Get(k); err != nil {
+		if _, err := c.Hosts()[(i+7)%16].PrimaryNode().Get(k); err != nil {
 			t.Errorf("key %s unreadable after heal: %v", k.Short(), err)
 			ok = false
 		}
@@ -130,7 +130,7 @@ func TestClusterNeighborInjection(t *testing.T) {
 	// small so the ring can settle.
 	cfg := clusterConfig()
 	cfg.MaxSybils = 2
-	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, StrategyNeighbor, 9, nil)
+	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, "neighbor", 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestClusterNeighborInjection(t *testing.T) {
 	}
 
 	// Load one arc; the idle neighbors should split it.
-	target := c.Hosts()[2].Primary()
+	target := c.Hosts()[2].PrimaryNode()
 	pred, _ := target.Predecessor()
 	rng := xrand.New(4)
 	const units = 256
@@ -149,7 +149,7 @@ func TestClusterNeighborInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[0].Primary().SubmitTask(key, 4); err != nil {
+		if err := c.Hosts()[0].PrimaryNode().SubmitTask(key, 4); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestClusterNeighborInjection(t *testing.T) {
 
 func TestClusterRandomInjectionAndWithdraw(t *testing.T) {
 	cfg := clusterConfig()
-	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, StrategyRandom, 13, nil)
+	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, "random", 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestClusterRandomInjectionAndWithdraw(t *testing.T) {
 	if !c.AwaitConverged(30 * time.Second) {
 		t.Fatal("ring did not converge")
 	}
-	target := c.Hosts()[1].Primary()
+	target := c.Hosts()[1].PrimaryNode()
 	pred, _ := target.Predecessor()
 	rng := xrand.New(6)
 	const units = 256
@@ -178,7 +178,7 @@ func TestClusterRandomInjectionAndWithdraw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[3].Primary().SubmitTask(key, 4); err != nil {
+		if err := c.Hosts()[3].PrimaryNode().SubmitTask(key, 4); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestClusterChurnConservesWork(t *testing.T) {
 	// oracle needs a fully settled moment to observe; keep the churn
 	// rate low enough that such moments exist between departures.
 	cfg.ChurnProb = 0.02
-	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, StrategyChurn, 17, nil)
+	c, err := NewCluster(cfg, NewPipeTransport(), nil, 4, "churn", 17, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestClusterChurnConservesWork(t *testing.T) {
 	rng := xrand.New(8)
 	const units = 512
 	for submitted := 0; submitted < units; submitted += 8 {
-		if err := c.Hosts()[0].Primary().SubmitTask(ids.Random(rng), 8); err != nil {
+		if err := c.Hosts()[0].PrimaryNode().SubmitTask(ids.Random(rng), 8); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}

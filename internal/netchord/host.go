@@ -8,70 +8,14 @@ import (
 	"time"
 
 	"chordbalance/internal/ids"
+	"chordbalance/internal/strategy"
 	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
 )
 
-// Strategy selects one of the paper's autonomous load-balancing
-// policies, rendered as local per-host decision rules instead of the
-// simulator's global decision pass.
-type Strategy int
-
-// The strategy set. Each value mirrors an internal/strategy policy; the
-// semantics are the same local rules, driven by each host's own loop.
-const (
-	// StrategyNone is the baseline: no Sybils, no reaction.
-	StrategyNone Strategy = iota
-	// StrategyChurn is induced churn (§IV-A): a host whose work is done
-	// leaves and rejoins under a fresh identifier, probabilistically
-	// landing in a loaded arc.
-	StrategyChurn
-	// StrategyRandom is random injection (§IV-B): an idle host projects
-	// one Sybil per decision at a uniformly random identifier, dropping
-	// Sybils that acquired nothing.
-	StrategyRandom
-	// StrategyNeighbor is neighbor injection (§IV-C): an idle host
-	// splits the largest arc among its successors at the midpoint.
-	StrategyNeighbor
-	// StrategyInvitation is the invitation strategy (§IV-D): an
-	// overloaded node invites its predecessors; an idle predecessor
-	// injects a Sybil into the inviter's arc.
-	StrategyInvitation
-)
-
-// String renders the strategy's harness-facing name.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyNone:
-		return "none"
-	case StrategyChurn:
-		return "churn"
-	case StrategyRandom:
-		return "random"
-	case StrategyNeighbor:
-		return "neighbor"
-	case StrategyInvitation:
-		return "invitation"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// ParseStrategy maps a harness-facing name to a Strategy.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "none", "":
-		return StrategyNone, nil
-	case "churn":
-		return StrategyChurn, nil
-	case "random":
-		return StrategyRandom, nil
-	case "neighbor":
-		return StrategyNeighbor, nil
-	case "invitation":
-		return StrategyInvitation, nil
-	}
-	return StrategyNone, fmt.Errorf("netchord: unknown strategy %q", name)
-}
+// StrategyNone names the baseline strategy: no Sybils, no reaction.
+// NewHost and NewCluster accept every name strategy.ByName does.
+const StrategyNone = "none"
 
 // HostStats snapshots one host's cumulative activity.
 type HostStats struct {
@@ -86,13 +30,8 @@ type HostStats struct {
 	Sybils int
 	// Injections counts Sybils this host created over its lifetime.
 	Injections int
-	// Churns counts leave/rejoin cycles (induced-churn strategy).
+	// Churns counts leave/rejoin cycles (induced churn, ChurnProb).
 	Churns int
-	// InvitesSent and InvitesAccepted count invitation traffic from the
-	// overloaded side.
-	InvitesSent, InvitesAccepted int64
-	// Helped counts invitations this host accepted as the helper.
-	Helped int64
 	// Evictions counts identities this host retired in response to
 	// density-defense TEvict notices (docs/ADVERSARY.md). On an honest
 	// host every one of these is defense collateral: the balancing
@@ -103,20 +42,20 @@ type HostStats struct {
 // Host is one physical machine in the networked runtime: a primary
 // virtual node plus up to MaxSybils Sybil identities, a per-tick
 // consume loop, a consume-report stream to the collector, and one of
-// the paper's strategies run as a local decision rule every
-// DecisionEveryTicks ticks.
+// the paper's strategies run every DecisionEveryTicks ticks.
 //
-// The Host is the networked analogue of the simulator's host: where the
-// simulator's engine calls strategy.Decide over global state, each Host
-// here acts alone on what it can observe over the wire — its own
-// workload, its nodes' successor/predecessor windows, and replies to
-// the workload/invite messages it sends.
+// The Host is both the strategy.World and the strategy.View its
+// strategy decides through: the same internal/strategy code the
+// simulator runs, except that a Host sees only what it can observe over
+// the wire — its own workload, its primary's successor list, the
+// predecessor chain, and replies to the workload queries and
+// invitations it sends.
 type Host struct {
 	cfg       Config
 	tr        Transport
 	nf        *NetFaults
 	index     int
-	strategy  Strategy
+	strat     strategy.Strategy
 	rng       *xrand.Rand
 	hostID    ids.ID // stable across churn; keys collector records
 	collector string // collector address ("" = no reporting)
@@ -137,7 +76,10 @@ type Host struct {
 	evicts    int
 	down      bool
 
-	invitesSent, invitesAccepted, helped int64
+	// peers maps the IDs the current decision pass saw in its successor
+	// and predecessor windows to their addresses, so Load, Offer and
+	// Invite can reach them. Only the decision pass touches it.
+	peers map[ids.ID]wire.NodeRef
 
 	// sybilSeq feeds jitterID; atomic because considerInvite injects
 	// from a server-handler goroutine, off the host loop (where h.rng
@@ -163,16 +105,23 @@ type Host struct {
 // is empty or joins through it otherwise, and starts the node's server
 // loops. Call Start to begin consuming, reporting, and deciding.
 // collectorAddr may be empty (no reports). nf may be nil (no faults).
-func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat Strategy, seed uint64, joinAddr, collectorAddr string) (*Host, error) {
+// strat is any name strategy.ByName accepts; the host runs its own
+// instance.
+func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat string, seed uint64, joinAddr, collectorAddr string) (*Host, error) {
+	st, ok := strategy.ByName(strat)
+	if !ok {
+		return nil, fmt.Errorf("netchord: unknown strategy %q", strat)
+	}
 	cfg = cfg.WithDefaults()
 	h := &Host{
 		cfg:       cfg,
 		tr:        tr,
 		nf:        nf,
 		index:     index,
-		strategy:  strat,
+		strat:     st,
 		rng:       xrand.NewStream(seed, index),
 		collector: collectorAddr,
+		peers:     make(map[ids.ID]wire.NodeRef),
 		closed:    make(chan struct{}),
 	}
 	h.hostID = ids.Random(h.rng)
@@ -180,21 +129,31 @@ func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat Strategy,
 	// traffic: it bypasses the fault layer so measurements survive the
 	// faults they measure.
 	h.ctl = newPeerPool(tr, cfg, nil, func() ids.ID { return h.hostID })
-	n, err := NewNode(cfg, tr, nf, ids.Random(h.rng), "")
+	n, err := h.spawn(ids.Random(h.rng), joinAddr)
 	if err != nil {
-		return nil, err
-	}
-	n.host = h
-	n.ev = h
-	if joinAddr == "" {
-		n.Create()
-	} else if err := n.Join(joinAddr); err != nil {
-		n.Close()
 		return nil, err
 	}
 	n.Start()
 	h.primary = n
 	return h, nil
+}
+
+// spawn creates one of the host's identities at id: it joins the ring
+// through via, or creates a ring alone when via is empty.
+func (h *Host) spawn(id ids.ID, via string) (*Node, error) {
+	n, err := NewNode(h.cfg, h.tr, h.nf, id, "")
+	if err != nil {
+		return nil, err
+	}
+	n.host = h
+	n.ev = h
+	if via == "" {
+		n.Create()
+	} else if err := n.Join(via); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
 }
 
 // Start launches the host loop (consume, report, decide).
@@ -232,8 +191,8 @@ func (h *Host) Index() int { return h.index }
 // any ring identity; it survives churn).
 func (h *Host) HostID() ids.ID { return h.hostID }
 
-// Primary returns the host's current primary node.
-func (h *Host) Primary() *Node {
+// PrimaryNode returns the host's current primary node.
+func (h *Host) PrimaryNode() *Node {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.primary
@@ -257,10 +216,10 @@ func (h *Host) nodesLocked() []*Node {
 
 // Workload sums residual task units across the host's virtual nodes —
 // the only load signal a real host has locally (§V).
-func (h *Host) Workload() uint64 {
-	var sum uint64
+func (h *Host) Workload() int {
+	sum := 0
 	for _, n := range h.Nodes() {
-		sum += n.TaskUnits()
+		sum += int(n.TaskUnits())
 	}
 	return sum
 }
@@ -271,17 +230,14 @@ func (h *Host) Stats() HostStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return HostStats{
-		Consumed:        h.consumed,
-		Residual:        residual,
-		FirstBusyTick:   h.firstBusy,
-		LastBusyTick:    h.lastBusy,
-		Sybils:          len(h.sybils),
-		Injections:      h.injects,
-		Churns:          h.churns,
-		InvitesSent:     h.invitesSent,
-		InvitesAccepted: h.invitesAccepted,
-		Helped:          h.helped,
-		Evictions:       h.evicts,
+		Consumed:      h.consumed,
+		Residual:      uint64(residual),
+		FirstBusyTick: h.firstBusy,
+		LastBusyTick:  h.lastBusy,
+		Sybils:        len(h.sybils),
+		Injections:    h.injects,
+		Churns:        h.churns,
+		Evictions:     h.evicts,
 	}
 }
 
@@ -346,7 +302,7 @@ func (h *Host) hello() {
 	}
 	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
 		Type: wire.THello,
-		From: wire.NodeRef{ID: h.hostID, Addr: h.Primary().Addr()},
+		From: wire.NodeRef{ID: h.hostID, Addr: h.PrimaryNode().Addr()},
 		A:    uint64(h.cfg.ConsumePerTick),
 	})
 }
@@ -363,7 +319,7 @@ func (h *Host) report() {
 		Type: wire.TConsumeReport,
 		From: wire.NodeRef{ID: h.hostID},
 		A:    h.consumed,
-		B:    residual,
+		B:    uint64(residual),
 		C:    uint64(h.firstBusy),
 		D:    uint64(h.lastBusy),
 	}
@@ -395,39 +351,22 @@ func (h *Host) reportInject(sybil wire.NodeRef, acquired uint64) {
 	})
 }
 
-// decide runs one strategy decision. It executes on the host loop
-// goroutine and may perform RPCs; it never holds h.mu across a call.
+// decide runs one decision pass on the host loop: the induced-churn
+// draw (a Bernoulli(ChurnProb) per pass, as ChurnRate is per tick in
+// the simulator), then the host's strategy through its own View. It may
+// perform RPCs; it never holds h.mu across a call.
 func (h *Host) decide() {
-	switch h.strategy {
-	case StrategyChurn:
-		h.decideChurn()
-	case StrategyRandom:
-		h.decideRandom()
-	case StrategyNeighbor:
-		h.decideNeighbor()
-	case StrategyInvitation:
-		h.decideInvitation()
+	if h.cfg.ChurnProb > 0 && h.rng.Bool(h.cfg.ChurnProb) {
+		h.churnPrimary()
 	}
-}
-
-// decideChurn is induced churn as a local rule: with probability
-// ChurnProb per decision pass the host leaves gracefully (handing its
-// keys and residual work to its successor) and rejoins under a fresh
-// identifier. Re-entering uniformly at random lands in large (hence
-// probably loaded) arcs with high probability — the paper's §IV-A
-// observation that turnover alone redistributes load.
-func (h *Host) decideChurn() {
-	if !h.rng.Bool(h.cfg.ChurnProb) {
-		return
-	}
-	h.churnPrimary()
+	h.strat.Decide(h)
 }
 
 // churnPrimary executes one leave/rejoin cycle of the primary under a
-// fresh identifier: the body of the induced-churn rule, shared with the
-// density defense (considerEvict), which retires a flagged primary by
-// forcing exactly this cycle — eviction is churn the network imposes
-// rather than the strategy chooses.
+// fresh identifier: a host's induced churn, shared with the density
+// defense (considerEvict), which retires a flagged primary by forcing
+// exactly this cycle — eviction is churn the network imposes rather
+// than the host chooses.
 func (h *Host) churnPrimary() {
 	h.mu.Lock()
 	primary := h.primary
@@ -446,42 +385,22 @@ func (h *Host) churnPrimary() {
 	recs, tasks, _ := primary.leaveRemainder()
 	var next *Node
 	for _, via := range vias {
-		n, err := NewNode(h.cfg, h.tr, h.nf, ids.Random(h.rng), "")
-		if err != nil {
-			continue
+		if n, err := h.spawn(ids.Random(h.rng), via.Addr); err == nil {
+			next = n
+			break
 		}
-		n.host = h
-		n.ev = h
-		if err := n.Join(via.Addr); err != nil {
-			n.Close()
-			continue
-		}
-		next = n
-		break
 	}
 	if next == nil {
 		// Every rejoin path failed (e.g. mid-partition): restart alone
 		// so the host keeps serving; the graveyard probes re-merge the
 		// rings after heal.
-		n, err := NewNode(h.cfg, h.tr, h.nf, ids.Random(h.rng), "")
+		n, err := h.spawn(ids.Random(h.rng), "")
 		if err != nil {
 			return
 		}
-		n.host = h
-		n.ev = h
-		n.Create()
 		next = n
 	}
-	next.mu.Lock()
-	for _, tk := range tasks {
-		next.addTaskLocked(tk.Key, tk.Units)
-	}
-	next.mu.Unlock()
-	if _, err := next.st.ApplyAll(storeRecs(recs)); err != nil {
-		// Surviving replicas still hold these records; anti-entropy
-		// re-converges the set even if the re-own write fails.
-		next.replicaErrs.Add(1)
-	}
+	reown(next, recs, tasks)
 	next.Start()
 	h.mu.Lock()
 	h.primary = next
@@ -489,48 +408,27 @@ func (h *Host) churnPrimary() {
 	h.mu.Unlock()
 }
 
-// decideRandom is random injection: withdraw Sybils that ended up with
-// nothing, then (if still idle and under the cap) inject one Sybil at a
-// uniformly random identifier — one per decision, as §IV-B prescribes.
-func (h *Host) decideRandom() {
-	h.dropIdleSybils()
-	if !h.idle() || !h.canSybil() {
-		return
+// reown hands n the records and task units a departing identity could
+// not deliver to any successor.
+func reown(n *Node, recs []wire.Rec, tasks []wire.Task) {
+	n.mu.Lock()
+	for _, tk := range tasks {
+		n.addTaskLocked(tk.Key, tk.Units)
 	}
-	_, _ = h.injectSybil(ids.Random(h.rng), h.Primary().Addr())
+	n.mu.Unlock()
+	if _, err := n.st.ApplyAll(storeRecs(recs)); err != nil {
+		// Surviving replicas still hold these records; anti-entropy
+		// re-converges the set even if the re-own write fails.
+		n.replicaErrs.Add(1)
+	}
 }
 
-// decideNeighbor is neighbor injection: estimate the most-loaded
-// neighbor as the successor owning the largest arc (no workload
-// queries needed) and split that arc at its midpoint.
-func (h *Host) decideNeighbor() {
-	if !h.idle() || !h.canSybil() {
-		return
-	}
-	primary := h.Primary()
-	succs := primary.SuccessorList()
-	own := make(map[ids.ID]struct{})
-	for _, n := range h.Nodes() {
-		own[n.ID()] = struct{}{}
-	}
-	var bestPrev, bestCur ids.ID
-	var bestArc ids.ID
-	found := false
-	prev := primary.ID()
-	for _, s := range succs {
-		if _, mine := own[s.ID]; !mine {
-			arc := prev.Distance(s.ID)
-			if !found || bestArc.Less(arc) {
-				bestPrev, bestCur, bestArc = prev, s.ID, arc
-				found = true
-			}
-		}
-		prev = s.ID
-	}
-	if !found {
-		return
-	}
-	_, _ = h.injectSybil(h.jitterID(ids.Midpoint(bestPrev, bestCur)), primary.Addr())
+// retire takes Sybil n off the ring gracefully. Whatever it could not
+// hand to a successor is re-owned at the host's primary, as churn
+// re-owns at the next identity, so retiring a Sybil never loses work.
+func (h *Host) retire(n *Node) {
+	recs, tasks, _ := n.leaveRemainder()
+	reown(h.PrimaryNode(), recs, tasks)
 }
 
 // jitterID perturbs the low 64 bits of id with the host's stable
@@ -550,58 +448,198 @@ func (h *Host) jitterID(id ids.ID) ids.ID {
 	return id
 }
 
-// decideInvitation is the overloaded side of §IV-D: a primary above the
-// invite threshold walks its predecessor chain and invites each in turn
-// until one agrees to help (the helper injects the Sybil; see
-// considerInvite).
-func (h *Host) decideInvitation() {
-	primary := h.Primary()
-	load := primary.TaskUnits()
-	if load <= h.cfg.InviteThreshold {
-		return
-	}
-	pred, ok := primary.Predecessor()
-	if !ok || pred.ID == primary.ID() {
-		return
-	}
-	cur := pred
-	for i := 0; i < h.cfg.SuccessorListLen; i++ {
-		if cur.Addr == "" || cur.ID == primary.ID() {
-			return
-		}
-		h.mu.Lock()
-		h.invitesSent++
-		h.mu.Unlock()
-		reply, err := primary.pool.call(cur, &wire.Msg{
-			Type: wire.TInvite,
-			From: primary.Ref(),
-			Node: pred,
-			A:    load,
-		})
-		if err == nil && reply.Flag {
-			h.mu.Lock()
-			h.invitesAccepted++
-			h.mu.Unlock()
-			return
-		}
-		// Walk one predecessor further back and ask again.
-		prReply, err := primary.pool.call(cur, &wire.Msg{Type: wire.TGetPred})
-		if err != nil || !prReply.Flag {
-			return
-		}
-		cur = prReply.Node
+// --- strategy.World and strategy.View ---------------------------------
+
+// Params implements strategy.World from the host's Config.
+func (h *Host) Params() strategy.Params {
+	return strategy.Params{
+		SybilThreshold:  int(h.cfg.SybilThreshold),
+		InviteThreshold: int(h.cfg.InviteThreshold),
+		NumSuccessors:   h.cfg.SuccessorListLen,
+		DecisionEvery:   h.cfg.DecisionEveryTicks,
 	}
 }
 
-// considerInvite is the helper side of the invitation strategy, called
-// from a node's request handler. It answers immediately (accept or
-// refuse) and performs the injection on its own goroutine so the
-// server never blocks on a join handshake.
-func (h *Host) considerInvite(req *wire.Msg) bool {
-	if req.From.Addr == "" || req.Node.Addr == "" {
+// RNG implements strategy.World: the host's own stream.
+func (h *Host) RNG() *xrand.Rand { return h.rng }
+
+// ChargeMessages implements strategy.World. It records nothing: here
+// the messages are real, and the receivers' Node.Stats count them.
+func (h *Host) ChargeMessages(string, int) {}
+
+// EachHost implements strategy.World: a live host sees only itself.
+func (h *Host) EachHost(fn func(strategy.View)) {
+	clear(h.peers)
+	fn(h)
+}
+
+// SybilCount implements strategy.View.
+func (h *Host) SybilCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.sybils)
+}
+
+// CanCreateSybil implements strategy.View: the host is under its cap.
+func (h *Host) CanCreateSybil() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.sybils) < h.cfg.MaxSybils && !h.down
+}
+
+// Strength implements strategy.View: the per-tick compute budget.
+func (h *Host) Strength() int { return h.cfg.ConsumePerTick }
+
+// own returns the host's node with the given ID, or nil.
+func (h *Host) own(id ids.ID) *Node {
+	for _, n := range h.Nodes() {
+		if n.ID() == id {
+			return n
+		}
+	}
+	return nil
+}
+
+// Primary implements strategy.View.
+func (h *Host) Primary() strategy.Peer { return h.VNodes()[0] }
+
+// VNodes implements strategy.View. A node's PredID is zero until it
+// learns its predecessor.
+func (h *Host) VNodes() []strategy.Peer {
+	var out []strategy.Peer
+	for _, n := range h.Nodes() {
+		pred, _ := n.Predecessor()
+		out = append(out, strategy.Peer{ID: n.ID(), PredID: pred.ID, Mine: true})
+	}
+	return out
+}
+
+// see records where ref is reachable this pass and describes it.
+func (h *Host) see(ref wire.NodeRef, pred ids.ID) strategy.Peer {
+	h.peers[ref.ID] = ref
+	return strategy.Peer{ID: ref.ID, PredID: pred, Mine: h.own(ref.ID) != nil}
+}
+
+// Successors implements strategy.View from the primary's successor
+// list, stopping where the list wraps back to the primary.
+func (h *Host) Successors(k int) []strategy.Peer {
+	primary := h.PrimaryNode()
+	var out []strategy.Peer
+	prev := primary.ID()
+	for _, s := range primary.SuccessorList() {
+		if len(out) == k || s.ID == primary.ID() {
+			break
+		}
+		out = append(out, h.see(s, prev))
+		prev = s.ID
+	}
+	return out
+}
+
+// Predecessors implements strategy.View by walking the predecessor
+// chain: one TGetPred per predecessor, whose reply is also that
+// predecessor's PredID.
+func (h *Host) Predecessors(k int) []strategy.Peer {
+	primary := h.PrimaryNode()
+	var out []strategy.Peer
+	cur, ok := primary.Predecessor()
+	for ok && len(out) < k && cur.ID != primary.ID() {
+		reply, err := primary.pool.call(cur, &wire.Msg{Type: wire.TGetPred})
+		if err != nil || !reply.Flag {
+			break
+		}
+		out = append(out, h.see(cur, reply.Node.ID))
+		cur = reply.Node
+	}
+	return out
+}
+
+// Load implements strategy.View: local for the host's own nodes, one
+// TWorkloadQuery otherwise.
+func (h *Host) Load(p strategy.Peer) int {
+	if n := h.own(p.ID); n != nil {
+		return int(n.TaskUnits())
+	}
+	return int(h.query(p).A)
+}
+
+// Offer implements strategy.View with one TWorkloadQuery, whose reply
+// carries the host's load (B), strength (C) and willingness (Flag).
+func (h *Host) Offer(p strategy.Peer) (load, strength int, ok bool) {
+	r := h.query(p)
+	return int(r.B), int(r.C), r.Flag
+}
+
+// query sends p a TWorkloadQuery. A peer that does not answer reads as
+// an empty reply: no load, no offer.
+func (h *Host) query(p strategy.Peer) *wire.Msg {
+	if ref, ok := h.peers[p.ID]; ok {
+		if r, err := h.PrimaryNode().pool.call(ref, &wire.Msg{Type: wire.TWorkloadQuery}); err == nil {
+			return r
+		}
+	}
+	return &wire.Msg{}
+}
+
+// SplitPoint implements strategy.View. No RPC reports another node's
+// key median, so a live host cannot tell.
+func (h *Host) SplitPoint(strategy.Peer) (ids.ID, bool) { return ids.ID{}, false }
+
+// CreateSybil implements strategy.View: the Sybil joins through the
+// primary at id, jittered (see jitterID).
+func (h *Host) CreateSybil(id ids.ID) (int, bool) {
+	if !h.CanCreateSybil() {
+		return 0, false
+	}
+	acquired, err := h.injectSybil(h.jitterID(id), h.PrimaryNode().Addr())
+	return int(acquired), err == nil
+}
+
+// Invite implements strategy.View: a TInvite asking p's host to inject
+// a Sybil at id (in Key). The helper answers at once and injects on its
+// own goroutine (considerInvite).
+func (h *Host) Invite(p strategy.Peer, id ids.ID) bool {
+	ref, ok := h.peers[p.ID]
+	if !ok {
 		return false
 	}
-	if !h.idle() || !h.canSybil() {
+	primary := h.PrimaryNode()
+	reply, err := primary.pool.call(ref, &wire.Msg{Type: wire.TInvite, Key: id, From: primary.Ref(), A: primary.TaskUnits()})
+	return err == nil && reply.Flag
+}
+
+// DropSybils implements strategy.View: every Sybil retires.
+func (h *Host) DropSybils() {
+	h.mu.Lock()
+	drop := h.sybils
+	h.sybils = nil
+	h.mu.Unlock()
+	for _, s := range drop {
+		h.retire(s)
+	}
+}
+
+// RandomID implements strategy.View. A live host cannot see which IDs
+// are taken; at 2^-ids.Bits per draw it need not.
+func (h *Host) RandomID() ids.ID { return ids.Random(h.rng) }
+
+// willHelp reports whether the host would accept an invitation now: at
+// or below the Sybil threshold, under its cap, and not already helping.
+func (h *Host) willHelp() bool {
+	if h.Workload() > int(h.cfg.SybilThreshold) {
+		return false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.sybils) < h.cfg.MaxSybils && !h.helping && !h.down
+}
+
+// considerInvite is the helper side of an invitation, called from a
+// node's request handler. It answers immediately (accept or refuse) and
+// performs the injection at the placement in req.Key on its own
+// goroutine, so the server never blocks on a join handshake.
+func (h *Host) considerInvite(req *wire.Msg) bool {
+	if req.From.Addr == "" || !h.willHelp() {
 		return false
 	}
 	h.mu.Lock()
@@ -614,9 +652,9 @@ func (h *Host) considerInvite(req *wire.Msg) bool {
 	// down-before-Wait ordering in Close to keep the WaitGroup race-free.
 	h.wg.Add(1)
 	h.mu.Unlock()
-	// Jitter the midpoint: several helpers may accept invitations into
+	// Jitter the placement: several helpers may accept invitations into
 	// the same arc concurrently, and they must not collide on one ID.
-	mid := h.jitterID(ids.Midpoint(req.Node.ID, req.From.ID))
+	id := h.jitterID(req.Key)
 	via := req.From.Addr
 	go func() {
 		defer h.wg.Done()
@@ -625,11 +663,7 @@ func (h *Host) considerInvite(req *wire.Msg) bool {
 			h.helping = false
 			h.mu.Unlock()
 		}()
-		if _, err := h.injectSybil(mid, via); err == nil {
-			h.mu.Lock()
-			h.helped++
-			h.mu.Unlock()
-		}
+		_, _ = h.injectSybil(id, via)
 	}()
 	return true
 }
@@ -680,34 +714,17 @@ func (h *Host) considerEvict(n *Node) {
 		if isPrimary {
 			h.churnPrimary()
 		} else {
-			_ = n.Leave()
+			h.retire(n)
 		}
 	}()
 }
 
-// idle reports whether the host's residual workload is at or below the
-// Sybil threshold (the "under-utilized" test used by every strategy).
-func (h *Host) idle() bool { return h.Workload() <= h.cfg.SybilThreshold }
-
-// canSybil reports whether the host is under its Sybil cap.
-func (h *Host) canSybil() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.sybils) < h.cfg.MaxSybils && !h.down
-}
-
 // injectSybil projects a Sybil identity at id, joining through via, and
 // reports the birth (and the work it acquired) to the collector.
-func (h *Host) injectSybil(id ids.ID, via string) (*Node, error) {
-	n, err := NewNode(h.cfg, h.tr, h.nf, id, "")
+func (h *Host) injectSybil(id ids.ID, via string) (uint64, error) {
+	n, err := h.spawn(id, via)
 	if err != nil {
-		return nil, err
-	}
-	n.host = h
-	n.ev = h
-	if err := n.Join(via); err != nil {
-		n.Close()
-		return nil, err
+		return 0, err
 	}
 	acquired := n.TaskUnits()
 	n.Start()
@@ -715,31 +732,11 @@ func (h *Host) injectSybil(id ids.ID, via string) (*Node, error) {
 	if h.down {
 		h.mu.Unlock()
 		n.Close()
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
 	h.sybils = append(h.sybils, n)
 	h.injects++
 	h.mu.Unlock()
 	h.reportInject(n.Ref(), acquired)
-	return n, nil
-}
-
-// dropIdleSybils withdraws every Sybil when the whole host is out of
-// work (their arcs yielded nothing, or it was all consumed), freeing
-// the identities so a later pass can re-roll fresh locations.
-func (h *Host) dropIdleSybils() {
-	if h.Workload() != 0 {
-		return
-	}
-	h.mu.Lock()
-	if len(h.sybils) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	drop := h.sybils
-	h.sybils = nil
-	h.mu.Unlock()
-	for _, s := range drop {
-		_ = s.Leave()
-	}
+	return acquired, nil
 }

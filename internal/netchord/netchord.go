@@ -93,10 +93,10 @@ type Config struct {
 	// DecisionEveryTicks is the strategy decision cadence (the paper's
 	// DecisionEvery, §V-B). Default 5.
 	DecisionEveryTicks int
-	// ChurnProb is the per-decision probability that a host running the
-	// induced-churn strategy leaves and rejoins under a fresh identifier
-	// (the networked rendering of the simulator's per-tick churn rate).
-	// Only StrategyChurn reads it. Default 0.05.
+	// ChurnProb is the per-decision-pass probability that a host leaves
+	// and rejoins under a fresh identifier (the networked rendering of
+	// the simulator's per-tick churn rate, and like it independent of
+	// the strategy). Default 0: no induced churn.
 	ChurnProb float64
 	// SybilThreshold is the residual workload at or below which a host
 	// seeks work by injecting a Sybil. Default 0 (the paper's default).
@@ -191,9 +191,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.DecisionEveryTicks == 0 {
 		c.DecisionEveryTicks = 5
-	}
-	if c.ChurnProb == 0 {
-		c.ChurnProb = 0.05
 	}
 	if c.InviteThreshold == 0 {
 		c.InviteThreshold = 8

@@ -761,15 +761,6 @@ func (n *Node) Ping(ref wire.NodeRef) error {
 	return err
 }
 
-// WorkloadOf queries ref's residual task units.
-func (n *Node) WorkloadOf(ref wire.NodeRef) (uint64, error) {
-	reply, err := n.pool.call(ref, &wire.Msg{Type: wire.TWorkloadQuery})
-	if err != nil {
-		return 0, err
-	}
-	return reply.A, nil
-}
-
 // putDurable runs the owner's write path: append (and fsync) locally,
 // push the record to Replicas-1 distinct successors, and acknowledge
 // only once every required copy has confirmed durability. A replica
@@ -1393,16 +1384,14 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		return &wire.Msg{Type: wire.TSyncFetchOK, Recs: recs}
 
 	case wire.TWorkloadQuery:
-		n.mu.Lock()
-		reply := &wire.Msg{Type: wire.TWorkloadOK, A: n.taskUnits}
-		n.mu.Unlock()
+		reply := &wire.Msg{Type: wire.TWorkloadOK, A: n.TaskUnits()}
+		if h := n.host; h != nil {
+			reply.B, reply.C, reply.Flag = uint64(h.Workload()), uint64(h.Strength()), h.willHelp()
+		}
 		return reply
 
 	case wire.TInvite:
-		if n.host == nil {
-			return &wire.Msg{Type: wire.TInviteOK, Flag: false}
-		}
-		return &wire.Msg{Type: wire.TInviteOK, Flag: n.host.considerInvite(req)}
+		return &wire.Msg{Type: wire.TInviteOK, Flag: n.host != nil && n.host.considerInvite(req)}
 
 	case wire.TEvict:
 		if req.From.Addr == "" {

@@ -31,7 +31,7 @@ type soakIngestPutter struct {
 
 func (p *soakIngestPutter) Put(key ids.ID, value []byte) error {
 	n := p.i.Add(1)
-	return p.c.Hosts()[int(n)%len(p.c.Hosts())].Primary().Put(key, value)
+	return p.c.Hosts()[int(n)%len(p.c.Hosts())].PrimaryNode().Put(key, value)
 }
 
 func TestSoakStream(t *testing.T) {
@@ -48,7 +48,7 @@ func TestSoakStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(cfg, TCP{}, nf, 12, StrategyInvitation, 909, nil)
+	c, err := NewCluster(cfg, TCP{}, nf, 12, "invitation", 909, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

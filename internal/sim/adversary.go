@@ -234,7 +234,7 @@ func (s *Simulation) rekeyPrimary(v *vnode) {
 	}
 	s.recordEvent(EventRekey, h.Index(), v.ID(), v.rn.Workload())
 	s.removeVNode(v)
-	nv := s.attach(h, s.RandomID(), false)
+	nv := s.attach(h, s.randomID(), false)
 	last := len(h.vnodes) - 1
 	if slot >= 0 && slot < last {
 		copy(h.vnodes[slot+1:last+1], h.vnodes[slot:last])

@@ -4,9 +4,9 @@
 // hosts between the network and a waiting pool, and every few ticks the
 // configured strategy runs one autonomous load-balancing decision pass.
 //
-// The engine implements strategy.World, so the policies in
-// internal/strategy mutate the network only through the same local
-// operations a real deployment would have.
+// The engine implements strategy.World and each host a strategy.View,
+// so the policies in internal/strategy mutate the network only through
+// the same local operations a real deployment would have.
 package sim
 
 import (
@@ -377,23 +377,19 @@ type Result struct {
 	HostsByStrength map[int]int
 }
 
-// vnode is one virtual node: the engine-side implementation of
-// strategy.VNode. It is stored by value as its ring node's Data, so an
-// identity's ring and engine halves are one allocation; the *vnode the
-// engine passes around is &rn.Data.
+// vnode is one virtual node. It is stored by value as its ring node's
+// Data, so an identity's ring and engine halves are one allocation; the
+// *vnode the engine passes around is &rn.Data.
 type vnode struct {
 	rn      *ring.Node[vnode]
 	host    *hostState
 	isSybil bool
 }
 
-func (v *vnode) ID() ids.ID          { return v.rn.ID() }
-func (v *vnode) PredID() ids.ID      { return v.rn.PredID() }
-func (v *vnode) Workload() int       { return v.rn.Workload() }
-func (v *vnode) Host() strategy.Host { return v.host }
+func (v *vnode) ID() ids.ID { return v.rn.ID() }
 
 // hostState is one physical machine: the engine-side implementation of
-// strategy.Host.
+// strategy.View, answered from the oracle ring.
 type hostState struct {
 	acct   *sybil.Host
 	vnodes []*vnode // primary first; empty while in the waiting pool
@@ -422,13 +418,14 @@ type hostState struct {
 	// here, and consumeHost pays it down out of the host's per-tick work
 	// budget before any task is consumed.
 	puzzleDebt int
+	// helpedTick is the last decision tick on which this host accepted
+	// an invitation; a host helps at most once per pass.
+	helpedTick int
 }
 
-func (h *hostState) Index() int    { return h.acct.Index() }
-func (h *hostState) Strength() int { return h.acct.Strength() }
-func (h *hostState) SybilCount() int {
-	return h.acct.SybilCount()
-}
+func (h *hostState) Index() int           { return h.acct.Index() }
+func (h *hostState) Strength() int        { return h.acct.Strength() }
+func (h *hostState) SybilCount() int      { return h.acct.SybilCount() }
 func (h *hostState) CanCreateSybil() bool { return h.acct.CanCreateSybil() }
 func (h *hostState) Workload() int {
 	if h.wlEpoch == h.sim.wlEpoch {
@@ -447,6 +444,8 @@ func (h *hostState) Workload() int {
 type Simulation struct {
 	cfg    Config
 	params strategy.Params
+	// window is the reused buffer Successors and Predecessors fill.
+	window []strategy.Peer
 	rng    *xrand.Rand
 	ring   *ring.Ring[vnode]
 	pool   *sybil.Pool
@@ -1007,7 +1006,7 @@ func (s *Simulation) churn() {
 		s.msgs.Leaves++
 	}
 	for _, h := range s.joiners {
-		id := s.RandomID()
+		id := s.randomID()
 		// During an active partition a joiner can only bootstrap into the
 		// majority side; an ID that lands in the minority arc is a join the
 		// overlay cannot complete, so the host stays in the waiting pool.
@@ -1086,7 +1085,7 @@ func Run(cfg Config) (*Result, error) {
 	return s.Run(), nil
 }
 
-// --- strategy.World implementation ---
+// --- strategy.World and strategy.View implementation ---
 
 // Params implements strategy.World.
 func (s *Simulation) Params() strategy.Params { return s.params }
@@ -1094,52 +1093,93 @@ func (s *Simulation) Params() strategy.Params { return s.params }
 // RNG implements strategy.World.
 func (s *Simulation) RNG() *xrand.Rand { return s.rng }
 
+// ChargeMessages implements strategy.World.
+func (s *Simulation) ChargeMessages(kind string, n int) {
+	s.msgs.Strategy[kind] += n
+}
+
 // EachHost implements strategy.World: live hosts in stable index order.
 // The active list is maintained in exactly that order, so strategies'
 // per-host RNG consumption sequence is unchanged.
-func (s *Simulation) EachHost(fn func(h strategy.Host, primary strategy.VNode)) {
+func (s *Simulation) EachHost(fn func(h strategy.View)) {
 	for _, h := range s.aliveHosts() {
 		if len(h.vnodes) > 0 {
-			fn(h, h.vnodes[0])
+			fn(h)
 		}
 	}
 }
 
-// VNodesOf implements strategy.World.
-func (s *Simulation) VNodesOf(h strategy.Host) []strategy.VNode {
-	host := h.(*hostState)
-	out := make([]strategy.VNode, len(host.vnodes))
-	for i, v := range host.vnodes {
-		out[i] = v
+// peer describes n as h sees it.
+func (h *hostState) peer(n *ring.Node[vnode]) strategy.Peer {
+	return strategy.Peer{ID: n.ID(), PredID: n.PredID(), Mine: n.Data.host == h}
+}
+
+func (h *hostState) Primary() strategy.Peer             { return h.peer(h.vnodes[0].rn) }
+func (h *hostState) Successors(k int) []strategy.Peer   { return h.sim.walk(h, k, +1) }
+func (h *hostState) Predecessors(k int) []strategy.Peer { return h.sim.walk(h, k, -1) }
+func (h *hostState) Load(p strategy.Peer) int           { return h.sim.at(p).Workload() }
+func (h *hostState) RandomID() ids.ID                   { return h.sim.randomID() }
+
+// SplitPoint is the ID that halves p's remaining keys (used only by the
+// §VII chosen-ID extension strategies).
+func (h *hostState) SplitPoint(p strategy.Peer) (ids.ID, bool) { return h.sim.at(p).SplitKey() }
+
+func (h *hostState) VNodes() []strategy.Peer {
+	out := make([]strategy.Peer, len(h.vnodes))
+	for i, v := range h.vnodes {
+		out[i] = h.peer(v.rn)
 	}
 	return out
 }
 
-// Successors implements strategy.World.
-func (s *Simulation) Successors(v strategy.VNode, k int) []strategy.VNode {
-	return s.walk(v, k, +1)
-}
-
-// Predecessors implements strategy.World.
-func (s *Simulation) Predecessors(v strategy.VNode, k int) []strategy.VNode {
-	return s.walk(v, k, -1)
-}
-
-func (s *Simulation) walk(v strategy.VNode, k, dir int) []strategy.VNode {
+// walk lists up to k of h's primary's neighbours in direction dir into
+// the engine's reused window buffer.
+func (s *Simulation) walk(h *hostState, k, dir int) []strategy.Peer {
 	if k > s.ring.Len()-1 {
 		k = s.ring.Len() - 1
 	}
-	out := make([]strategy.VNode, 0, k)
-	s.ring.Walk(v.(*vnode).rn, dir*k, func(n *ring.Node[vnode]) {
-		out = append(out, &n.Data)
+	out := s.window[:0]
+	s.ring.Walk(h.vnodes[0].rn, dir*k, func(n *ring.Node[vnode]) {
+		out = append(out, h.peer(n))
 	})
+	s.window = out
 	return out
 }
 
-// CreateSybil implements strategy.World.
-func (s *Simulation) CreateSybil(h strategy.Host, id ids.ID) (int, bool) {
-	host := h.(*hostState)
-	if !host.acct.CanCreateSybil() {
+// at returns the ring node p names. Peers stay valid for the whole
+// pass: no strategy action removes another host's node.
+func (s *Simulation) at(p strategy.Peer) *ring.Node[vnode] {
+	n, _ := s.ring.Get(p.ID)
+	return n
+}
+
+func (h *hostState) Offer(p strategy.Peer) (load, strength int, ok bool) {
+	c := h.sim.at(p).Data.host
+	return c.Workload(), c.Strength(), c.willHelp()
+}
+
+// willHelp is the helper side of an invitation: at or below the Sybil
+// threshold, under the cap, and not yet helping this pass.
+func (h *hostState) willHelp() bool {
+	return h.helpedTick != h.sim.tick && h.Workload() <= h.sim.params.SybilThreshold && h.CanCreateSybil()
+}
+
+// Invite has p's host, if it is willing, create the Sybil at id.
+func (h *hostState) Invite(p strategy.Peer, id ids.ID) bool {
+	c := h.sim.at(p).Data.host
+	if !c.willHelp() {
+		return false
+	}
+	if _, ok := c.CreateSybil(id); !ok {
+		return false
+	}
+	c.helpedTick = h.sim.tick
+	return true
+}
+
+func (h *hostState) CreateSybil(id ids.ID) (int, bool) {
+	s := h.sim
+	if !h.acct.CanCreateSybil() {
 		return 0, false
 	}
 	if _, occupied := s.ring.Get(id); occupied {
@@ -1147,58 +1187,46 @@ func (s *Simulation) CreateSybil(h strategy.Host, id ids.ID) (int, bool) {
 	}
 	// A host cannot place a Sybil across an active partition cut: the
 	// join RPCs would never reach the far side's successors.
-	if s.finj != nil && s.finj.PartitionActive() && len(host.vnodes) > 0 &&
-		!s.finj.SameSide(host.vnodes[0].ID(), id) {
+	if s.finj != nil && s.finj.PartitionActive() && len(h.vnodes) > 0 &&
+		!s.finj.SameSide(h.vnodes[0].ID(), id) {
 		s.fstats.BlockedSybils++
 		return 0, false
 	}
-	v := s.attach(host, id, true)
-	host.acct.CreatedSybil()
+	v := s.attach(h, id, true)
+	h.acct.CreatedSybil()
 	s.msgs.SybilsCreated++
 	s.chargeLookup()
-	s.chargePuzzle(host)
-	s.recordEvent(EventSybilCreate, host.Index(), v.ID(), v.rn.Workload())
+	s.chargePuzzle(h)
+	s.recordEvent(EventSybilCreate, h.Index(), v.ID(), v.rn.Workload())
 	return v.rn.Workload(), true
 }
 
-// DropSybils implements strategy.World.
-func (s *Simulation) DropSybils(h strategy.Host) {
-	host := h.(*hostState)
-	kept := host.vnodes[:0]
+func (h *hostState) DropSybils() {
+	s := h.sim
+	kept := h.vnodes[:0]
 	moved := false
-	for _, v := range host.vnodes {
+	for _, v := range h.vnodes {
 		if !v.isSybil {
 			kept = append(kept, v)
 			continue
 		}
-		s.recordEvent(EventSybilDrop, host.Index(), v.ID(), v.rn.Workload())
+		s.recordEvent(EventSybilDrop, h.Index(), v.ID(), v.rn.Workload())
 		moved = s.detach(v) || moved
-		host.acct.DroppedSybil()
+		h.acct.DroppedSybil()
 		s.msgs.SybilsDropped++
 	}
-	host.vnodes = kept
+	h.vnodes = kept
 	if moved {
-		host.wlEpoch = 0 // keys were handed off this host
+		h.wlEpoch = 0 // keys were handed off this host
 	}
 }
 
-// RandomID implements strategy.World.
-func (s *Simulation) RandomID() ids.ID {
+// randomID draws a uniformly random currently-unoccupied ring ID.
+func (s *Simulation) randomID() ids.ID {
 	for {
 		id := ids.Random(s.rng)
 		if _, occupied := s.ring.Get(id); !occupied {
 			return id
 		}
 	}
-}
-
-// SplitPoint implements strategy.World: the ID that halves v's remaining
-// keys (used only by the §VII chosen-ID extension strategies).
-func (s *Simulation) SplitPoint(v strategy.VNode) (ids.ID, bool) {
-	return v.(*vnode).rn.SplitKey()
-}
-
-// ChargeMessages implements strategy.World.
-func (s *Simulation) ChargeMessages(kind string, n int) {
-	s.msgs.Strategy[kind] += n
 }

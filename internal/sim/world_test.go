@@ -8,7 +8,7 @@ import (
 )
 
 // newWorld builds a small simulation for exercising the strategy.World
-// surface directly.
+// and strategy.View surfaces directly.
 func newWorld(t *testing.T, cfg Config) *Simulation {
 	t.Helper()
 	s, err := New(cfg)
@@ -21,9 +21,9 @@ func newWorld(t *testing.T, cfg Config) *Simulation {
 func TestWorldEachHostOrderAndCount(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 20, Tasks: 400, Seed: 1})
 	var indices []int
-	s.EachHost(func(h strategy.Host, primary strategy.VNode) {
+	s.EachHost(func(h strategy.View) {
 		indices = append(indices, h.Index())
-		if primary.Host().Index() != h.Index() {
+		if !h.Primary().Mine {
 			t.Fatal("primary vnode host mismatch")
 		}
 	})
@@ -39,48 +39,48 @@ func TestWorldEachHostOrderAndCount(t *testing.T) {
 
 func TestWorldSuccessorWindows(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 10, Tasks: 100, Seed: 2})
-	var primary strategy.VNode
-	s.EachHost(func(h strategy.Host, p strategy.VNode) {
-		if primary == nil {
-			primary = p
+	var host strategy.View
+	s.EachHost(func(h strategy.View) {
+		if host == nil {
+			host = h
 		}
 	})
-	succs := s.Successors(primary, 3)
+	primary := host.Primary()
+	succs := host.Successors(3)
 	if len(succs) != 3 {
 		t.Fatalf("successors = %d", len(succs))
 	}
 	// The first successor's predecessor is the asking vnode.
-	if succs[0].PredID() != primary.ID() {
-		t.Errorf("succ[0].PredID() = %v, want %v", succs[0].PredID(), primary.ID())
+	if succs[0].PredID != primary.ID {
+		t.Errorf("succ[0].PredID = %v, want %v", succs[0].PredID, primary.ID)
 	}
-	preds := s.Predecessors(primary, 3)
+	preds := host.Predecessors(3)
 	if len(preds) != 3 {
 		t.Fatalf("predecessors = %d", len(preds))
 	}
-	if primary.PredID() != preds[0].ID() {
+	if primary.PredID != preds[0].ID {
 		t.Errorf("pred window mismatch")
 	}
 	// Window capped at ring size - 1.
-	if got := s.Successors(primary, 50); len(got) != 9 {
+	if got := host.Successors(50); len(got) != 9 {
 		t.Errorf("oversized window = %d, want 9", len(got))
 	}
 }
 
 func TestWorldCreateSybilPaths(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 5, Tasks: 500, Seed: 3, MaxSybils: 1})
-	var host strategy.Host
-	var primary strategy.VNode
-	s.EachHost(func(h strategy.Host, p strategy.VNode) {
+	var host strategy.View
+	s.EachHost(func(h strategy.View) {
 		if host == nil {
-			host, primary = h, p
+			host = h
 		}
 	})
 	// Occupied ID refused.
-	if _, ok := s.CreateSybil(host, primary.ID()); ok {
+	if _, ok := host.CreateSybil(host.Primary().ID); ok {
 		t.Fatal("creating a Sybil on an occupied ID must fail")
 	}
 	// Free ID succeeds and reports acquired work.
-	acquired, ok := s.CreateSybil(host, s.RandomID())
+	acquired, ok := host.CreateSybil(host.RandomID())
 	if !ok {
 		t.Fatal("free-ID creation failed")
 	}
@@ -91,12 +91,12 @@ func TestWorldCreateSybilPaths(t *testing.T) {
 		t.Fatalf("sybil count = %d", host.SybilCount())
 	}
 	// Cap reached: refused.
-	if _, ok := s.CreateSybil(host, s.RandomID()); ok {
+	if _, ok := host.CreateSybil(host.RandomID()); ok {
 		t.Fatal("cap must refuse")
 	}
 	// DropSybils removes exactly the Sybil identities.
 	before := s.ring.Len()
-	s.DropSybils(host)
+	host.DropSybils()
 	if host.SybilCount() != 0 || s.ring.Len() != before-1 {
 		t.Fatalf("drop bookkeeping wrong: count=%d ring=%d", host.SybilCount(), s.ring.Len())
 	}
@@ -108,7 +108,7 @@ func TestWorldCreateSybilPaths(t *testing.T) {
 func TestWorldRandomIDIsFree(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 50, Tasks: 100, Seed: 4})
 	for i := 0; i < 100; i++ {
-		id := s.RandomID()
+		id := s.randomID()
 		if _, occupied := s.ring.Get(id); occupied {
 			t.Fatal("RandomID returned an occupied identifier")
 		}
@@ -117,27 +117,28 @@ func TestWorldRandomIDIsFree(t *testing.T) {
 
 func TestWorldSplitPoint(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 2, Tasks: 1000, Seed: 5})
-	var heavy strategy.VNode
-	s.EachHost(func(h strategy.Host, p strategy.VNode) {
-		if heavy == nil || p.Workload() > heavy.Workload() {
-			heavy = p
+	var owner strategy.View
+	var heavy strategy.Peer
+	s.EachHost(func(h strategy.View) {
+		if p := h.Primary(); owner == nil || h.Load(p) > owner.Load(heavy) {
+			owner, heavy = h, p
 		}
 	})
-	id, ok := s.SplitPoint(heavy)
+	id, ok := owner.SplitPoint(heavy)
 	if !ok {
 		t.Fatal("split point missing for a loaded vnode")
 	}
-	if !ids.BetweenRightIncl(id, heavy.PredID(), heavy.ID()) {
+	if !ids.BetweenRightIncl(id, heavy.PredID, heavy.ID) {
 		t.Fatal("split point outside the vnode's arc")
 	}
-	before := heavy.Workload()
-	var helper strategy.Host
-	s.EachHost(func(h strategy.Host, p strategy.VNode) {
-		if p.ID() != heavy.ID() {
+	before := owner.Load(heavy)
+	var helper strategy.View
+	s.EachHost(func(h strategy.View) {
+		if h.Primary().ID != heavy.ID {
 			helper = h
 		}
 	})
-	acquired, ok := s.CreateSybil(helper, id)
+	acquired, ok := helper.CreateSybil(id)
 	if !ok {
 		t.Fatal("split-point creation failed")
 	}
@@ -149,24 +150,24 @@ func TestWorldSplitPoint(t *testing.T) {
 
 func TestWorldVNodesOf(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 4, Tasks: 400, Seed: 6})
-	var host strategy.Host
-	s.EachHost(func(h strategy.Host, _ strategy.VNode) {
+	var host strategy.View
+	s.EachHost(func(h strategy.View) {
 		if host == nil {
 			host = h
 		}
 	})
-	if got := s.VNodesOf(host); len(got) != 1 {
+	if got := host.VNodes(); len(got) != 1 {
 		t.Fatalf("fresh host vnodes = %d", len(got))
 	}
-	if _, ok := s.CreateSybil(host, s.RandomID()); !ok {
+	if _, ok := host.CreateSybil(host.RandomID()); !ok {
 		t.Fatal("creation failed")
 	}
-	got := s.VNodesOf(host)
+	got := host.VNodes()
 	if len(got) != 2 {
 		t.Fatalf("after sybil: vnodes = %d", len(got))
 	}
 	for _, v := range got {
-		if v.Host().Index() != host.Index() {
+		if !v.Mine {
 			t.Fatal("foreign vnode in VNodesOf")
 		}
 	}
@@ -213,12 +214,12 @@ func TestWorldSybilCacheInvalidation(t *testing.T) {
 	if helper.Workload() > owner.Workload() {
 		owner, helper = helper, owner
 	}
-	id, ok := s.SplitPoint(owner.vnodes[0])
+	id, ok := owner.SplitPoint(owner.Primary())
 	if !ok {
 		t.Fatal("no split point on the loaded host")
 	}
 	before := owner.Workload()
-	acquired, ok := s.CreateSybil(helper, id)
+	acquired, ok := helper.CreateSybil(id)
 	if !ok || acquired == 0 {
 		t.Fatalf("Sybil at the split point acquired %d keys (ok=%v)", acquired, ok)
 	}
@@ -226,7 +227,7 @@ func TestWorldSybilCacheInvalidation(t *testing.T) {
 	if got := owner.Workload(); got != before-acquired {
 		t.Errorf("owner reports %d after losing %d of %d keys", got, acquired, before)
 	}
-	s.DropSybils(helper)
+	helper.DropSybils()
 	check(s, "after the Sybil handed its keys back", false)
 	if got := owner.Workload(); got != before {
 		t.Errorf("owner reports %d after getting its %d keys back", got, before)
@@ -235,11 +236,11 @@ func TestWorldSybilCacheInvalidation(t *testing.T) {
 	// The same two operations on arcs with no keys move nothing.
 	s = newWorld(t, Config{Nodes: 2, Tasks: 0, Seed: 5, CheckInvariants: true})
 	check(s, "fresh, empty", false)
-	if acquired, ok := s.CreateSybil(s.hosts[1], s.RandomID()); !ok || acquired != 0 {
+	if acquired, ok := s.hosts[1].CreateSybil(s.randomID()); !ok || acquired != 0 {
 		t.Fatalf("Sybil on an empty ring acquired %d keys (ok=%v)", acquired, ok)
 	}
 	check(s, "after an empty Sybil arrived", true)
-	s.DropSybils(s.hosts[1])
+	s.hosts[1].DropSybils()
 	check(s, "after an empty Sybil left", true)
 }
 
@@ -251,10 +252,10 @@ func TestSybilLifecycleOneAllocation(t *testing.T) {
 	s := newWorld(t, Config{Nodes: 200, Tasks: 2000, Seed: 8})
 	h := s.hosts[0]
 	cycle := func() {
-		if _, ok := s.CreateSybil(h, s.RandomID()); !ok {
+		if _, ok := h.CreateSybil(h.RandomID()); !ok {
 			t.Fatal("CreateSybil refused a free ID")
 		}
-		s.DropSybils(h)
+		h.DropSybils()
 	}
 	cycle() // warm: grows h.vnodes and the free list once
 	if avg := testing.AllocsPerRun(200, cycle); avg != 1 {

@@ -1,7 +1,5 @@
 package strategy
 
-import "chordbalance/internal/ids"
-
 // This file implements the paper's §VII future-work directions as
 // concrete strategies, so the repository can measure what the authors
 // only conjecture:
@@ -26,35 +24,8 @@ func (StrengthInvitation) Name() string { return "strength-invitation" }
 
 // Decide implements Strategy.
 func (StrengthInvitation) Decide(w World) {
-	p := w.Params()
-	helped := make(map[int]bool)
-	w.EachHost(func(h Host, primary VNode) {
-		if primary.Workload() <= p.InviteThreshold {
-			return
-		}
-		preds := w.Predecessors(primary, p.NumSuccessors)
-		w.ChargeMessages("invitation", len(preds))
-		var helper Host
-		for _, v := range preds {
-			cand := v.Host()
-			if cand.Index() == h.Index() || helped[cand.Index()] {
-				continue
-			}
-			if cand.Workload() > p.SybilThreshold || !cand.CanCreateSybil() {
-				continue
-			}
-			if helper == nil ||
-				cand.Strength() > helper.Strength() ||
-				(cand.Strength() == helper.Strength() && cand.Workload() < helper.Workload()) {
-				helper = cand
-			}
-		}
-		if helper == nil {
-			return
-		}
-		if _, ok := w.CreateSybil(helper, ids.Midpoint(primary.PredID(), primary.ID())); ok {
-			helped[helper.Index()] = true
-		}
+	invite(w, func(load, strength, bestLoad, bestStrength int) bool {
+		return strength > bestStrength || (strength == bestStrength && load < bestLoad)
 	})
 }
 
@@ -78,7 +49,7 @@ func (*StrengthAwareRandom) Name() string { return "strength-random" }
 func (s *StrengthAwareRandom) Decide(w World) {
 	p := w.Params()
 	if s.maxStrength == 0 {
-		w.EachHost(func(h Host, _ VNode) {
+		w.EachHost(func(h View) {
 			if h.Strength() > s.maxStrength {
 				s.maxStrength = h.Strength()
 			}
@@ -87,9 +58,9 @@ func (s *StrengthAwareRandom) Decide(w World) {
 			return // no live hosts at all
 		}
 	}
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() == 0 && h.SybilCount() > 0 {
-			w.DropSybils(h)
+			h.DropSybils()
 		}
 		if h.Workload() > p.SybilThreshold || !h.CanCreateSybil() {
 			return
@@ -97,7 +68,7 @@ func (s *StrengthAwareRandom) Decide(w World) {
 		// Create with probability strength/maxStrength: the strongest
 		// hosts act every pass, a strength-1 host only 1/max of the time.
 		if w.RNG().Float64()*float64(s.maxStrength) < float64(h.Strength()) {
-			w.CreateSybil(h, w.RandomID())
+			h.CreateSybil(h.RandomID())
 		}
 	})
 }
@@ -118,31 +89,21 @@ func (TargetedInjection) Name() string { return "targeted" }
 // Decide implements Strategy.
 func (TargetedInjection) Decide(w World) {
 	p := w.Params()
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() == 0 && h.SybilCount() > 0 {
-			w.DropSybils(h)
+			h.DropSybils()
 		}
 		if h.Workload() > p.SybilThreshold || !h.CanCreateSybil() {
 			return
 		}
-		succs := w.Successors(primary, p.NumSuccessors)
-		w.ChargeMessages("workload-query", len(succs))
-		var best VNode
-		for _, v := range succs {
-			if v.Host().Index() == h.Index() {
-				continue
-			}
-			if best == nil || v.Workload() > best.Workload() {
-				best = v
-			}
-		}
-		if best == nil || best.Workload() < 2 {
+		best, load, found := mostLoaded(w, h, p.NumSuccessors)
+		if !found || load < 2 {
 			return
 		}
 		// One more message: ask the victim for its exact split point.
 		w.ChargeMessages("split-query", 1)
-		if id, ok := w.SplitPoint(best); ok {
-			w.CreateSybil(h, id)
+		if id, ok := h.SplitPoint(best); ok {
+			h.CreateSybil(id)
 		}
 	})
 }

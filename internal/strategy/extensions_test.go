@@ -13,7 +13,7 @@ func TestStrengthInvitationPicksStrongest(t *testing.T) {
 	v.workload = 500
 	weakIdle := &fakeHost{index: 1, workload: 0, cap: 5, strength: 1}
 	strongIdle := &fakeHost{index: 2, workload: 0, cap: 5, strength: 4}
-	w.preds[0] = []VNode{
+	w.preds[0] = []*fakeVNode{
 		&fakeVNode{id: ids.FromUint64(10), host: weakIdle},
 		&fakeVNode{id: ids.FromUint64(20), host: strongIdle},
 	}
@@ -31,7 +31,7 @@ func TestStrengthInvitationTiesBreakOnWorkload(t *testing.T) {
 	v.workload = 500
 	busier := &fakeHost{index: 1, workload: 8, cap: 5, strength: 2}
 	idler := &fakeHost{index: 2, workload: 1, cap: 5, strength: 2}
-	w.preds[0] = []VNode{
+	w.preds[0] = []*fakeVNode{
 		&fakeVNode{id: ids.FromUint64(10), host: busier},
 		&fakeVNode{id: ids.FromUint64(20), host: idler},
 	}
@@ -47,7 +47,7 @@ func TestStrengthInvitationRefusesLikeBase(t *testing.T) {
 	_, v := w.addHost(0, 500, 5)
 	v.workload = 500
 	busy := &fakeHost{index: 1, workload: 50, cap: 5, strength: 9}
-	w.preds[0] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: busy}}
+	w.preds[0] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: busy}}
 	NewStrengthInvitation().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("busy predecessors must refuse regardless of strength")
@@ -108,7 +108,7 @@ func TestTargetedInjectionUsesSplitPoint(t *testing.T) {
 		id: ids.FromUint64(5000), pred: ids.FromUint64(1000),
 		workload: 40, host: &fakeHost{index: 1},
 	}
-	w.succs[0] = []VNode{victim}
+	w.succs[0] = []*fakeVNode{victim}
 	split := ids.FromUint64(3333)
 	w.splitPoints = map[ids.ID]ids.ID{victim.id: split}
 	NewTargetedInjection().Decide(w)
@@ -127,7 +127,7 @@ func TestTargetedInjectionSkipsTinyVictims(t *testing.T) {
 		id: ids.FromUint64(5000), pred: ids.FromUint64(1000),
 		workload: 1, host: &fakeHost{index: 1},
 	}
-	w.succs[0] = []VNode{victim}
+	w.succs[0] = []*fakeVNode{victim}
 	NewTargetedInjection().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("a single remaining key is not worth splitting")
@@ -141,7 +141,7 @@ func TestTargetedInjectionNoSplitPointAvailable(t *testing.T) {
 		id: ids.FromUint64(5000), pred: ids.FromUint64(1000),
 		workload: 40, host: &fakeHost{index: 1},
 	}
-	w.succs[0] = []VNode{victim} // splitPoints map empty: not ok
+	w.succs[0] = []*fakeVNode{victim} // splitPoints map empty: not ok
 	NewTargetedInjection().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("no split point: no Sybil")

@@ -16,42 +16,42 @@ func NewOracle() Strategy { return Oracle{} }
 // Name implements Strategy.
 func (Oracle) Name() string { return "oracle" }
 
-// loaded pairs a virtual node with its workload at ranking time, so the
-// global sort compares plain ints instead of making two interface calls
-// per comparison.
+// loaded is one virtual node in the global ranking: the view of the
+// host that projects it, and its workload at ranking time, so the sort
+// compares plain ints.
 type loaded struct {
-	v VNode
+	h View
+	v Peer
 	w int
 }
 
-// Decide implements Strategy.
+// Decide implements Strategy. It keeps every host's View past its
+// EachHost callback — the global knowledge no local strategy has.
 func (Oracle) Decide(w World) {
 	p := w.Params()
-	var idle []Host
+	var idle []View
 	var all []loaded
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() == 0 && h.SybilCount() > 0 {
-			w.DropSybils(h)
+			h.DropSybils()
 		}
 		if h.Workload() <= p.SybilThreshold && h.CanCreateSybil() {
 			idle = append(idle, h)
 		}
-		for _, v := range w.VNodesOf(h) {
-			all = append(all, loaded{v: v})
+		for _, v := range h.VNodes() {
+			all = append(all, loaded{h: h, v: v})
 		}
 	})
 	if len(idle) == 0 || len(all) == 0 {
 		return
 	}
 	// Workloads are read once, after the EachHost pass (DropSybils above
-	// may still move keys mid-scan) and before any splits below. That
-	// matches what the old live-read sort observed, and the advance loop
-	// stays exact too: a CreateSybil split drains only the vnode being
-	// split, which the loop skips immediately afterwards — every later
-	// cached value is still the live value. The comparator's outcomes
-	// are unchanged, so sort.Slice produces the identical permutation.
+	// may still move keys mid-scan) and before any splits below. The
+	// advance loop stays exact: a CreateSybil split drains only the
+	// vnode being split, which the loop skips immediately afterwards —
+	// every later cached value is still the live value.
 	for i := range all {
-		all[i].w = all[i].v.Workload()
+		all[i].w = all[i].h.Load(all[i].v)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].w > all[j].w })
 
@@ -59,14 +59,14 @@ func (Oracle) Decide(w World) {
 	for _, h := range idle {
 		// Advance past victims not worth splitting or owned by the
 		// helper itself.
-		for vi < len(all) && (all[vi].w < 2 || all[vi].v.Host().Index() == h.Index()) {
+		for vi < len(all) && (all[vi].w < 2 || all[vi].h.Index() == h.Index()) {
 			vi++
 		}
 		if vi >= len(all) {
 			return
 		}
-		if id, ok := w.SplitPoint(all[vi].v); ok {
-			w.CreateSybil(h, id)
+		if id, ok := h.SplitPoint(all[vi].v); ok {
+			h.CreateSybil(id)
 		}
 		vi++
 	}

@@ -4,8 +4,10 @@
 // and the successor/predecessor windows its virtual nodes already maintain,
 // never any global state — the decentralization requirement of §I.
 //
-// Strategies act through the World interface, implemented by the
-// simulation engine in internal/sim. A Strategy instance may carry
+// Strategies act through a World that hands each host a View of what
+// that host can know. Two runtimes implement it: the simulation engine
+// in internal/sim over its oracle ring, and each networked host in
+// internal/netchord over RPCs. A Strategy instance may carry
 // per-run state (the neighbor strategy's retry blacklist), so build a
 // fresh instance per simulation run and do not share instances across
 // concurrently running simulations.
@@ -48,69 +50,76 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-// Host is a read-only view of one physical machine.
-type Host interface {
-	// Index is the host's stable identity.
+// Peer is one virtual node as a host sees it: one of its own identities
+// or an entry of its primary's successor or predecessor window.
+// (PredID, ID] is the node's arc; Mine reports whether the viewing host
+// projects it.
+type Peer struct {
+	ID, PredID ids.ID
+	Mine       bool
+}
+
+// View is what one host knows and can do during a decision pass. It
+// stays valid for the whole pass.
+type View interface {
+	// Index is the host's stable identity. Workload is its residual task
+	// count across all its virtual nodes — information a real host has
+	// locally (§V). SybilCount counts its live Sybils, CanCreateSybil
+	// reports whether it is below its Sybil cap, and Strength is its
+	// compute strength.
 	Index() int
-	// Workload is the residual task count across all the host's virtual
-	// nodes — information a real host has locally (§V: nodes can examine
-	// the amount of work they have).
 	Workload() int
-	// SybilCount is the number of live Sybil identities.
 	SybilCount() int
-	// CanCreateSybil reports whether the host is below its Sybil cap.
 	CanCreateSybil() bool
-	// Strength is the host's compute strength.
 	Strength() int
+
+	// Primary is the host's primary virtual node, and VNodes all of its
+	// virtual nodes, primary first.
+	Primary() Peer
+	VNodes() []Peer
+	// Successors and Predecessors return up to k of the primary's
+	// neighbours, nearest first (its successor list, and the chain
+	// behind it). The slice may be reused by the view's next call of
+	// either.
+	Successors(k int) []Peer
+	Predecessors(k int) []Peer
+
+	// Load is p's own residual task count: a workload query when p is
+	// another host's. Offer asks p's host whether it would accept an
+	// invitation now — at or below the Sybil threshold, under its cap
+	// and not yet helping this pass — and reports that host's workload
+	// and strength.
+	Load(p Peer) int
+	Offer(p Peer) (load, strength int, ok bool)
+	// SplitPoint returns the identifier that halves p's remaining keys,
+	// and false when p holds fewer than two or the runtime cannot tell.
+	// Only the §VII extensions use it: it presumes nodes may choose their
+	// Sybil IDs, which base Chord does not allow.
+	SplitPoint(p Peer) (ids.ID, bool)
+
+	// CreateSybil inserts a Sybil for this host at id and reports the
+	// task keys it took over; ok is false (and nothing is created) when
+	// the ID is occupied or the host is at its cap. Invite asks p's host
+	// to create one at id instead, and reports whether it agreed.
+	// DropSybils removes all of this host's Sybils. RandomID draws a
+	// uniformly random ring ID, unoccupied where the runtime can tell.
+	CreateSybil(id ids.ID) (acquired int, ok bool)
+	Invite(p Peer, id ids.ID) bool
+	DropSybils()
+	RandomID() ids.ID
 }
 
-// VNode is a read-only view of one virtual node on the ring.
-type VNode interface {
-	ID() ids.ID
-	// PredID is the current predecessor's ID; (PredID, ID] is the arc the
-	// node is responsible for.
-	PredID() ids.ID
-	// Workload is this virtual node's own residual task count.
-	Workload() int
-	// Host is the machine projecting this virtual node.
-	Host() Host
-}
-
-// World is the mutable simulation surface a strategy acts through during
-// one decision pass.
+// World is the surface a strategy acts through during one pass.
+// ChargeMessages accounts the protocol traffic a deployment would incur
+// for a decision (workload queries, invitations). EachHost calls fn with
+// the View of every live host, in stable host order; a strategy that
+// keeps views past their callback uses global knowledge and must say so
+// (see Oracle).
 type World interface {
 	Params() Params
 	RNG() *xrand.Rand
-	// EachHost calls fn for every live host along with its primary
-	// virtual node, in stable host order.
-	EachHost(fn func(h Host, primary VNode))
-	// VNodesOf returns all of h's virtual nodes, primary first. A host
-	// always knows its own identities; strategies that enumerate OTHER
-	// hosts' vnodes through EachHost+VNodesOf are using global knowledge
-	// and must say so (see Oracle).
-	VNodesOf(h Host) []VNode
-	// Successors returns up to k immediate successors of v clockwise,
-	// nearest first (the node's successor list).
-	Successors(v VNode, k int) []VNode
-	// Predecessors returns up to k immediate predecessors of v
-	// counterclockwise, nearest first.
-	Predecessors(v VNode, k int) []VNode
-	// CreateSybil inserts a new Sybil for h at id. acquired is the number
-	// of task keys the Sybil took over; ok is false when the ID is
-	// occupied or the host is at capacity (the Sybil is then not created).
-	CreateSybil(h Host, id ids.ID) (acquired int, ok bool)
-	// DropSybils removes all of h's Sybil identities from the ring.
-	DropSybils(h Host)
-	// RandomID draws a uniformly random currently-unoccupied ring ID.
-	RandomID() ids.ID
-	// SplitPoint returns the identifier that would split v's remaining
-	// keys exactly in half, and false when v holds fewer than two keys.
-	// Only the §VII extension strategies use it: it presumes nodes may
-	// choose Sybil IDs freely, which base Chord does not allow.
-	SplitPoint(v VNode) (ids.ID, bool)
-	// ChargeMessages accounts the protocol traffic a deployment would
-	// incur for this decision activity (workload queries, invitations).
 	ChargeMessages(kind string, n int)
+	EachHost(fn func(h View))
 }
 
 // Strategy is one autonomous load-balancing policy. Decide runs one
@@ -148,16 +157,16 @@ func (RandomInjection) Name() string { return "random" }
 // Decide implements Strategy.
 func (RandomInjection) Decide(w World) {
 	p := w.Params()
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() == 0 && h.SybilCount() > 0 {
 			// The Sybils acquired nothing (or it was all consumed):
 			// withdraw them so a later pass can try fresh locations.
-			w.DropSybils(h)
+			h.DropSybils()
 		}
 		if h.Workload() <= p.SybilThreshold && h.CanCreateSybil() {
 			// One Sybil per decision to avoid overwhelming the network
 			// (§IV-B).
-			w.CreateSybil(h, w.RandomID())
+			h.CreateSybil(h.RandomID())
 		}
 	})
 }
@@ -183,42 +192,41 @@ func (*NeighborInjection) Name() string { return "neighbor" }
 // Decide implements Strategy.
 func (s *NeighborInjection) Decide(w World) {
 	p := w.Params()
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() > p.SybilThreshold || !h.CanCreateSybil() {
 			if h.Workload() > p.SybilThreshold {
 				delete(s.tried, h.Index()) // acquired work: forget failures
 			}
 			return
 		}
-		succs := w.Successors(primary, p.NumSuccessors)
-		var best VNode
+		var best Peer
 		var bestArc ids.ID
-		for _, v := range succs {
-			if v.Host().Index() == h.Index() {
+		found := false
+		for _, v := range h.Successors(p.NumSuccessors) {
+			if v.Mine {
 				continue // never steal from ourselves
 			}
 			if p.AvoidRepeats {
-				if _, bad := s.tried[h.Index()][v.ID()]; bad {
+				if _, bad := s.tried[h.Index()][v.ID]; bad {
 					continue
 				}
 			}
-			arc := v.PredID().Distance(v.ID())
-			if best == nil || arc.Compare(bestArc) > 0 {
-				best, bestArc = v, arc
+			arc := v.PredID.Distance(v.ID)
+			if !found || arc.Compare(bestArc) > 0 {
+				best, bestArc, found = v, arc, true
 			}
 		}
-		if best == nil {
+		if !found {
 			return
 		}
-		mid := ids.Midpoint(best.PredID(), best.ID())
-		acquired, ok := w.CreateSybil(h, mid)
+		acquired, ok := h.CreateSybil(ids.Midpoint(best.PredID, best.ID))
 		if ok && acquired == 0 && p.AvoidRepeats {
 			m := s.tried[h.Index()]
 			if m == nil {
 				m = make(map[ids.ID]struct{})
 				s.tried[h.Index()] = m
 			}
-			m[best.ID()] = struct{}{}
+			m[best.ID] = struct{}{}
 		}
 	})
 }
@@ -237,26 +245,32 @@ func (SmartNeighbor) Name() string { return "smart-neighbor" }
 // Decide implements Strategy.
 func (SmartNeighbor) Decide(w World) {
 	p := w.Params()
-	w.EachHost(func(h Host, primary VNode) {
+	w.EachHost(func(h View) {
 		if h.Workload() > p.SybilThreshold || !h.CanCreateSybil() {
 			return
 		}
-		succs := w.Successors(primary, p.NumSuccessors)
-		w.ChargeMessages("workload-query", len(succs))
-		var best VNode
-		for _, v := range succs {
-			if v.Host().Index() == h.Index() {
-				continue
-			}
-			if best == nil || v.Workload() > best.Workload() {
-				best = v
-			}
-		}
-		if best == nil || best.Workload() == 0 {
+		best, load, found := mostLoaded(w, h, p.NumSuccessors)
+		if !found || load == 0 {
 			return // nothing worth stealing in the neighborhood
 		}
-		w.CreateSybil(h, ids.Midpoint(best.PredID(), best.ID()))
+		h.CreateSybil(ids.Midpoint(best.PredID, best.ID))
 	})
+}
+
+// mostLoaded queries the workload of each of h's k successors (charging
+// one message each) and returns the most loaded one h does not own.
+func mostLoaded(w World, h View, k int) (best Peer, load int, found bool) {
+	succs := h.Successors(k)
+	w.ChargeMessages("workload-query", len(succs))
+	for _, v := range succs {
+		if v.Mine {
+			continue
+		}
+		if l := h.Load(v); !found || l > load {
+			best, load, found = v, l, true
+		}
+	}
+	return best, load, found
 }
 
 // Invitation is §IV-D: the reactive strategy. An overloaded node announces
@@ -274,63 +288,85 @@ func (Invitation) Name() string { return "invitation" }
 
 // Decide implements Strategy.
 func (Invitation) Decide(w World) {
+	invite(w, func(load, strength, bestLoad, bestStrength int) bool {
+		return load < bestLoad
+	})
+}
+
+// invite runs one invitation pass: every primary above the invite
+// threshold asks its predecessors, and invites the qualifying one that
+// ranks first under better(candidate, best) to split its arc. A host
+// helps at most once per pass: Offer refuses for one that already did.
+func invite(w World, better func(load, strength, bestLoad, bestStrength int) bool) {
 	p := w.Params()
-	// A host helps at most once per pass, even if several of its
-	// successors invite it.
-	helped := make(map[int]bool)
-	w.EachHost(func(h Host, primary VNode) {
-		if primary.Workload() <= p.InviteThreshold {
+	w.EachHost(func(h View) {
+		// The primary's load is part of the host's: a host at or below
+		// the threshold has no overloaded primary to ask about.
+		if h.Workload() <= p.InviteThreshold {
 			return
 		}
-		preds := w.Predecessors(primary, p.NumSuccessors)
+		primary := h.Primary()
+		if h.Load(primary) <= p.InviteThreshold {
+			return
+		}
+		preds := h.Predecessors(p.NumSuccessors)
 		w.ChargeMessages("invitation", len(preds))
-		var helper Host
+		var helper Peer
+		var helperLoad, helperStrength int
+		found := false
 		for _, v := range preds {
-			cand := v.Host()
-			if cand.Index() == h.Index() || helped[cand.Index()] {
+			if v.Mine {
 				continue
 			}
-			if cand.Workload() > p.SybilThreshold || !cand.CanCreateSybil() {
+			load, strength, ok := h.Offer(v)
+			if !ok {
 				continue
 			}
-			if helper == nil || cand.Workload() < helper.Workload() {
-				helper = cand
+			if !found || better(load, strength, helperLoad, helperStrength) {
+				helper, helperLoad, helperStrength, found = v, load, strength, true
 			}
 		}
-		if helper == nil {
-			return // invitation refused
-		}
-		if _, ok := w.CreateSybil(helper, ids.Midpoint(primary.PredID(), primary.ID())); ok {
-			helped[helper.Index()] = true
+		if found { // otherwise the invitation is refused
+			h.Invite(helper, ids.Midpoint(primary.PredID, primary.ID))
 		}
 	})
 }
 
-// ByName returns a fresh strategy instance for a harness-facing name.
-// Recognized names: none, churn (an alias of none — churn is an engine
-// parameter), random, neighbor, smart-neighbor, invitation, the §VII
-// extensions strength-invitation, strength-random, and targeted, and the
+// registry lists every harness-facing name with its constructor.
+var registry = []struct {
+	name string
+	make func() Strategy
+}{
+	{"none", NewNone},
+	{"churn", NewNone}, // an alias of none: churn is an engine parameter
+	{"random", NewRandomInjection},
+	{"neighbor", NewNeighborInjection},
+	{"smart-neighbor", NewSmartNeighbor},
+	{"smart", NewSmartNeighbor},
+	{"invitation", NewInvitation},
+	{"strength-invitation", NewStrengthInvitation},
+	{"strength-random", NewStrengthAwareRandom},
+	{"targeted", NewTargetedInjection},
+	{"oracle", NewOracle},
+}
+
+// ByName returns a fresh strategy instance for a harness-facing name:
+// one of Names — the base strategies, the §VII extensions
+// strength-invitation, strength-random and targeted, and the
 // non-decentralized upper bound oracle.
 func ByName(name string) (Strategy, bool) {
-	switch name {
-	case "none", "churn":
-		return NewNone(), true
-	case "random":
-		return NewRandomInjection(), true
-	case "neighbor":
-		return NewNeighborInjection(), true
-	case "smart-neighbor", "smart":
-		return NewSmartNeighbor(), true
-	case "invitation":
-		return NewInvitation(), true
-	case "strength-invitation":
-		return NewStrengthInvitation(), true
-	case "strength-random":
-		return NewStrengthAwareRandom(), true
-	case "targeted":
-		return NewTargetedInjection(), true
-	case "oracle":
-		return NewOracle(), true
+	for _, r := range registry {
+		if r.name == name {
+			return r.make(), true
+		}
 	}
 	return nil, false
+}
+
+// Names lists every name ByName accepts.
+func Names() (out []string) {
+	for _, r := range registry {
+		out = append(out, r.name)
+	}
+	return out
 }

@@ -9,7 +9,12 @@ import (
 
 // --- mock world ---
 
+// fakeHost is one machine. The hosts a world iterates carry w and
+// primary and serve as Views; hosts that only own neighbours need
+// neither.
 type fakeHost struct {
+	w        *fakeWorld
+	primary  *fakeVNode
 	index    int
 	workload int
 	sybils   int
@@ -17,23 +22,12 @@ type fakeHost struct {
 	strength int
 }
 
-func (h *fakeHost) Index() int           { return h.index }
-func (h *fakeHost) Workload() int        { return h.workload }
-func (h *fakeHost) SybilCount() int      { return h.sybils }
-func (h *fakeHost) CanCreateSybil() bool { return h.sybils < h.cap }
-func (h *fakeHost) Strength() int        { return h.strength }
-
 type fakeVNode struct {
 	id       ids.ID
 	pred     ids.ID
 	workload int
 	host     *fakeHost
 }
-
-func (v *fakeVNode) ID() ids.ID     { return v.id }
-func (v *fakeVNode) PredID() ids.ID { return v.pred }
-func (v *fakeVNode) Workload() int  { return v.workload }
-func (v *fakeVNode) Host() Host     { return v.host }
 
 type creation struct {
 	host int
@@ -45,11 +39,13 @@ type fakeWorld struct {
 	rng       *xrand.Rand
 	hosts     []*fakeHost
 	primaries []*fakeVNode
-	succs     map[int][]VNode // keyed by host index of the asking vnode
-	preds     map[int][]VNode
+	succs     map[int][]*fakeVNode // keyed by host index of the asking vnode
+	preds     map[int][]*fakeVNode
 	created   []creation
 	dropped   []int
 	messages  map[string]int
+	// helped marks hosts that accepted an invitation this pass.
+	helped map[int]bool
 	// acquireOnCreate is what CreateSybil reports as acquired work.
 	acquireOnCreate int
 	refuseCreate    bool
@@ -61,60 +57,115 @@ func newFakeWorld() *fakeWorld {
 	return &fakeWorld{
 		params:   Params{NumSuccessors: 5, DecisionEvery: 5}.WithDefaults(),
 		rng:      xrand.New(1),
-		succs:    map[int][]VNode{},
-		preds:    map[int][]VNode{},
+		succs:    map[int][]*fakeVNode{},
+		preds:    map[int][]*fakeVNode{},
 		messages: map[string]int{},
 	}
 }
 
-func (w *fakeWorld) Params() Params   { return w.params }
-func (w *fakeWorld) RNG() *xrand.Rand { return w.rng }
-func (w *fakeWorld) RandomID() ids.ID { return ids.Random(w.rng) }
-func (w *fakeWorld) EachHost(fn func(Host, VNode)) {
-	for i, h := range w.hosts {
-		fn(h, w.primaries[i])
-	}
-}
-func (w *fakeWorld) Successors(v VNode, k int) []VNode {
-	return w.succs[v.Host().Index()]
-}
-func (w *fakeWorld) Predecessors(v VNode, k int) []VNode {
-	return w.preds[v.Host().Index()]
-}
-func (w *fakeWorld) CreateSybil(h Host, id ids.ID) (int, bool) {
-	if w.refuseCreate || !h.CanCreateSybil() {
-		return 0, false
-	}
-	w.created = append(w.created, creation{h.Index(), id})
-	h.(*fakeHost).sybils++
-	return w.acquireOnCreate, true
-}
-func (w *fakeWorld) DropSybils(h Host) {
-	w.dropped = append(w.dropped, h.Index())
-	h.(*fakeHost).sybils = 0
-}
+func (w *fakeWorld) Params() Params                    { return w.params }
+func (w *fakeWorld) RNG() *xrand.Rand                  { return w.rng }
 func (w *fakeWorld) ChargeMessages(kind string, n int) { w.messages[kind] += n }
-func (w *fakeWorld) SplitPoint(v VNode) (ids.ID, bool) {
-	id, ok := w.splitPoints[v.ID()]
-	return id, ok
+func (w *fakeWorld) EachHost(fn func(View)) {
+	w.helped = map[int]bool{}
+	for _, h := range w.hosts {
+		fn(h)
+	}
 }
-func (w *fakeWorld) VNodesOf(h Host) []VNode {
-	for i, fh := range w.hosts {
-		if fh.index == h.Index() {
-			return []VNode{w.primaries[i]}
+
+// node finds the vnode a Peer names among the primaries and every
+// neighbour window.
+func (w *fakeWorld) node(id ids.ID) *fakeVNode {
+	for _, v := range w.primaries {
+		if v.id == id {
+			return v
+		}
+	}
+	for _, m := range []map[int][]*fakeVNode{w.succs, w.preds} {
+		for _, vs := range m {
+			for _, v := range vs {
+				if v.id == id {
+					return v
+				}
+			}
 		}
 	}
 	return nil
 }
 
+// create records a Sybil for h at id, refusing like a full host.
+func (w *fakeWorld) create(h *fakeHost, id ids.ID) (int, bool) {
+	if w.refuseCreate || !h.CanCreateSybil() {
+		return 0, false
+	}
+	w.created = append(w.created, creation{h.index, id})
+	h.sybils++
+	return w.acquireOnCreate, true
+}
+
+// willHelp is the helper-side invitation test.
+func (w *fakeWorld) willHelp(c *fakeHost) bool {
+	return !w.helped[c.index] && c.workload <= w.params.SybilThreshold && c.CanCreateSybil()
+}
+
+func (h *fakeHost) Index() int           { return h.index }
+func (h *fakeHost) Workload() int        { return h.workload }
+func (h *fakeHost) SybilCount() int      { return h.sybils }
+func (h *fakeHost) CanCreateSybil() bool { return h.sybils < h.cap }
+func (h *fakeHost) Strength() int        { return h.strength }
+func (h *fakeHost) Primary() Peer        { return h.peer(h.primary) }
+func (h *fakeHost) VNodes() []Peer       { return []Peer{h.Primary()} }
+func (h *fakeHost) RandomID() ids.ID     { return ids.Random(h.w.rng) }
+
+func (h *fakeHost) peer(v *fakeVNode) Peer {
+	return Peer{ID: v.id, PredID: v.pred, Mine: v.host == h}
+}
+
+func (h *fakeHost) peers(vs []*fakeVNode) []Peer {
+	out := make([]Peer, len(vs))
+	for i, v := range vs {
+		out[i] = h.peer(v)
+	}
+	return out
+}
+
+func (h *fakeHost) Successors(k int) []Peer   { return h.peers(h.w.succs[h.index]) }
+func (h *fakeHost) Predecessors(k int) []Peer { return h.peers(h.w.preds[h.index]) }
+func (h *fakeHost) Load(p Peer) int           { return h.w.node(p.ID).workload }
+func (h *fakeHost) Offer(p Peer) (int, int, bool) {
+	c := h.w.node(p.ID).host
+	return c.workload, c.strength, h.w.willHelp(c)
+}
+func (h *fakeHost) SplitPoint(p Peer) (ids.ID, bool) {
+	id, ok := h.w.splitPoints[p.ID]
+	return id, ok
+}
+func (h *fakeHost) CreateSybil(id ids.ID) (int, bool) { return h.w.create(h, id) }
+func (h *fakeHost) Invite(p Peer, id ids.ID) bool {
+	c := h.w.node(p.ID).host
+	if !h.w.willHelp(c) {
+		return false
+	}
+	if _, ok := h.w.create(c, id); !ok {
+		return false
+	}
+	h.w.helped[c.index] = true
+	return true
+}
+func (h *fakeHost) DropSybils() {
+	h.w.dropped = append(h.w.dropped, h.index)
+	h.sybils = 0
+}
+
 func (w *fakeWorld) addHost(index, workload, cap int) (*fakeHost, *fakeVNode) {
-	h := &fakeHost{index: index, workload: workload, cap: cap, strength: 1}
+	h := &fakeHost{w: w, index: index, workload: workload, cap: cap, strength: 1}
 	v := &fakeVNode{
 		id:       ids.FromUint64(uint64(100 * (index + 1))),
 		pred:     ids.FromUint64(uint64(100 * index)),
 		workload: workload,
 		host:     h,
 	}
+	h.primary = v
 	w.hosts = append(w.hosts, h)
 	w.primaries = append(w.primaries, v)
 	return h, v
@@ -224,7 +275,7 @@ func TestNeighborInjectionPicksLargestArc(t *testing.T) {
 		pred: ids.FromUint64(2000), // arc width 3000
 		host: &fakeHost{index: 2},
 	}
-	w.succs[0] = []VNode{small, big}
+	w.succs[0] = []*fakeVNode{small, big}
 	NewNeighborInjection().Decide(w)
 	if len(w.created) != 1 {
 		t.Fatalf("created = %v", w.created)
@@ -249,7 +300,7 @@ func TestNeighborInjectionSkipsOwnVNodes(t *testing.T) {
 		pred: ids.FromUint64(9000),
 		host: &fakeHost{index: 1},
 	}
-	w.succs[0] = []VNode{ownSybil, other}
+	w.succs[0] = []*fakeVNode{ownSybil, other}
 	NewNeighborInjection().Decide(w)
 	if len(w.created) != 1 || w.created[0].id != ids.Midpoint(other.pred, other.id) {
 		t.Errorf("must skip own arcs: %v", w.created)
@@ -270,7 +321,7 @@ func TestNeighborInjectionAvoidRepeats(t *testing.T) {
 		pred: ids.FromUint64(5000),
 		host: &fakeHost{index: 2},
 	}
-	w.succs[0] = []VNode{big, small}
+	w.succs[0] = []*fakeVNode{big, small}
 	w.acquireOnCreate = 0 // the Sybil finds nothing
 	s := NewNeighborInjection()
 	s.Decide(w)
@@ -288,7 +339,7 @@ func TestNeighborInjectionNoCandidates(t *testing.T) {
 	w := newFakeWorld()
 	h, _ := w.addHost(0, 0, 5)
 	own := &fakeVNode{id: ids.FromUint64(1), pred: ids.FromUint64(0), host: h}
-	w.succs[0] = []VNode{own}
+	w.succs[0] = []*fakeVNode{own}
 	NewNeighborInjection().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("no foreign successors: nothing to do")
@@ -306,7 +357,7 @@ func TestSmartNeighborPicksMostLoaded(t *testing.T) {
 		id: ids.FromUint64(3010), pred: ids.FromUint64(3000), // tiny arc
 		workload: 50, host: &fakeHost{index: 2},
 	}
-	w.succs[0] = []VNode{light, heavy}
+	w.succs[0] = []*fakeVNode{light, heavy}
 	NewSmartNeighbor().Decide(w)
 	if len(w.created) != 1 || w.created[0].id != ids.Midpoint(heavy.pred, heavy.id) {
 		t.Errorf("smart must split the most-loaded arc: %v", w.created)
@@ -323,7 +374,7 @@ func TestSmartNeighborSkipsEmptyNeighborhood(t *testing.T) {
 		id: ids.FromUint64(3000), pred: ids.FromUint64(1000),
 		workload: 0, host: &fakeHost{index: 1},
 	}
-	w.succs[0] = []VNode{idle}
+	w.succs[0] = []*fakeVNode{idle}
 	NewSmartNeighbor().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("no work in neighborhood: must not create a Sybil")
@@ -337,7 +388,7 @@ func TestInvitationHelpsOverloaded(t *testing.T) {
 	overloaded.workload = 500
 	helperBusy := &fakeHost{index: 1, workload: 50, cap: 5}
 	helperIdle := &fakeHost{index: 2, workload: 0, cap: 5}
-	w.preds[0] = []VNode{
+	w.preds[0] = []*fakeVNode{
 		&fakeVNode{id: ids.FromUint64(10), host: helperBusy},
 		&fakeVNode{id: ids.FromUint64(20), host: helperIdle},
 	}
@@ -360,7 +411,7 @@ func TestInvitationRefusedWhenNoIdlePred(t *testing.T) {
 	_, v := w.addHost(0, 500, 5)
 	v.workload = 500
 	busy := &fakeHost{index: 1, workload: 50, cap: 5}
-	w.preds[0] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: busy}}
+	w.preds[0] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: busy}}
 	NewInvitation().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("invitation must be refused when no predecessor qualifies")
@@ -373,7 +424,7 @@ func TestInvitationRefusedWhenPredAtCap(t *testing.T) {
 	_, v := w.addHost(0, 500, 5)
 	v.workload = 500
 	capped := &fakeHost{index: 1, workload: 0, cap: 2, sybils: 2}
-	w.preds[0] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: capped}}
+	w.preds[0] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: capped}}
 	NewInvitation().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("predecessor with too many Sybils must refuse")
@@ -385,7 +436,7 @@ func TestInvitationNotTriggeredBelowThreshold(t *testing.T) {
 	w.params.InviteThreshold = 100
 	_, v := w.addHost(0, 100, 5) // exactly at threshold: not overloaded
 	v.workload = 100
-	w.preds[0] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: &fakeHost{index: 1, cap: 5}}}
+	w.preds[0] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: &fakeHost{index: 1, cap: 5}}}
 	NewInvitation().Decide(w)
 	if len(w.created) != 0 {
 		t.Error("threshold is strict")
@@ -400,8 +451,8 @@ func TestInvitationHelperUsedOncePerPass(t *testing.T) {
 	_, v1 := w.addHost(1, 100, 5)
 	v1.workload = 100
 	helper := &fakeHost{index: 9, workload: 0, cap: 5}
-	w.preds[0] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: helper}}
-	w.preds[1] = []VNode{&fakeVNode{id: ids.FromUint64(10), host: helper}}
+	w.preds[0] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: helper}}
+	w.preds[1] = []*fakeVNode{&fakeVNode{id: ids.FromUint64(10), host: helper}}
 	NewInvitation().Decide(w)
 	if len(w.created) != 1 {
 		t.Errorf("one helper must help at most once per pass, created %d", len(w.created))

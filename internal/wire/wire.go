@@ -41,8 +41,9 @@ import (
 // the unversioned KV bulk transfers of version 1 with versioned Rec
 // records and added the anti-entropy digest exchange (TSync*). Version
 // 3 added the admission-puzzle nonce to TJoin and the TEvict density
-// eviction notice (docs/ADVERSARY.md).
-const Version = 3
+// eviction notice (docs/ADVERSARY.md). Version 4 widened TWorkloadOK
+// and put TInvite's Sybil placement in Key (docs/NETWORK.md).
+const Version = 4
 
 // Frame geometry and hard bounds. The caps are generous for the runtime's
 // actual traffic but small enough that a hostile peer cannot force large
@@ -147,13 +148,15 @@ const (
 	// the sender's idempotency token, as in TTask: task moves must be
 	// exactly-once even over an at-least-once RPC layer.
 	TTransfer
-	// TWorkloadQuery asks a node for its residual task units.
+	// TWorkloadQuery asks a node for its residual task units and its
+	// host's answer to an invitation.
 	TWorkloadQuery
-	// TWorkloadOK answers with A = residual task units.
+	// TWorkloadOK answers: A = the node's residual units; B, C = its
+	// host's residual and strength; Flag = whether that host would help.
 	TWorkloadOK
-	// TInvite announces that From (with predecessor Node and workload A)
-	// is overloaded and invites the callee to inject a Sybil into its
-	// arc (the paper's Invitation strategy, §IV-D).
+	// TInvite announces that From (with workload A) is overloaded and
+	// invites the callee's host to inject a Sybil at Key, in From's arc
+	// (the paper's Invitation strategy, §IV-D).
 	TInvite
 	// TInviteOK answers: Flag reports whether the callee will help.
 	TInviteOK
@@ -358,8 +361,8 @@ var fieldsOf = [typeCount]uint16{
 	TReplicate:       fRecs,
 	TTransfer:        fRecs | fTasks | fA,
 	TWorkloadQuery:   0,
-	TWorkloadOK:      fA,
-	TInvite:          fFrom | fNode | fA,
+	TWorkloadOK:      fA | fB | fC | fFlag,
+	TInvite:          fKey | fFrom | fA,
 	TInviteOK:        fFlag,
 	TInject:          fFrom | fNode | fA,
 	THello:           fFrom | fA,
