@@ -1,7 +1,7 @@
 // Command chordnet is an interactive shell over a live Chord overlay —
-// the internal/chord protocol with background maintenance — for poking at
-// the substrate the simulator abstracts: watch lookups route, crash
-// nodes, and see replication keep data alive.
+// the internal/chord protocol, with maintenance rounds run on command —
+// for poking at the substrate the simulator abstracts: watch lookups
+// route, crash nodes, and see replication keep data alive.
 //
 //	$ go run ./cmd/chordnet
 //	chord> create 16
@@ -44,12 +44,14 @@ func isTerminalLike() bool {
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
-// session holds the shell's overlay state.
+// session holds the shell's overlay state. Every client command enters
+// the ring at the first live node in ring order, so a script's output is
+// a pure function of its input.
 type session struct {
-	d     *chord.Driver
-	gen   *keys.Generator
-	first ids.ID
-	out   io.Writer
+	nw     *chord.Network
+	rounds int // maintenance rounds run so far
+	gen    *keys.Generator
+	out    io.Writer
 
 	// Adversary state (docs/ADVERSARY.md): the installed eclipse
 	// attacker, its RNG stream, and which live ring identities are its.
@@ -117,49 +119,49 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil || n < 1 {
 			return fmt.Errorf("usage: create N (N >= 1)")
 		}
-		s.d = chord.NewDriver(chord.NewNetwork(chord.Config{}), 0)
-		s.first = s.gen.Next()
-		if _, err := s.d.Create(s.first); err != nil {
+		s.nw, s.rounds = chord.NewNetwork(chord.Config{}), 0
+		first, err := s.nw.Create(s.gen.Next())
+		if err != nil {
 			return err
 		}
 		for i := 1; i < n; i++ {
-			if err := s.d.Join(s.gen.Next(), s.first); err != nil {
+			if _, err := s.nw.Join(s.gen.Next(), first); err != nil {
 				return err
 			}
-			s.d.RunMaintenance()
+			s.maintain()
 		}
 		s.healRing()
-		fmt.Fprintf(s.out, "overlay up: %d nodes\n", len(s.d.AliveIDs()))
+		fmt.Fprintf(s.out, "overlay up: %d nodes\n", len(s.nw.AliveIDs()))
 		return nil
 	}
 
-	if s.d == nil {
+	if s.nw == nil {
 		return fmt.Errorf("no overlay yet: run 'create N' first")
 	}
 	switch cmd {
 	case "join":
 		id := s.gen.Next()
-		boot := s.d.AliveIDs()
-		if len(boot) == 0 {
-			return fmt.Errorf("no live nodes to bootstrap from")
+		boot, err := s.entry()
+		if err != nil {
+			return err
 		}
-		if err := s.d.Join(id, boot[0]); err != nil {
+		if _, err := s.nw.Join(id, boot); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "joined %s\n", id.Short())
 		return nil
 	case "kill", "leave":
 		i, err := atoiArg(args, 0, -1)
-		alive := s.d.AliveIDs()
+		alive := s.nw.AliveIDs()
 		if err != nil || i < 0 || i >= len(alive) {
 			return fmt.Errorf("usage: %s INDEX (0..%d)", cmd, len(alive)-1)
 		}
 		if cmd == "kill" {
-			s.d.Kill(alive[i])
+			s.nw.Kill(alive[i])
 			fmt.Fprintf(s.out, "killed %s\n", alive[i].Short())
 			return nil
 		}
-		if err := s.d.Leave(alive[i]); err != nil {
+		if err := s.nw.Leave(alive[i]); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "left %s\n", alive[i].Short())
@@ -168,7 +170,11 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: put KEY VALUE...")
 		}
-		if err := s.d.Put(keys.HashString(args[0]), strings.Join(args[1:], " ")); err != nil {
+		entry, err := s.entry()
+		if err != nil {
+			return err
+		}
+		if err := entry.Put(keys.HashString(args[0]), strings.Join(args[1:], " ")); err != nil {
 			return err
 		}
 		fmt.Fprintln(s.out, "ok")
@@ -177,7 +183,11 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: get KEY")
 		}
-		v, err := s.d.Get(keys.HashString(args[0]))
+		entry, err := s.entry()
+		if err != nil {
+			return err
+		}
+		v, err := entry.Get(keys.HashString(args[0]))
 		if err != nil {
 			return err
 		}
@@ -187,30 +197,38 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: lookup KEY")
 		}
-		owner, hops, err := s.d.Lookup(keys.HashString(args[0]))
+		entry, err := s.entry()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "owner %s via %d hops\n", owner.Short(), hops)
+		owner, hops, err := entry.Lookup(keys.HashString(args[0]))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(s.out, "owner %s via %d hops\n", owner.ID().Short(), hops)
 		return nil
 	case "trace":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: trace KEY")
 		}
-		tr, err := s.d.Trace(keys.HashString(args[0]))
+		entry, err := s.entry()
+		if err != nil {
+			return err
+		}
+		tr, err := entry.LookupTraced(keys.HashString(args[0]))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(s.out, tr)
 		return nil
 	case "dist":
-		alive := s.d.AliveIDs()
-		for i, c := range s.d.KeyDistribution() {
+		alive := s.nw.AliveIDs()
+		for i, c := range s.nw.KeyDistribution() {
 			fmt.Fprintf(s.out, "%3d  %s  %d keys\n", i, alive[i].Short(), c)
 		}
 		return nil
 	case "ring":
-		for i, id := range s.d.AliveIDs() {
+		for i, id := range s.nw.AliveIDs() {
 			fmt.Fprintf(s.out, "%3d  %s\n", i, id.Short())
 		}
 		return nil
@@ -220,16 +238,20 @@ func (s *session) dispatch(cmd string, args []string) error {
 			return fmt.Errorf("usage: maint [N]")
 		}
 		for i := 0; i < n; i++ {
-			s.d.RunMaintenance()
+			s.maintain()
 		}
 		fmt.Fprintf(s.out, "ran %d rounds\n", n)
 		return nil
 	case "heal":
-		if s.d.HealPartition() {
-			fmt.Fprintln(s.out, "partition lifted")
+		if inj := s.nw.FaultInjector(); inj != nil {
+			active := inj.PartitionActive()
+			inj.Heal() // also overrides any partition the plan schedules later
+			if active {
+				fmt.Fprintln(s.out, "partition lifted")
+			}
 		}
 		rounds := s.healRing()
-		if err := s.d.VerifyRing(); err != nil {
+		if err := s.nw.VerifyRing(); err != nil {
 			return fmt.Errorf("still inconsistent after %d rounds: %w", rounds, err)
 		}
 		fmt.Fprintf(s.out, "converged after %d rounds\n", rounds)
@@ -249,10 +271,10 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil || maxRounds < 1 {
 			return fmt.Errorf("usage: chaos [TICKS [MAXROUNDS]]")
 		}
-		if _, ok := s.d.FaultPlan(); !ok {
+		if s.nw.FaultInjector() == nil {
 			return fmt.Errorf("no fault plan installed: run 'plan crash=0.01' first")
 		}
-		rep := s.d.RunChaos(ticks, maxRounds)
+		rep := s.nw.RunChaos(ticks, maxRounds)
 		fmt.Fprintf(s.out, "ticks=%d crashed=%d waves=%d unconverged=%d\n",
 			rep.Ticks, rep.Crashed, rep.Waves, rep.Unconverged)
 		fmt.Fprintf(s.out, "mean-time-to-repair=%.2f max=%d rounds\n",
@@ -269,19 +291,24 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil {
 			return fmt.Errorf("usage: partition FRAC (0 < FRAC < 1)")
 		}
-		if err := s.d.Partition(frac); err != nil {
+		if s.nw.FaultInjector() == nil {
+			if err := s.setPlan(faults.Plan{}); err != nil {
+				return err
+			}
+		}
+		if err := s.nw.FaultInjector().ForcePartition(frac); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "partitioned at %g of the ID space\n", frac)
 		return nil
 	case "stats":
-		st := s.d.Stats()
+		st := s.nw.Stats()
 		fmt.Fprintf(s.out, "nodes=%d dead=%d messages=%d maintenance-rounds=%d\n",
-			st.AliveNodes, st.DeadNodes, st.Messages, s.d.MaintenanceRounds())
+			st.AliveNodes, st.DeadNodes, st.Messages, s.rounds)
 		fmt.Fprintf(s.out, "primary-keys=%d stored-entries=%d mean-replication=%.2f ring-ok=%v\n",
 			st.PrimaryKeys, st.TotalKeys, st.MeanReplication, st.RingConsistent)
-		if _, ok := s.d.FaultPlan(); ok {
-			ts := s.d.TransportStats()
+		if s.nw.FaultInjector() != nil {
+			ts := s.nw.TransportStats()
 			fmt.Fprintf(s.out, "sends=%d drops=%d retries=%d timeouts=%d backoff-ticks=%d partition-refusals=%d\n",
 				ts.Sends, ts.Drops, ts.Retries, ts.Timeouts, ts.BackoffTicks, ts.PartitionRefusals)
 			fmt.Fprintf(s.out, "lookups=%d failures=%d (success %.1f%%)\n",
@@ -294,26 +321,27 @@ func (s *session) dispatch(cmd string, args []string) error {
 
 // planCmd sets, clears, or shows the overlay's fault plan.
 func (s *session) planCmd(args []string) error {
+	inj := s.nw.FaultInjector()
 	if len(args) == 0 {
-		p, ok := s.d.FaultPlan()
-		if !ok {
+		if inj == nil {
 			fmt.Fprintln(s.out, "no fault plan installed")
 			return nil
 		}
+		p := inj.Plan()
 		fmt.Fprintf(s.out, "drop=%g crash=%g burst-every=%d burst-size=%d retries=%d seed=%d\n",
 			p.DropRate, p.CrashRate, p.BurstEvery, p.BurstSize, p.MaxRetries, p.Seed)
 		return nil
 	}
 	if len(args) == 1 && args[0] == "off" {
-		if err := s.d.SetFaultPlan(faults.Plan{}); err != nil {
+		if err := s.setPlan(faults.Plan{}); err != nil {
 			return err
 		}
 		fmt.Fprintln(s.out, "fault plan cleared")
 		return nil
 	}
 	var p faults.Plan
-	if cur, ok := s.d.FaultPlan(); ok {
-		p = cur
+	if inj != nil {
+		p = inj.Plan()
 	}
 	for _, kv := range args {
 		k, v, found := strings.Cut(kv, "=")
@@ -354,7 +382,7 @@ func (s *session) planCmd(args []string) error {
 			return fmt.Errorf("unknown plan key %q (drop, crash, burst-every, burst-size, retries, seed)", k)
 		}
 	}
-	if err := s.d.SetFaultPlan(p); err != nil {
+	if err := s.setPlan(p); err != nil {
 		return err
 	}
 	fmt.Fprintln(s.out, "fault plan installed")
@@ -379,7 +407,7 @@ func (s *session) attackCmd(args []string) error {
 	}
 	if len(args) == 1 && args[0] == "off" {
 		for id := range s.hostile {
-			s.d.Kill(id)
+			s.nw.Kill(id)
 		}
 		s.att, s.attRng, s.hostile = nil, nil, nil
 		s.healRing()
@@ -431,21 +459,21 @@ func (s *session) attackCmd(args []string) error {
 		return err
 	}
 	s.att, s.attRng, s.hostile = att, xrand.New(seed), make(map[ids.ID]bool)
-	boot := s.d.AliveIDs()
-	if len(boot) == 0 {
-		return fmt.Errorf("no live nodes to bootstrap from")
+	boot, err := s.entry()
+	if err != nil {
+		return err
 	}
 	att.Accrue()
 	for att.CanMint(1) {
 		placed := false
 		for try := 0; try < 16 && !placed; try++ {
 			id := att.MintID(s.attRng)
-			if err := s.d.Join(id, boot[0]); err != nil {
+			if _, err := s.nw.Join(id, boot); err != nil {
 				continue // occupied or unlucky ID: draw again
 			}
 			s.hostile[id] = true
 			att.Minted(1)
-			s.d.RunMaintenance()
+			s.maintain()
 			placed = true
 		}
 		if !placed {
@@ -491,13 +519,13 @@ func (s *session) defendCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	ring := s.d.AliveIDs()
+	ring := s.nw.AliveIDs()
 	flagged := det.Flagged(len(ring), func(i int) ids.ID { return ring[i] })
 	var hostileEv, honestEv int
 	for _, i := range flagged {
 		id := ring[i]
 		if s.hostile[id] {
-			s.d.Kill(id)
+			s.nw.Kill(id)
 			delete(s.hostile, id)
 			if s.att != nil {
 				s.att.Evicted()
@@ -507,12 +535,12 @@ func (s *session) defendCmd(args []string) error {
 		}
 		// Honest collateral: re-key rather than remove — the machine
 		// behind the identity is innocent, only its placement dies.
-		if err := s.d.Leave(id); err != nil {
-			s.d.Kill(id)
+		if err := s.nw.Leave(id); err != nil {
+			s.nw.Kill(id)
 		}
-		if live := s.d.AliveIDs(); len(live) > 0 {
-			if err := s.d.Join(s.gen.Next(), live[0]); err == nil {
-				s.d.RunMaintenance()
+		if boot, err := s.entry(); err == nil {
+			if _, err := s.nw.Join(s.gen.Next(), boot); err == nil {
+				s.maintain()
 			}
 		}
 		honestEv++
@@ -536,23 +564,50 @@ func (s *session) eclipse() float64 {
 		return 0
 	}
 	lo, hi := s.att.Target()
-	ring := s.d.AliveIDs()
+	ring := s.nw.AliveIDs()
 	return adversary.EclipsedFraction(len(ring),
 		func(i int) ids.ID { return ring[i] },
 		func(i int) bool { return s.hostile[ring[i]] },
 		lo, hi, 1)
 }
 
+// entry returns the node every client command enters the ring at: the
+// first live node in ring order.
+func (s *session) entry() (*chord.Node, error) {
+	alive := s.nw.AliveIDs()
+	if len(alive) == 0 {
+		return nil, fmt.Errorf("no live nodes")
+	}
+	return s.nw.Node(alive[0]), nil
+}
+
+// maintain runs one maintenance round on every live node.
+func (s *session) maintain() {
+	s.nw.StabilizeAll()
+	s.rounds++
+}
+
+// setPlan installs a fresh injector for p; a zero plan leaves the
+// transport inert.
+func (s *session) setPlan(p faults.Plan) error {
+	inj, err := faults.New(p)
+	if err != nil {
+		return err
+	}
+	s.nw.SetFaultInjector(inj)
+	return nil
+}
+
 // healRing runs maintenance until convergence (bounded) and returns the
 // rounds used.
 func (s *session) healRing() int {
-	for i := 1; i <= 4*len(s.d.AliveIDs())+16; i++ {
-		s.d.RunMaintenance()
-		if s.d.VerifyRing() == nil {
+	for i := 1; i <= 4*len(s.nw.AliveIDs())+16; i++ {
+		s.maintain()
+		if s.nw.VerifyRing() == nil {
 			return i
 		}
 	}
-	return 4*len(s.d.AliveIDs()) + 16
+	return 4*len(s.nw.AliveIDs()) + 16
 }
 
 func atoiArg(args []string, i, def int) (int, error) {

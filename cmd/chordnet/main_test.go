@@ -245,3 +245,28 @@ func TestAttackBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestScriptOutputIsDeterministic runs the protocol chaos script from
+// `make chaos`, plus lookup, trace and stats, twice. The shell must
+// print byte-identical output both times: every client command enters
+// the ring at the same node, so hop counts, message totals and the
+// chaos run's fault draws repeat exactly.
+func TestScriptOutputIsDeterministic(t *testing.T) {
+	lines := []string{
+		"create 24",
+		"put k v",
+		"maint 5",
+		"plan crash=0.01 burst-every=10 burst-size=2 drop=0.1 seed=1",
+		"chaos 30",
+		"heal",
+		"get k",
+		"lookup alpha",
+		"trace alpha",
+		"stats",
+		"quit",
+	}
+	first, second := script(t, lines...), script(t, lines...)
+	if first != second {
+		t.Errorf("same script, different output:\n--- first\n%s--- second\n%s", first, second)
+	}
+}

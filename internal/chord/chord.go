@@ -19,6 +19,7 @@ package chord
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
@@ -69,9 +70,6 @@ type Network struct {
 	nodes map[ids.ID]*Node
 	msgs  map[string]int
 
-	latency      LatencyModel
-	totalLatency float64
-
 	// faults is the optional fault injector every RPC is threaded
 	// through (see transport.go); tstats accumulates its activity and
 	// tick is the overlay's logical clock.
@@ -82,10 +80,6 @@ type Network struct {
 	// registry remembers every key ever stored via Put so the repair
 	// instrumentation (repair.go) can audit what survived a failure.
 	registry map[ids.ID]string
-
-	// obsm holds the trace-metric handles registered by SetTracer; nil
-	// when tracing is disabled (see trace.go).
-	obsm *chordMetrics
 }
 
 // NewNetwork returns an empty overlay.
@@ -96,15 +90,6 @@ func NewNetwork(cfg Config) *Network {
 		msgs:     make(map[string]int),
 		registry: make(map[ids.ID]string),
 	}
-}
-
-// Messages returns the per-kind message counts accumulated so far.
-func (nw *Network) Messages() map[string]int {
-	out := make(map[string]int, len(nw.msgs))
-	for k, v := range nw.msgs {
-		out[k] = v
-	}
-	return out
 }
 
 // TotalMessages sums all message counts.
@@ -133,46 +118,8 @@ func (nw *Network) AliveIDs() []ids.ID {
 	return out
 }
 
-func sortIDs(xs []ids.ID) {
-	// Insertion sort is fine for the test-scale rings this runs on, but
-	// use a proper sort for larger overlays.
-	quickSortIDs(xs, 0, len(xs)-1)
-}
-
-func quickSortIDs(xs []ids.ID, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j].Less(xs[j-1]); j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
-			}
-			return
-		}
-		p := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i].Less(p) {
-				i++
-			}
-			for p.Less(xs[j]) {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortIDs(xs, lo, j)
-			lo = i
-		} else {
-			quickSortIDs(xs, i, hi)
-			hi = j
-		}
-	}
-}
+// sortIDs sorts xs into ascending ring order.
+func sortIDs(xs []ids.ID) { slices.SortFunc(xs, ids.ID.Compare) }
 
 // Create bootstraps the overlay with its first node.
 func (nw *Network) Create(id ids.ID) (*Node, error) {
@@ -204,7 +151,7 @@ func (nw *Network) Join(id ids.ID, bootstrap *Node) (*Node, error) {
 	}
 	// The join handshake is one RPC to the successor; under faults it can
 	// time out, leaving the joiner outside the ring to try again later.
-	if err := nw.send("join", id, succ.id, false); err != nil {
+	if err := nw.send("join", id, succ.id); err != nil {
 		return nil, fmt.Errorf("chord: join handshake: %w", err)
 	}
 	n := newNode(nw, id)
@@ -243,7 +190,7 @@ func (nw *Network) Leave(id ids.ID) error {
 	// deterministic; a transfer lost in transit means the key departs
 	// with the leaver (visible to ProbeKeys unless a replica survives).
 	for _, k := range sortedDataKeys(n.data) {
-		if err := nw.send("transfer", n.id, succ.id, false); err != nil {
+		if err := nw.send("transfer", n.id, succ.id); err != nil {
 			continue
 		}
 		succ.data[k] = n.data[k]

@@ -134,41 +134,6 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	}
 }
 
-func TestLookupRecursiveMatchesIterative(t *testing.T) {
-	nw := buildRing(t, 32, 50)
-	nw.FixAllFingers()
-	entry := nw.Node(nw.AliveIDs()[0])
-	rng := xrand.New(51)
-	for i := 0; i < 100; i++ {
-		key := ids.Random(rng)
-		iterOwner, iterHops, err := entry.Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recOwner, recHops, err := entry.LookupRecursive(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recOwner != iterOwner {
-			t.Fatalf("recursive owner %s != iterative %s",
-				recOwner.ID().Short(), iterOwner.ID().Short())
-		}
-		if recHops != iterHops {
-			t.Fatalf("recursive hops %d != iterative %d", recHops, iterHops)
-		}
-	}
-}
-
-func TestLookupRecursiveDeadInitiator(t *testing.T) {
-	nw := buildRing(t, 4, 52)
-	alive := nw.AliveIDs()
-	n := nw.Node(alive[1])
-	nw.Kill(alive[1])
-	if _, _, err := n.LookupRecursive(ids.FromUint64(1)); err != ErrDead {
-		t.Errorf("dead initiator: %v", err)
-	}
-}
-
 func TestPutGet(t *testing.T) {
 	nw := buildRing(t, 10, 6)
 	entry := nw.Node(nw.AliveIDs()[0])
@@ -289,7 +254,7 @@ func TestGracefulLeave(t *testing.T) {
 
 func TestMessageAccounting(t *testing.T) {
 	nw := buildRing(t, 8, 14)
-	msgs := nw.Messages()
+	msgs := nw.msgs
 	for _, kind := range []string{"join", "stabilize", "notify"} {
 		if msgs[kind] == 0 {
 			t.Errorf("no %q messages recorded", kind)

@@ -80,7 +80,7 @@ func TestZeroPlanTransportInert(t *testing.T) {
 			}
 		}
 		nw.StabilizeAll()
-		return nw.Messages()
+		return nw.msgs
 	}
 	bare := build(nil)
 	zero := build(mustInjector(t, faults.Plan{Seed: 123}))
@@ -206,12 +206,21 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	}
 }
 
+// waveReport is one failure wave's outcome: the repair rounds it took
+// and the post-repair audit of every tracked key.
+type waveReport struct {
+	Rounds                               int
+	Converged                            bool
+	KeysTracked, KeysRecovered, KeysLost int
+	ProbeFailures                        int
+}
+
 // TestFailureWaveReplicationSavesKeys is the acceptance check at protocol
 // level: with default replication a modest crash wave loses nothing and
 // repairs in finite time; with replication disabled the same wave loses
 // keys.
 func TestFailureWaveReplicationSavesKeys(t *testing.T) {
-	wave := func(replicas int) RepairReport {
+	wave := func(replicas int) waveReport {
 		nw := NewNetwork(Config{Replicas: replicas})
 		g := keys.NewGenerator(13)
 		first, err := nw.Create(g.Next())
@@ -237,11 +246,14 @@ func TestFailureWaveReplicationSavesKeys(t *testing.T) {
 		// Let replica repair settle, then crash every third node.
 		nw.StabilizeAll()
 		alive := nw.AliveIDs()
-		var victims []ids.ID
 		for i := 1; i < len(alive); i += 3 {
-			victims = append(victims, alive[i])
+			nw.Kill(alive[i])
 		}
-		return nw.FailureWave(victims, 400)
+		var rep waveReport
+		rep.Rounds, rep.Converged = nw.StabilizeUntilConverged(400)
+		rep.KeysRecovered, rep.KeysLost, rep.ProbeFailures = nw.ProbeKeys()
+		rep.KeysTracked = len(nw.registry)
+		return rep
 	}
 
 	rep := wave(0) // default: 3 replicas

@@ -62,7 +62,7 @@ func (n *Node) KeyCount() int { return len(n.data) }
 // fault-checking transport (drop/retry/backoff, partitions), and a dead
 // callee fails the way a timeout would.
 func (n *Node) remote(to ids.ID, kind string) (*Node, error) {
-	if err := n.nw.send(kind, n.id, to, false); err != nil {
+	if err := n.nw.send(kind, n.id, to); err != nil {
 		return nil, err
 	}
 	t := n.nw.nodes[to]
@@ -130,7 +130,26 @@ func (n *Node) closestPreceding(key ids.ID) *Node {
 // unreachable (timed out or partitioned away) fails the whole query —
 // exactly the availability cost the repair metrics measure.
 func (n *Node) Lookup(key ids.ID) (*Node, int, error) {
-	owner, hops, err := n.lookupIterative(key)
+	return n.lookup(key, nil)
+}
+
+// LookupTraced is Lookup with the route recorded — for debugging overlays
+// and for teaching, via cmd/chordnet's trace command.
+func (n *Node) LookupTraced(key ids.ID) (LookupTrace, error) {
+	tr := LookupTrace{Key: key}
+	owner, _, err := n.lookup(key, &tr.Path)
+	if err == nil {
+		tr.Owner = owner.id
+	}
+	return tr, err
+}
+
+// lookup is the one iterative routing loop behind Lookup and
+// LookupTraced. When path is non-nil every node the query visits is
+// appended to it, initiator first, so len(*path)-1 equals the hops.
+// Every call counts as one lookup attempt in the transport stats.
+func (n *Node) lookup(key ids.ID, path *[]ids.ID) (*Node, int, error) {
+	owner, hops, err := n.route(key, path)
 	n.nw.tstats.Lookups++
 	if err != nil {
 		n.nw.tstats.LookupFailures++
@@ -138,13 +157,16 @@ func (n *Node) Lookup(key ids.ID) (*Node, int, error) {
 	return owner, hops, err
 }
 
-func (n *Node) lookupIterative(key ids.ID) (*Node, int, error) {
+func (n *Node) route(key ids.ID, path *[]ids.ID) (*Node, int, error) {
 	if !n.alive {
 		return nil, 0, ErrDead
 	}
 	cur := n
 	hops := 0
 	for hops <= n.nw.cfg.MaxHops {
+		if path != nil {
+			*path = append(*path, cur.id)
+		}
 		succ := cur.firstLiveSuccessor()
 		if succ == nil {
 			if cur.alive && len(cur.nw.AliveIDs()) == 1 {
@@ -160,56 +182,13 @@ func (n *Node) lookupIterative(key ids.ID) (*Node, int, error) {
 			// No finger advances us; step to the successor.
 			next = succ
 		}
-		if err := n.nw.send("lookup", cur.id, next.id, true); err != nil {
+		if err := n.nw.send("lookup", cur.id, next.id); err != nil {
 			return nil, hops, err
 		}
 		hops++
 		cur = next
 	}
 	return nil, hops, ErrNoRoute
-}
-
-// LookupRecursive resolves key with recursive routing: each hop forwards
-// the query onward instead of answering back to the initiator. Recursive
-// routing needs the same number of forwarding hops but only one return
-// message, so deployments with high per-message latency prefer it; the
-// iterative Lookup is easier to make robust. Both are provided so the
-// trade-off is measurable (messages are charged per forward).
-func (n *Node) LookupRecursive(key ids.ID) (*Node, int, error) {
-	n.nw.tstats.Lookups++
-	if !n.alive {
-		n.nw.tstats.LookupFailures++
-		return nil, 0, ErrDead
-	}
-	owner, depth, err := n.lookupRecursive(key, 0)
-	if err != nil {
-		n.nw.tstats.LookupFailures++
-	}
-	return owner, depth, err
-}
-
-func (n *Node) lookupRecursive(key ids.ID, depth int) (*Node, int, error) {
-	if depth > n.nw.cfg.MaxHops {
-		return nil, depth, ErrNoRoute
-	}
-	succ := n.firstLiveSuccessor()
-	if succ == nil {
-		if n.alive && len(n.nw.AliveIDs()) == 1 {
-			return n, depth, nil
-		}
-		return nil, depth, ErrIsolated
-	}
-	if ids.BetweenRightIncl(key, n.id, succ.id) {
-		return succ, depth, nil
-	}
-	next := n.closestPreceding(key)
-	if next == n {
-		next = succ
-	}
-	if err := n.nw.send("lookup-recursive", n.id, next.id, false); err != nil {
-		return nil, depth, err
-	}
-	return next.lookupRecursive(key, depth+1)
 }
 
 // stabilize is the classic Chord stabilization step: verify the working
@@ -227,7 +206,7 @@ func (n *Node) stabilize() {
 	// skip this round and keep the current (possibly stale) pointers —
 	// a suspected-but-not-evicted peer, so a healed partition restores
 	// the ring without a merge protocol.
-	if err := n.nw.send("stabilize", n.id, succ.id, false); err != nil {
+	if err := n.nw.send("stabilize", n.id, succ.id); err != nil {
 		return
 	}
 	if succ.hasPred {
@@ -248,7 +227,7 @@ func (n *Node) stabilize() {
 		}
 	}
 	n.succList = list
-	if err := n.nw.send("notify", n.id, succ.id, false); err == nil {
+	if err := n.nw.send("notify", n.id, succ.id); err == nil {
 		succ.notify(n)
 	}
 }
@@ -289,7 +268,7 @@ func (n *Node) Put(key ids.ID, value string) error {
 	if err != nil {
 		return err
 	}
-	if err := n.nw.send("put", n.id, owner.id, false); err != nil {
+	if err := n.nw.send("put", n.id, owner.id); err != nil {
 		return err
 	}
 	owner.data[key] = value
@@ -308,7 +287,7 @@ func (n *Node) Get(key ids.ID) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := n.nw.send("get", n.id, owner.id, false); err != nil {
+	if err := n.nw.send("get", n.id, owner.id); err != nil {
 		return "", err
 	}
 	if v, ok := owner.data[key]; ok {
@@ -328,7 +307,7 @@ func (n *Node) replicate(key ids.ID, value string) {
 		if succ == nil || succ.id == n.id {
 			return // wrapped around a small ring
 		}
-		if err := n.nw.send("replicate", cur.id, succ.id, false); err == nil {
+		if err := n.nw.send("replicate", cur.id, succ.id); err == nil {
 			succ.data[key] = value
 		}
 		cur = succ
@@ -362,7 +341,7 @@ func (n *Node) transferTo(newN *Node) {
 	}
 	for _, k := range sortedDataKeys(n.data) {
 		if ids.BetweenRightIncl(k, low, newN.id) {
-			if err := n.nw.send("transfer", n.id, newN.id, false); err != nil {
+			if err := n.nw.send("transfer", n.id, newN.id); err != nil {
 				continue // lost transfer: the key stays only on n for now
 			}
 			newN.data[k] = n.data[k]

@@ -11,42 +11,6 @@ import (
 	"chordbalance/internal/ids"
 )
 
-// RepairReport describes the overlay's recovery from one failure wave.
-type RepairReport struct {
-	// Killed is how many nodes the wave crashed.
-	Killed int
-	// Rounds is the number of maintenance rounds until the ring's
-	// successor structure matched the surviving membership — the
-	// time-to-repair, in rounds.
-	Rounds int
-	// Converged is false when the ring was still inconsistent after the
-	// round budget.
-	Converged bool
-	// KeysTracked is how many distinct keys were ever stored via Put.
-	KeysTracked int
-	// KeysRecovered and KeysLost partition the tracked keys by whether a
-	// post-repair probe found them on their (new) owner.
-	KeysRecovered int
-	KeysLost      int
-	// ProbeFailures counts probes whose lookup did not resolve at all
-	// (routing failure, timeout, partition); those keys may still exist
-	// but are unavailable, and they are not counted recovered.
-	ProbeFailures int
-}
-
-// LookupSuccessRate returns the fraction of post-repair probes that
-// resolved (1 when nothing was tracked).
-func (r RepairReport) LookupSuccessRate() float64 {
-	if r.KeysTracked == 0 {
-		return 1
-	}
-	return 1 - float64(r.ProbeFailures)/float64(r.KeysTracked)
-}
-
-// TrackedKeys returns how many distinct keys have ever been stored via
-// Put on this overlay.
-func (nw *Network) TrackedKeys() int { return len(nw.registry) }
-
 // ProbeKeys audits every tracked key: it looks each one up from the first
 // live node (in ascending ID order, so the audit is deterministic) and
 // checks the resolved owner actually holds the value. Probes are charged
@@ -72,31 +36,6 @@ func (nw *Network) ProbeKeys() (recovered, lost, probeFailures int) {
 		}
 	}
 	return recovered, lost, probeFailures
-}
-
-// FailureWave crashes the given nodes simultaneously, runs maintenance
-// until the ring heals (or maxRounds passes), and audits every tracked
-// key. It is the one-shot building block behind RunChaos and the
-// chordnet chaos command.
-func (nw *Network) FailureWave(victims []ids.ID, maxRounds int) RepairReport {
-	for _, id := range victims {
-		nw.Kill(id)
-	}
-	rounds, ok := nw.StabilizeUntilConverged(maxRounds)
-	rec, lost, fails := nw.ProbeKeys()
-	rep := RepairReport{
-		Killed:        len(victims),
-		Rounds:        rounds,
-		Converged:     ok,
-		KeysTracked:   len(nw.registry),
-		KeysRecovered: rec,
-		KeysLost:      lost,
-		ProbeFailures: fails,
-	}
-	if nw.obsm != nil {
-		nw.obsm.recordRepair(rep)
-	}
-	return rep
 }
 
 // ChaosReport aggregates a multi-tick chaos run.
@@ -165,17 +104,10 @@ func (nw *Network) RunChaos(ticks, maxRoundsPerWave int) ChaosReport {
 		if !ok {
 			rep.Unconverged++
 		}
-		if nw.obsm != nil {
-			nw.obsm.recordWave(len(victims), rounds, ok)
-		}
 	}
 	rep.KeysRecovered, rep.KeysLost, rep.ProbeFailures = nw.ProbeKeys()
 	rep.KeysTracked = len(nw.registry)
 	rep.Transport = nw.tstats
-	if nw.obsm != nil {
-		nw.obsm.recordAudit(rep.KeysRecovered, rep.KeysLost, rep.ProbeFailures)
-	}
-	nw.FlushTrace()
 	return rep
 }
 

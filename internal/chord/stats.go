@@ -29,49 +29,6 @@ func (tr LookupTrace) String() string {
 	return b.String()
 }
 
-// LookupTraced is Lookup with the route recorded — for debugging overlays
-// and for teaching, via cmd/chordnet's trace command.
-func (n *Node) LookupTraced(key ids.ID) (LookupTrace, error) {
-	tr, err := n.lookupTraced(key)
-	n.nw.tstats.Lookups++
-	if err != nil {
-		n.nw.tstats.LookupFailures++
-	}
-	return tr, err
-}
-
-func (n *Node) lookupTraced(key ids.ID) (LookupTrace, error) {
-	tr := LookupTrace{Key: key}
-	if !n.alive {
-		return tr, ErrDead
-	}
-	cur := n
-	for hops := 0; hops <= n.nw.cfg.MaxHops; hops++ {
-		tr.Path = append(tr.Path, cur.id)
-		succ := cur.firstLiveSuccessor()
-		if succ == nil {
-			if cur.alive && len(cur.nw.AliveIDs()) == 1 {
-				tr.Owner = cur.id
-				return tr, nil
-			}
-			return tr, ErrIsolated
-		}
-		if ids.BetweenRightIncl(key, cur.id, succ.id) {
-			tr.Owner = succ.id
-			return tr, nil
-		}
-		next := cur.closestPreceding(key)
-		if next == cur {
-			next = succ
-		}
-		if err := n.nw.send("lookup", cur.id, next.id, false); err != nil {
-			return tr, err
-		}
-		cur = next
-	}
-	return tr, ErrNoRoute
-}
-
 // OverlayStats summarizes the overlay's health.
 type OverlayStats struct {
 	AliveNodes int

@@ -44,7 +44,8 @@ type TransportStats struct {
 	// PartitionRefusals counts sends blocked by an active partition.
 	PartitionRefusals int
 	// Lookups and LookupFailures measure end-to-end lookup availability:
-	// every Lookup/LookupRecursive/LookupTraced call is an attempt, and
+	// every Lookup/LookupTraced call is an attempt (finger repair, Put,
+	// Get and the key audit all route through Lookup), and
 	// any error outcome (timeout, partition, no route, isolation) is a
 	// failure. These are counted whether or not faults are installed.
 	Lookups        int
@@ -71,20 +72,11 @@ func (nw *Network) FaultInjector() *faults.Injector { return nw.faults }
 // TransportStats returns the accumulated fault-layer counters.
 func (nw *Network) TransportStats() TransportStats { return nw.tstats }
 
-// Tick returns the overlay's logical time (advanced by AdvanceTick).
-func (nw *Network) Tick() int { return nw.tick }
-
 // AdvanceTick advances the overlay's logical clock by one tick and keeps
 // the fault injector's schedule (partition windows, crash bursts) in
 // step. Deployments would use wall time; the overlay uses ticks so every
 // fault sequence is replayable.
 func (nw *Network) AdvanceTick() {
-	// A tracer observes the finished tick before the clock moves: the
-	// first AdvanceTick therefore emits the tick-0 record (the overlay's
-	// initial state), and callers flush the final tick with FlushTrace.
-	if nw.obsm != nil {
-		nw.obsm.observe(nw)
-	}
 	nw.tick++
 	if nw.faults != nil {
 		nw.faults.AdvanceTo(nw.tick)
@@ -95,18 +87,10 @@ func (nw *Network) AdvanceTick() {
 // the fault layer: the message is charged, then an installed injector may
 // block it at a partition or drop it, in which case the sender retries up
 // to MaxRetries times with exponential backoff (each retry charged as a
-// fresh message, each backoff accounted in ticks). withLatency routes the
-// charge through the latency model, matching the fault-free accounting of
-// the call site. A nil error means the message was delivered.
-func (nw *Network) send(kind string, from, to ids.ID, withLatency bool) error {
-	charge := func() {
-		if withLatency {
-			nw.chargeBetween(kind, from, to)
-		} else {
-			nw.charge(kind)
-		}
-	}
-	charge()
+// fresh message, each backoff accounted in ticks). A nil error means the
+// message was delivered.
+func (nw *Network) send(kind string, from, to ids.ID) error {
+	nw.charge(kind)
 	f := nw.faults
 	if f == nil {
 		return nil
@@ -117,7 +101,7 @@ func (nw *Network) send(kind string, from, to ids.ID, withLatency bool) error {
 		return ErrPartitioned
 	}
 	if !f.DropNow() {
-		nw.delivered(charge, f)
+		nw.delivered(kind, f)
 		return nil
 	}
 	nw.tstats.Drops++
@@ -125,9 +109,9 @@ func (nw *Network) send(kind string, from, to ids.ID, withLatency bool) error {
 	for k := 1; k <= maxRetries; k++ {
 		nw.tstats.Retries++
 		nw.tstats.BackoffTicks += faults.Backoff(f.Plan().BackoffBase, k)
-		charge()
+		nw.charge(kind)
 		if !f.DropNow() {
-			nw.delivered(charge, f)
+			nw.delivered(kind, f)
 			return nil
 		}
 		nw.tstats.Drops++
@@ -138,10 +122,10 @@ func (nw *Network) send(kind string, from, to ids.ID, withLatency bool) error {
 
 // delivered applies post-delivery faults: duplication (one extra charged
 // message) and in-flight delay (accounted, not reordered).
-func (nw *Network) delivered(charge func(), f *faults.Injector) {
+func (nw *Network) delivered(kind string, f *faults.Injector) {
 	if f.DupNow() {
 		nw.tstats.Duplicates++
-		charge()
+		nw.charge(kind)
 	}
 	nw.tstats.DelayTicks += f.DelayNow()
 }

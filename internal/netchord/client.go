@@ -15,9 +15,11 @@ import (
 
 // Client is a pure wire-protocol client: it performs iterative lookups
 // and key/task operations through any ring member without being one.
-// cmd/dhtload is its main user — a load generator must not occupy an
-// identifier on the ring it is measuring, or it would attract a share
-// of the workload it is supposed to impose.
+// It is the package's only origin of Put, Get and SubmitTask requests;
+// a Node serves them but never originates one. cmd/dhtload is its main
+// user — a load generator must not occupy an identifier on the ring it
+// is measuring, or it would attract a share of the workload it is
+// supposed to impose.
 //
 // Keyed operations (Get, Put, SubmitTask) route through an owner cache:
 // every owner the client has been routed to, sorted by ID. A key goes
@@ -101,10 +103,17 @@ func (rc *routeCache) forget(r wire.NodeRef) {
 // (the client itself never occupies a ring position).
 func NewClient(cfg Config, tr Transport, seedAddr string, seed uint64) *Client {
 	cfg = cfg.WithDefaults()
+	pool := newPeerPool(tr, cfg, nil, func() ids.ID { return ids.Zero })
+	return newClient(pool, wire.NodeRef{Addr: seedAddr}, seed)
+}
+
+// newClient returns a client that routes through seedRef and sends
+// every RPC through pool, under the pool's configuration and faults.
+func newClient(pool *peerPool, seedRef wire.NodeRef, seed uint64) *Client {
 	return &Client{
-		cfg:  cfg,
-		pool: newPeerPool(tr, cfg, nil, func() ids.ID { return ids.Zero }),
-		seed: wire.NodeRef{Addr: seedAddr},
+		cfg:  pool.cfg,
+		pool: pool,
+		seed: seedRef,
 		id:   keys.HashUint64(seed ^ 0xc11e47), // "client" salt: a separate stream from the hosts' ID draws
 		salt: xrand.New(seed).Uint64(),
 	}
@@ -142,45 +151,26 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Lookup resolves the owner of key by iterating TFindSuccessor from the
-// seed node, following the same fallback discipline as Node.lookupFrom:
-// each answerer's successor list is kept as alternates in case the
-// chosen next hop died since being cached.
+// Lookup resolves the owner of key with the iterative lookup (see
+// lookupFrom), starting at the seed node.
 func (c *Client) Lookup(key ids.ID) (wire.NodeRef, int, error) {
-	cur := c.seed
-	var fallbacks []wire.NodeRef
-	hops := 0
-	for hops <= c.cfg.MaxHops {
-		reply, err := c.pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)})
-		if err != nil {
-			if len(fallbacks) == 0 {
-				return wire.NodeRef{}, hops, err
-			}
-			cur, fallbacks = fallbacks[0], fallbacks[1:]
-			hops++
-			continue
-		}
-		if reply.Flag {
-			return reply.Node, hops, nil
-		}
-		fallbacks = fallbacks[:0]
-		for _, r := range reply.List {
-			if r.ID != reply.Node.ID && r.Addr != "" {
-				fallbacks = append(fallbacks, r)
-			}
-		}
-		cur = reply.Node
-		hops++
-	}
-	return wire.NodeRef{}, hops, ErrNoRoute
+	return lookupFrom(c.pool, nil, c.seed, key)
 }
+
+// rerouteAttempts bounds how many times a keyed operation re-resolves a
+// key's owner after a failure (a node mid-leave answers CodeShutdown, a
+// node whose arc just shrank answers CodeNotOwner; the ring needs a beat
+// to route around either).
+const rerouteAttempts = 5
 
 // routed sends m, a request keyed by key, to key's owner. The first
 // try goes to the cached successor of key; a cache miss, a refusal or a
 // failed owner falls into the reroute ladder — lookup, send (walking a
 // join window back to the owner, see peerPool.callOwner), and a
 // stabilization beat between attempts. The owner that accepts is
-// remembered.
+// remembered. Every keyed request is safe to re-send: storing is
+// idempotent, reads have no effect, and a task carries one idempotency
+// token across all attempts.
 func (c *Client) routed(key ids.ID, m *wire.Msg) (*wire.Msg, error) {
 	if owner, ok := c.routes.successor(key); ok {
 		reply, err := c.pool.call(owner, m)
@@ -250,6 +240,18 @@ func (c *Client) Get(key ids.ID) ([]byte, error) {
 // value.
 func (c *Client) GetVer(key ids.ID) ([]byte, uint64, error) {
 	return getResult(c.routed(key, &wire.Msg{Type: wire.TGet, Key: key}))
+}
+
+// getResult unpacks a TGetOK reply: a found value and its version, or
+// ErrNotFound when the owner does not hold the key.
+func getResult(reply *wire.Msg, err error) ([]byte, uint64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	if !reply.Flag {
+		return nil, 0, ErrNotFound
+	}
+	return reply.Value, reply.A, nil
 }
 
 // GetFrom fetches key directly from owner, skipping both the lookup and

@@ -266,7 +266,7 @@ func TestClientRouteFollowsOwnership(t *testing.T) {
 		if _, ver, err := c.GetVer(k); err != nil || ver < acked[k] {
 			t.Fatalf("client read of %s: ver %d, err %v; acknowledged at %d", k.Short(), ver, err, acked[k])
 		}
-		if _, ver, err := nodes[0].GetVer(k); err != nil || ver < acked[k] {
+		if _, ver, err := nodeClient(nodes[0]).GetVer(k); err != nil || ver < acked[k] {
 			t.Fatalf("node read of %s: ver %d, err %v; acknowledged at %d", k.Short(), ver, err, acked[k])
 		}
 	}

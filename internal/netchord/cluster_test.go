@@ -56,7 +56,7 @@ func TestCluster16Invitation(t *testing.T) {
 	keys := make([]ids.ID, 32)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := c.Hosts()[i%16].PrimaryNode().Put(keys[i], []byte{byte(i)}); err != nil {
+		if err := nodeClient(c.Hosts()[i%16].PrimaryNode()).Put(keys[i], []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestCluster16Invitation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[0].PrimaryNode().SubmitTask(key, 8); err != nil {
+		if err := nodeClient(c.Hosts()[0].PrimaryNode()).SubmitTask(key, 8); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		submitted += 8
@@ -113,7 +113,7 @@ func TestCluster16Invitation(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		if _, err := c.Hosts()[(i+7)%16].PrimaryNode().Get(k); err != nil {
+		if _, err := nodeClient(c.Hosts()[(i+7)%16].PrimaryNode()).Get(k); err != nil {
 			t.Errorf("key %s unreadable after heal: %v", k.Short(), err)
 			ok = false
 		}
@@ -149,7 +149,7 @@ func TestClusterNeighborInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[0].PrimaryNode().SubmitTask(key, 4); err != nil {
+		if err := nodeClient(c.Hosts()[0].PrimaryNode()).SubmitTask(key, 4); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestClusterRandomInjectionAndWithdraw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[3].PrimaryNode().SubmitTask(key, 4); err != nil {
+		if err := nodeClient(c.Hosts()[3].PrimaryNode()).SubmitTask(key, 4); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestClusterChurnConservesWork(t *testing.T) {
 	rng := xrand.New(8)
 	const units = 512
 	for submitted := 0; submitted < units; submitted += 8 {
-		if err := c.Hosts()[0].PrimaryNode().SubmitTask(ids.Random(rng), 8); err != nil {
+		if err := nodeClient(c.Hosts()[0].PrimaryNode()).SubmitTask(ids.Random(rng), 8); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}

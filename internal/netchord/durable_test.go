@@ -19,7 +19,7 @@ func getFromRing(t *testing.T, cfg Config, nodes []*Node, key ids.ID, timeout ti
 	var lastErr error
 	for {
 		for _, nd := range nodes {
-			v, ver, err := nd.GetVer(key)
+			v, ver, err := nodeClient(nd).GetVer(key)
 			if err == nil {
 				return v, ver, nil
 			}
@@ -51,7 +51,7 @@ func TestDurableAckSurvivesOwnerCrash(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		key := ids.Random(rng)
 		val := []byte(fmt.Sprintf("durable-%d", i))
-		ver, err := nodes[i%len(nodes)].PutVer(key, val)
+		ver, err := nodeClient(nodes[i%len(nodes)]).PutVer(key, val)
 		if err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
@@ -91,7 +91,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	keys := make([]ids.ID, 16)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := nodes[0].Put(keys[i], []byte("recover-"+keys[i].Short())); err != nil {
+		if err := nodeClient(nodes[0]).Put(keys[i], []byte("recover-"+keys[i].Short())); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}

@@ -36,7 +36,7 @@ func sharedRing(t *testing.T, cfg Config) (*Cluster, []*Host) {
 // load submits units of work owned by h's primary.
 func load(t *testing.T, h *Host, units uint64) {
 	t.Helper()
-	if err := h.PrimaryNode().SubmitTask(h.PrimaryNode().ID(), units); err != nil {
+	if err := nodeClient(h.PrimaryNode()).SubmitTask(h.PrimaryNode().ID(), units); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 }

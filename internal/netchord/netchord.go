@@ -72,8 +72,7 @@ type Config struct {
 	// Default 40.
 	RPCTimeoutTicks int
 	// MaxRetries bounds RPC re-attempts after a failure; the k-th retry
-	// waits faults.Backoff(BackoffBaseTicks, k) ticks first, reusing the
-	// retry policy of internal/chord's transport. Default 3.
+	// waits faults.Backoff(BackoffBaseTicks, k) ticks first. Default 3.
 	MaxRetries int
 	// BackoffBaseTicks is the base backoff before the first retry, in
 	// ticks. Default 1.

@@ -18,6 +18,13 @@ func testConfig() Config {
 	return Config{TickEvery: time.Millisecond}.WithDefaults()
 }
 
+// nodeClient returns a Client that enters the ring at n and sends every
+// RPC through n's own peer pool, so n's NetFaults apply to each hop. Its
+// idempotency salt comes from a fresh node token, so task submissions
+// through separate calls never share a token. The client shares n's
+// pool: closing n closes it.
+func nodeClient(n *Node) *Client { return newClient(n.pool, n.ref, n.newToken()) }
+
 // startRing boots n standalone nodes on tr with deterministic IDs,
 // joins 1..n-1 through node 0, starts them all, and registers cleanup.
 func startRing(t *testing.T, tr Transport, cfg Config, n int) []*Node {
@@ -120,12 +127,12 @@ func TestPutGetAcrossNodes(t *testing.T) {
 	keys := make([]ids.ID, 24)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := nodes[i%len(nodes)].Put(keys[i], []byte{byte(i)}); err != nil {
+		if err := nodeClient(nodes[i%len(nodes)]).Put(keys[i], []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	for i, k := range keys {
-		v, err := nodes[(i+3)%len(nodes)].Get(k)
+		v, err := nodeClient(nodes[(i+3)%len(nodes)]).Get(k)
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -133,7 +140,7 @@ func TestPutGetAcrossNodes(t *testing.T) {
 			t.Fatalf("get %d: got %v", i, v)
 		}
 	}
-	if _, err := nodes[0].Get(ids.Random(rng)); !errors.Is(err, ErrNotFound) {
+	if _, err := nodeClient(nodes[0]).Get(ids.Random(rng)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: got %v, want ErrNotFound", err)
 	}
 }
@@ -147,10 +154,10 @@ func TestLeaveHandsOffKeysAndTasks(t *testing.T) {
 	keys := make([]ids.ID, 20)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := nodes[0].Put(keys[i], []byte("v")); err != nil {
+		if err := nodeClient(nodes[0]).Put(keys[i], []byte("v")); err != nil {
 			t.Fatalf("put: %v", err)
 		}
-		if err := nodes[0].SubmitTask(keys[i], 2); err != nil {
+		if err := nodeClient(nodes[0]).SubmitTask(keys[i], 2); err != nil {
 			t.Fatalf("task: %v", err)
 		}
 	}
@@ -169,7 +176,7 @@ func TestLeaveHandsOffKeysAndTasks(t *testing.T) {
 	awaitRing(t, cfg, rest, 10*time.Second)
 
 	for i, k := range keys {
-		if _, err := rest[i%len(rest)].Get(k); err != nil {
+		if _, err := nodeClient(rest[i%len(rest)]).Get(k); err != nil {
 			t.Fatalf("get %s after leave: %v", k.Short(), err)
 		}
 	}
@@ -301,10 +308,10 @@ func TestTCPTransportSmoke(t *testing.T) {
 	nodes := startRing(t, TCP{}, cfg, 3)
 	awaitRing(t, cfg, nodes, 10*time.Second)
 	key := ids.FromUint64(99)
-	if err := nodes[1].Put(key, []byte("tcp")); err != nil {
+	if err := nodeClient(nodes[1]).Put(key, []byte("tcp")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := nodes[2].Get(key)
+	v, err := nodeClient(nodes[2]).Get(key)
 	if err != nil || string(v) != "tcp" {
 		t.Fatalf("get over tcp: %q, %v", v, err)
 	}

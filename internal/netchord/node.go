@@ -151,8 +151,6 @@ type Node struct {
 	wg        sync.WaitGroup
 
 	served      [wire.TypeCount]atomic.Int64
-	lookups     atomic.Int64
-	lookupFails atomic.Int64
 	stabilizes  atomic.Int64
 	replicaErrs atomic.Int64
 	acked       atomic.Int64
@@ -229,7 +227,7 @@ func (n *Node) Create() {
 // the change from there.
 func (n *Node) Join(via string) error {
 	boot := wire.NodeRef{Addr: via}
-	succ, _, err := n.lookupFrom(boot, n.ref.ID)
+	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID)
 	if err != nil {
 		return fmt.Errorf("netchord: join lookup via %s: %w", via, err)
 	}
@@ -420,13 +418,11 @@ func (n *Node) TaskUnits() uint64 {
 }
 
 // NodeStats snapshots one node's protocol activity: requests served by
-// type, client-side lookup and maintenance counters, and the RPC pool's
-// retry/timeout accounting.
+// type, maintenance counters, and the RPC pool's retry/timeout
+// accounting.
 type NodeStats struct {
 	// Served counts requests handled, indexed by wire.Type.
 	Served [wire.TypeCount]int64
-	// Lookups and LookupFails count client lookups started and failed.
-	Lookups, LookupFails int64
 	// Stabilizes counts stabilization rounds run.
 	Stabilizes int64
 	// ReplicaErrs counts failed replica pushes (repaired later).
@@ -449,8 +445,6 @@ type NodeStats struct {
 // Stats snapshots the node's counters.
 func (n *Node) Stats() NodeStats {
 	s := NodeStats{
-		Lookups:           n.lookups.Load(),
-		LookupFails:       n.lookupFails.Load(),
 		Stabilizes:        n.stabilizes.Load(),
 		ReplicaErrs:       n.replicaErrs.Load(),
 		Acked:             n.acked.Load(),
@@ -536,39 +530,36 @@ func (n *Node) consume(budget uint64) uint64 {
 	return done
 }
 
-// --- client operations ----------------------------------------------
+// --- routing ---------------------------------------------------------
 
-// Lookup resolves the node responsible for key, returning its ref and
-// the number of routing round trips taken.
+// Lookup resolves the node responsible for key, starting at this node,
+// returning its ref and the number of routing round trips taken.
 func (n *Node) Lookup(key ids.ID) (wire.NodeRef, int, error) {
-	n.lookups.Add(1)
-	owner, hops, err := n.lookupFrom(n.ref, key)
-	if err != nil {
-		n.lookupFails.Add(1)
-	}
-	return owner, hops, err
+	return lookupFrom(n.pool, n, n.ref, key)
 }
 
-// lookupFrom runs the iterative lookup starting at start. Each step is
-// one TFindSuccessor round trip; the answering node also returns its
-// successor list as fallback candidates, so a next hop that died since
-// being cached is routed around by stepping to the closest fallback —
-// the successor-list walk that makes Chord lookups survive stale
-// fingers.
-func (n *Node) lookupFrom(start wire.NodeRef, key ids.ID) (wire.NodeRef, int, error) {
+// lookupFrom is the one iterative lookup, shared by nodes and clients.
+// Starting at start, each step is one TFindSuccessor round trip through
+// pool; the answering node also returns its successor list as fallback
+// candidates, so a next hop that died since being cached is routed
+// around by stepping to the closest fallback — the successor-list walk
+// that makes Chord lookups survive stale fingers. When self is non-nil,
+// a step that lands on self is answered locally by routeStep instead
+// of a round trip to itself.
+func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wire.NodeRef, int, error) {
 	cur := start
 	var fallbacks []wire.NodeRef
 	hops := 0
-	for hops <= n.cfg.MaxHops {
+	for hops <= pool.cfg.MaxHops {
 		var done bool
 		var next wire.NodeRef
 		var list []wire.NodeRef
 		var err error
-		if cur.Addr == n.ref.Addr {
-			done, next, list = n.routeStep(key)
+		if self != nil && cur.Addr == self.ref.Addr {
+			done, next, list = self.routeStep(key)
 		} else {
 			var reply *wire.Msg
-			reply, err = n.pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)})
+			reply, err = pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)})
 			if err == nil {
 				done, next, list = reply.Flag, reply.Node, reply.List
 			}
@@ -650,109 +641,6 @@ func (n *Node) closestPrecedingLocked(key ids.ID) wire.NodeRef {
 		}
 	}
 	return best
-}
-
-// rerouteAttempts bounds how many times a keyed operation re-resolves a
-// key's owner after a failure (a node mid-leave answers CodeShutdown, a
-// node whose arc just shrank answers CodeNotOwner; the ring needs a beat
-// to route around either).
-const rerouteAttempts = 5
-
-// rerouted runs one keyed request m against key's owner under the
-// reroute ladder: resolve the owner, send, and after any failure — an
-// owner that refuses because it is leaving or no longer owns the key,
-// an owner that died mid-call — wait a stabilization beat, resolve
-// again and re-send. When the owner is this node, local serves the
-// request without a round trip. Every keyed request is safe to re-send:
-// storing is idempotent, reads have no effect, and a task carries one
-// idempotency token across all attempts.
-func (n *Node) rerouted(key ids.ID, m *wire.Msg, local func() (*wire.Msg, error)) (*wire.Msg, error) {
-	var err error
-	for attempt := 0; attempt < rerouteAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
-		}
-		var owner wire.NodeRef
-		if owner, _, err = n.Lookup(key); err != nil {
-			continue
-		}
-		var reply *wire.Msg
-		if owner.Addr == n.ref.Addr {
-			reply, err = local()
-		} else {
-			reply, _, err = n.pool.callOwner(owner, m)
-		}
-		if err == nil {
-			return reply, nil
-		}
-	}
-	return nil, err
-}
-
-// Put stores value under key at its owner, which acknowledges only
-// after the record is durable locally and at the owner's replica
-// quorum (Config.Replicas copies in total, successor list permitting).
-// Any failure re-sends under the reroute ladder.
-func (n *Node) Put(key ids.ID, value []byte) error {
-	_, err := n.PutVer(key, value)
-	return err
-}
-
-// PutVer is Put returning the version the write was acknowledged at.
-func (n *Node) PutVer(key ids.ID, value []byte) (uint64, error) {
-	reply, err := n.rerouted(key, &wire.Msg{Type: wire.TPut, Key: key, Value: value}, func() (*wire.Msg, error) {
-		ver, err := n.putDurable(key, value)
-		return &wire.Msg{A: ver}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return reply.A, nil
-}
-
-// Get fetches the value for key from its owner.
-func (n *Node) Get(key ids.ID) ([]byte, error) {
-	v, _, err := n.GetVer(key)
-	return v, err
-}
-
-// GetVer is Get returning the version the owner served. A read that
-// lands on a refusing node during a join window retries after a beat
-// rather than failing.
-func (n *Node) GetVer(key ids.ID) ([]byte, uint64, error) {
-	return getResult(n.rerouted(key, &wire.Msg{Type: wire.TGet, Key: key}, func() (*wire.Msg, error) {
-		v, ver, ok, err := n.st.Get(key)
-		return &wire.Msg{Flag: ok, Value: v, A: ver}, err
-	}))
-}
-
-// getResult unpacks a TGetOK reply: a found value and its version, or
-// ErrNotFound when the owner does not hold the key.
-func getResult(reply *wire.Msg, err error) ([]byte, uint64, error) {
-	if err != nil {
-		return nil, 0, err
-	}
-	if !reply.Flag {
-		return nil, 0, ErrNotFound
-	}
-	return reply.Value, reply.A, nil
-}
-
-// SubmitTask routes units of work under key to its owner. The same
-// idempotency token is reused across every re-route, so even if a
-// timed-out attempt secretly landed before the owner died, the units
-// are applied at most once — re-submission after any failure is safe.
-func (n *Node) SubmitTask(key ids.ID, units uint64) error {
-	tok := n.newToken()
-	_, err := n.rerouted(key, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: tok}, func() (*wire.Msg, error) {
-		n.mu.Lock()
-		if n.applyTokenLocked(tok) {
-			n.addTaskLocked(key, units)
-		}
-		n.mu.Unlock()
-		return nil, nil
-	})
-	return err
 }
 
 // Ping round-trips a TPing to ref.
@@ -1073,7 +961,7 @@ func (n *Node) probeLost() {
 		}
 	}
 	n.mu.Unlock()
-	owner, _, err := n.lookupFrom(cand, n.ref.ID.Add(ids.PowerOfTwo(0)))
+	owner, _, err := lookupFrom(n.pool, n, cand, n.ref.ID.Add(ids.PowerOfTwo(0)))
 	if err != nil || owner.Addr == "" || owner.ID == n.ref.ID {
 		return
 	}

@@ -34,9 +34,8 @@ type RPCStats struct {
 
 // peerPool owns one node's client side: at most one pooled connection
 // per peer address, request-id matching on each, reconnect-on-error,
-// and the retry policy of internal/chord's transport (bounded retries
-// with deterministic exponential backoff, denominated in ticks and
-// scaled to wall time).
+// and bounded retries with deterministic exponential backoff
+// (faults.Backoff, denominated in ticks and scaled to wall time).
 //
 // A pooled connection carries one call at a time (a per-peer mutex
 // serializes callers); any error — timeout, short read, decode failure

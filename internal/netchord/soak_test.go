@@ -61,7 +61,7 @@ func TestSoakCluster(t *testing.T) {
 	keys := make([]ids.ID, 64)
 	for i := range keys {
 		keys[i] = ids.Random(rng)
-		if err := c.Hosts()[i%16].PrimaryNode().Put(keys[i], []byte{byte(i)}); err != nil {
+		if err := nodeClient(c.Hosts()[i%16].PrimaryNode()).Put(keys[i], []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestSoakCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Hosts()[int(submitted/8)%16].PrimaryNode().SubmitTask(key, 8); err != nil {
+		if err := nodeClient(c.Hosts()[int(submitted/8)%16].PrimaryNode()).SubmitTask(key, 8); err != nil {
 			submitErrs++
 		} else {
 			submitted += 8
@@ -124,7 +124,7 @@ func TestSoakCluster(t *testing.T) {
 	}
 	lost := 0
 	for i, k := range keys {
-		if _, err := c.Hosts()[(i+3)%16].PrimaryNode().Get(k); err != nil {
+		if _, err := nodeClient(c.Hosts()[(i+3)%16].PrimaryNode()).Get(k); err != nil {
 			t.Errorf("key %s lost during soak: %v", k.Short(), err)
 			lost++
 		}
@@ -231,7 +231,7 @@ func TestSoakDurableStore(t *testing.T) {
 		}
 		key := pool[i%len(pool)]
 		val := "soak-" + key.Short() + "-" + time.Now().Format("150405.000")
-		ver, err := c.Hosts()[i%12].PrimaryNode().PutVer(key, []byte(val))
+		ver, err := nodeClient(c.Hosts()[i%12].PrimaryNode()).PutVer(key, []byte(val))
 		if err != nil {
 			putErrs++
 		} else {
@@ -260,7 +260,7 @@ func TestSoakDurableStore(t *testing.T) {
 		var ver uint64
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			v, ver, err = c.Hosts()[int(key[0])%12].PrimaryNode().GetVer(key)
+			v, ver, err = nodeClient(c.Hosts()[int(key[0])%12].PrimaryNode()).GetVer(key)
 			if err == nil && ver >= w.ver {
 				break
 			}

@@ -31,7 +31,7 @@ type soakIngestPutter struct {
 
 func (p *soakIngestPutter) Put(key ids.ID, value []byte) error {
 	n := p.i.Add(1)
-	return p.c.Hosts()[int(n)%len(p.c.Hosts())].PrimaryNode().Put(key, value)
+	return nodeClient(p.c.Hosts()[int(n)%len(p.c.Hosts())].PrimaryNode()).Put(key, value)
 }
 
 func TestSoakStream(t *testing.T) {
