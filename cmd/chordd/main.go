@@ -33,6 +33,7 @@ import (
 	"chordbalance/internal/netchord"
 	"chordbalance/internal/obs"
 	"chordbalance/internal/strategy"
+	"chordbalance/internal/wire"
 )
 
 func main() {
@@ -44,12 +45,12 @@ func main() {
 
 // summary is chordd's end-of-run report.
 type summary struct {
-	Hosts      int               `json:"hosts"`
-	Strategy   string            `json:"strategy"`
-	Progress   netchord.Progress `json:"progress"`
-	Injections int               `json:"injections"`
-	Churns     int               `json:"churns"`
-	Sybils     int               `json:"sybils"`
+	Hosts      int        `json:"hosts"`
+	Strategy   string     `json:"strategy"`
+	Progress   wire.Stats `json:"progress"`
+	Injections int        `json:"injections"`
+	Churns     int        `json:"churns"`
+	Sybils     int        `json:"sybils"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -201,7 +202,7 @@ func run(args []string, out io.Writer) error {
 
 	s := summary{Hosts: len(hosts), Strategy: *strat}
 	if col != nil {
-		s.Progress = col.Progress()
+		s.Progress = col.Stats()
 	}
 	for _, h := range hosts {
 		st := h.Stats()

@@ -42,6 +42,7 @@ import (
 	"chordbalance/internal/netchord"
 	"chordbalance/internal/obs"
 	"chordbalance/internal/stats"
+	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
 )
 
@@ -93,40 +94,7 @@ type summary struct {
 	// anti-entropy work, streaming deliveries), present when a collector
 	// address was given. It appears in both the put/task summary and the
 	// -stream summary so the two run kinds are directly diffable.
-	Net *netCounters `json:"net,omitempty"`
-}
-
-// netCounters is the slice of the collector's Progress that both
-// workload modes report.
-type netCounters struct {
-	Hosts              int    `json:"hosts"`
-	Consumed           uint64 `json:"consumed"`
-	Residual           uint64 `json:"residual"`
-	StoreAcked         int64  `json:"store_acked"`
-	AntiEntropyRounds  int64  `json:"anti_entropy_rounds"`
-	AntiEntropyRepairs int64  `json:"anti_entropy_repairs"`
-	AntiEntropyBytes   int64  `json:"anti_entropy_bytes"`
-	StreamChunks       uint64 `json:"stream_chunks"`
-	StreamDeadlineMiss uint64 `json:"stream_deadline_miss"`
-	StreamRebuffers    uint64 `json:"stream_rebuffers"`
-	StreamBytes        uint64 `json:"stream_bytes"`
-}
-
-// netCountersFrom projects a collector Progress into the summary shape.
-func netCountersFrom(p netchord.Progress) netCounters {
-	return netCounters{
-		Hosts:              p.Hosts,
-		Consumed:           p.Consumed,
-		Residual:           p.Residual,
-		StoreAcked:         p.Acked,
-		AntiEntropyRounds:  p.AntiEntropyRounds,
-		AntiEntropyRepairs: p.AntiEntropyRepairs,
-		AntiEntropyBytes:   p.AntiEntropyBytes,
-		StreamChunks:       p.StreamChunks,
-		StreamDeadlineMiss: p.StreamDeadlineMiss,
-		StreamRebuffers:    p.StreamRebuffers,
-		StreamBytes:        p.StreamBytes,
-	}
+	Net *wire.Stats `json:"net,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -207,6 +175,13 @@ func run(args []string, out io.Writer) error {
 	}
 	if *addr == "" {
 		return fmt.Errorf("-addr is required")
+	}
+	// The pacing ticker needs an interval of at least 1ns.
+	if !(*rps > 0 && *rps <= 1e9) {
+		return fmt.Errorf("-rps must be in (0, 1e9], got %v", *rps)
+	}
+	if *valueLen < 0 {
+		return fmt.Errorf("-value-len must be >= 0, got %d", *valueLen)
 	}
 	if *batch == 0 {
 		*batch = 1
@@ -395,10 +370,10 @@ func run(args []string, out io.Writer) error {
 	if *collector != "" && *await > 0 {
 		deadline := time.Now().Add(*await)
 		for {
-			p, err := netchord.FetchProgress(tr, cfg, *collector)
+			p, err := netchord.FetchStats(tr, cfg, *collector)
 			if err == nil {
-				s.Consumed, s.Residual, s.BusyTicks = p.Consumed, p.Residual, p.BusyTicks
-				s.RuntimeFactor = p.RuntimeFactor(s.TasksSubmitted)
+				s.Consumed, s.Residual, s.BusyTicks = p.Consumed, p.Residual, int(p.BusyTicks)
+				s.RuntimeFactor = netchord.RuntimeFactor(p, s.TasksSubmitted)
 				if p.Consumed >= s.TasksSubmitted && p.Residual == 0 {
 					s.Completed = true
 					break
@@ -412,11 +387,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The collector's cumulative counter view, for diffing against
-	// streaming runs (see netCounters).
+	// streaming runs.
 	if *collector != "" {
 		if p, err := netchord.FetchStats(tr, cfg, *collector); err == nil {
-			nc := netCountersFrom(p)
-			s.Net = &nc
+			s.Net = &p
 		}
 	}
 

@@ -73,4 +73,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-stream"}, &out); err == nil {
 		t.Fatal("-stream without -addr accepted")
 	}
+	// Rejected before the ping, so the unreachable address never
+	// matters: the error must name the flag.
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-rps", []string{"-addr", "127.0.0.1:1", "-rps", "0"}},
+		{"-rps", []string{"-addr", "127.0.0.1:1", "-rps", "-5"}},
+		{"-value-len", []string{"-addr", "127.0.0.1:1", "-value-len", "-1"}},
+	} {
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run %v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"chordbalance/internal/netchord"
 	"chordbalance/internal/obs"
 	"chordbalance/internal/streamload"
+	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
 )
 
@@ -67,8 +68,8 @@ type streamSummary struct {
 	// VerifyLost counts delivered chunks whose bytes did not match the
 	// catalog — the streaming analogue of the put workload's verify_lost,
 	// and it must be zero on every run.
-	VerifyLost uint64       `json:"verify_lost"`
-	Net        *netCounters `json:"net,omitempty"`
+	VerifyLost uint64      `json:"verify_lost"`
+	Net        *wire.Stats `json:"net,omitempty"`
 }
 
 // countingPutter counts acknowledged puts during catalog ingest.
@@ -236,8 +237,7 @@ func runStreamLive(o streamOpts, cat *streamload.Catalog, scfg streamload.Config
 	if o.collector != "" {
 		report() // final cumulative totals, racing nothing
 		if p, err := netchord.FetchStats(tr, cfg, o.collector); err == nil {
-			nc := netCountersFrom(p)
-			sum.Net = &nc
+			sum.Net = &p
 		}
 	}
 	sum.RouteHits, sum.RouteLookups = client.RouteStats()

@@ -271,15 +271,14 @@ func (c *Client) Owner(key ids.ID) (wire.NodeRef, error) {
 // the collector at addr: chunks delivered, chunk deadline misses,
 // rebuffer events, and value bytes delivered. Reports are keyed by the
 // client's synthetic identity, so repeated pushes overwrite (never
-// double count) and several clients aggregate.
+// double count) and several clients aggregate; a client is no host, so
+// its report leaves every other counter at zero.
 func (c *Client) ReportStream(addr string, chunks, misses, rebuffers, bytes uint64) error {
+	s := wire.Stats{StreamChunks: chunks, StreamDeadlineMiss: misses, StreamRebuffers: rebuffers, StreamBytes: bytes}
 	_, err := c.pool.call(wire.NodeRef{Addr: addr}, &wire.Msg{
-		Type: wire.TStreamReport,
-		From: wire.NodeRef{ID: c.id},
-		A:    chunks,
-		B:    misses,
-		C:    rebuffers,
-		D:    bytes,
+		Type:  wire.TReport,
+		From:  wire.NodeRef{ID: c.id},
+		Value: wire.AppendStats(nil, &s),
 	})
 	return err
 }

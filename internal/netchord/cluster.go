@@ -147,60 +147,29 @@ func (c *Cluster) TotalKeys() int {
 	return len(seen)
 }
 
-// FetchProgress queries a collector at addr over the wire — what
-// cmd/dhtload does to poll for workload completion from outside the
-// cluster process.
-func FetchProgress(tr Transport, cfg Config, addr string) (Progress, error) {
-	reply, err := collectorCall(tr, cfg, addr, wire.TProgress, wire.TProgressOK)
-	if err != nil {
-		return Progress{}, err
-	}
-	return Progress{
-		Consumed:  reply.A,
-		Residual:  reply.B,
-		BusyTicks: int(reply.C),
-		Capacity:  reply.D,
-	}, nil
-}
-
-// FetchStats queries a collector for the full statistics blob: the
-// Progress counters plus the storage (net.store.*) and streaming
-// (net.stream.*) aggregates that TProgressOK's four slots cannot carry.
-func FetchStats(tr Transport, cfg Config, addr string) (Progress, error) {
-	reply, err := collectorCall(tr, cfg, addr, wire.TStats, wire.TStatsOK)
-	if err != nil {
-		return Progress{}, err
-	}
-	s, err := wire.DecodeStats(reply.Value)
-	if err != nil {
-		return Progress{}, err
-	}
-	return progressFromStats(s), nil
-}
-
-// collectorCall performs one request/reply exchange with a collector
-// over a fresh connection.
-func collectorCall(tr Transport, cfg Config, addr string, req, want wire.Type) (*wire.Msg, error) {
+// FetchStats asks the collector at addr for the cluster view over the
+// wire — what cmd/dhtload does to poll for workload completion from
+// outside the cluster process.
+func FetchStats(tr Transport, cfg Config, addr string) (wire.Stats, error) {
 	cfg = cfg.WithDefaults()
 	conn, err := tr.Dial(addr, cfg.rpcTimeout())
 	if err != nil {
-		return nil, err
+		return wire.Stats{}, err
 	}
 	defer func() { _ = conn.Close() }()
-	deadline := time.Now().Add(cfg.rpcTimeout())
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
+	if err := conn.SetDeadline(time.Now().Add(cfg.rpcTimeout())); err != nil {
+		return wire.Stats{}, err
 	}
 	fc := wire.NewConn(conn)
-	if err := fc.WriteMsg(&wire.Msg{Type: req, Req: 1}); err != nil {
-		return nil, err
+	if err := fc.WriteMsg(&wire.Msg{Type: wire.TStats, Req: 1}); err != nil {
+		return wire.Stats{}, err
 	}
 	reply, err := fc.ReadMsg()
 	if err != nil {
-		return nil, err
+		return wire.Stats{}, err
 	}
-	if reply.Type != want {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, reply.Text)
+	if reply.Type != wire.TStatsOK {
+		return wire.Stats{}, fmt.Errorf("%w: %s", ErrRemote, reply.Text)
 	}
-	return reply, nil
+	return wire.DecodeStats(reply.Value)
 }

@@ -6,6 +6,7 @@ import (
 
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
+	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
 )
 
@@ -16,11 +17,11 @@ func clusterConfig() Config {
 
 // awaitProgress polls the collector until the cluster has consumed at
 // least want units with nothing residual, or the deadline passes.
-func awaitProgress(t *testing.T, c *Cluster, want uint64, timeout time.Duration) Progress {
+func awaitProgress(t *testing.T, c *Cluster, want uint64, timeout time.Duration) wire.Stats {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		p := c.Collector().Progress()
+		p := c.Collector().Stats()
 		if p.Consumed >= want && p.Residual == 0 {
 			return p
 		}
@@ -90,7 +91,7 @@ func TestCluster16Invitation(t *testing.T) {
 	nf.Heal()
 
 	p := awaitProgress(t, c, units, 90*time.Second)
-	if rf := p.RuntimeFactor(units); rf <= 0 {
+	if rf := RuntimeFactor(p, units); rf <= 0 {
 		t.Fatalf("runtime factor not computed: %+v", p)
 	}
 	if p.Injections == 0 {

@@ -185,20 +185,24 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	}
 }
 
-// storeReportSeq is a deterministic TStoreReport/TConsumeReport stream
+// storeReportSeq is a deterministic stream of cumulative host reports
 // for driving a collector directly (no network, no goroutines).
 func storeReportSeq() []*wire.Msg {
 	host1 := ids.FromUint64(101)
 	host2 := ids.FromUint64(102)
-	return []*wire.Msg{
-		{Type: wire.THello, From: wire.NodeRef{ID: host1}, A: 1},
-		{Type: wire.THello, From: wire.NodeRef{ID: host2}, A: 1},
-		{Type: wire.TConsumeReport, From: wire.NodeRef{ID: host1}, A: 10, B: 2, C: 1, D: 9},
-		{Type: wire.TStoreReport, From: wire.NodeRef{ID: host1}, A: 5, B: 2, C: 3, D: 4096},
-		{Type: wire.TStoreReport, From: wire.NodeRef{ID: host2}, A: 7, B: 1, C: 0, D: 0},
-		{Type: wire.TStoreReport, From: wire.NodeRef{ID: host1}, A: 9, B: 4, C: 11, D: 9999},
-		{Type: wire.TConsumeReport, From: wire.NodeRef{ID: host2}, A: 3, B: 0, C: 2, D: 5},
-	}
+	h1 := wire.Stats{Hosts: 1, Capacity: 1}
+	h2 := h1
+	seq := []*wire.Msg{reportMsg(host1, h1), reportMsg(host2, h2)}
+	h1.Consumed, h1.Residual, h1.BusyTicks = 10, 2, 9
+	seq = append(seq, reportMsg(host1, h1))
+	h1.StoreAcked, h1.AntiEntropyRounds, h1.AntiEntropyRepairs, h1.AntiEntropyBytes = 5, 2, 3, 4096
+	seq = append(seq, reportMsg(host1, h1))
+	h2.StoreAcked, h2.AntiEntropyRounds = 7, 1
+	seq = append(seq, reportMsg(host2, h2))
+	h1.StoreAcked, h1.AntiEntropyRounds, h1.AntiEntropyRepairs, h1.AntiEntropyBytes = 9, 4, 11, 9999
+	seq = append(seq, reportMsg(host1, h1))
+	h2.Consumed, h2.BusyTicks = 3, 4
+	return append(seq, reportMsg(host2, h2))
 }
 
 // TestCollectorStoreReportTracedEqualsUntraced locks the observability
@@ -222,11 +226,11 @@ func TestCollectorStoreReportTracedEqualsUntraced(t *testing.T) {
 		plain.handle(m)
 		traced.handle(m)
 	}
-	p, q := plain.Progress(), traced.Progress()
+	p, q := plain.Stats(), traced.Stats()
 	if p != q {
 		t.Fatalf("tracer changed collector state:\nplain:  %+v\ntraced: %+v", p, q)
 	}
-	if p.Acked != 16 || p.AntiEntropyRounds != 5 || p.AntiEntropyRepairs != 11 || p.AntiEntropyBytes != 9999 {
+	if p.StoreAcked != 16 || p.AntiEntropyRounds != 5 || p.AntiEntropyRepairs != 11 || p.AntiEntropyBytes != 9999 {
 		t.Fatalf("store aggregation wrong: %+v", p)
 	}
 	if len(sink.Bytes()) == 0 {

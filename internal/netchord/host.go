@@ -41,7 +41,7 @@ type HostStats struct {
 
 // Host is one physical machine in the networked runtime: a primary
 // virtual node plus up to MaxSybils Sybil identities, a per-tick
-// consume loop, a consume-report stream to the collector, and one of
+// consume loop, a report stream to the collector, and one of
 // the paper's strategies run every DecisionEveryTicks ticks.
 //
 // The Host is both the strategy.World and the strategy.View its
@@ -72,6 +72,7 @@ type Host struct {
 	helping   bool // an accepted invitation's injection is in flight
 	evicting  bool // a TEvict-induced retirement is in flight
 	injects   int
+	injUnits  uint64 // task units the injected Sybils acquired at birth
 	churns    int
 	evicts    int
 	down      bool
@@ -156,9 +157,10 @@ func (h *Host) spawn(id ids.ID, via string) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the host loop (consume, report, decide).
+// Start sends the host's first report, which registers it with the
+// collector, and launches the host loop (consume, report, decide).
 func (h *Host) Start() {
-	h.hello()
+	h.report()
 	h.wg.Add(1)
 	go h.loop()
 }
@@ -241,8 +243,8 @@ func (h *Host) Stats() HostStats {
 	}
 }
 
-// loop is the host's heartbeat: one consume step per tick, a consume
-// report every ReportEveryTicks, one strategy decision every
+// loop is the host's heartbeat: one consume step per tick, a report
+// every ReportEveryTicks, one strategy decision every
 // DecisionEveryTicks. Decisions may block on RPCs; missed ticker beats
 // are simply dropped, which is the honest cost of acting on a network.
 func (h *Host) loop() {
@@ -295,59 +297,34 @@ func (h *Host) consumeTick(tick int) {
 	h.mu.Unlock()
 }
 
-// hello registers the host (and its capacity) with the collector.
-func (h *Host) hello() {
-	if h.collector == "" {
-		return
-	}
-	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
-		Type: wire.THello,
-		From: wire.NodeRef{ID: h.hostID, Addr: h.PrimaryNode().Addr()},
-		A:    uint64(h.cfg.ConsumePerTick),
-	})
-}
-
-// report streams the host's consumption state to the collector:
-// A = cumulative consumed, B = residual, C/D = first/last busy tick.
+// report pushes the host's cumulative counters to the collector as one
+// TReport. The storage counters are cumulative across churn (host
+// atomics, not node counters).
 func (h *Host) report() {
 	if h.collector == "" {
 		return
 	}
-	residual := h.Workload()
+	s := wire.Stats{
+		Hosts:              1,
+		Residual:           uint64(h.Workload()),
+		Capacity:           uint64(h.cfg.ConsumePerTick),
+		StoreAcked:         uint64(h.stAcked.Load()),
+		AntiEntropyRounds:  uint64(h.stAntiRounds.Load()),
+		AntiEntropyRepairs: uint64(h.stAntiRepairs.Load()),
+		AntiEntropyBytes:   uint64(h.stAntiBytes.Load()),
+	}
 	h.mu.Lock()
-	m := &wire.Msg{
-		Type: wire.TConsumeReport,
-		From: wire.NodeRef{ID: h.hostID},
-		A:    h.consumed,
-		B:    uint64(residual),
-		C:    uint64(h.firstBusy),
-		D:    uint64(h.lastBusy),
+	s.Consumed = h.consumed
+	if h.everBusy {
+		s.BusyTicks = uint64(h.lastBusy - h.firstBusy + 1)
 	}
+	s.Injections = uint64(h.injects)
+	s.InjectedUnits = h.injUnits
 	h.mu.Unlock()
-	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, m)
-	// The storage companion report: durable acks and anti-entropy
-	// repair totals, cumulative across churn (host atomics, not node
-	// counters).
 	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
-		Type: wire.TStoreReport,
-		From: wire.NodeRef{ID: h.hostID},
-		A:    uint64(h.stAcked.Load()),
-		B:    uint64(h.stAntiRounds.Load()),
-		C:    uint64(h.stAntiRepairs.Load()),
-		D:    uint64(h.stAntiBytes.Load()),
-	})
-}
-
-// reportInject tells the collector a Sybil was born and what it took.
-func (h *Host) reportInject(sybil wire.NodeRef, acquired uint64) {
-	if h.collector == "" {
-		return
-	}
-	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
-		Type: wire.TInject,
-		From: wire.NodeRef{ID: h.hostID},
-		Node: sybil,
-		A:    acquired,
+		Type:  wire.TReport,
+		From:  wire.NodeRef{ID: h.hostID},
+		Value: wire.AppendStats(nil, &s),
 	})
 }
 
@@ -720,7 +697,7 @@ func (h *Host) considerEvict(n *Node) {
 }
 
 // injectSybil projects a Sybil identity at id, joining through via, and
-// reports the birth (and the work it acquired) to the collector.
+// counts the birth (and the work it acquired) for the next report.
 func (h *Host) injectSybil(id ids.ID, via string) (uint64, error) {
 	n, err := h.spawn(id, via)
 	if err != nil {
@@ -736,7 +713,7 @@ func (h *Host) injectSybil(id ids.ID, via string) (uint64, error) {
 	}
 	h.sybils = append(h.sybils, n)
 	h.injects++
+	h.injUnits += acquired
 	h.mu.Unlock()
-	h.reportInject(n.Ref(), acquired)
 	return acquired, nil
 }

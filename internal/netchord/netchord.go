@@ -107,7 +107,7 @@ type Config struct {
 	InviteThreshold uint64
 	// MaxSybils caps Sybil identities per host. Default 8.
 	MaxSybils int
-	// ReportEveryTicks is the consume-report cadence to the collector.
+	// ReportEveryTicks is the host's report cadence to the collector.
 	// Default 2.
 	ReportEveryTicks int
 	// DataDir is the base directory for the nodes' durable segment logs

@@ -3,9 +3,9 @@ package netchord
 import "testing"
 
 // TestCollectorStreamReports exercises the streaming read-path metrics
-// end to end over the wire: clients push cumulative TStreamReports
-// (overwrite semantics, several clients aggregate), and TStats returns
-// the full blob that TProgressOK cannot carry.
+// end to end over the wire: clients push cumulative TReports (overwrite
+// semantics, several clients aggregate), and TStats returns the summed
+// blob.
 func TestCollectorStreamReports(t *testing.T) {
 	tr := NewPipeTransport()
 	cfg := Config{}.WithDefaults()
@@ -35,31 +35,18 @@ func TestCollectorStreamReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := col.Progress()
+	p := col.Stats()
 	if p.StreamChunks != 30 || p.StreamDeadlineMiss != 2 || p.StreamRebuffers != 1 || p.StreamBytes != 3000 {
 		t.Fatalf("aggregated stream counters wrong: %+v", p)
 	}
 
-	// The wire view must agree with the in-process view, stream and
-	// store counters included.
+	// The wire view must agree with the in-process view field for field.
 	got, err := FetchStats(tr, cfg, col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StreamChunks != p.StreamChunks || got.StreamDeadlineMiss != p.StreamDeadlineMiss ||
-		got.StreamRebuffers != p.StreamRebuffers || got.StreamBytes != p.StreamBytes {
-		t.Fatalf("FetchStats disagrees with Progress: got %+v want %+v", got, p)
-	}
-
-	// TProgress still answers (old pollers keep working), without the
-	// stream counters it cannot carry.
-	if _, err := FetchProgress(tr, cfg, col.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stats round-trips the Progress exactly for every field both carry.
-	if back := progressFromStats(p.Stats()); back != p {
-		t.Fatalf("Stats round trip mismatch: %+v != %+v", back, p)
+	if got != p {
+		t.Fatalf("FetchStats disagrees with Collector.Stats: got %+v want %+v", got, p)
 	}
 
 	// Pin the read-work default: zero, reads stay free unless asked.

@@ -193,7 +193,7 @@ func TestSoakStream(t *testing.T) {
 	// The collector must have the client's final cumulative report.
 	tot := eng.Totals()
 	_ = client.ReportStream(c.Collector().Addr(), tot.Chunks, tot.DeadlineMiss, tot.Rebuffers, tot.Bytes)
-	p := c.Collector().Progress()
+	p := c.Collector().Stats()
 	if p.StreamChunks != res.Chunks || p.StreamBytes != res.Bytes {
 		t.Fatalf("collector stream view (chunks=%d bytes=%d) disagrees with the engine (%d, %d)",
 			p.StreamChunks, p.StreamBytes, res.Chunks, res.Bytes)

@@ -3,8 +3,9 @@ package streamload
 import "chordbalance/internal/stats"
 
 // Totals is the monotone counter snapshot a driver exposes while
-// running — the four numbers a collector report carries
-// (wire.TStreamReport), cheap enough to poll from a reporter loop.
+// running — the four numbers a streaming client's collector report
+// carries (netchord.Client.ReportStream), cheap enough to poll from a
+// reporter loop.
 type Totals struct {
 	// Chunks is chunks delivered so far.
 	Chunks uint64

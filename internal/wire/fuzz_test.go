@@ -28,6 +28,34 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(frame, byte(ty), uint64(1), []byte("value"), "addr:1", uint64(2), true)
 	}
 	f.Add([]byte{'C', 'B', Version, 1}, byte(TJoinOK), uint64(0), []byte{}, "", uint64(0), false)
+	// Collector traffic with real Stats blobs: a host's report, a
+	// streaming client's, and the cluster view; then a report stamped
+	// with the previous frame version, one cut short, and an unknown
+	// type byte, which Decode must each refuse.
+	host := AppendStats(nil, &Stats{Hosts: 1, Consumed: 40, Residual: 2, BusyTicks: 9, Capacity: 1, StoreAcked: 5})
+	stream := AppendStats(nil, &Stats{StreamChunks: 30, StreamDeadlineMiss: 2, StreamRebuffers: 1, StreamBytes: 3000})
+	report, err := Append(nil, &Msg{Type: TReport, Req: 3, From: NodeRef{ID: ids.FromUint64(101)}, Value: host})
+	if err != nil {
+		f.Fatal(err)
+	}
+	streamReport, err := Append(nil, &Msg{Type: TReport, Req: 4, From: NodeRef{ID: ids.FromUint64(7)}, Value: stream})
+	if err != nil {
+		f.Fatal(err)
+	}
+	view, err := Append(nil, &Msg{Type: TStatsOK, Req: 5, Value: host})
+	if err != nil {
+		f.Fatal(err)
+	}
+	oldVersion := append([]byte(nil), report...)
+	oldVersion[2] = Version - 1
+	unknown := append([]byte(nil), report...)
+	unknown[3] = byte(typeCount)
+	f.Add(report, byte(TReport), uint64(3), host, "", uint64(0), false)
+	f.Add(streamReport, byte(TReport), uint64(4), stream, "", uint64(0), false)
+	f.Add(view, byte(TStatsOK), uint64(5), host, "", uint64(0), false)
+	f.Add(oldVersion, byte(TReport), uint64(3), host, "", uint64(0), false)
+	f.Add(report[:len(report)-1], byte(TReport), uint64(3), host[:len(host)-1], "", uint64(0), false)
+	f.Add(unknown, byte(typeCount), uint64(3), host, "", uint64(0), false)
 
 	f.Fuzz(func(t *testing.T, raw []byte, ty byte, req uint64, val []byte, addr string, a uint64, flag bool) {
 		// Direction 1: arbitrary bytes must never panic the decoder, and
@@ -111,9 +139,6 @@ func fuzzMsg(ty byte, req uint64, val []byte, addr string, a uint64, flag bool) 
 	}
 	if mask&fC != 0 {
 		in.C = a + req
-	}
-	if mask&fD != 0 {
-		in.D = a - req
 	}
 	if mask&fFlag != 0 {
 		in.Flag = flag

@@ -5,10 +5,12 @@ import (
 	"fmt"
 )
 
-// Stats is the collector's full cluster view as it travels in a
-// TStatsOK reply. TProgressOK predates the storage and streaming
-// layers and its four numeric slots cannot grow, so the complete
-// statistics ride as one fixed-layout blob in the Value field:
+// Stats is one sender's cumulative counters as a TReport carries them,
+// and the collector's cluster view as a TStatsOK reply carries it. The
+// collector keeps the last Stats per sender; the cluster view is their
+// field-wise sum, except BusyTicks, which is the maximum (the slowest
+// host), and Reports, which the collector counts itself. The blob rides
+// in the message's Value field with a fixed layout:
 //
 //	offset  size  field
 //	0       1     stats layout version (StatsVersion)
@@ -19,38 +21,41 @@ import (
 // rejects versions it does not know, so a mixed-version cluster fails
 // loudly instead of misreading counters.
 type Stats struct {
-	// Hosts is how many hosts have said hello.
-	Hosts uint64
-	// Consumed is the summed cumulative task units consumed.
-	Consumed uint64
-	// Residual is the summed residual task units.
-	Residual uint64
-	// BusyTicks is the busy interval of the slowest host.
-	BusyTicks uint64
-	// Capacity is the summed per-tick consume capacity.
-	Capacity uint64
-	// Injections counts Sybil births reported.
-	Injections uint64
+	// Hosts is 1 in a host's report and 0 in a streaming client's, so
+	// the sum counts reporting hosts.
+	Hosts uint64 `json:"hosts"`
+	// Consumed is the cumulative task units consumed.
+	Consumed uint64 `json:"consumed"`
+	// Residual is the residual task units at the last report.
+	Residual uint64 `json:"residual"`
+	// BusyTicks is a host's busy interval (last - first busy tick + 1,
+	// 0 until work arrives).
+	BusyTicks uint64 `json:"busy_ticks"`
+	// Capacity is the per-tick consume capacity.
+	Capacity uint64 `json:"capacity"`
+	// Injections counts Sybil births.
+	Injections uint64 `json:"injections"`
 	// InjectedUnits sums the task units Sybils acquired at birth.
-	InjectedUnits uint64
-	// Reports counts consume reports received.
-	Reports uint64
-	// StoreAcked is the summed durably acknowledged owner writes.
-	StoreAcked uint64
-	// AntiEntropyRounds is the summed anti-entropy passes started.
-	AntiEntropyRounds uint64
-	// AntiEntropyRepairs is the summed records repaired by anti-entropy.
-	AntiEntropyRepairs uint64
-	// AntiEntropyBytes is the summed value bytes anti-entropy moved.
-	AntiEntropyBytes uint64
-	// StreamChunks is the summed chunks delivered to streaming viewers.
-	StreamChunks uint64
-	// StreamDeadlineMiss is the summed chunk deadline misses.
-	StreamDeadlineMiss uint64
-	// StreamRebuffers is the summed viewer rebuffer events.
-	StreamRebuffers uint64
-	// StreamBytes is the summed value bytes delivered to viewers.
-	StreamBytes uint64
+	InjectedUnits uint64 `json:"injected_units"`
+	// Reports counts reports the collector accepted (0 in a sender's own
+	// report).
+	Reports uint64 `json:"reports"`
+	// StoreAcked is the durably acknowledged owner writes.
+	StoreAcked uint64 `json:"store_acked"`
+	// AntiEntropyRounds is the anti-entropy passes started.
+	AntiEntropyRounds uint64 `json:"anti_entropy_rounds"`
+	// AntiEntropyRepairs is the records repaired by anti-entropy.
+	AntiEntropyRepairs uint64 `json:"anti_entropy_repairs"`
+	// AntiEntropyBytes is the value bytes anti-entropy moved.
+	AntiEntropyBytes uint64 `json:"anti_entropy_bytes"`
+	// StreamChunks is the chunks delivered to streaming viewers.
+	StreamChunks uint64 `json:"stream_chunks"`
+	// StreamDeadlineMiss is the chunk deadline misses.
+	StreamDeadlineMiss uint64 `json:"stream_deadline_miss"`
+	// StreamRebuffers is the viewer rebuffer events.
+	StreamRebuffers uint64 `json:"stream_rebuffers"`
+	// StreamBytes is the value bytes delivered to viewers.
+	StreamBytes uint64 `json:"stream_bytes"`
 }
 
 // StatsVersion is the current Stats blob layout version.

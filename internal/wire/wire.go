@@ -2,15 +2,16 @@
 // networked Chord runtime (internal/netchord). It frames the protocol's
 // message set — find_successor routing steps, notify, get/put and task
 // submission, versioned replica records and Merkle anti-entropy digest
-// exchanges (internal/store), workload queries, the Sybil invite/inject
-// strategy traffic, and consume reports — as self-describing records.
+// exchanges (internal/store), workload queries, the Sybil invitation
+// strategy traffic, and the collector's report and stats exchange — as
+// self-describing records.
 // Conn frames them over a byte stream, one Write call per frame.
 //
 // The format is deliberately tiny and strict:
 //
 //	offset  size  field
 //	0       2     magic "CB"
-//	2       1     version (currently 3)
+//	2       1     version (the Version constant)
 //	3       1     message type
 //	4       8     request id (big endian)
 //	12      4     payload length (big endian, <= MaxPayload)
@@ -42,8 +43,11 @@ import (
 // records and added the anti-entropy digest exchange (TSync*). Version
 // 3 added the admission-puzzle nonce to TJoin and the TEvict density
 // eviction notice (docs/ADVERSARY.md). Version 4 widened TWorkloadOK
-// and put TInvite's Sybil placement in Key (docs/NETWORK.md).
-const Version = 4
+// and put TInvite's Sybil placement in Key (docs/NETWORK.md). Version
+// 5 folded the collector's seven report and progress messages into
+// TReport, renumbering the types after TInviteOK, and dropped the D
+// slot.
+const Version = 5
 
 // Frame geometry and hard bounds. The caps are generous for the runtime's
 // actual traffic but small enough that a hostile peer cannot force large
@@ -160,20 +164,6 @@ const (
 	TInvite
 	// TInviteOK answers: Flag reports whether the callee will help.
 	TInviteOK
-	// TInject notifies the collector that host From injected Sybil Node
-	// which acquired A task units.
-	TInject
-	// THello registers host From (capacity A) with the collector.
-	THello
-	// TConsumeReport reports host From's consumption: A = cumulative
-	// units consumed, B = residual units, C = tick work first arrived,
-	// D = tick of the last consume.
-	TConsumeReport
-	// TProgress asks the collector for cluster-wide workload progress.
-	TProgress
-	// TProgressOK answers: A = total consumed, B = total residual,
-	// C = busy ticks of the slowest host, D = summed capacity.
-	TProgressOK
 	// TSyncDigest asks for the callee's Merkle digest over the key arc
 	// (Key, Key2] (Key == Key2 means the whole ring).
 	TSyncDigest
@@ -190,19 +180,13 @@ const (
 	TSyncFetch
 	// TSyncFetchOK answers with the Recs the callee still holds.
 	TSyncFetchOK
-	// TStoreReport reports host From's storage-layer counters to the
-	// collector: A = acknowledged writes, B = anti-entropy rounds,
-	// C = anti-entropy bytes moved, D = anti-entropy repair nanoseconds.
-	TStoreReport
-	// TStreamReport reports a streaming client From's cumulative
-	// read-path counters to the collector: A = chunks delivered,
-	// B = chunk deadline misses, C = rebuffer events, D = value bytes
-	// delivered. From carries the client's synthetic identity (a
-	// streaming load generator occupies no ring position).
-	TStreamReport
-	// TStats asks the collector for the full cluster statistics blob —
-	// everything TProgressOK's four slots cannot carry (storage and
-	// streaming counters included).
+	// TReport pushes sender From's cumulative counters to the
+	// collector: Value is a packed Stats blob (AppendStats). Each report
+	// replaces the sender's previous one. From is a host's stable
+	// collector identity, or a streaming client's synthetic one (a load
+	// generator occupies no ring position).
+	TReport
+	// TStats asks the collector for the cluster statistics blob.
 	TStats
 	// TStatsOK answers with Value = a packed Stats blob (AppendStats/
 	// DecodeStats define the layout).
@@ -237,14 +221,11 @@ var typeNames = [typeCount]string{
 	TGet: "get", TGetOK: "get_ok", TPut: "put", TTask: "task",
 	TReplicate: "replicate", TTransfer: "transfer",
 	TWorkloadQuery: "workload_query", TWorkloadOK: "workload_ok",
-	TInvite: "invite", TInviteOK: "invite_ok", TInject: "inject",
-	THello: "hello", TConsumeReport: "consume_report",
-	TProgress: "progress", TProgressOK: "progress_ok",
+	TInvite: "invite", TInviteOK: "invite_ok",
 	TSyncDigest: "sync_digest", TSyncDigestOK: "sync_digest_ok",
 	TSyncKeys: "sync_keys", TSyncKeysOK: "sync_keys_ok",
 	TSyncFetch: "sync_fetch", TSyncFetchOK: "sync_fetch_ok",
-	TStoreReport: "store_report", TStreamReport: "stream_report",
-	TStats: "stats", TStatsOK: "stats_ok",
+	TReport: "report", TStats: "stats", TStatsOK: "stats_ok",
 	TEvict: "evict",
 	TAck:   "ack", TError: "error",
 }
@@ -316,10 +297,10 @@ type Msg struct {
 	Tasks []Task
 	Metas []Meta
 	Value []byte
-	// A–D are per-type numeric slots (hop counts, units, ticks...).
-	A, B, C, D uint64
-	Flag       bool
-	Text       string
+	// A–C are per-type numeric slots (hop counts, units, codes...).
+	A, B, C uint64
+	Flag    bool
+	Text    string
 }
 
 // Field presence bits, in encoding order.
@@ -336,7 +317,6 @@ const (
 	fA
 	fB
 	fC
-	fD
 	fFlag
 	fText
 )
@@ -364,19 +344,13 @@ var fieldsOf = [typeCount]uint16{
 	TWorkloadOK:      fA | fB | fC | fFlag,
 	TInvite:          fKey | fFrom | fA,
 	TInviteOK:        fFlag,
-	TInject:          fFrom | fNode | fA,
-	THello:           fFrom | fA,
-	TConsumeReport:   fFrom | fA | fB | fC | fD,
-	TProgress:        0,
-	TProgressOK:      fA | fB | fC | fD,
 	TSyncDigest:      fKey | fKey2,
 	TSyncDigestOK:    fValue | fA,
 	TSyncKeys:        fKey | fKey2,
 	TSyncKeysOK:      fMetas | fA,
 	TSyncFetch:       fMetas,
 	TSyncFetchOK:     fRecs,
-	TStoreReport:     fFrom | fA | fB | fC | fD,
-	TStreamReport:    fFrom | fA | fB | fC | fD,
+	TReport:          fFrom | fValue,
 	TStats:           0,
 	TStatsOK:         fValue,
 	TEvict:           fFrom,
@@ -455,10 +429,10 @@ func Append(dst []byte, m *Msg) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Value)))
 		dst = append(dst, m.Value...)
 	}
-	for _, on := range [4]struct {
+	for _, on := range [3]struct {
 		bit uint16
 		v   uint64
-	}{{fA, m.A}, {fB, m.B}, {fC, m.C}, {fD, m.D}} {
+	}{{fA, m.A}, {fB, m.B}, {fC, m.C}} {
 		if mask&on.bit != 0 {
 			dst = binary.BigEndian.AppendUint64(dst, on.v)
 		}
@@ -758,10 +732,10 @@ func Decode(b []byte) (*Msg, int, error) {
 			return nil, 0, err
 		}
 	}
-	for _, slot := range [4]struct {
+	for _, slot := range [3]struct {
 		bit uint16
 		p   *uint64
-	}{{fA, &m.A}, {fB, &m.B}, {fC, &m.C}, {fD, &m.D}} {
+	}{{fA, &m.A}, {fB, &m.B}, {fC, &m.C}} {
 		if mask&slot.bit != 0 {
 			if *slot.p, err = r.takeU64(); err != nil {
 				return nil, 0, err

@@ -62,9 +62,6 @@ func sample(t Type) *Msg {
 	if mask&fC != 0 {
 		m.C = 33
 	}
-	if mask&fD != 0 {
-		m.D = 44
-	}
 	if mask&fFlag != 0 {
 		m.Flag = true
 	}
@@ -97,7 +94,7 @@ func TestRoundTripEveryType(t *testing.T) {
 func TestReadWriteStream(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	msgs := []*Msg{sample(TFindSuccessor), sample(TJoinOK), sample(TConsumeReport)}
+	msgs := []*Msg{sample(TFindSuccessor), sample(TJoinOK), sample(TReport)}
 	for _, m := range msgs {
 		if err := c.WriteMsg(m); err != nil {
 			t.Fatal(err)
