@@ -55,9 +55,10 @@ cover:
 bench-harness-test:
 	cd benchmarks && $(GO) test -short ./...
 
-# Go micro/paper benchmarks: table/figure reproductions at the repo root
-# plus the ring and sim hot-path benchmarks (reduced trials). -run '^$'
-# skips the unit tests, which `make test` covers.
+# Go micro-benchmarks of the per-package hot paths (IDs, RNG, ring, tick
+# engine, chord lookup, store digest); the paper's tables and figures are
+# regenerated by `make sweep-quick` and `make figures`. -run '^$' skips
+# the unit tests, which `make test` covers.
 bench-micro:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 

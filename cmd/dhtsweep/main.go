@@ -173,13 +173,6 @@ func run(args []string, out, log io.Writer) error {
 			}
 			return table(t)
 		}},
-		{"overlay-hops", "Chord vs Symphony routing (§II positioning)", func(o experiments.Options) error {
-			t, err := experiments.OverlayHops(o)
-			if err != nil {
-				return err
-			}
-			return table(t)
-		}},
 		{"traffic", "per-strategy message overhead (§VI bandwidth claims)", func(o experiments.Options) error {
 			t, err := experiments.Traffic(o)
 			if err != nil {

@@ -7,8 +7,8 @@
 // The network is simulated in-process: remote procedure calls are direct
 // method calls that increment message counters, and node failures are
 // modeled by marking nodes dead so that calls to them fail the way a
-// timeout would. Execution is single-threaded and deterministic; the
-// packages layered on top (internal/chordreduce) drive maintenance rounds
+// timeout would. Execution is single-threaded and deterministic; callers
+// (cmd/chordnet, internal/experiments) drive maintenance rounds
 // explicitly.
 //
 // This package exists to validate — with measured hop counts, repair

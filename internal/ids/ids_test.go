@@ -438,3 +438,18 @@ func BenchmarkSortByLess(b *testing.B) {
 		sort.Sort(buf)
 	}
 }
+
+// BenchmarkUniformInRange measures how quickly a node can synthesize an
+// identifier inside a target arc — the operation the paper's reference
+// [21] shows to be "extremely quick", and the basis of every Sybil
+// strategy.
+func BenchmarkUniformInRange(b *testing.B) {
+	rng := xrand.New(7)
+	a, c := Random(rng), Random(rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UniformInRange(rng, a, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

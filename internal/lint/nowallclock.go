@@ -22,17 +22,17 @@ var wallClockFuncs = map[string]bool{
 
 // NoWallClock forbids wall-clock reads under internal/: the simulator's
 // tick counter is the only clock, so results can never depend on host
-// speed or scheduling. Exemptions: cmd/ (wall-clock progress reporting
-// is fine there, see cmd/dhtsweep), examples/, test files (which may
-// sleep to exercise real concurrency), internal/netchord — the
-// networked runtime is deliberately real-time (deadlines, tickers,
-// backoff sleeps are its whole point; see docs/NETWORK.md), and it is
-// import-isolated from the simulator so the tick-only guarantee there
-// is untouched — and internal/streamload, whose real-time Engine plays
-// sessions against a wall clock by design (docs/STREAMING.md; its
-// deterministic sibling RunVirtual takes no wall-clock reads either
-// way). Other deliberate real-time components (internal/chord's Driver)
-// must carry a //lint:ignore with a reason.
+// speed or scheduling. Exemptions: every file outside internal/ (the
+// commands under cmd/ may report wall-clock progress, see cmd/dhtsweep),
+// test files (which may sleep to exercise real concurrency),
+// internal/netchord — the networked runtime is deliberately real-time
+// (deadlines, tickers, backoff sleeps are its whole point; see
+// docs/NETWORK.md), and it is import-isolated from the simulator so the
+// tick-only guarantee there is untouched — and internal/streamload,
+// whose real-time Engine plays sessions against a wall clock by design
+// (docs/STREAMING.md; its deterministic sibling RunVirtual takes no
+// wall-clock reads either way). Any other wall-clock read under
+// internal/ must carry a //lint:ignore with a reason.
 func NoWallClock() *Rule {
 	return &Rule{
 		Name: "nowallclock",

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"chordbalance/internal/stats"
@@ -11,9 +10,9 @@ import (
 
 // This file renders the paper's figures as standalone SVG documents, so
 // the harness can produce publication-style plots with no plotting
-// dependency. Three renderers cover every figure type: paired workload
-// histograms (Figures 1, 4-14), the unit-circle ring diagram (Figures
-// 2-3), and line series (the work-per-tick observation).
+// dependency. Two renderers cover every figure type: paired workload
+// histograms (Figures 1, 4-14) and the unit-circle ring diagram (Figures
+// 2-3).
 
 const (
 	svgColorA    = "#4878a8" // series A: muted blue
@@ -178,67 +177,6 @@ func SVGRing(w io.Writer, title string, points []Point) error {
 	sb.line(116, float64(size)+12, 124, float64(size)+12, svgColorA, 1.6)
 	sb.line(120, float64(size)+8, 120, float64(size)+16, svgColorA, 1.6)
 	sb.text(132, float64(size)+17, 12, "start", "task")
-	_, err := io.WriteString(w, sb.close())
-	return err
-}
-
-// SVGSeries renders one or more y-series against a shared integer x axis
-// (used for the work-per-tick observation).
-func SVGSeries(w io.Writer, title, xlabel string, labels []string, series [][]float64) error {
-	if len(labels) != len(series) || len(series) == 0 {
-		return fmt.Errorf("report: labels/series mismatch")
-	}
-	n := 0
-	maxY := 1.0
-	for _, s := range series {
-		if len(s) > n {
-			n = len(s)
-		}
-		for _, v := range s {
-			if v > maxY {
-				maxY = v
-			}
-		}
-	}
-	if n < 2 {
-		return fmt.Errorf("report: series too short")
-	}
-	colors := []string{svgColorA, svgColorB, "#58985c", "#9058a8", "#a89038"}
-
-	const width, height = 720, 400
-	const left, right, top, bottom = 70, 20, 50, 60
-	plotW := float64(width - left - right)
-	plotH := float64(height - top - bottom)
-	sb := newSVG(width, height)
-	sb.text(float64(width)/2, 24, 15, "middle", title)
-	for i := 0; i <= 4; i++ {
-		y := top + plotH*float64(i)/4
-		sb.line(left, y, float64(width-right), y, svgColorGrid, 1)
-		sb.text(left-6, y+4, 11, "end", fmt.Sprintf("%.0f", maxY-maxY*float64(i)/4))
-	}
-	sb.line(left, top+plotH, float64(width-right), top+plotH, svgColorText, 1.5)
-	sb.text(float64(width)/2, float64(height)-34, 12, "middle", xlabel)
-
-	for si, s := range series {
-		color := colors[si%len(colors)]
-		var path strings.Builder
-		for i, v := range s {
-			x := left + plotW*float64(i)/float64(n-1)
-			y := top + plotH*(1-v/maxY)
-			if math.IsNaN(y) {
-				continue
-			}
-			if i == 0 {
-				fmt.Fprintf(&path, "M%.1f %.1f", x, y)
-			} else {
-				fmt.Fprintf(&path, " L%.1f %.1f", x, y)
-			}
-		}
-		fmt.Fprintf(sb, `<path d="%s" fill="none" stroke="%s" stroke-width="2"/>`+"\n", path.String(), color)
-		lx := left + float64(si)*130
-		sb.line(lx, float64(height)-14, lx+22, float64(height)-14, color, 2)
-		sb.text(lx+28, float64(height)-10, 12, "start", labels[si])
-	}
 	_, err := io.WriteString(w, sb.close())
 	return err
 }

@@ -86,31 +86,6 @@ func TestSVGRing(t *testing.T) {
 	}
 }
 
-func TestSVGSeries(t *testing.T) {
-	var sb strings.Builder
-	err := SVGSeries(&sb, "Work per tick", "tick",
-		[]string{"none", "churn"},
-		[][]float64{{10, 9, 8, 7}, {10, 9.5, 9.2, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sb.String()
-	validSVG(t, s)
-	if strings.Count(s, "<path") != 2 {
-		t.Errorf("want 2 paths, got %d", strings.Count(s, "<path"))
-	}
-}
-
-func TestSVGSeriesErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := SVGSeries(&sb, "t", "x", []string{"a"}, nil); err == nil {
-		t.Error("mismatch must fail")
-	}
-	if err := SVGSeries(&sb, "t", "x", []string{"a"}, [][]float64{{1}}); err == nil {
-		t.Error("too-short series must fail")
-	}
-}
-
 func TestEscapeXML(t *testing.T) {
 	if got := escapeXML(`<a & "b">`); got != "&lt;a &amp; &quot;b&quot;&gt;" {
 		t.Errorf("escapeXML = %q", got)

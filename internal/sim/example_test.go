@@ -8,10 +8,11 @@ import (
 	"chordbalance/internal/strategy"
 )
 
-// Example runs the paper's headline comparison on a small network: the
-// same job with and without random Sybil injection.
+// Example runs the paper's headline comparison: a 500-node network
+// working through 50,000 tasks (100 ticks at perfect balance), with and
+// without random Sybil injection. README's quickstart shows this output.
 func Example() {
-	base := sim.Config{Nodes: 100, Tasks: 10000, Seed: 7}
+	base := sim.Config{Nodes: 500, Tasks: 50000, Seed: 42}
 	baseline, err := sim.Run(base)
 	if err != nil {
 		log.Fatal(err)
@@ -21,13 +22,19 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("ideal ticks:", baseline.IdealTicks)
-	fmt.Println("baseline completed:", baseline.Completed)
-	fmt.Println("random injection faster:", balanced.Ticks < baseline.Ticks)
+	fmt.Printf("ideal runtime:      %d ticks\n", baseline.IdealTicks)
+	fmt.Printf("no strategy:        %d ticks (factor %.2f)\n",
+		baseline.Ticks, baseline.RuntimeFactor)
+	fmt.Printf("random injection:   %d ticks (factor %.2f, %d Sybils created)\n",
+		balanced.Ticks, balanced.RuntimeFactor,
+		balanced.Messages.SybilsCreated)
+	fmt.Printf("speedup:            %.1fx\n",
+		float64(baseline.Ticks)/float64(balanced.Ticks))
 	// Output:
-	// ideal ticks: 100
-	// baseline completed: true
-	// random injection faster: true
+	// ideal runtime:      100 ticks
+	// no strategy:        698 ticks (factor 6.98)
+	// random injection:   184 ticks (factor 1.84, 8702 Sybils created)
+	// speedup:            3.8x
 }
 
 // ExampleRun_snapshots captures the workload distribution at the ticks

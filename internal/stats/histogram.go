@@ -41,22 +41,6 @@ func NewLogHistogram(max float64, binsPerDecade int) *Histogram {
 	return &Histogram{Edges: edges, Counts: make([]int, n)}
 }
 
-// NewLinearHistogram builds a histogram with n equal-width bins over
-// [lo, hi). It panics on invalid parameters.
-func NewLinearHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo || lo < 0 {
-		panic("stats: invalid linear histogram parameters")
-	}
-	edges := make([]float64, n+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	if edges[0] == 0 {
-		edges[0] = math.SmallestNonzeroFloat64
-	}
-	return &Histogram{Edges: edges, Counts: make([]int, n)}
-}
-
 // Add records one observation. Negative values panic: workloads are counts.
 func (h *Histogram) Add(x float64) {
 	if x < 0 {
@@ -110,25 +94,6 @@ func (h *Histogram) Fractions() []float64 {
 	}
 	out[len(out)-1] = float64(h.OverCount) / float64(h.total)
 	return out
-}
-
-// Merge adds the counts of another histogram with identical edges.
-// Histograms with different shapes panic: merging them is a logic error.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.Edges) != len(o.Edges) {
-		panic("stats: merging histograms with different binning")
-	}
-	for i, e := range h.Edges {
-		if e != o.Edges[i] {
-			panic("stats: merging histograms with different binning")
-		}
-	}
-	h.ZeroCount += o.ZeroCount
-	h.OverCount += o.OverCount
-	h.total += o.total
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
 }
 
 // BinLabel renders a human-readable range label for bin i, with i == -1

@@ -37,8 +37,6 @@ func TestHistogramPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewLogHistogram(0.5, 1) },
 		func() { NewLogHistogram(10, 0) },
-		func() { NewLinearHistogram(5, 5, 3) },
-		func() { NewLinearHistogram(0, 10, 0) },
 		func() { NewLogHistogram(10, 1).Add(-1) },
 	} {
 		func() {
@@ -114,48 +112,6 @@ func TestHistogramFractions(t *testing.T) {
 	if fr[0] != 0.25 || fr[len(fr)-1] != 0.25 {
 		t.Errorf("zero/over fractions = %v", fr)
 	}
-}
-
-func TestLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram(0, 100, 4)
-	for _, v := range []float64{0, 10, 30, 55, 80, 99, 100} {
-		h.Add(v)
-	}
-	// 0 goes to zero bucket (first edge nudged above 0).
-	if h.ZeroCount != 1 {
-		t.Errorf("zero = %d", h.ZeroCount)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[3] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.OverCount != 1 {
-		t.Errorf("over = %d", h.OverCount)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewLogHistogram(100, 1)
-	b := NewLogHistogram(100, 1)
-	a.Add(5)
-	b.Add(0)
-	b.Add(50)
-	b.Add(5000)
-	a.Merge(b)
-	if a.Total() != 4 || a.ZeroCount != 1 || a.OverCount != 1 {
-		t.Errorf("merged: %+v", a)
-	}
-	if a.Counts[0] != 1 || a.Counts[1] != 1 {
-		t.Errorf("merged counts: %v", a.Counts)
-	}
-}
-
-func TestHistogramMergeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on shape mismatch")
-		}
-	}()
-	NewLogHistogram(100, 1).Merge(NewLogHistogram(1000, 1))
 }
 
 func TestBinLabels(t *testing.T) {

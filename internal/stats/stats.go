@@ -173,29 +173,6 @@ func (o *Online) Min() float64 { return o.min }
 // Max returns the largest observation (0 for an empty accumulator).
 func (o *Online) Max() float64 { return o.max }
 
-// Merge folds another accumulator into this one (parallel reduction).
-func (o *Online) Merge(p *Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *p
-		return
-	}
-	n := o.n + p.n
-	d := p.mean - o.mean
-	mean := o.mean + d*float64(p.n)/float64(n)
-	m2 := o.m2 + p.m2 + d*d*float64(o.n)*float64(p.n)/float64(n)
-	min, max := o.min, o.max
-	if p.min < min {
-		min = p.min
-	}
-	if p.max > max {
-		max = p.max
-	}
-	*o = Online{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
 // ConfidenceInterval95 returns the half-width of the 95% confidence
 // interval of the mean, using the normal approximation appropriate for the
 // 100-trial batches the paper reports.

@@ -146,38 +146,6 @@ func TestOnlineEmpty(t *testing.T) {
 	}
 }
 
-func TestOnlineMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	var whole, left, right Online
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 3 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() || !almostEqual(left.Mean(), whole.Mean(), 1e-9) ||
-		!almostEqual(left.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged %+v != whole %+v", left, whole)
-	}
-	if left.Min() != 1 || left.Max() != 8 {
-		t.Errorf("merged min/max = %v/%v", left.Min(), left.Max())
-	}
-	// Merging an empty accumulator is a no-op; merging into empty copies.
-	var empty Online
-	before := left
-	left.Merge(&empty)
-	if left != before {
-		t.Error("merging empty changed state")
-	}
-	empty.Merge(&whole)
-	if empty != whole {
-		t.Error("merging into empty must copy")
-	}
-}
-
 func TestConfidenceInterval(t *testing.T) {
 	var o Online
 	for i := 0; i < 100; i++ {
