@@ -82,6 +82,39 @@ func BenchmarkRingInsert(b *testing.B) {
 	}
 }
 
+// idleWindow is how many timed joins BenchmarkRingInsertIdleArc makes
+// before rebuilding its ring off the clock: large enough that the
+// rebuild, which costs about as much as the joins, does not dominate
+// the wall time, small enough that the ring grows by a third at most.
+const idleWindow = 1 << 15
+
+// BenchmarkRingInsertIdleArc measures a join on a 100k-node Build ring
+// that holds no keys — the shape of a late random-injection run, where
+// almost every Sybil lands on an arc with nothing left to split, so the
+// has-keys bit spares loading either neighbour.
+func BenchmarkRingInsertIdleArc(b *testing.B) {
+	g := keys.NewGenerator(4)
+	nodeIDs := g.NodeIDs(100_000)
+	data := make([]int, len(nodeIDs))
+	joinIDs := g.NodeIDs(idleWindow)
+	var r *Ring[int]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%idleWindow == 0 {
+			b.StopTimer()
+			r = New[int]()
+			if _, err := r.Build(nodeIDs, data); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := r.Insert(joinIDs[i%idleWindow], i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRingRemove measures a graceful leave with key hand-off to the
 // successor. The ring is rebuilt off the clock with a window of spare
 // nodes, so every timed iteration removes a node that is genuinely on a
@@ -124,6 +157,26 @@ func BenchmarkRingSeed(b *testing.B) {
 			r.At(j).ConsumeN(1 << 30)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkSortedCopy measures Seed's batch sort per key. At 100k keys
+// the 64Ki radix buckets hold about 1.5 keys each; at 2M (the
+// sim-scale-100k batch) they hold about 30 and the per-bucket insertion
+// sort is most of the cost.
+func BenchmarkSortedCopy(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"100k", 100_000}, {"2M", 2_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			batch := keys.NewGenerator(5).TaskKeys(c.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = sortedCopy(batch)[0]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/key")
+		})
 	}
 }
 

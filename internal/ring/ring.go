@@ -25,7 +25,9 @@
 // per key — as its window in place, or merges it with the node's
 // residual keys in a single two-run pass;
 // Remove reuses the successor's consumed front (or hands the whole
-// window over) instead of allocating a merged slice whenever it can.
+// window over) instead of allocating a merged slice whenever it can;
+// and a has-keys bit per arena slot lets a join on an arc with nothing
+// left to split (late in a run, nearly every Sybil) load no neighbour.
 //
 // The ring order itself is stored as *segments*: parallel arrays of
 // 8-byte ID prefixes and 4-byte slot indices into a stable node arena.
@@ -42,6 +44,7 @@
 package ring
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -140,9 +143,11 @@ type Ring[T any] struct {
 	// join/leave splice a memmove with no GC write barriers, and
 	// segmenting bounds each splice at one segment instead of the whole
 	// ring. slots never moves an entry; freed slots are recycled LIFO
-	// through free.
+	// through free. loaded holds one has-keys bit per slot, set exactly
+	// when that node's window keys[head:] is non-empty.
 	slots    []*Node[T]
 	free     []int32
+	loaded   []uint64
 	segs     []segment
 	segShift uint
 	count    int
@@ -212,6 +217,7 @@ func sortedCopy(s []ids.ID) []ids.ID {
 // (insertion sort); skewed workloads (Zipf duplicates) produce large
 // buckets of mostly-identical keys, for which insertion sort is linear,
 // but genuinely large mixed buckets fall back to the library sort.
+// Insertion compares 8-byte prefix words, and whole IDs only on a tie.
 func sortBucket(b []ids.ID) {
 	if len(b) > 48 {
 		sort.Sort(idKeys(b))
@@ -219,10 +225,13 @@ func sortBucket(b []ids.ID) {
 	}
 	for i := 1; i < len(b); i++ {
 		k := b[i]
+		p := binary.BigEndian.Uint64(k[:8])
 		j := i - 1
-		for j >= 0 && k.Less(b[j]) {
+		for ; j >= 0; j-- {
+			if q := binary.BigEndian.Uint64(b[j][:8]); q < p || q == p && !k.Less(b[j]) {
+				break
+			}
 			b[j+1] = b[j]
-			j--
 		}
 		b[j+1] = k
 	}
@@ -294,6 +303,18 @@ func (r *Ring[T]) segOf(id ids.ID) int {
 
 // node returns the node stored at segment position (s, off).
 func (r *Ring[T]) node(s, off int) *Node[T] { return r.slots[r.segs[s].slots[off]] }
+
+// isLoaded reports slot's has-keys bit.
+func (r *Ring[T]) isLoaded(slot int32) bool { return r.loaded[slot>>6]>>(slot&63)&1 != 0 }
+
+// setLoaded sets or clears slot's has-keys bit.
+func (r *Ring[T]) setLoaded(slot int32, on bool) {
+	if on {
+		r.loaded[slot>>6] |= 1 << (slot & 63)
+	} else {
+		r.loaded[slot>>6] &^= 1 << (slot & 63)
+	}
+}
 
 // searchIn returns the insertion offset for id within segment s: the
 // first offset whose node ID is >= id. The binary search runs over the
@@ -487,17 +508,17 @@ func (r *Ring[T]) Insert(id ids.ID, data T) (*Node[T], error) {
 	n.slot = r.alloc(n)
 	n.seg, n.off = uint16(s), int32(off)
 	if r.count > 0 {
-		// The node that currently owns id (n's successor-to-be).
+		// The node that currently owns id (n's successor-to-be). It and
+		// the predecessor — two cache misses — are loaded only when its
+		// has-keys bit is set: an idle window (on late-run rings the
+		// common case) has nothing to split and keeps its unread head.
 		ss, soff := r.occupiedFrom(s, off)
-		succ := r.node(ss, soff)
-		active := succ.keys[succ.head:]
-		cut := 0
-		if len(active) > 0 {
+		if sslot := r.segs[ss].slots[soff]; r.isLoaded(sslot) {
+			succ := r.slots[sslot]
+			active := succ.keys[succ.head:]
 			// Split succ's keys: n takes those in (pred, id], i.e. the
 			// active prefix whose ring distance from pred.id is <=
-			// dist(pred, id). An empty window has nothing to split, so
-			// the predecessor — a cache miss, and on late-run rings the
-			// common case — is loaded only here.
+			// dist(pred, id).
 			ps, poff := r.occupiedBefore(s, off)
 			predID := r.node(ps, poff).id
 			limit := predID.Distance(id)
@@ -510,11 +531,12 @@ func (r *Ring[T]) Insert(id ids.ID, data T) (*Node[T], error) {
 					lo = mid + 1
 				}
 			}
-			cut = lo
-			n.keys = active[:cut]
+			n.keys = active[:lo]
+			succ.keys = active[lo:]
+			succ.head = 0
+			r.setLoaded(n.slot, lo > 0)
+			r.setLoaded(sslot, lo < len(active))
 		}
-		succ.keys = active[cut:]
-		succ.head = 0
 	}
 	// Splice into the segment. Offset hints of the shifted nodes go
 	// stale and self-repair on their next posOf; the copy moves plain
@@ -536,6 +558,9 @@ func (r *Ring[T]) alloc(n *Node[T]) int32 {
 		return s
 	}
 	r.slots = append(r.slots, n)
+	if len(r.slots) > 64*len(r.loaded) {
+		r.loaded = append(r.loaded, 0)
+	}
 	return int32(len(r.slots) - 1)
 }
 
@@ -581,6 +606,7 @@ func (r *Ring[T]) Build(nodeIDs []ids.ID, data []T) ([]*Node[T], error) {
 	r.segShift = uint(16 - bits)
 	r.segs = make([]segment, 1<<bits)
 	r.slots = sorted
+	r.loaded = make([]uint64, (len(sorted)+63)/64)
 	r.free = r.free[:0]
 	r.memo.valid = false
 	// Segments are contiguous runs of the sorted order. Each takes its
@@ -641,6 +667,7 @@ func (r *Ring[T]) Remove(n *Node[T]) error {
 			// The successor is idle: hand the whole window over.
 			succ.keys = n.keys
 			succ.head = n.head
+			r.setLoaded(succ.slot, true)
 		case w <= succ.head:
 			// The successor has consumed at least w keys off its front;
 			// those slots belong exclusively to succ's window and are
@@ -670,6 +697,7 @@ func (r *Ring[T]) Remove(n *Node[T]) error {
 // collected.
 func (r *Ring[T]) release(n *Node[T]) {
 	r.slots[n.slot] = nil
+	r.setLoaded(n.slot, false)
 	r.free = append(r.free, n.slot)
 	n.r = nil
 }
@@ -761,10 +789,11 @@ func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 	return nil
 }
 
-// mergeSeed merges the incoming run (ascending in ring distance from
-// predID) with the node's residual keys (same order by invariant) into
-// a fresh exactly-sized window.
+// mergeSeed merges the non-empty incoming run (ascending in ring
+// distance from predID) with the node's residual keys (same order by
+// invariant) into a fresh exactly-sized window.
 func (n *Node[T]) mergeSeed(predID ids.ID, run []ids.ID) {
+	n.r.setLoaded(n.slot, true)
 	res := n.keys[n.head:]
 	if len(res) == 0 {
 		// Fast path: no residual keys — the run, a region of Seed's fresh
@@ -855,6 +884,9 @@ func (r *Ring[T]) CheckInvariants() error {
 				}
 				prevDist = d
 			}
+			if r.isLoaded(slot) != (n.Workload() > 0) {
+				return fmt.Errorf("ring: node %s has-keys bit is %v with %d keys", n.id.Short(), r.isLoaded(slot), n.Workload())
+			}
 			total += n.Workload()
 			prev = n
 			seen++
@@ -867,8 +899,8 @@ func (r *Ring[T]) CheckInvariants() error {
 		return fmt.Errorf("ring: key count drift: counted %d, tracked %d", total, r.totalKeys)
 	}
 	for _, s := range r.free {
-		if r.slots[s] != nil {
-			return fmt.Errorf("ring: free slot %d still holds a node", s)
+		if r.slots[s] != nil || r.isLoaded(s) {
+			return fmt.Errorf("ring: free slot %d still holds a node or its has-keys bit", s)
 		}
 	}
 	if live := len(r.slots) - len(r.free); live != r.count {
@@ -919,6 +951,9 @@ func (n *Node[T]) Consume() (key ids.ID, ok bool) {
 	} else {
 		key = n.keys[n.head]
 		n.head++
+	}
+	if n.head == len(n.keys) {
+		n.r.setLoaded(n.slot, false)
 	}
 	n.r.totalKeys--
 	return key, true
@@ -972,6 +1007,9 @@ func (n *Node[T]) ConsumeN(max int) int {
 		}
 	default: // ConsumeFront
 		n.head += max
+	}
+	if n.head == len(n.keys) {
+		n.r.setLoaded(n.slot, false)
 	}
 	n.r.totalKeys -= max
 	return max

@@ -205,6 +205,101 @@ func TestCheckInvariantsCatchesPrefixDrift(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesLoadedDrift flips has-keys bits the way a
+// window writer that forgot to update its bit would.
+func TestCheckInvariantsCatchesLoadedDrift(t *testing.T) {
+	for name, corrupt := range map[string]func(r *Ring[int], idle, loaded, freed int32){
+		"idle node marked loaded": func(r *Ring[int], idle, _, _ int32) { r.setLoaded(idle, true) },
+		"loaded node marked idle": func(r *Ring[int], _, loaded, _ int32) { r.setLoaded(loaded, false) },
+		"free slot marked loaded": func(r *Ring[int], _, _, freed int32) { r.setLoaded(freed, true) },
+	} {
+		r := New[int]()
+		idle, loaded := mustInsert(t, r, 10), mustInsert(t, r, 20)
+		gone := mustInsert(t, r, 30)
+		if err := r.Seed([]ids.ID{u(15)}); err != nil {
+			t.Fatal(err)
+		}
+		freed := gone.slot
+		if err := r.Remove(gone); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(r, idle.slot, loaded.slot, freed)
+		if err := r.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		}
+	}
+}
+
+// TestLoadedBitTransitions drives every writer of the has-keys bit once
+// and checks, after each step, the bit and the window of every node the
+// step touched, plus the ring's own invariants.
+func TestLoadedBitTransitions(t *testing.T) {
+	r := New[int]()
+	nodes, err := r.Build([]ids.ID{u(10), u(20), u(30), u(40)}, make([]int, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n10, n20, n30, n40 := nodes[0], nodes[1], nodes[2], nodes[3]
+	check := func(step string, want map[*Node[int]]bool) {
+		t.Helper()
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for n, loaded := range want {
+			if got := r.isLoaded(n.slot); got != loaded || (n.Workload() > 0) != loaded {
+				t.Fatalf("%s: node %v bit %v with %d keys, want loaded=%v", step, n.ID().Short(), got, n.Workload(), loaded)
+			}
+		}
+	}
+	seed := func(vs ...uint64) {
+		t.Helper()
+		batch := make([]ids.ID, len(vs))
+		for i, v := range vs {
+			batch[i] = u(v)
+		}
+		if err := r.Seed(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Build", map[*Node[int]]bool{n10: false, n20: false, n30: false, n40: false})
+
+	seed(15, 16, 17, 18)
+	check("Seed onto an empty window", map[*Node[int]]bool{n10: false, n20: true, n30: false})
+	seed(19)
+	check("Seed through the merge path", map[*Node[int]]bool{n20: true})
+
+	seed(35, 36)
+	n40.ConsumeN(1 << 30)
+	seed(25)
+	n30.Consume()
+	check("ConsumeN and Consume down to empty", map[*Node[int]]bool{n30: false, n40: false})
+
+	// n20 holds 15..19; each join takes a prefix of its window.
+	a12 := mustInsert(t, r, 12)
+	check("split taking none", map[*Node[int]]bool{a12: false, n20: true})
+	a16 := mustInsert(t, r, 16)
+	check("split taking some", map[*Node[int]]bool{a16: true, n20: true})
+	a19 := mustInsert(t, r, 19)
+	check("split taking all", map[*Node[int]]bool{a19: true, n20: false})
+	a25 := mustInsert(t, r, 25)
+	check("join on an idle arc", map[*Node[int]]bool{a25: false, n30: false})
+
+	freed := a19.slot
+	if err := r.Remove(a19); err != nil {
+		t.Fatal(err)
+	}
+	check("Remove into an idle successor", map[*Node[int]]bool{n20: true})
+
+	a35 := mustInsert(t, r, 35)
+	if a35.slot != freed {
+		t.Fatalf("join took slot %d, want the freed slot %d", a35.slot, freed)
+	}
+	check("reuse of a loaded leaver's slot", map[*Node[int]]bool{a35: false, n40: false})
+}
+
 func TestSingleNodeOwnsEverything(t *testing.T) {
 	r := New[int]()
 	n := mustInsert(t, r, 100)

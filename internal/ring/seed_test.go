@@ -116,12 +116,12 @@ func withPrefix(rng *xrand.Rand, p uint16) ids.ID {
 
 // TestSeedRadixMatchesModel seeds batches large enough for the radix
 // path — uniform, Zipf-duplicated (one bucket far past the insertion
-// sort's limit) and confined to one two-byte prefix (every key in one
-// bucket) — onto a multi-segment ring, checks every window against a
-// sorted-slice model, then checks that Seed kept no reference to the
-// caller's batch and drives the arena-aliased windows through an Insert
-// split, a Remove into the successor's consumed front and ConsumeN in
-// every mode.
+// sort's limit), small buckets whose keys tie on all 8 prefix bytes, and
+// confined to one two-byte prefix (every key in one bucket) — onto a
+// multi-segment ring, checks every window against a sorted-slice model,
+// then checks that Seed kept no reference to the caller's batch and
+// drives the arena-aliased windows through an Insert split, a Remove
+// into the successor's consumed front and ConsumeN in every mode.
 func TestSeedRadixMatchesModel(t *testing.T) {
 	const shared = 0xabcd
 	rng := xrand.New(5)
@@ -143,12 +143,29 @@ func TestSeedRadixMatchesModel(t *testing.T) {
 	for i := range prefixed {
 		prefixed[i] = withPrefix(rng, shared)
 	}
+	// Buckets of 2 to 32 keys that share all 8 prefix bytes and differ
+	// in bytes 8-19, every fifth key a copy of the one before: sortBucket's
+	// insertion loop orders these by its 20-byte tie fallback alone. The
+	// buckets are distinct and all below the shared one.
+	var ties []ids.ID
+	for grp := 0; len(ties) < radixMin; grp++ {
+		base := withPrefix(rng, uint16(grp*97))
+		for i := 0; i < 2+grp%31; i++ {
+			k := withPrefix(rng, 0)
+			copy(k[:8], base[:8])
+			if i%5 == 4 {
+				k = ties[len(ties)-1]
+			}
+			ties = append(ties, k)
+		}
+	}
 	batches := []struct {
 		name string
 		keys []ids.ID
 	}{
 		{"uniform", g.TaskKeys(radixMin + 123)},
 		{"zipf", keys.ZipfKeys(rng, 9, 2*radixMin, 50, 1.2)},
+		{"prefix-ties", ties},
 		{"shared-prefix", prefixed},
 	}
 	// arena collects the nodes whose windows are regions of the last
