@@ -29,7 +29,7 @@ func TestJoinPuzzleGate(t *testing.T) {
 	for adversary.VerifyPuzzle(outsider.ID(), bad, cfg.PuzzleBits) {
 		bad++
 	}
-	_, err = outsider.pool.call(nodes[0].Ref(), &wire.Msg{Type: wire.TJoin, From: outsider.ref, A: bad})
+	err = outsider.pool.call(nodes[0].Ref(), &wire.Msg{Type: wire.TJoin, From: outsider.ref, A: bad}, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("unsolved join puzzle not refused: err = %v", err)
 	}

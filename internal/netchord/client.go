@@ -147,8 +147,7 @@ func (c *Client) token() uint64 {
 
 // Ping round-trips a TPing through the seed node.
 func (c *Client) Ping() error {
-	_, err := c.pool.call(c.seed, &wire.Msg{Type: wire.TPing})
-	return err
+	return c.pool.call(c.seed, &wire.Msg{Type: wire.TPing}, nil)
 }
 
 // Lookup resolves the owner of key with the iterative lookup (see
@@ -170,13 +169,14 @@ const rerouteAttempts = 5
 // stabilization beat between attempts. The owner that accepts is
 // remembered. Every keyed request is safe to re-send: storing is
 // idempotent, reads have no effect, and a task carries one idempotency
-// token across all attempts.
-func (c *Client) routed(key ids.ID, m *wire.Msg) (*wire.Msg, error) {
+// token across all attempts. The answer is read into reply (nil: the
+// outcome only).
+func (c *Client) routed(key ids.ID, m, reply *wire.Msg) error {
 	if owner, ok := c.routes.successor(key); ok {
-		reply, err := c.pool.call(owner, m)
+		err := c.pool.call(owner, m, reply)
 		if err == nil {
 			c.hits.Add(1)
-			return reply, nil
+			return nil
 		}
 		c.failed(owner, err)
 	}
@@ -190,14 +190,13 @@ func (c *Client) routed(key ids.ID, m *wire.Msg) (*wire.Msg, error) {
 		if owner, _, err = c.Lookup(key); err != nil {
 			continue
 		}
-		var reply *wire.Msg
-		if reply, owner, err = c.pool.callOwner(owner, m); err == nil {
+		if owner, err = c.pool.callOwner(owner, m, reply); err == nil {
 			c.routes.remember(owner)
-			return reply, nil
+			return nil
 		}
 		c.failed(owner, err)
 	}
-	return nil, err
+	return err
 }
 
 // failed records a failed send to owner. A refusal keeps the cache
@@ -223,8 +222,8 @@ func (c *Client) Put(key ids.ID, value []byte) error {
 // the handle a verifier needs to later prove the write survived (a read
 // at version >= this one with these bytes, or newer).
 func (c *Client) PutVer(key ids.ID, value []byte) (uint64, error) {
-	reply, err := c.routed(key, &wire.Msg{Type: wire.TPut, Key: key, Value: value})
-	if err != nil {
+	var reply wire.Msg
+	if err := c.routed(key, &wire.Msg{Type: wire.TPut, Key: key, Value: value}, &reply); err != nil {
 		return 0, err
 	}
 	return reply.A, nil
@@ -239,11 +238,13 @@ func (c *Client) Get(key ids.ID) ([]byte, error) {
 // GetVer is Get returning the owner's stored version alongside the
 // value.
 func (c *Client) GetVer(key ids.ID) ([]byte, uint64, error) {
-	return getResult(c.routed(key, &wire.Msg{Type: wire.TGet, Key: key}))
+	var reply wire.Msg
+	return getResult(&reply, c.routed(key, &wire.Msg{Type: wire.TGet, Key: key}, &reply))
 }
 
 // getResult unpacks a TGetOK reply: a found value and its version, or
-// ErrNotFound when the owner does not hold the key.
+// ErrNotFound when the owner does not hold the key. The value is the
+// reply's own, decoded for this call, so it is the caller's to keep.
 func getResult(reply *wire.Msg, err error) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
@@ -258,7 +259,8 @@ func getResult(reply *wire.Msg, err error) ([]byte, uint64, error) {
 // the owner cache. A node that does not own key refuses with
 // ErrNotOwner.
 func (c *Client) GetFrom(owner wire.NodeRef, key ids.ID) ([]byte, uint64, error) {
-	return getResult(c.pool.call(owner, &wire.Msg{Type: wire.TGet, Key: key}))
+	var reply wire.Msg
+	return getResult(&reply, c.pool.call(owner, &wire.Msg{Type: wire.TGet, Key: key}, &reply))
 }
 
 // Owner resolves key's owner with an uncached lookup.
@@ -275,18 +277,16 @@ func (c *Client) Owner(key ids.ID) (wire.NodeRef, error) {
 // its report leaves every other counter at zero.
 func (c *Client) ReportStream(addr string, chunks, misses, rebuffers, bytes uint64) error {
 	s := wire.Stats{StreamChunks: chunks, StreamDeadlineMiss: misses, StreamRebuffers: rebuffers, StreamBytes: bytes}
-	_, err := c.pool.call(wire.NodeRef{Addr: addr}, &wire.Msg{
+	return c.pool.call(wire.NodeRef{Addr: addr}, &wire.Msg{
 		Type:  wire.TReport,
 		From:  wire.NodeRef{ID: c.id},
 		Value: wire.AppendStats(nil, &s),
-	})
-	return err
+	}, nil)
 }
 
 // SubmitTask routes units of work under key to its owner, reusing one
 // idempotency token across re-routes so the units land exactly once
 // even when an owner dies (or refuses, mid-leave) between attempts.
 func (c *Client) SubmitTask(key ids.ID, units uint64) error {
-	_, err := c.routed(key, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: c.token()})
-	return err
+	return c.routed(key, &wire.Msg{Type: wire.TTask, Key: key, A: units, B: c.token()}, nil)
 }

@@ -30,6 +30,14 @@ func arcNode(t *testing.T, tr Transport, id, pred uint64) *Node {
 	return n
 }
 
+// answer runs handle on req with a fresh reply, as serveConn does for
+// one request, and returns the reply.
+func answer(handle func(req, reply *wire.Msg), req *wire.Msg) *wire.Msg {
+	reply := new(wire.Msg)
+	handle(req, reply)
+	return reply
+}
+
 // isNotOwner reports whether reply is a CodeNotOwner refusal.
 func isNotOwner(reply *wire.Msg) bool {
 	return reply.Type == wire.TError && reply.A == CodeNotOwner
@@ -46,7 +54,7 @@ func TestHandleRefusesKeysOutsideArc(t *testing.T) {
 		{Type: wire.TPut, Key: outside, Value: []byte("v")},
 		{Type: wire.TTask, Key: outside, A: 3, B: 77},
 	} {
-		if reply := n.handle(req); !isNotOwner(reply) {
+		if reply := answer(n.handler(), req); !isNotOwner(reply) {
 			t.Fatalf("%v for a key outside (pred, self]: got %v code %d, want CodeNotOwner", req.Type, reply.Type, reply.A)
 		}
 	}
@@ -57,7 +65,7 @@ func TestHandleRefusesKeysOutsideArc(t *testing.T) {
 		t.Fatalf("refused task changed the node's units %d -> %d", units, got)
 	}
 	for _, k := range []uint64{51, 100} {
-		if reply := n.handle(&wire.Msg{Type: wire.TGet, Key: ids.FromUint64(k)}); reply.Type != wire.TGetOK {
+		if reply := answer(n.handler(), &wire.Msg{Type: wire.TGet, Key: ids.FromUint64(k)}); reply.Type != wire.TGetOK {
 			t.Fatalf("get of %d inside (50, 100]: got %v", k, reply.Type)
 		}
 	}
@@ -69,13 +77,13 @@ func TestRefusedTaskAppliesOnceAtOwner(t *testing.T) {
 	owner := arcNode(t, tr, 50, 10)    // arc (10, 50]
 	task := &wire.Msg{Type: wire.TTask, Key: ids.FromUint64(30), A: 3, B: 4242}
 
-	if reply := refuser.handle(task); !isNotOwner(reply) {
+	if reply := answer(refuser.handler(), task); !isNotOwner(reply) {
 		t.Fatalf("task outside the arc: got %v, want a refusal", reply.Type)
 	}
 	// Re-sent to the true owner, then re-sent again (a lost reply): the
 	// token makes it land exactly once.
 	for i := 0; i < 2; i++ {
-		if reply := owner.handle(task); reply.Type != wire.TAck {
+		if reply := answer(owner.handler(), task); reply.Type != wire.TAck {
 			t.Fatalf("task at its owner, send %d: got %v", i, reply.Type)
 		}
 	}
@@ -90,7 +98,7 @@ func TestRefusedTaskAppliesOnceAtOwner(t *testing.T) {
 	refuser.mu.Lock()
 	refuser.pred.ID = ids.FromUint64(10)
 	refuser.mu.Unlock()
-	if reply := refuser.handle(task); reply.Type != wire.TAck || refuser.TaskUnits() != 3 {
+	if reply := answer(refuser.handler(), task); reply.Type != wire.TAck || refuser.TaskUnits() != 3 {
 		t.Fatalf("token was consumed by the refusal: reply %v, units %d", reply.Type, refuser.TaskUnits())
 	}
 }
@@ -105,7 +113,7 @@ func TestNodeWithoutPredecessorAcceptsEveryKey(t *testing.T) {
 			{Type: wire.TGet, Key: key},
 			{Type: wire.TTask, Key: key, A: 1},
 		} {
-			if reply := n.handle(req); reply.Type == wire.TError {
+			if reply := answer(n.handler(), req); reply.Type == wire.TError {
 				t.Fatalf("%v of %s at a node with no predecessor: refused (%s)", req.Type, key.Short(), reply.Text)
 			}
 		}

@@ -164,8 +164,8 @@ func FetchStats(tr Transport, cfg Config, addr string) (wire.Stats, error) {
 	if err := fc.WriteMsg(&wire.Msg{Type: wire.TStats, Req: 1}); err != nil {
 		return wire.Stats{}, err
 	}
-	reply, err := fc.ReadMsg()
-	if err != nil {
+	var reply wire.Msg
+	if err := fc.ReadMsg(&reply); err != nil {
 		return wire.Stats{}, err
 	}
 	if reply.Type != wire.TStatsOK {

@@ -209,16 +209,18 @@ func (c *Collector) acceptLoop() {
 	}
 }
 
-// handle dispatches one collector request.
-func (c *Collector) handle(req *wire.Msg) *wire.Msg {
+// handle dispatches one collector request, filling reply (see
+// serveConn). A report keeps no request memory: DecodeStats copies.
+func (c *Collector) handle(req, reply *wire.Msg) {
 	switch req.Type {
 	case wire.TPing:
-		return &wire.Msg{Type: wire.TPong}
+		reply.Type = wire.TPong
 
 	case wire.TReport:
 		r, err := wire.DecodeStats(req.Value)
 		if err != nil {
-			return errorMsg(CodeBadRequest, err.Error())
+			errorMsg(reply, CodeBadRequest, err.Error())
+			return
 		}
 		c.mu.Lock()
 		prev, known := c.last[req.From.ID]
@@ -235,16 +237,16 @@ func (c *Collector) handle(req *wire.Msg) *wire.Msg {
 		}
 		c.emitLocked()
 		c.mu.Unlock()
-		return &wire.Msg{Type: wire.TAck}
+		reply.Type = wire.TAck
 
 	case wire.TStats:
 		c.mu.Lock()
 		s := c.statsLocked()
 		c.mu.Unlock()
-		return &wire.Msg{Type: wire.TStatsOK, Value: wire.AppendStats(nil, &s)}
+		reply.Type, reply.Value = wire.TStatsOK, wire.AppendStats(reply.Value, &s)
 
 	default:
-		return errorMsg(CodeBadRequest, "unexpected collector message "+req.Type.String())
+		errorMsg(reply, CodeBadRequest, "unexpected collector message "+req.Type.String())
 	}
 }
 

@@ -78,7 +78,7 @@ func TestCollectorReportRule(t *testing.T) {
 			defer c.Close()
 			for i, m := range tc.seq {
 				before := c.Stats()
-				reply := c.handle(m)
+				reply := answer(c.handle, m)
 				if i != tc.refuse {
 					if reply.Type != wire.TAck {
 						t.Fatalf("report %d: reply %v %q, want ack", i, reply.Type, reply.Text)

@@ -223,8 +223,8 @@ func TestCollectorStoreReportTracedEqualsUntraced(t *testing.T) {
 	defer traced.Close()
 
 	for _, m := range storeReportSeq() {
-		plain.handle(m)
-		traced.handle(m)
+		answer(plain.handle, m)
+		answer(traced.handle, m)
 	}
 	p, q := plain.Stats(), traced.Stats()
 	if p != q {
@@ -248,7 +248,7 @@ func TestCollectorEmitZeroAllocsWhenUntraced(t *testing.T) {
 	}
 	defer c.Close()
 	for _, m := range storeReportSeq() {
-		c.handle(m)
+		answer(c.handle, m)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.mu.Lock()

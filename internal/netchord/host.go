@@ -321,11 +321,11 @@ func (h *Host) report() {
 	s.Injections = uint64(h.injects)
 	s.InjectedUnits = h.injUnits
 	h.mu.Unlock()
-	_, _ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
+	_ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
 		Type:  wire.TReport,
 		From:  wire.NodeRef{ID: h.hostID},
 		Value: wire.AppendStats(nil, &s),
-	})
+	}, nil)
 }
 
 // decide runs one decision pass on the host loop: the induced-churn
@@ -393,7 +393,7 @@ func reown(n *Node, recs []wire.Rec, tasks []wire.Task) {
 		n.addTaskLocked(tk.Key, tk.Units)
 	}
 	n.mu.Unlock()
-	if _, err := n.st.ApplyAll(storeRecs(recs)); err != nil {
+	if _, err := n.st.ApplyAll(storeRecs(nil, recs)); err != nil {
 		// Surviving replicas still hold these records; anti-entropy
 		// re-converges the set even if the re-own write fails.
 		n.replicaErrs.Add(1)
@@ -520,9 +520,9 @@ func (h *Host) Predecessors(k int) []strategy.Peer {
 	primary := h.PrimaryNode()
 	var out []strategy.Peer
 	cur, ok := primary.Predecessor()
+	var reply wire.Msg
 	for ok && len(out) < k && cur.ID != primary.ID() {
-		reply, err := primary.pool.call(cur, &wire.Msg{Type: wire.TGetPred})
-		if err != nil || !reply.Flag {
+		if err := primary.pool.call(cur, &wire.Msg{Type: wire.TGetPred}, &reply); err != nil || !reply.Flag {
 			break
 		}
 		out = append(out, h.see(cur, reply.Node.ID))
@@ -549,13 +549,14 @@ func (h *Host) Offer(p strategy.Peer) (load, strength int, ok bool) {
 
 // query sends p a TWorkloadQuery. A peer that does not answer reads as
 // an empty reply: no load, no offer.
-func (h *Host) query(p strategy.Peer) *wire.Msg {
+func (h *Host) query(p strategy.Peer) wire.Msg {
+	var r wire.Msg
 	if ref, ok := h.peers[p.ID]; ok {
-		if r, err := h.PrimaryNode().pool.call(ref, &wire.Msg{Type: wire.TWorkloadQuery}); err == nil {
+		if err := h.PrimaryNode().pool.call(ref, &wire.Msg{Type: wire.TWorkloadQuery}, &r); err == nil {
 			return r
 		}
 	}
-	return &wire.Msg{}
+	return wire.Msg{}
 }
 
 // SplitPoint implements strategy.View. No RPC reports another node's
@@ -581,7 +582,8 @@ func (h *Host) Invite(p strategy.Peer, id ids.ID) bool {
 		return false
 	}
 	primary := h.PrimaryNode()
-	reply, err := primary.pool.call(ref, &wire.Msg{Type: wire.TInvite, Key: id, From: primary.Ref(), A: primary.TaskUnits()})
+	var reply wire.Msg
+	err := primary.pool.call(ref, &wire.Msg{Type: wire.TInvite, Key: id, From: primary.Ref(), A: primary.TaskUnits()}, &reply)
 	return err == nil && reply.Flag
 }
 

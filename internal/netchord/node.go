@@ -237,18 +237,18 @@ func (n *Node) Join(via string) error {
 	// Admission cost: with puzzles on, every identity — honest joiner,
 	// strategy-minted Sybil, or attacker — pays the same work here.
 	nonce := adversary.SolvePuzzle(n.ref.ID, n.cfg.PuzzleBits)
-	reply, err := n.pool.call(succ, &wire.Msg{Type: wire.TJoin, From: n.ref, A: nonce})
-	if err != nil {
+	var reply wire.Msg
+	if err := n.pool.call(succ, &wire.Msg{Type: wire.TJoin, From: n.ref, A: nonce}, &reply); err != nil {
 		return fmt.Errorf("netchord: join handshake: %w", err)
 	}
 	n.mu.Lock()
-	list := append([]wire.NodeRef{succ}, reply.List...)
+	list := append([]wire.NodeRef{succ}, reply.List...) // a copy: the node keeps none of reply's memory
 	n.succ = dedupeRefs(list, n.ref.ID, n.cfg.SuccessorListLen)
 	for _, tk := range reply.Tasks {
 		n.addTaskLocked(tk.Key, tk.Units)
 	}
 	n.mu.Unlock()
-	if _, err := n.st.ApplyAll(storeRecs(reply.Recs)); err != nil {
+	if _, err := n.st.ApplyAll(storeRecs(nil, reply.Recs)); err != nil {
 		return fmt.Errorf("netchord: join: applying gift: %w", err)
 	}
 	// One eager stabilize round links us in without waiting a tick.
@@ -369,7 +369,7 @@ func (n *Node) transferTo(ref wire.NodeRef, recs []wire.Rec, tasks []wire.Task) 
 		} else {
 			m.Tasks, restTasks = tasks, nil
 		}
-		if _, err := n.pool.call(ref, m); err != nil {
+		if err := n.pool.call(ref, m, nil); err != nil {
 			return recs, tasks, err
 		}
 		recs, tasks = restRecs, restTasks
@@ -549,6 +549,7 @@ func (n *Node) Lookup(key ids.ID) (wire.NodeRef, int, error) {
 func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wire.NodeRef, int, error) {
 	cur := start
 	var fallbacks []wire.NodeRef
+	var reply wire.Msg // reused by every hop
 	hops := 0
 	for hops <= pool.cfg.MaxHops {
 		var done bool
@@ -556,10 +557,9 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wir
 		var list []wire.NodeRef
 		var err error
 		if self != nil && cur.Addr == self.ref.Addr {
-			done, next, list = self.routeStep(key)
+			done, next, list = self.routeStep(key, nil)
 		} else {
-			var reply *wire.Msg
-			reply, err = pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)})
+			err = pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)}, &reply)
 			if err == nil {
 				done, next, list = reply.Flag, reply.Node, reply.List
 			}
@@ -576,7 +576,8 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wir
 			return next, hops, nil
 		}
 		// Keep the answerer's successor list (minus the chosen hop) as
-		// fallbacks in case next is unreachable.
+		// fallbacks in case next is unreachable. They are copied out of
+		// list, which is reply's, before the next hop reads into reply.
 		fallbacks = fallbacks[:0]
 		for _, r := range list {
 			if r.ID != next.ID && r.Addr != "" {
@@ -591,8 +592,8 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wir
 
 // routeStep answers one routing step locally: done=true when the
 // node's immediate successor owns key; otherwise the closest preceding
-// candidate plus the successor list as fallbacks.
-func (n *Node) routeStep(key ids.ID) (done bool, next wire.NodeRef, list []wire.NodeRef) {
+// candidate plus the successor list, appended to dst, as fallbacks.
+func (n *Node) routeStep(key ids.ID, dst []wire.NodeRef) (done bool, next wire.NodeRef, list []wire.NodeRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	succ := n.ref
@@ -606,7 +607,7 @@ func (n *Node) routeStep(key ids.ID) (done bool, next wire.NodeRef, list []wire.
 	if next.ID == n.ref.ID {
 		next = succ
 	}
-	return false, next, append([]wire.NodeRef(nil), n.succ...)
+	return false, next, append(dst, n.succ...)
 }
 
 // owns reports whether key lies in the node's arc (pred, self]. A node
@@ -645,8 +646,7 @@ func (n *Node) closestPrecedingLocked(key ids.ID) wire.NodeRef {
 
 // Ping round-trips a TPing to ref.
 func (n *Node) Ping(ref wire.NodeRef) error {
-	_, err := n.pool.call(ref, &wire.Msg{Type: wire.TPing})
-	return err
+	return n.pool.call(ref, &wire.Msg{Type: wire.TPing}, nil)
 }
 
 // putDurable runs the owner's write path: append (and fsync) locally,
@@ -692,10 +692,13 @@ func (n *Node) putDurable(key ids.ID, value []byte) (uint64, error) {
 // successors, walking further down the list when a push fails so the
 // quorum survives individual dead successors. It returns the highest
 // current version any replica reported, and an error when fewer than
-// the required number of replicas acknowledged.
+// the required number of replicas acknowledged. One request and one
+// reply serve every replica, and the successor snapshot fits a stack
+// buffer at the default list length, so a put allocates nothing here.
 func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error) {
+	var buf [8]wire.NodeRef
 	n.mu.Lock()
-	succs := append([]wire.NodeRef(nil), n.succ...)
+	succs := append(buf[:0], n.succ...)
 	n.mu.Unlock()
 	need := n.cfg.Replicas - 1
 	distinct := 0
@@ -712,7 +715,9 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 	if need <= 0 {
 		return 0, nil
 	}
-	rec := []wire.Rec{{Key: key, Ver: ver, Value: value}}
+	rec := [1]wire.Rec{{Key: key, Ver: ver, Value: value}}
+	req := wire.Msg{Type: wire.TReplicate, Recs: rec[:]}
+	var reply wire.Msg
 	acked := 0
 	var maxPeer uint64
 	for _, s := range succs {
@@ -722,8 +727,7 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 		if s.ID == n.ref.ID {
 			continue
 		}
-		reply, err := n.pool.call(s, &wire.Msg{Type: wire.TReplicate, Recs: rec})
-		if err != nil {
+		if err := n.pool.call(s, &req, &reply); err != nil {
 			n.replicaErrs.Add(1)
 			continue
 		}
@@ -854,8 +858,8 @@ func (n *Node) stabilizeOnce() {
 		succ := n.succ[0]
 		n.mu.Unlock()
 
-		predReply, err := n.pool.call(succ, &wire.Msg{Type: wire.TGetPred})
-		if err != nil {
+		var reply wire.Msg
+		if err := n.pool.call(succ, &wire.Msg{Type: wire.TGetPred}, &reply); err != nil {
 			// Dead or unreachable successor: drop it and try the backup
 			// (this is exactly what the successor list exists for). Keep
 			// at least self so the node can rejoin via fallbacks.
@@ -875,23 +879,22 @@ func (n *Node) stabilizeOnce() {
 			continue
 		}
 		// Adopt succ.pred if it sits between us and succ and answers.
-		if predReply.Flag {
-			x := predReply.Node
+		if reply.Flag {
+			x := reply.Node
 			if x.Addr != "" && x.ID != n.ref.ID && ids.Between(x.ID, n.ref.ID, succ.ID) {
 				if err := n.Ping(x); err == nil {
 					succ = x
 				}
 			}
 		}
-		listReply, err := n.pool.call(succ, &wire.Msg{Type: wire.TGetSuccList})
-		if err != nil {
+		if err := n.pool.call(succ, &wire.Msg{Type: wire.TGetSuccList}, &reply); err != nil {
 			return // skip the round; stale pointers heal next time
 		}
 		n.mu.Lock()
-		list := append([]wire.NodeRef{succ}, listReply.List...)
+		list := append([]wire.NodeRef{succ}, reply.List...) // a copy: the node keeps none of reply's memory
 		n.succ = dedupeRefs(list, n.ref.ID, n.cfg.SuccessorListLen)
 		n.mu.Unlock()
-		_, _ = n.pool.call(succ, &wire.Msg{Type: wire.TNotify, From: n.ref})
+		_ = n.pool.call(succ, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
 		return
 	}
 }
@@ -974,7 +977,7 @@ func (n *Node) probeLost() {
 		n.succ = dedupeRefs(append([]wire.NodeRef{owner}, n.succ...), n.ref.ID, n.cfg.SuccessorListLen)
 	}
 	n.mu.Unlock()
-	_, _ = n.pool.call(owner, &wire.Msg{Type: wire.TNotify, From: n.ref})
+	_ = n.pool.call(owner, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
 }
 
 // restoreGifts resolves join gifts left unconfirmed past the joiner's
@@ -1057,7 +1060,7 @@ func (n *Node) acceptLoop() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			serveConn(n.cfg, conn, wrapped, n.handle)
+			serveConn(n.cfg, conn, wrapped, n.handler())
 			n.connMu.Lock()
 			delete(n.conns, conn)
 			n.connMu.Unlock()
@@ -1069,33 +1072,51 @@ func (n *Node) acceptLoop() {
 // idle timeout, a malformed frame or shutdown, then closes it. raw
 // carries the deadlines; conn is raw itself or raw behind the fault
 // layer, and carries the frames. Node and Collector both serve this way.
-func serveConn(cfg Config, raw, conn net.Conn, handle func(*wire.Msg) *wire.Msg) {
+//
+// One request Msg and one reply Msg serve the whole connection. Each
+// request is read into the same Msg, so handle must copy whatever it
+// keeps past its return out of req's slices (strings are safe: the
+// decoder never rewrites one). handle fills reply, which arrives reset
+// with its Value and List emptied but keeping their capacity: a handler
+// may append into those two, and must set any other slice only to
+// memory nothing else keeps.
+func serveConn(cfg Config, raw, conn net.Conn, handle func(req, reply *wire.Msg)) {
 	defer func() { _ = raw.Close() }()
 	fc := wire.NewConn(conn)
 	idle := cfg.Ticks(cfg.IdleConnTicks)
+	var req, reply wire.Msg
 	for {
 		if err := raw.SetReadDeadline(time.Now().Add(idle)); err != nil {
 			return
 		}
-		req, err := fc.ReadMsg()
-		if err != nil {
+		if err := fc.ReadMsg(&req); err != nil {
 			return
 		}
-		reply := handle(req)
+		reply = wire.Msg{Value: reply.Value[:0], List: reply.List[:0]}
+		handle(&req, &reply)
 		reply.Req = req.Req
 		if err := raw.SetWriteDeadline(time.Now().Add(cfg.rpcTimeout())); err != nil {
 			return
 		}
-		if err := fc.WriteMsg(reply); err != nil {
+		if err := fc.WriteMsg(&reply); err != nil {
 			return
 		}
 	}
 }
 
-// handle dispatches one request. Handlers touch only local state (or
-// spawn goroutines for work that needs the network), so a request cycle
-// between nodes can never deadlock on n.mu.
-func (n *Node) handle(req *wire.Msg) *wire.Msg {
+// handler returns the request handler for one accepted connection. It
+// holds that connection's scratch: the store records a replica push or
+// a transfer is converted into, reused from request to request.
+func (n *Node) handler() func(req, reply *wire.Msg) {
+	var recs []store.Rec
+	return func(req, reply *wire.Msg) { n.handle(req, reply, &recs) }
+}
+
+// handle dispatches one request, filling reply (see serveConn). recs is
+// the connection's storeRecs scratch. Handlers touch only local state
+// (or spawn goroutines for work that needs the network), so a request
+// cycle between nodes can never deadlock on n.mu.
+func (n *Node) handle(req, reply *wire.Msg, recs *[]store.Rec) {
 	n.served[req.Type].Add(1)
 	switch req.Type {
 	case wire.TGet, wire.TPut, wire.TTask:
@@ -1103,46 +1124,50 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		// the store or consumes an idempotency token, so a sender with a
 		// stale route learns of it instead of reading a leftover replica.
 		if !n.owns(req.Key) {
-			return errorMsg(CodeNotOwner, "key outside this node's arc")
+			errorMsg(reply, CodeNotOwner, "key outside this node's arc")
+			return
 		}
 	}
 	switch req.Type {
 	case wire.TPing:
-		return &wire.Msg{Type: wire.TPong}
+		reply.Type = wire.TPong
 
 	case wire.TFindSuccessor:
 		if req.A > uint64(n.cfg.MaxHops) {
-			return errorMsg(CodeNoRoute, "hop budget exceeded")
+			errorMsg(reply, CodeNoRoute, "hop budget exceeded")
+			return
 		}
-		done, next, list := n.routeStep(req.Key)
-		return &wire.Msg{Type: wire.TFindSuccessorOK, Flag: done, Node: next, List: list}
+		reply.Type = wire.TFindSuccessorOK
+		reply.Flag, reply.Node, reply.List = n.routeStep(req.Key, reply.List)
 
 	case wire.TGetPred:
+		reply.Type = wire.TGetPredOK
 		n.mu.Lock()
-		reply := &wire.Msg{Type: wire.TGetPredOK, Flag: n.hasPred, Node: n.pred}
+		reply.Flag, reply.Node = n.hasPred, n.pred
 		n.mu.Unlock()
-		return reply
 
 	case wire.TGetSuccList:
+		reply.Type = wire.TSuccListOK
 		n.mu.Lock()
-		reply := &wire.Msg{Type: wire.TSuccListOK, List: append([]wire.NodeRef(nil), n.succ...)}
+		reply.List = append(reply.List, n.succ...)
 		n.mu.Unlock()
-		return reply
 
 	case wire.TNotify:
 		if req.From.Addr == "" {
-			return errorMsg(CodeBadRequest, "notify without sender ref")
+			errorMsg(reply, CodeBadRequest, "notify without sender ref")
+			return
 		}
 		n.notify(req.From)
-		return &wire.Msg{Type: wire.TAck}
+		reply.Type = wire.TAck
 
 	case wire.TJoin:
-		return n.handleJoin(req)
+		n.handleJoin(req, reply)
 
 	case wire.TGet:
-		v, ver, ok, err := n.st.Get(req.Key)
+		v, ver, ok, err := n.st.AppendValue(reply.Value, req.Key)
 		if err != nil {
-			return errorMsg(CodeUnavailable, "store read: "+err.Error())
+			errorMsg(reply, CodeUnavailable, "store read: "+err.Error())
+			return
 		}
 		// Read-work coupling: a served read charges the owner work
 		// units, so read-heavy arcs surface in the workload signals the
@@ -1156,7 +1181,7 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 			}
 			n.mu.Unlock()
 		}
-		return &wire.Msg{Type: wire.TGetOK, Flag: ok, Value: v, A: ver}
+		reply.Type, reply.Flag, reply.Value, reply.A = wire.TGetOK, ok, v, ver
 
 	case wire.TPut:
 		// The owner write path: durable locally (fsynced when SyncWrites
@@ -1165,17 +1190,20 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		// is deadlock-free — serveConn runs one goroutine per
 		// connection and putDurable holds no lock while calling out —
 		// and is exactly what "acknowledged means durable" requires.
+		// The store copies the value, so req.Value is not kept.
 		ver, err := n.putDurable(req.Key, req.Value)
 		if err != nil {
 			n.mu.Lock()
 			leaving := n.leaving
 			n.mu.Unlock()
 			if leaving {
-				return errorMsg(CodeShutdown, "node is leaving")
+				errorMsg(reply, CodeShutdown, "node is leaving")
+				return
 			}
-			return errorMsg(CodeUnavailable, "durable put: "+err.Error())
+			errorMsg(reply, CodeUnavailable, "durable put: "+err.Error())
+			return
 		}
-		return &wire.Msg{Type: wire.TAck, A: ver}
+		reply.Type, reply.A = wire.TAck, ver
 
 	case wire.TTask:
 		// The leaving check shares the critical section with the
@@ -1184,13 +1212,14 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		n.mu.Lock()
 		if n.leaving {
 			n.mu.Unlock()
-			return errorMsg(CodeShutdown, "node is leaving")
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
 		if n.applyTokenLocked(req.B) {
 			n.addTaskLocked(req.Key, req.A)
 		}
 		n.mu.Unlock()
-		return &wire.Msg{Type: wire.TAck}
+		reply.Type = wire.TAck
 
 	case wire.TReplicate:
 		// Replica push: apply version-winning records and report our
@@ -1199,23 +1228,25 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		n.mu.Lock()
 		if n.leaving {
 			n.mu.Unlock()
-			return errorMsg(CodeShutdown, "node is leaving")
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
 		n.mu.Unlock()
-		if _, err := n.st.ApplyAll(storeRecs(req.Recs)); err != nil {
-			return errorMsg(CodeUnavailable, "replica apply: "+err.Error())
+		if err := n.applyRecs(recs, req.Recs); err != nil {
+			errorMsg(reply, CodeUnavailable, "replica apply: "+err.Error())
+			return
 		}
-		var cur uint64
+		reply.Type = wire.TAck
 		if len(req.Recs) == 1 {
-			cur, _ = n.st.Ver(req.Recs[0].Key)
+			reply.A, _ = n.st.Ver(req.Recs[0].Key)
 		}
-		return &wire.Msg{Type: wire.TAck, A: cur}
 
 	case wire.TTransfer:
 		n.mu.Lock()
 		if n.leaving {
 			n.mu.Unlock()
-			return errorMsg(CodeShutdown, "node is leaving")
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
 		fresh := n.applyTokenLocked(req.A)
 		if fresh {
@@ -1225,65 +1256,62 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		}
 		n.mu.Unlock()
 		if fresh {
-			if _, err := n.st.ApplyAll(storeRecs(req.Recs)); err != nil {
-				return errorMsg(CodeUnavailable, "transfer apply: "+err.Error())
+			if err := n.applyRecs(recs, req.Recs); err != nil {
+				errorMsg(reply, CodeUnavailable, "transfer apply: "+err.Error())
+				return
 			}
 		}
-		return &wire.Msg{Type: wire.TAck}
+		reply.Type = wire.TAck
 
 	case wire.TSyncDigest:
-		n.mu.Lock()
-		leaving := n.leaving
-		n.mu.Unlock()
-		if leaving {
-			return errorMsg(CodeShutdown, "node is leaving")
+		if n.isLeaving() {
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
 		sum, count := n.st.Digest(req.Key, req.Key2)
-		return &wire.Msg{Type: wire.TSyncDigestOK, Value: sum[:], A: uint64(count)}
+		reply.Type, reply.Value, reply.A = wire.TSyncDigestOK, append(reply.Value, sum[:]...), uint64(count)
 
 	case wire.TSyncKeys:
-		n.mu.Lock()
-		leaving := n.leaving
-		n.mu.Unlock()
-		if leaving {
-			return errorMsg(CodeShutdown, "node is leaving")
+		if n.isLeaving() {
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
 		metas, total := n.st.Metas(req.Key, req.Key2, wire.MaxMetas)
-		return &wire.Msg{Type: wire.TSyncKeysOK, Metas: wireMetas(metas), A: uint64(total)}
+		reply.Type, reply.Metas, reply.A = wire.TSyncKeysOK, wireMetas(metas), uint64(total)
 
 	case wire.TSyncFetch:
-		n.mu.Lock()
-		leaving := n.leaving
-		n.mu.Unlock()
-		if leaving {
-			return errorMsg(CodeShutdown, "node is leaving")
+		if n.isLeaving() {
+			errorMsg(reply, CodeShutdown, "node is leaving")
+			return
 		}
-		recs := make([]wire.Rec, 0, len(req.Metas))
+		out := make([]wire.Rec, 0, len(req.Metas))
 		for _, m := range req.Metas {
 			v, ver, ok, err := n.st.Get(m.Key)
 			if err != nil {
-				return errorMsg(CodeUnavailable, "sync fetch: "+err.Error())
+				errorMsg(reply, CodeUnavailable, "sync fetch: "+err.Error())
+				return
 			}
 			if ok {
-				recs = append(recs, wire.Rec{Key: m.Key, Ver: ver, Value: v})
+				out = append(out, wire.Rec{Key: m.Key, Ver: ver, Value: v})
 			}
 		}
-		recs, _ = splitRecChunk(recs)
-		return &wire.Msg{Type: wire.TSyncFetchOK, Recs: recs}
+		reply.Type = wire.TSyncFetchOK
+		reply.Recs, _ = splitRecChunk(out)
 
 	case wire.TWorkloadQuery:
-		reply := &wire.Msg{Type: wire.TWorkloadOK, A: n.TaskUnits()}
+		reply.Type, reply.A = wire.TWorkloadOK, n.TaskUnits()
 		if h := n.host; h != nil {
 			reply.B, reply.C, reply.Flag = uint64(h.Workload()), uint64(h.Strength()), h.willHelp()
 		}
-		return reply
 
 	case wire.TInvite:
-		return &wire.Msg{Type: wire.TInviteOK, Flag: n.host != nil && n.host.considerInvite(req)}
+		// considerInvite keeps req.Key and req.From.Addr, both values.
+		reply.Type, reply.Flag = wire.TInviteOK, n.host != nil && n.host.considerInvite(req)
 
 	case wire.TEvict:
 		if req.From.Addr == "" {
-			return errorMsg(CodeBadRequest, "evict without sender ref")
+			errorMsg(reply, CodeBadRequest, "evict without sender ref")
+			return
 		}
 		n.mu.Lock()
 		ev, leaving := n.ev, n.leaving
@@ -1294,11 +1322,37 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 		if ev != nil && !leaving {
 			ev.considerEvict(n)
 		}
-		return &wire.Msg{Type: wire.TAck}
+		reply.Type = wire.TAck
 
 	default:
-		return errorMsg(CodeBadRequest, "unexpected message "+req.Type.String())
+		errorMsg(reply, CodeBadRequest, "unexpected message "+req.Type.String())
 	}
+}
+
+// isLeaving reports whether Leave has begun.
+func (n *Node) isLeaving() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.leaving
+}
+
+// keptRecs bounds the store records a connection's scratch keeps
+// between requests: a replica push is one record, and an anti-entropy
+// batch of thousands is not pinned.
+const keptRecs = 64
+
+// applyRecs merges in, a request's records, into the store through the
+// connection's scratch recs. The scratch is cleared afterwards, so it
+// keeps none of the request's values, and dropped when a large batch
+// grew it past keptRecs.
+func (n *Node) applyRecs(recs *[]store.Rec, in []wire.Rec) error {
+	*recs = storeRecs((*recs)[:0], in)
+	_, err := n.st.ApplyAll(*recs)
+	clear(*recs)
+	if cap(*recs) > keptRecs {
+		*recs = nil
+	}
+	return err
 }
 
 // handleJoin admits joiner From as this node's new predecessor,
@@ -1306,19 +1360,23 @@ func (n *Node) handle(req *wire.Msg) *wire.Msg {
 // (moved, not copied — work must not be double-counted) in the range
 // (pred, From.ID]. The gift is stashed until the joiner's first notify:
 // a retried TJoin whose reply was lost re-sends the identical gift, so
-// task moves stay exactly-once over the at-least-once RPC layer.
-func (n *Node) handleJoin(req *wire.Msg) *wire.Msg {
+// task moves stay exactly-once over the at-least-once RPC layer. The
+// gift keeps req.From, a value; its records and tasks are the node's own.
+func (n *Node) handleJoin(req, reply *wire.Msg) {
 	j := req.From
 	if j.Addr == "" || j.ID == n.ref.ID {
-		return errorMsg(CodeBadRequest, "bad join ref")
+		errorMsg(reply, CodeBadRequest, "bad join ref")
+		return
 	}
 	if !adversary.VerifyPuzzle(j.ID, req.A, n.cfg.PuzzleBits) {
-		return errorMsg(CodeBadRequest, "join puzzle unsolved")
+		errorMsg(reply, CodeBadRequest, "join puzzle unsolved")
+		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.leaving {
-		return errorMsg(CodeShutdown, "node is leaving")
+		errorMsg(reply, CodeShutdown, "node is leaving")
+		return
 	}
 	g := n.joinHandoff[j.ID]
 	if g == nil {
@@ -1334,7 +1392,8 @@ func (n *Node) handleJoin(req *wire.Msg) *wire.Msg {
 		if low != j.ID {
 			arc, err := n.st.ArcRecs(low, j.ID, wire.MaxRecs)
 			if err != nil {
-				return errorMsg(CodeUnavailable, "join gift: "+err.Error())
+				errorMsg(reply, CodeUnavailable, "join gift: "+err.Error())
+				return
 			}
 			// One frame only: anti-entropy tops up whatever the byte
 			// budget trims once the joiner is linked in.
@@ -1358,22 +1417,21 @@ func (n *Node) handleJoin(req *wire.Msg) *wire.Msg {
 			delete(n.joinHandoff, old)
 		}
 	}
-	reply := &wire.Msg{
-		Type:  wire.TJoinOK,
-		List:  append([]wire.NodeRef(nil), n.succ...),
-		Recs:  g.recs,
-		Tasks: g.tasks,
-	}
+	reply.Type = wire.TJoinOK
+	reply.List = append(reply.List, n.succ...)
+	// The gift is kept for a retried join, so it is set, never appended
+	// into; serveConn drops both slices before the next request.
+	reply.Recs, reply.Tasks = g.recs, g.tasks
 	// Adopt the joiner as predecessor when it improves the pointer.
 	if !n.hasPred || ids.Between(j.ID, n.pred.ID, n.ref.ID) {
 		n.pred = j
 		n.hasPred = true
 	}
-	return reply
 }
 
 // notify is Chord's notify handler: adopt caller as predecessor when
-// it sits between the current predecessor and us. A notify also
+// it sits between the current predecessor and us (caller is a value:
+// its Addr string is never rewritten by the next decode). A notify also
 // confirms any pending join gift for the caller (its join reply
 // arrived, or the ring has linked it in regardless).
 func (n *Node) notify(caller wire.NodeRef) {
@@ -1389,9 +1447,9 @@ func (n *Node) notify(caller wire.NodeRef) {
 	}
 }
 
-// errorMsg builds a TError reply.
-func errorMsg(code uint64, text string) *wire.Msg {
-	return &wire.Msg{Type: wire.TError, A: code, Text: text}
+// errorMsg makes reply a TError.
+func errorMsg(reply *wire.Msg, code uint64, text string) {
+	reply.Type, reply.A, reply.Text = wire.TError, code, text
 }
 
 // --- helpers ---------------------------------------------------------

@@ -124,14 +124,17 @@ func (p *peerPool) get(addr string) (*peer, error) {
 // call performs one request/response RPC against ref, retrying up to
 // MaxRetries times with tick-denominated exponential backoff. It fills
 // m.Req; the reply is matched by request id (stale or duplicated
-// replies from earlier attempts on the same stream are discarded).
-func (p *peerPool) call(ref wire.NodeRef, m *wire.Msg) (*wire.Msg, error) {
+// replies from earlier attempts on the same stream are discarded) and
+// read into reply, which the caller owns (wire.Conn.ReadMsg's rule:
+// the caller may reuse it for its next call). A nil reply asks for the
+// outcome only.
+func (p *peerPool) call(ref wire.NodeRef, m, reply *wire.Msg) error {
 	if ref.Addr == "" {
-		return nil, fmt.Errorf("netchord: call %v: empty address", m.Type)
+		return fmt.Errorf("netchord: call %v: empty address", m.Type)
 	}
 	pr, err := p.get(ref.Addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -157,14 +160,14 @@ func (p *peerPool) call(ref wire.NodeRef, m *wire.Msg) (*wire.Msg, error) {
 			continue
 		}
 		//lint:ignore lockheld pr.mu serializes RPCs on the pooled conn by design: the lock is per-peer, taken only here and in tryOnce/close, and never by anything attempt's I/O waits on
-		reply, err := p.attempt(pr, ref, m, timeout)
+		err := p.attempt(pr, ref, m, reply, timeout)
 		if err == nil {
-			return reply, nil
+			return nil
 		}
 		if errors.Is(err, ErrRemote) {
 			// The peer answered authoritatively (a well-framed TError);
 			// retrying the same request cannot change its mind.
-			return nil, err
+			return err
 		}
 		lastErr = err
 	}
@@ -172,7 +175,7 @@ func (p *peerPool) call(ref wire.NodeRef, m *wire.Msg) (*wire.Msg, error) {
 	if lastErr == nil {
 		lastErr = ErrTimeout
 	}
-	return nil, fmt.Errorf("%w (%v to %s: %v)", ErrTimeout, m.Type, ref.Addr, lastErr)
+	return fmt.Errorf("%w (%v to %s: %v)", ErrTimeout, m.Type, ref.Addr, lastErr)
 }
 
 // tryOnce performs a single-attempt RPC: no retries, no backoff. It is
@@ -196,8 +199,7 @@ func (p *peerPool) tryOnce(ref wire.NodeRef, m *wire.Msg) error {
 	defer pr.mu.Unlock()
 	p.calls.Add(1)
 	//lint:ignore lockheld pr.mu serializes RPCs on the pooled conn by design (see call); a probe holding it only delays other callers to the same peer, never a lock attempt's I/O depends on
-	_, err = p.attempt(pr, ref, m, p.cfg.rpcTimeout())
-	return err
+	return p.attempt(pr, ref, m, nil, p.cfg.rpcTimeout())
 }
 
 // callOwner sends m, a keyed request, to owner, the node a lookup
@@ -206,29 +208,35 @@ func (p *peerPool) tryOnce(ref wire.NodeRef, m *wire.Msg) error {
 // (successor pointers, fixed at the next stabilization) has not yet
 // learned of. Ownership is decided by predecessor pointers, so the call
 // walks back along them, at most SuccessorListLen steps, until a node
-// accepts. It returns the reply and the node that answered or failed.
-func (p *peerPool) callOwner(owner wire.NodeRef, m *wire.Msg) (*wire.Msg, wire.NodeRef, error) {
-	reply, err := p.call(owner, m)
+// accepts. It reads the answer into reply, as call does, and returns
+// the node that answered or failed.
+func (p *peerPool) callOwner(owner wire.NodeRef, m, reply *wire.Msg) (wire.NodeRef, error) {
+	err := p.call(owner, m, reply)
+	var pred wire.Msg
 	for step := 0; errors.Is(err, ErrNotOwner) && step < p.cfg.SuccessorListLen; step++ {
-		pr, perr := p.call(owner, &wire.Msg{Type: wire.TGetPred})
-		if perr != nil || !pr.Flag || pr.Node.Addr == "" || pr.Node.ID == owner.ID {
+		perr := p.call(owner, &wire.Msg{Type: wire.TGetPred}, &pred)
+		if perr != nil || !pred.Flag || pred.Node.Addr == "" || pred.Node.ID == owner.ID {
 			break
 		}
-		owner = pr.Node
-		reply, err = p.call(owner, m)
+		owner = pred.Node
+		err = p.call(owner, m, reply)
 	}
-	return reply, owner, err
+	return owner, err
 }
 
 // attempt runs one transmission: ensure a connection, write the
-// request, read until the matching reply or the deadline. Any error
-// discards the pooled connection.
-func (p *peerPool) attempt(pr *peer, ref wire.NodeRef, m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
+// request, read into reply (a local one when nil) until the matching
+// reply or the deadline. Any error discards the pooled connection.
+func (p *peerPool) attempt(pr *peer, ref wire.NodeRef, m, reply *wire.Msg, timeout time.Duration) error {
+	var discard wire.Msg
+	if reply == nil {
+		reply = &discard
+	}
 	conn, fc := pr.conn, pr.fc
 	if conn == nil {
 		raw, err := p.tr.Dial(ref.Addr, timeout)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		conn = p.nf.Wrap(raw, p.local(), ref.ID)
 		fc = wire.NewConn(conn)
@@ -242,27 +250,26 @@ func (p *peerPool) attempt(pr *peer, ref wire.NodeRef, m *wire.Msg, timeout time
 	m.Req = atomic.AddUint64(&p.reqID, 1)
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		drop()
-		return nil, err
+		return err
 	}
 	if err := fc.WriteMsg(m); err != nil {
 		drop()
-		return nil, err
+		return err
 	}
 	for {
-		reply, err := fc.ReadMsg()
-		if err != nil {
+		if err := fc.ReadMsg(reply); err != nil {
 			drop()
-			return nil, err
+			return err
 		}
 		if reply.Req != m.Req {
 			continue // stale or duplicated reply from an earlier attempt
 		}
 		if reply.Type == wire.TError {
 			if reply.A == CodeNotOwner {
-				return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotOwner, reply.Text)
+				return fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotOwner, reply.Text)
 			}
-			return nil, fmt.Errorf("%w: %s (code %d)", ErrRemote, reply.Text, reply.A)
+			return fmt.Errorf("%w: %s (code %d)", ErrRemote, reply.Text, reply.A)
 		}
-		return reply, nil
+		return nil
 	}
 }

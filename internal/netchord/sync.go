@@ -29,15 +29,15 @@ const (
 	maxChunkBytes = 256 << 10
 )
 
-// storeRecs converts wire records to store records. Wire records have
-// no tombstone bit: a nil value is live data of length zero, and
-// deletions travel as higher-version empty writes.
-func storeRecs(in []wire.Rec) []store.Rec {
-	out := make([]store.Rec, len(in))
-	for i, r := range in {
-		out[i] = store.Rec{Key: r.Key, Ver: r.Ver, Value: r.Value}
+// storeRecs converts wire records to store records, appending them to
+// dst. Wire records have no tombstone bit: a nil value is live data of
+// length zero, and deletions travel as higher-version empty writes.
+// The values are shared, not copied.
+func storeRecs(dst []store.Rec, in []wire.Rec) []store.Rec {
+	for _, r := range in {
+		dst = append(dst, store.Rec{Key: r.Key, Ver: r.Ver, Value: r.Value})
 	}
-	return out
+	return dst
 }
 
 // wireRecs converts store records to wire records, dropping tombstones
@@ -131,7 +131,8 @@ func (n *Node) syncRange(peer wire.NodeRef, lo, hi ids.ID, depth int, budget *in
 	// repair bytes under a steady write stream. An unchanged arc is a
 	// memo hit either way.
 	localSum, localCount := n.st.Digest(lo, hi)
-	reply, err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncDigest, Key: lo, Key2: hi})
+	var reply wire.Msg
+	err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncDigest, Key: lo, Key2: hi}, &reply)
 	if err != nil || reply.Type != wire.TSyncDigestOK || len(reply.Value) != wire.SumLen {
 		n.replicaErrs.Add(1)
 		return
@@ -170,7 +171,8 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		return
 	}
 	*budget--
-	reply, err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncKeys, Key: lo, Key2: hi})
+	var reply wire.Msg
+	err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncKeys, Key: lo, Key2: hi}, &reply)
 	if err != nil || reply.Type != wire.TSyncKeysOK {
 		n.replicaErrs.Add(1)
 		return
@@ -200,14 +202,15 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		var chunk []wire.Rec
 		chunk, push = splitRecChunk(push)
 		*budget--
-		if _, err := n.pool.call(peer, &wire.Msg{Type: wire.TReplicate, Recs: chunk}); err != nil {
+		if err := n.pool.call(peer, &wire.Msg{Type: wire.TReplicate, Recs: chunk}, nil); err != nil {
 			n.replicaErrs.Add(1)
 			break
 		}
 		n.noteRepair(len(chunk), 0, recBytes(chunk))
 	}
 
-	// Pull: peer records we lack or lose on.
+	// Pull: peer records we lack or lose on. reply.Metas is intact: the
+	// pushes above read their acks into no reply of ours.
 	var want []wire.Meta
 	for _, pm := range reply.Metas {
 		lm, ok := localByKey[pm.Key]
@@ -216,6 +219,7 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		}
 		want = append(want, pm)
 	}
+	var fetched wire.Msg
 	for len(want) > 0 && *budget > 0 {
 		batch := want
 		if len(batch) > wire.MaxMetas {
@@ -223,7 +227,7 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		}
 		want = want[len(batch):]
 		*budget--
-		fetched, err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncFetch, Metas: batch})
+		err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncFetch, Metas: batch}, &fetched)
 		if err != nil || fetched.Type != wire.TSyncFetchOK {
 			n.replicaErrs.Add(1)
 			break
@@ -231,7 +235,7 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		if len(fetched.Recs) == 0 {
 			break
 		}
-		if _, err := n.st.ApplyAll(storeRecs(fetched.Recs)); err != nil {
+		if _, err := n.st.ApplyAll(storeRecs(nil, fetched.Recs)); err != nil {
 			n.replicaErrs.Add(1)
 			break
 		}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -557,13 +558,23 @@ func (s *Store) syncTo(asn uint64) error {
 // Get returns the current value and version for key. ok is false when
 // the key is absent. The returned slice is the caller's to keep.
 func (s *Store) Get(key ids.ID) (value []byte, ver uint64, ok bool, err error) {
+	return s.AppendValue(nil, key)
+}
+
+// AppendValue appends key's current value to dst and returns the
+// extended slice with the value's version; it reads into dst's spare
+// capacity, so a warm buffer reads without allocating. ok is false when
+// the key is absent, and then, as on error, dst comes back unchanged.
+// A value whose bytes no longer match the index's SHA-256 sum is
+// ErrCorrupt.
+func (s *Store) AppendValue(dst []byte, key ids.ID) (value []byte, ver uint64, ok bool, err error) {
 	s.stats.gets.Add(1)
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
-			return nil, 0, false, ErrClosed
+			return dst, 0, false, ErrClosed
 		}
 		e, have := s.index[key]
 		var sg *segment
@@ -572,14 +583,15 @@ func (s *Store) Get(key ids.ID) (value []byte, ver uint64, ok bool, err error) {
 		}
 		s.mu.RUnlock()
 		if !have {
-			return nil, 0, false, nil
+			return dst, 0, false, nil
 		}
 		if sg == nil {
 			// The entry moved during a compaction between the two
 			// lock regions; re-read it.
 			continue
 		}
-		buf := make([]byte, e.vlen)
+		out := slices.Grow(dst, int(e.vlen))[:len(dst)+int(e.vlen)]
+		buf := out[len(dst):]
 		if e.vlen > 0 {
 			if _, rerr := sg.b.ReadAt(buf, e.off+recValueOff); rerr != nil {
 				// Compaction may have closed this segment after we
@@ -592,9 +604,9 @@ func (s *Store) Get(key ids.ID) (value []byte, ver uint64, ok bool, err error) {
 			lastErr = fmt.Errorf("%w: key %s value sum mismatch", ErrCorrupt, key.Short())
 			continue
 		}
-		return buf, e.ver, true, nil
+		return out, e.ver, true, nil
 	}
-	return nil, 0, false, fmt.Errorf("store: get: %w", lastErr)
+	return dst, 0, false, fmt.Errorf("store: get: %w", lastErr)
 }
 
 // Ver returns the current version for key without reading the value.

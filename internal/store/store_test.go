@@ -454,3 +454,86 @@ func TestDestroyRemovesDir(t *testing.T) {
 		t.Fatalf("dir survives Destroy: %v", err)
 	}
 }
+
+// TestAppendValueAllocs pins the read path's cost: appending a value
+// into a warm buffer allocates nothing, on the memory and the file
+// backend alike.
+func TestAppendValueAllocs(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s := open(t, dir, Options{})
+		key := ids.FromUint64(7)
+		want := bytes.Repeat([]byte{0x5c}, 64)
+		if _, err := s.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, 128)
+		var got []byte
+		var getErr error
+		allocs := testing.AllocsPerRun(200, func() {
+			var ok bool
+			if got, _, ok, getErr = s.AppendValue(dst[:0], key); !ok && getErr == nil {
+				getErr = errors.New("key missing")
+			}
+		})
+		if getErr != nil {
+			t.Fatalf("dir %q: %v", dir, getErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("dir %q: read %x, want %x", dir, got, want)
+		}
+		if allocs != 0 {
+			t.Errorf("dir %q: AppendValue into a warm buffer allocates %v, want 0", dir, allocs)
+		}
+		prefix := []byte("head:")
+		if got, _, _, err := s.AppendValue(prefix, key); err != nil || !bytes.Equal(got, append([]byte("head:"), want...)) {
+			t.Errorf("dir %q: appending after a prefix: %q, %v", dir, got, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestGetDetectsValueCorruption flips one value byte in a segment file
+// after a Put: the index's SHA-256 sum no longer matches, so Get and
+// AppendValue both refuse with ErrCorrupt, and AppendValue hands its
+// buffer back unchanged.
+func TestGetDetectsValueCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	defer func() { _ = s.Close() }()
+	key := ids.FromUint64(11)
+	if _, err := s.Put(key, []byte("a value that will rot")); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := []byte{0}
+	if _, err := f.ReadAt(b, recValueOff+3); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, recValueOff+3); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := s.Get(key); ok || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get: ok=%v err=%v, want ErrCorrupt", ok, err)
+	}
+	dst := []byte("kept")
+	got, _, ok, err := s.AppendValue(dst, key)
+	if ok || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("AppendValue: ok=%v err=%v, want ErrCorrupt", ok, err)
+	}
+	if string(got) != "kept" {
+		t.Errorf("AppendValue returned %q on error, want the buffer unchanged", got)
+	}
+}

@@ -9,10 +9,11 @@ import (
 )
 
 // hotFrames are the two frames the networked hot paths decode most: a
-// put with a 64-byte value and a found get reply. allocs is what
-// decoding one costs today (the *Msg and its value copy); a codec change
-// that lowers it should lower the constant, and one that raises it
-// fails TestDecodeAllocs and TestConnAllocs first.
+// put with a 64-byte value and a found get reply. allocs is what Decode
+// costs on one (the new *Msg and its value copy); reading one into a
+// warm Msg costs nothing (TestConnAllocs). A codec change that lowers
+// either should lower the constant, and one that raises it fails
+// TestDecodeAllocs or TestConnAllocs first.
 func hotFrames() []struct {
 	name   string
 	msg    *Msg
@@ -76,7 +77,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 }
 
 // TestConnAllocs pins a warm Conn's per-frame cost: writing allocates
-// nothing, reading allocates exactly what Decode does, and every frame
+// nothing, reading into a warm Msg allocates nothing, and every frame
 // — one over the buffer cap included — is exactly one Write, which the
 // fault-injecting conn wrapper in internal/netchord counts as one
 // message.
@@ -104,17 +105,18 @@ func TestConnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := readConn(&loopReader{frame: frame})
+		var m Msg
 		var readErr error
 		got = testing.AllocsPerRun(200, func() {
-			if _, err := r.ReadMsg(); err != nil {
+			if err := r.ReadMsg(&m); err != nil {
 				readErr = err
 			}
 		})
 		if readErr != nil {
 			t.Fatalf("%s: %v", c.name, readErr)
 		}
-		if got != c.allocs {
-			t.Errorf("%s: ReadMsg allocates %v per frame, want %v (Decode's)", c.name, got, c.allocs)
+		if got != 0 {
+			t.Errorf("%s: ReadMsg into a warm Msg allocates %v per frame, want 0", c.name, got)
 		}
 	}
 

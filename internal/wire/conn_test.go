@@ -24,7 +24,7 @@ func readConn(r io.Reader) *Conn {
 func checkSameVerdict(t *testing.T, raw []byte) {
 	t.Helper()
 	_, _, decodeErr := Decode(raw)
-	_, readErr := readConn(bytes.NewReader(raw)).ReadMsg()
+	readErr := readConn(bytes.NewReader(raw)).ReadMsg(new(Msg))
 	if (decodeErr == nil) != (readErr == nil) {
 		t.Fatalf("verdicts differ on %x: Decode %v, ReadMsg %v", raw, decodeErr, readErr)
 	}
@@ -42,11 +42,12 @@ var streamReaders = []struct {
 }
 
 // FuzzConnStream encodes one to four fuzz-built messages into one stream
-// and reads them back through one Conn, however the stream is split
-// into Reads. After each ReadMsg every message read so far must still
-// equal its input: the Conn reuses its read buffer from frame to frame,
-// so a decoded value, record, list address or text that aliased it
-// would change when the next frame overwrote it.
+// and reads them back through one Conn, each into its own Msg, however
+// the stream is split into Reads. After each ReadMsg every message read
+// so far must still equal its input: a Msg owns its slices until the
+// next ReadMsg into that same Msg, and the Conn reuses its read buffer
+// from frame to frame, so a decoded value, record, list address or text
+// that aliased it would change when the next frame overwrote it.
 func FuzzConnStream(f *testing.F) {
 	f.Add(byte(3), byte(TJoinOK), uint64(1), []byte("value"), "addr:1", uint64(2), true)
 	f.Add(byte(2), byte(TPut), uint64(9), bytes.Repeat([]byte{0xab}, 300), "", uint64(0), false)
@@ -73,8 +74,8 @@ func FuzzConnStream(f *testing.F) {
 			c := readConn(sr.wrap(bytes.NewReader(stream)))
 			out := make([]*Msg, len(in))
 			for i := range in {
-				var err error
-				if out[i], err = c.ReadMsg(); err != nil {
+				out[i] = new(Msg)
+				if err := c.ReadMsg(out[i]); err != nil {
 					t.Fatalf("%s: frame %d: %v", sr.name, i, err)
 				}
 				for j := 0; j <= i; j++ {
@@ -83,7 +84,7 @@ func FuzzConnStream(f *testing.F) {
 					}
 				}
 			}
-			if _, err := c.ReadMsg(); err != io.EOF {
+			if err := c.ReadMsg(new(Msg)); err != io.EOF {
 				t.Fatalf("%s: end of stream: got %v, want io.EOF", sr.name, err)
 			}
 		}
@@ -91,8 +92,9 @@ func FuzzConnStream(f *testing.F) {
 }
 
 // TestConnReleasesLargeBuffer sends a 256 KiB anti-entropy fetch reply
-// and then a ping through one Conn: both arrive intact, and neither
-// frame buffer stays above the cap.
+// and then a ping through one Conn, read into one Msg: both arrive
+// intact, and neither the frame buffers nor the Msg keep the large
+// frame's memory.
 func TestConnReleasesLargeBuffer(t *testing.T) {
 	big := &Msg{Type: TSyncFetchOK, Req: 1}
 	for i := 0; i < 4; i++ {
@@ -113,17 +115,20 @@ func TestConnReleasesLargeBuffer(t *testing.T) {
 	if buf.Len() < 4*MaxValueLen {
 		t.Fatalf("stream is %d bytes, want over %d", buf.Len(), 4*MaxValueLen)
 	}
+	var got Msg
 	for _, want := range []*Msg{big, ping} {
-		got, err := c.ReadMsg()
-		if err != nil {
+		if err := c.ReadMsg(&got); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !reflect.DeepEqual(canon(want), canon(&got)) {
 			t.Fatalf("%v: round trip mismatch", want.Type)
 		}
 	}
 	if r, w := cap(c.rbuf), cap(c.wbuf); r > connBufCap || w > connBufCap {
 		t.Errorf("retained buffers: read %d, write %d bytes; cap is %d", r, w, connBufCap)
+	}
+	if cap(got.Recs) != 0 {
+		t.Errorf("the Msg kept %d records' capacity after the ping", cap(got.Recs))
 	}
 }
 
@@ -138,12 +143,12 @@ func TestConnTruncatedStream(t *testing.T) {
 	for _, cut := range []int{1, HeaderLen - 1, HeaderLen, HeaderLen + 1, len(frame) - 1} {
 		for _, sr := range streamReaders {
 			c := readConn(sr.wrap(bytes.NewReader(frame[:cut])))
-			if _, err := c.ReadMsg(); err != io.ErrUnexpectedEOF {
+			if err := c.ReadMsg(new(Msg)); err != io.ErrUnexpectedEOF {
 				t.Errorf("%s: cut at %d of %d: got %v, want io.ErrUnexpectedEOF", sr.name, cut, len(frame), err)
 			}
 		}
 	}
-	if _, err := readConn(bytes.NewReader(nil)).ReadMsg(); err != io.EOF {
+	if err := readConn(bytes.NewReader(nil)).ReadMsg(new(Msg)); err != io.EOF {
 		t.Errorf("empty stream: got %v, want io.EOF", err)
 	}
 }
@@ -171,7 +176,7 @@ func TestConnVerdictMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff
-	if _, err := readConn(bytes.NewReader(huge)).ReadMsg(); !errors.Is(err, ErrTooLarge) {
+	if err := readConn(bytes.NewReader(huge)).ReadMsg(new(Msg)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized payload: got %v, want ErrTooLarge", err)
 	}
 }

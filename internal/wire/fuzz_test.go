@@ -161,3 +161,141 @@ func normalize(b []byte) []byte {
 	}
 	return append([]byte(nil), b...)
 }
+
+// FuzzDecodeInto locks in the reuse rules of decoding into a Msg the
+// caller owns. For two valid frames A and B, built with zero to five
+// list entries, records, tasks and metas of differing values and
+// addresses:
+//
+//  1. decoding B into a Msg left by A equals Decode(B), with nil and
+//     empty slices alike: a reused slice, record value or string keeps
+//     nothing of A, and every field B's type lacks is reset;
+//  2. a Msg read from a Conn does not change when a second Msg is then
+//     read from the same Conn.
+func FuzzDecodeInto(f *testing.F) {
+	ty := func(t Type) byte { return byte(t - 1) } // fuzzMsg's type byte for t
+	f.Add(ty(TJoinOK), ty(TJoinOK), byte(5), byte(2), []byte("value"), "127.0.0.1:9001", uint64(1), true)
+	f.Add(ty(TReplicate), ty(TReplicate), byte(1), byte(1), bytes.Repeat([]byte{7}, 64), "", uint64(3), false)
+	f.Add(ty(TSyncFetchOK), ty(TPing), byte(4), byte(0), []byte("abc"), "x", uint64(0), false)
+	f.Add(ty(TFindSuccessorOK), ty(TGetOK), byte(3), byte(1), []byte{}, "peer", uint64(9), true)
+	f.Add(ty(TError), ty(TError), byte(0), byte(0), []byte("e"), "no route to key", uint64(2), true)
+	f.Add(ty(TError), ty(TGetPredOK), byte(0), byte(0), []byte("e"), "no route to key", uint64(2), true)
+
+	f.Fuzz(func(t *testing.T, tyA, tyB, nA, nB byte, val []byte, addr string, a uint64, flag bool) {
+		if len(val) > MaxValueLen {
+			val = val[:MaxValueLen]
+		}
+		if len(addr) > MaxAddrLen {
+			addr = addr[:MaxAddrLen]
+		}
+		frameA, err := Append(nil, variedMsg(tyA, nA, val, addr, a, flag))
+		if err != nil {
+			t.Fatalf("encode A: %v", err)
+		}
+		// B reuses A's bytes and addresses in part, so some of its
+		// strings equal A's and some do not.
+		frameB, err := Append(nil, variedMsg(tyB, nB, val[len(val)/2:], addr[len(addr)/3:], a^0xff, !flag))
+		if err != nil {
+			t.Fatalf("encode B: %v", err)
+		}
+		wantA, _, err := Decode(frameA)
+		if err != nil {
+			t.Fatalf("decode A: %v", err)
+		}
+		wantB, _, err := Decode(frameB)
+		if err != nil {
+			t.Fatalf("decode B: %v", err)
+		}
+
+		var m Msg
+		if _, err := m.decode(frameA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.decode(frameB); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(canon(&m), canon(wantB)) {
+			t.Fatalf("B decoded over A differs from Decode(B)\nover: %+v\nnew:  %+v", m, *wantB)
+		}
+
+		c := readConn(bytes.NewReader(append(append([]byte(nil), frameA...), frameB...)))
+		var x, y Msg
+		if err := c.ReadMsg(&x); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReadMsg(&y); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(canon(&x), canon(wantA)) || !reflect.DeepEqual(canon(&y), canon(wantB)) {
+			t.Fatalf("reading B changed the Msg read from A\nA: %+v\nwant: %+v", x, *wantA)
+		}
+	})
+}
+
+// variedMsg builds a valid message of a type chosen by ty, with every
+// field the type carries set and n%6 elements in each of its lists.
+// Element i gets a value and address cut to a different length, some
+// of them empty.
+func variedMsg(ty, n byte, val []byte, addr string, a uint64, flag bool) *Msg {
+	m := fuzzMsg(ty, a, val, addr, a, flag)
+	mask := Fields(m.Type)
+	k := int(n % 6)
+	cut := func(i int) int { return (i * 7) % (len(val) + 1) }
+	ref := func(i int) NodeRef {
+		return NodeRef{ID: ids.FromUint64(a + uint64(i)), Addr: addr[:(i*3)%(len(addr)+1)]}
+	}
+	m.List, m.Recs, m.Tasks, m.Metas = nil, nil, nil, nil
+	for i := 0; i < k; i++ {
+		if mask&fList != 0 {
+			m.List = append(m.List, ref(i))
+		}
+		if mask&fRecs != 0 {
+			m.Recs = append(m.Recs, Rec{Key: ids.FromUint64(a ^ uint64(i)), Ver: uint64(i), Value: val[:cut(i)]})
+		}
+		if mask&fTasks != 0 {
+			m.Tasks = append(m.Tasks, Task{Key: ids.FromUint64(uint64(i)), Units: a + uint64(i)})
+		}
+		if mask&fMetas != 0 {
+			meta := Meta{Key: ids.FromUint64(uint64(i) << 8), Ver: a}
+			copy(meta.Sum[:], val[cut(i):])
+			m.Metas = append(m.Metas, meta)
+		}
+	}
+	if mask&fFrom != 0 {
+		m.From = ref(k)
+	}
+	if mask&fNode != 0 {
+		m.Node = ref(k + 1)
+	}
+	return m
+}
+
+// canon is m with every empty slice, record values included, nil: the
+// decoder may keep capacity behind an empty slice, and the comparisons
+// here treat nil and empty alike.
+func canon(m *Msg) Msg {
+	c := *m
+	if len(c.List) == 0 {
+		c.List = nil
+	}
+	if len(c.Recs) == 0 {
+		c.Recs = nil
+	} else {
+		c.Recs = append([]Rec(nil), c.Recs...)
+		for i := range c.Recs {
+			if len(c.Recs[i].Value) == 0 {
+				c.Recs[i].Value = nil
+			}
+		}
+	}
+	if len(c.Tasks) == 0 {
+		c.Tasks = nil
+	}
+	if len(c.Metas) == 0 {
+		c.Metas = nil
+	}
+	if len(c.Value) == 0 {
+		c.Value = nil
+	}
+	return c
+}

@@ -280,7 +280,8 @@ type Task struct {
 // Msg is the decoded form of every message: one Type plus the union of
 // all field slots. Each type uses the fixed subset listed in its
 // constant's doc comment; Append rejects nothing (it simply skips
-// fields outside the subset) and Decode leaves them zero.
+// fields outside the subset) and decoding leaves them zero. A Msg that
+// (*Conn).ReadMsg fills owns its slices until the next ReadMsg into it.
 type Msg struct {
 	Type Type
 	// Req matches replies to requests on a pooled connection.
@@ -544,8 +545,10 @@ func (r *reader) takeU64() (uint64, error) {
 	return binary.BigEndian.Uint64(b), nil
 }
 
-// takeBytes reads a u32 length then that many bytes, enforcing cap.
-func (r *reader) takeBytes(cap int) ([]byte, error) {
+// takeBytes reads a u32 length then that many bytes, enforcing cap,
+// into dst's capacity. A zero length reads as nil. The bytes are
+// copied, so the result never aliases the payload buffer.
+func (r *reader) takeBytes(dst []byte, cap int) ([]byte, error) {
 	n, err := r.takeU32()
 	if err != nil {
 		return nil, err
@@ -560,30 +563,32 @@ func (r *reader) takeBytes(cap int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Copy out of the payload buffer so decoded messages do not alias
-	// the (reused) read buffer.
-	return append([]byte(nil), b...), nil
+	return append(dst[:0], b...), nil
 }
 
-func (r *reader) takeRef() (NodeRef, error) {
-	var ref NodeRef
+// takeRef reads a NodeRef into ref. ref.Addr keeps its string when the
+// bytes equal it (the comparison does not allocate), so a peer's
+// address is allocated once, not once per frame.
+func (r *reader) takeRef(ref *NodeRef) error {
 	var err error
 	if ref.ID, err = r.takeID(); err != nil {
-		return ref, err
+		return err
 	}
 	n, err := r.takeU16()
 	if err != nil {
-		return ref, err
+		return err
 	}
 	if int(n) > MaxAddrLen {
-		return ref, fmt.Errorf("%w: addr %d > %d", ErrTooLarge, n, MaxAddrLen)
+		return fmt.Errorf("%w: addr %d > %d", ErrTooLarge, n, MaxAddrLen)
 	}
 	b, err := r.take(int(n))
 	if err != nil {
-		return ref, err
+		return err
 	}
-	ref.Addr = string(b)
-	return ref, nil
+	if string(b) != ref.Addr {
+		ref.Addr = string(b)
+	}
+	return nil
 }
 
 // count reads a u16 element count, enforcing both the type cap and the
@@ -604,167 +609,195 @@ func (r *reader) count(cap, minElemSize int) (int, error) {
 	return n, nil
 }
 
-// Decode parses one complete frame. It returns the message, the number
-// of bytes consumed, and an error for any malformed input; it never
-// panics and never allocates more than the frame's own length in
-// aggregate element storage.
+// Decode parses one complete frame into a new Msg. It returns the
+// message, the number of bytes consumed, and an error for any malformed
+// input; it never panics and never allocates more than the frame's own
+// length in aggregate element storage. The message shares no memory
+// with b. It is a new Msg plus the decoder (*Conn).ReadMsg runs.
 func Decode(b []byte) (*Msg, int, error) {
+	m := new(Msg)
+	n, err := m.decode(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, n, nil
+}
+
+// resize returns s with length n, reusing its capacity. Elements s held
+// past n are zeroed, so a shorter frame pins none of a longer one's
+// values and every element past len is zero.
+func resize[S ~[]E, E any](s S, n int) S {
+	if n > cap(s) {
+		return make(S, n)
+	}
+	if n < len(s) {
+		clear(s[n:])
+	}
+	return s[:n]
+}
+
+// decode parses one complete frame into m. Every field the frame's type
+// carries is refilled in place: slices (each Rec.Value included) into
+// their existing capacity, and a string kept when the new bytes equal
+// it. Every other field is reset. Nothing aliases b. On error m's
+// contents are unspecified.
+func (m *Msg) decode(b []byte) (int, error) {
 	if len(b) < HeaderLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	if b[0] != 'C' || b[1] != 'B' {
-		return nil, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if b[2] != Version {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, b[2])
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, b[2])
 	}
 	t := Type(b[3])
 	if !t.Valid() {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadType, b[3])
+		return 0, fmt.Errorf("%w: %d", ErrBadType, b[3])
 	}
 	plen := binary.BigEndian.Uint32(b[12:16])
 	if plen > MaxPayload {
-		return nil, 0, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
+		return 0, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
 	total := HeaderLen + int(plen)
 	if len(b) < total {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
-	m := &Msg{Type: t, Req: binary.BigEndian.Uint64(b[4:12])}
-	r := &reader{b: b[HeaderLen:total]}
+	m.Type, m.Req = t, binary.BigEndian.Uint64(b[4:12])
+	r := reader{b: b[HeaderLen:total]}
 	mask := fieldsOf[t]
 	var err error
+	m.Key, m.Key2 = ids.Zero, ids.Zero
 	if mask&fKey != 0 {
 		if m.Key, err = r.takeID(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	if mask&fKey2 != 0 {
 		if m.Key2, err = r.takeID(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	if mask&fFrom != 0 {
-		if m.From, err = r.takeRef(); err != nil {
-			return nil, 0, err
+	for _, ref := range [2]struct {
+		bit uint16
+		p   *NodeRef
+	}{{fFrom, &m.From}, {fNode, &m.Node}} {
+		if mask&ref.bit == 0 {
+			*ref.p = NodeRef{}
+		} else if err = r.takeRef(ref.p); err != nil {
+			return 0, err
 		}
 	}
-	if mask&fNode != 0 {
-		if m.Node, err = r.takeRef(); err != nil {
-			return nil, 0, err
-		}
-	}
+	n := 0
 	if mask&fList != 0 {
-		n, err := r.count(MaxListLen, ids.Bytes+2)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n > 0 {
-			m.List = make([]NodeRef, n)
-			for i := range m.List {
-				if m.List[i], err = r.takeRef(); err != nil {
-					return nil, 0, err
-				}
-			}
+		if n, err = r.count(MaxListLen, ids.Bytes+2); err != nil {
+			return 0, err
 		}
 	}
+	m.List = resize(m.List, n)
+	for i := range m.List {
+		if err = r.takeRef(&m.List[i]); err != nil {
+			return 0, err
+		}
+	}
+	n = 0
 	if mask&fRecs != 0 {
-		n, err := r.count(MaxRecs, ids.Bytes+8+4)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n > 0 {
-			m.Recs = make([]Rec, n)
-			for i := range m.Recs {
-				if m.Recs[i].Key, err = r.takeID(); err != nil {
-					return nil, 0, err
-				}
-				if m.Recs[i].Ver, err = r.takeU64(); err != nil {
-					return nil, 0, err
-				}
-				if m.Recs[i].Value, err = r.takeBytes(MaxValueLen); err != nil {
-					return nil, 0, err
-				}
-			}
+		if n, err = r.count(MaxRecs, ids.Bytes+8+4); err != nil {
+			return 0, err
 		}
 	}
+	m.Recs = resize(m.Recs, n)
+	for i := range m.Recs {
+		rec := &m.Recs[i]
+		if rec.Key, err = r.takeID(); err != nil {
+			return 0, err
+		}
+		if rec.Ver, err = r.takeU64(); err != nil {
+			return 0, err
+		}
+		if rec.Value, err = r.takeBytes(rec.Value, MaxValueLen); err != nil {
+			return 0, err
+		}
+	}
+	n = 0
 	if mask&fTasks != 0 {
-		n, err := r.count(MaxTasks, ids.Bytes+8)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n > 0 {
-			m.Tasks = make([]Task, n)
-			for i := range m.Tasks {
-				if m.Tasks[i].Key, err = r.takeID(); err != nil {
-					return nil, 0, err
-				}
-				if m.Tasks[i].Units, err = r.takeU64(); err != nil {
-					return nil, 0, err
-				}
-			}
+		if n, err = r.count(MaxTasks, ids.Bytes+8); err != nil {
+			return 0, err
 		}
 	}
+	m.Tasks = resize(m.Tasks, n)
+	for i := range m.Tasks {
+		if m.Tasks[i].Key, err = r.takeID(); err != nil {
+			return 0, err
+		}
+		if m.Tasks[i].Units, err = r.takeU64(); err != nil {
+			return 0, err
+		}
+	}
+	n = 0
 	if mask&fMetas != 0 {
-		n, err := r.count(MaxMetas, ids.Bytes+8+SumLen)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n > 0 {
-			m.Metas = make([]Meta, n)
-			for i := range m.Metas {
-				if m.Metas[i].Key, err = r.takeID(); err != nil {
-					return nil, 0, err
-				}
-				if m.Metas[i].Ver, err = r.takeU64(); err != nil {
-					return nil, 0, err
-				}
-				sum, err := r.take(SumLen)
-				if err != nil {
-					return nil, 0, err
-				}
-				copy(m.Metas[i].Sum[:], sum)
-			}
+		if n, err = r.count(MaxMetas, ids.Bytes+8+SumLen); err != nil {
+			return 0, err
 		}
 	}
-	if mask&fValue != 0 {
-		if m.Value, err = r.takeBytes(MaxValueLen); err != nil {
-			return nil, 0, err
+	m.Metas = resize(m.Metas, n)
+	for i := range m.Metas {
+		if m.Metas[i].Key, err = r.takeID(); err != nil {
+			return 0, err
 		}
+		if m.Metas[i].Ver, err = r.takeU64(); err != nil {
+			return 0, err
+		}
+		sum, err := r.take(SumLen)
+		if err != nil {
+			return 0, err
+		}
+		copy(m.Metas[i].Sum[:], sum)
+	}
+	if mask&fValue == 0 {
+		m.Value = m.Value[:0]
+	} else if m.Value, err = r.takeBytes(m.Value, MaxValueLen); err != nil {
+		return 0, err
 	}
 	for _, slot := range [3]struct {
 		bit uint16
 		p   *uint64
 	}{{fA, &m.A}, {fB, &m.B}, {fC, &m.C}} {
+		*slot.p = 0
 		if mask&slot.bit != 0 {
 			if *slot.p, err = r.takeU64(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 	}
+	m.Flag = false
 	if mask&fFlag != 0 {
 		b, err := r.take(1)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if b[0] > 1 {
-			return nil, 0, fmt.Errorf("wire: flag byte %d not 0/1", b[0])
+			return 0, fmt.Errorf("wire: flag byte %d not 0/1", b[0])
 		}
 		m.Flag = b[0] == 1
 	}
-	if mask&fText != 0 {
+	if mask&fText == 0 {
+		m.Text = ""
+	} else {
 		n, err := r.count(MaxTextLen, 1)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		tb, err := r.take(n)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		m.Text = string(tb)
+		if string(tb) != m.Text {
+			m.Text = string(tb)
+		}
 	}
 	if r.remaining() != 0 {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTrailing, r.remaining())
+		return 0, fmt.Errorf("%w: %d bytes", ErrTrailing, r.remaining())
 	}
-	return m, total, nil
+	return total, nil
 }

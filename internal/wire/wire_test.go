@@ -101,15 +101,15 @@ func TestReadWriteStream(t *testing.T) {
 		}
 	}
 	for _, want := range msgs {
-		got, err := c.ReadMsg()
-		if err != nil {
+		got := new(Msg)
+		if err := c.ReadMsg(got); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("stream mismatch: %+v vs %+v", want, got)
 		}
 	}
-	if _, err := c.ReadMsg(); err != io.EOF {
+	if err := c.ReadMsg(new(Msg)); err != io.EOF {
 		t.Errorf("empty stream: got %v, want EOF", err)
 	}
 }
