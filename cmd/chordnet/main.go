@@ -1,7 +1,8 @@
-// Command chordnet is an interactive shell over a live Chord overlay —
-// the internal/chord protocol, with maintenance rounds run on command —
-// for poking at the substrate the simulator abstracts: watch lookups
-// route, crash nodes, and see replication keep data alive.
+// Command chordnet is an interactive shell over a live Chord ring — the
+// netchord protocol that chordd ships, its nodes driven in lockstep with
+// maintenance rounds run on command — for poking at the substrate the
+// simulator abstracts: watch lookups route, crash nodes, and see
+// replication keep data alive.
 //
 //	$ go run ./cmd/chordnet
 //	chord> create 16
@@ -18,19 +19,25 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"chordbalance/internal/adversary"
-	"chordbalance/internal/chord"
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
 	"chordbalance/internal/keys"
+	"chordbalance/internal/netchord"
 	"chordbalance/internal/xrand"
 )
+
+// shellConfig keeps four copies of every key: the owner's and three
+// replicas on its successors.
+var shellConfig = netchord.Config{Replicas: 4}
 
 func main() {
 	if err := run(os.Stdin, os.Stdout, isTerminalLike()); err != nil {
@@ -44,14 +51,19 @@ func isTerminalLike() bool {
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
-// session holds the shell's overlay state. Every client command enters
-// the ring at the first live node in ring order, so a script's output is
-// a pure function of its input.
+// session holds the shell's ring state. Every client command enters
+// the ring at the first live node in ring order, and the lockstep
+// driver runs every RPC from this one goroutine, so a script's output
+// is a pure function of its input.
 type session struct {
-	nw     *chord.Network
-	rounds int // maintenance rounds run so far
-	gen    *keys.Generator
-	out    io.Writer
+	ls  *netchord.Lockstep
+	gen *keys.Generator
+	out io.Writer
+
+	// planned is set while a 'plan' command's fault plan is installed;
+	// stored remembers every value put, for the chaos key audit.
+	planned bool
+	stored  map[ids.ID]string
 
 	// Adversary state (docs/ADVERSARY.md): the installed eclipse
 	// attacker, its RNG stream, and which live ring identities are its.
@@ -62,6 +74,7 @@ type session struct {
 
 func run(in io.Reader, out io.Writer, interactive bool) error {
 	s := &session{out: out, gen: keys.NewGenerator(uint64(0xc0ffee))}
+	defer s.close()
 	sc := bufio.NewScanner(in)
 	for {
 		if interactive {
@@ -85,11 +98,18 @@ func run(in io.Reader, out io.Writer, interactive bool) error {
 	}
 }
 
+// close shuts the session's ring down.
+func (s *session) close() {
+	if s.ls != nil {
+		s.ls.Close()
+	}
+}
+
 func (s *session) dispatch(cmd string, args []string) error {
 	switch cmd {
 	case "help":
 		fmt.Fprint(s.out, `commands:
-  create N           build a fresh N-node overlay
+  create N           build a fresh N-node ring
   join               add one node at a SHA-1 identifier
   kill INDEX         crash the INDEX-th node (see: ring)
   leave INDEX        graceful departure of the INDEX-th node
@@ -98,7 +118,7 @@ func (s *session) dispatch(cmd string, args []string) error {
   lookup KEY         resolve the owner of KEY and count hops
   trace KEY          show the full route a lookup takes
   dist               primary-key count per node (Table I at protocol level)
-  ring               list live nodes with stored-key counts
+  ring               list live nodes
   maint [N]          run N maintenance rounds (default 1)
   heal               lift any partition, then run maintenance until the ring converges
   plan [k=v ...]     set the fault plan (drop, crash, burst-every, burst-size,
@@ -110,7 +130,7 @@ func (s *session) dispatch(cmd string, args []string) error {
                      'attack off' withdraws it, bare 'attack' shows eclipse status
   defend [k=v ...]   run one density-detection pass (thr, window), evicting
                      flagged identities: hostile ones die, honest ones re-key
-  stats              message and fault-transport counters
+  stats              RPC, replication and fault-layer counters
   quit               leave the shell
 `)
 		return nil
@@ -119,117 +139,103 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil || n < 1 {
 			return fmt.Errorf("usage: create N (N >= 1)")
 		}
-		s.nw, s.rounds = chord.NewNetwork(chord.Config{}), 0
-		first, err := s.nw.Create(s.gen.Next())
+		s.close()
+		ls, err := netchord.NewLockstep(shellConfig, faults.Plan{}, n, s.gen.Next)
+		*s = session{ls: ls, gen: s.gen, out: s.out, stored: make(map[ids.ID]string)}
 		if err != nil {
 			return err
 		}
-		for i := 1; i < n; i++ {
-			if _, err := s.nw.Join(s.gen.Next(), first); err != nil {
-				return err
-			}
-			s.maintain()
-		}
-		s.healRing()
-		fmt.Fprintf(s.out, "overlay up: %d nodes\n", len(s.nw.AliveIDs()))
+		fmt.Fprintf(s.out, "overlay up: %d nodes\n", len(s.ls.Nodes()))
 		return nil
 	}
 
-	if s.nw == nil {
+	if s.ls == nil {
 		return fmt.Errorf("no overlay yet: run 'create N' first")
 	}
+	if len(s.ls.Nodes()) == 0 {
+		return fmt.Errorf("no live nodes: run 'create N'")
+	}
+	entry := s.ls.Nodes()[0]
 	switch cmd {
 	case "join":
-		id := s.gen.Next()
-		boot, err := s.entry()
+		n, err := s.ls.Join(s.gen.Next())
 		if err != nil {
 			return err
 		}
-		if _, err := s.nw.Join(id, boot); err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "joined %s\n", id.Short())
+		fmt.Fprintf(s.out, "joined %s\n", n.ID().Short())
 		return nil
 	case "kill", "leave":
 		i, err := atoiArg(args, 0, -1)
-		alive := s.nw.AliveIDs()
+		alive := s.ls.Nodes()
 		if err != nil || i < 0 || i >= len(alive) {
 			return fmt.Errorf("usage: %s INDEX (0..%d)", cmd, len(alive)-1)
 		}
+		id := alive[i].ID()
 		if cmd == "kill" {
-			s.nw.Kill(alive[i])
-			fmt.Fprintf(s.out, "killed %s\n", alive[i].Short())
+			if err := s.ls.Kill(id); err != nil {
+				return err
+			}
+			fmt.Fprintf(s.out, "killed %s\n", id.Short())
 			return nil
 		}
-		if err := s.nw.Leave(alive[i]); err != nil {
+		if err := s.ls.Leave(id); err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "left %s\n", alive[i].Short())
+		fmt.Fprintf(s.out, "left %s\n", id.Short())
 		return nil
 	case "put":
 		if len(args) < 2 {
 			return fmt.Errorf("usage: put KEY VALUE...")
 		}
-		entry, err := s.entry()
-		if err != nil {
+		key, value := keys.HashString(args[0]), strings.Join(args[1:], " ")
+		if err := s.ls.Client().Put(key, []byte(value)); err != nil {
 			return err
 		}
-		if err := entry.Put(keys.HashString(args[0]), strings.Join(args[1:], " ")); err != nil {
-			return err
-		}
+		s.stored[key] = value
 		fmt.Fprintln(s.out, "ok")
 		return nil
 	case "get":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: get KEY")
 		}
-		entry, err := s.entry()
+		v, err := s.ls.Client().Get(keys.HashString(args[0]))
 		if err != nil {
 			return err
 		}
-		v, err := entry.Get(keys.HashString(args[0]))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, v)
+		fmt.Fprintln(s.out, string(v))
 		return nil
 	case "lookup":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: lookup KEY")
 		}
-		entry, err := s.entry()
-		if err != nil {
-			return err
-		}
 		owner, hops, err := entry.Lookup(keys.HashString(args[0]))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "owner %s via %d hops\n", owner.ID().Short(), hops)
+		fmt.Fprintf(s.out, "owner %s via %d hops\n", owner.ID.Short(), hops)
 		return nil
 	case "trace":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: trace KEY")
 		}
-		entry, err := s.entry()
+		owner, path, err := entry.LookupTrace(keys.HashString(args[0]))
 		if err != nil {
 			return err
 		}
-		tr, err := entry.LookupTraced(keys.HashString(args[0]))
-		if err != nil {
-			return err
+		hops := make([]string, len(path))
+		for i, r := range path {
+			hops[i] = r.ID.Short()
 		}
-		fmt.Fprintln(s.out, tr)
+		fmt.Fprintf(s.out, "%s => %s\n", strings.Join(hops, " -> "), owner.ID.Short())
 		return nil
 	case "dist":
-		alive := s.nw.AliveIDs()
-		for i, c := range s.nw.KeyDistribution() {
-			fmt.Fprintf(s.out, "%3d  %s  %d keys\n", i, alive[i].Short(), c)
+		for i, c := range s.primaryKeys() {
+			fmt.Fprintf(s.out, "%3d  %s  %d keys\n", i, s.ls.Nodes()[i].ID().Short(), c)
 		}
 		return nil
 	case "ring":
-		for i, id := range s.nw.AliveIDs() {
-			fmt.Fprintf(s.out, "%3d  %s\n", i, id.Short())
+		for i, n := range s.ls.Nodes() {
+			fmt.Fprintf(s.out, "%3d  %s\n", i, n.ID().Short())
 		}
 		return nil
 	case "maint":
@@ -238,21 +244,20 @@ func (s *session) dispatch(cmd string, args []string) error {
 			return fmt.Errorf("usage: maint [N]")
 		}
 		for i := 0; i < n; i++ {
-			s.maintain()
+			s.ls.Round()
 		}
 		fmt.Fprintf(s.out, "ran %d rounds\n", n)
 		return nil
 	case "heal":
-		if inj := s.nw.FaultInjector(); inj != nil {
-			active := inj.PartitionActive()
-			inj.Heal() // also overrides any partition the plan schedules later
-			if active {
-				fmt.Fprintln(s.out, "partition lifted")
-			}
+		nf := s.ls.Faults()
+		active := nf.PartitionActive()
+		nf.Heal() // also overrides any partition the plan schedules later
+		if active {
+			fmt.Fprintln(s.out, "partition lifted")
 		}
-		rounds := s.healRing()
-		if err := s.nw.VerifyRing(); err != nil {
-			return fmt.Errorf("still inconsistent after %d rounds: %w", rounds, err)
+		rounds, ok := s.healRing()
+		if !ok {
+			return fmt.Errorf("still inconsistent after %d rounds", rounds)
 		}
 		fmt.Fprintf(s.out, "converged after %d rounds\n", rounds)
 		return nil
@@ -271,17 +276,10 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil || maxRounds < 1 {
 			return fmt.Errorf("usage: chaos [TICKS [MAXROUNDS]]")
 		}
-		if s.nw.FaultInjector() == nil {
+		if !s.planned {
 			return fmt.Errorf("no fault plan installed: run 'plan crash=0.01' first")
 		}
-		rep := s.nw.RunChaos(ticks, maxRounds)
-		fmt.Fprintf(s.out, "ticks=%d crashed=%d waves=%d unconverged=%d\n",
-			rep.Ticks, rep.Crashed, rep.Waves, rep.Unconverged)
-		fmt.Fprintf(s.out, "mean-time-to-repair=%.2f max=%d rounds\n",
-			rep.MeanTimeToRepair(), rep.MaxRepairRounds)
-		fmt.Fprintf(s.out, "keys: tracked=%d recovered=%d lost=%d probe-failures=%d (success %.1f%%)\n",
-			rep.KeysTracked, rep.KeysRecovered, rep.KeysLost, rep.ProbeFailures,
-			100*rep.LookupSuccessRate())
+		s.chaos(ticks, maxRounds)
 		return nil
 	case "partition":
 		if len(args) != 1 {
@@ -291,106 +289,149 @@ func (s *session) dispatch(cmd string, args []string) error {
 		if err != nil {
 			return fmt.Errorf("usage: partition FRAC (0 < FRAC < 1)")
 		}
-		if s.nw.FaultInjector() == nil {
-			if err := s.setPlan(faults.Plan{}); err != nil {
-				return err
-			}
-		}
-		if err := s.nw.FaultInjector().ForcePartition(frac); err != nil {
+		if err := s.ls.Faults().ForcePartition(frac); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "partitioned at %g of the ID space\n", frac)
 		return nil
 	case "stats":
-		st := s.nw.Stats()
-		fmt.Fprintf(s.out, "nodes=%d dead=%d messages=%d maintenance-rounds=%d\n",
-			st.AliveNodes, st.DeadNodes, st.Messages, s.rounds)
-		fmt.Fprintf(s.out, "primary-keys=%d stored-entries=%d mean-replication=%.2f ring-ok=%v\n",
-			st.PrimaryKeys, st.TotalKeys, st.MeanReplication, st.RingConsistent)
-		if s.nw.FaultInjector() != nil {
-			ts := s.nw.TransportStats()
-			fmt.Fprintf(s.out, "sends=%d drops=%d retries=%d timeouts=%d backoff-ticks=%d partition-refusals=%d\n",
-				ts.Sends, ts.Drops, ts.Retries, ts.Timeouts, ts.BackoffTicks, ts.PartitionRefusals)
-			fmt.Fprintf(s.out, "lookups=%d failures=%d (success %.1f%%)\n",
-				ts.Lookups, ts.LookupFailures, 100*ts.LookupSuccessRate())
+		primary, entries := 0, 0
+		for i, c := range s.primaryKeys() {
+			primary += c
+			entries += s.ls.Nodes()[i].KeyCount()
 		}
+		replication := 0.0
+		if primary > 0 {
+			replication = float64(entries) / float64(primary)
+		}
+		rpc, fs := s.ls.RPC(), s.ls.Faults().Stats()
+		fmt.Fprintf(s.out, "nodes=%d dead=%d messages=%d maintenance-rounds=%d\n",
+			len(s.ls.Nodes()), s.ls.Dead(), rpc.Calls, s.ls.Rounds())
+		fmt.Fprintf(s.out, "primary-keys=%d stored-entries=%d mean-replication=%.2f ring-ok=%v\n",
+			primary, entries, replication, s.ls.Converged())
+		fmt.Fprintf(s.out, "retries=%d timeouts=%d drops=%d partition-drops=%d partition-refusals=%d\n",
+			rpc.Retries, rpc.Timeouts, fs.Drops, fs.PartitionDrops, fs.PartitionRefusals)
 		return nil
 	}
 	return fmt.Errorf("unknown command %q (try: help)", cmd)
 }
 
-// planCmd sets, clears, or shows the overlay's fault plan.
+// chaos advances the ring through ticks of the installed plan. Each
+// tick the plan's crash draws and bursts pick victims among the live
+// nodes (at least one survives); a tick with victims is a wave, healed
+// by maintenance until the ring converges or maxRounds pass, and a
+// quiet tick runs one ordinary round. The run ends with an audit of
+// every key put so far, read back through the first live node.
+func (s *session) chaos(ticks, maxRounds int) {
+	crashed, waves, unconverged, total, worst := 0, 0, 0, 0, 0
+	for t := 0; t < ticks; t++ {
+		victims := s.ls.ChaosTick()
+		if len(victims) == 0 {
+			s.ls.Round()
+			continue
+		}
+		crashed += len(victims)
+		waves++
+		rounds, ok := s.ls.Converge(maxRounds)
+		total += rounds
+		worst = max(worst, rounds)
+		if !ok {
+			unconverged++
+		}
+	}
+	recovered, lost, failed := 0, 0, 0
+	c := s.ls.Client()
+	for _, k := range sortedKeys(s.stored) {
+		v, err := c.Get(k)
+		switch {
+		case err == nil && string(v) == s.stored[k]:
+			recovered++
+		case err == nil || errors.Is(err, netchord.ErrNotFound):
+			lost++
+		default:
+			failed++
+		}
+	}
+	mttr, success := 0.0, 1.0
+	if waves > 0 {
+		mttr = float64(total) / float64(waves)
+	}
+	if len(s.stored) > 0 {
+		success = 1 - float64(failed)/float64(len(s.stored))
+	}
+	fmt.Fprintf(s.out, "ticks=%d crashed=%d waves=%d unconverged=%d\n", ticks, crashed, waves, unconverged)
+	fmt.Fprintf(s.out, "mean-time-to-repair=%.2f max=%d rounds\n", mttr, worst)
+	fmt.Fprintf(s.out, "keys: tracked=%d recovered=%d lost=%d probe-failures=%d (success %.1f%%)\n",
+		len(s.stored), recovered, lost, failed, 100*success)
+}
+
+// primaryKeys returns how many stored keys each live node owns — keys
+// in its arc (predecessor, self] — in ring order.
+func (s *session) primaryKeys() []int {
+	nodes := s.ls.Nodes()
+	out := make([]int, len(nodes))
+	for i, n := range nodes {
+		pred := nodes[(i+len(nodes)-1)%len(nodes)].ID()
+		for _, k := range n.Store().Keys() {
+			if len(nodes) == 1 || ids.BetweenRightIncl(k, pred, n.ID()) {
+				out[i]++
+			}
+		}
+	}
+	return out
+}
+
+// sortedKeys returns m's keys in ring order.
+func sortedKeys(m map[ids.ID]string) []ids.ID {
+	out := make([]ids.ID, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, ids.ID.Compare)
+	return out
+}
+
+// planCmd sets, clears, or shows the ring's fault plan.
 func (s *session) planCmd(args []string) error {
-	inj := s.nw.FaultInjector()
+	nf := s.ls.Faults()
 	if len(args) == 0 {
-		if inj == nil {
+		if !s.planned {
 			fmt.Fprintln(s.out, "no fault plan installed")
 			return nil
 		}
-		p := inj.Plan()
+		p := nf.Plan()
 		fmt.Fprintf(s.out, "drop=%g crash=%g burst-every=%d burst-size=%d retries=%d seed=%d\n",
 			p.DropRate, p.CrashRate, p.BurstEvery, p.BurstSize, p.MaxRetries, p.Seed)
 		return nil
 	}
 	if len(args) == 1 && args[0] == "off" {
-		if err := s.setPlan(faults.Plan{}); err != nil {
+		if err := nf.SetPlan(faults.Plan{}); err != nil {
 			return err
 		}
+		s.planned = false
 		fmt.Fprintln(s.out, "fault plan cleared")
 		return nil
 	}
 	var p faults.Plan
-	if inj != nil {
-		p = inj.Plan()
+	if s.planned {
+		p = nf.Plan()
 	}
-	for _, kv := range args {
-		k, v, found := strings.Cut(kv, "=")
-		if !found {
-			return fmt.Errorf("bad plan setting %q (want key=value)", kv)
-		}
-		switch k {
-		case "drop", "crash":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fmt.Errorf("bad %s value %q", k, v)
-			}
-			if k == "drop" {
-				p.DropRate = f
-			} else {
-				p.CrashRate = f
-			}
-		case "burst-every", "burst-size", "retries":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("bad %s value %q", k, v)
-			}
-			switch k {
-			case "burst-every":
-				p.BurstEvery = n
-			case "burst-size":
-				p.BurstSize = n
-			default:
-				p.MaxRetries = n
-			}
-		case "seed":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed value %q", v)
-			}
-			p.Seed = n
-		default:
-			return fmt.Errorf("unknown plan key %q (drop, crash, burst-every, burst-size, retries, seed)", k)
-		}
-	}
-	if err := s.setPlan(p); err != nil {
+	if err := applySettings("plan", "drop, crash, burst-every, burst-size, retries, seed", args, map[string]any{
+		"drop": &p.DropRate, "crash": &p.CrashRate, "burst-every": &p.BurstEvery,
+		"burst-size": &p.BurstSize, "retries": &p.MaxRetries, "seed": &p.Seed,
+	}); err != nil {
 		return err
 	}
+	if err := nf.SetPlan(p); err != nil {
+		return err
+	}
+	s.planned = true
 	fmt.Fprintln(s.out, "fault plan installed")
 	return nil
 }
 
 // attackCmd launches, shows, or withdraws an eclipse adversary on the
-// overlay (docs/ADVERSARY.md). The shell has no tick clock, so the
+// ring (docs/ADVERSARY.md). The shell has no tick clock, so the
 // attacker mints its whole budget at once — each hostile identity is a
 // normal protocol join at a clustered ID — and the eclipse report reads
 // owner capture (replicas=1): the fraction of the target arc whose
@@ -406,8 +447,10 @@ func (s *session) attackCmd(args []string) error {
 		return nil
 	}
 	if len(args) == 1 && args[0] == "off" {
-		for id := range s.hostile {
-			s.nw.Kill(id)
+		for _, id := range s.ringIDs() {
+			if s.hostile[id] {
+				_ = s.ls.Kill(id) // taken from the live ring: present
+			}
 		}
 		s.att, s.attRng, s.hostile = nil, nil, nil
 		s.healRing()
@@ -416,37 +459,10 @@ func (s *session) attackCmd(args []string) error {
 	}
 	cfg := adversary.AttackConfig{Budget: 8, TargetStart: 0.2, TargetWidth: 1.0 / 16}
 	seed := uint64(1)
-	for _, kv := range args {
-		k, v, found := strings.Cut(kv, "=")
-		if !found {
-			return fmt.Errorf("bad attack setting %q (want key=value)", kv)
-		}
-		switch k {
-		case "budget":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("bad budget value %q", v)
-			}
-			cfg.Budget = n
-		case "start", "width":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fmt.Errorf("bad %s value %q", k, v)
-			}
-			if k == "start" {
-				cfg.TargetStart = f
-			} else {
-				cfg.TargetWidth = f
-			}
-		case "seed":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed value %q", v)
-			}
-			seed = n
-		default:
-			return fmt.Errorf("unknown attack key %q (budget, start, width, seed)", k)
-		}
+	if err := applySettings("attack", "budget, start, width, seed", args, map[string]any{
+		"budget": &cfg.Budget, "start": &cfg.TargetStart, "width": &cfg.TargetWidth, "seed": &seed,
+	}); err != nil {
+		return err
 	}
 	if s.att != nil {
 		return fmt.Errorf("attack already installed: 'attack off' first")
@@ -459,21 +475,17 @@ func (s *session) attackCmd(args []string) error {
 		return err
 	}
 	s.att, s.attRng, s.hostile = att, xrand.New(seed), make(map[ids.ID]bool)
-	boot, err := s.entry()
-	if err != nil {
-		return err
-	}
 	att.Accrue()
 	for att.CanMint(1) {
 		placed := false
 		for try := 0; try < 16 && !placed; try++ {
 			id := att.MintID(s.attRng)
-			if _, err := s.nw.Join(id, boot); err != nil {
+			if _, err := s.ls.Join(id); err != nil {
 				continue // occupied or unlucky ID: draw again
 			}
 			s.hostile[id] = true
 			att.Minted(1)
-			s.maintain()
+			s.ls.Round()
 			placed = true
 		}
 		if !placed {
@@ -493,39 +505,22 @@ func (s *session) attackCmd(args []string) error {
 // defense's collateral; honest Sybil balancers are dense by design).
 func (s *session) defendCmd(args []string) error {
 	cfg := adversary.DefenseConfig{Threshold: 4}
-	for _, kv := range args {
-		k, v, found := strings.Cut(kv, "=")
-		if !found {
-			return fmt.Errorf("bad defend setting %q (want key=value)", kv)
-		}
-		switch k {
-		case "thr":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fmt.Errorf("bad thr value %q", v)
-			}
-			cfg.Threshold = f
-		case "window":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("bad window value %q", v)
-			}
-			cfg.Window = n
-		default:
-			return fmt.Errorf("unknown defend key %q (thr, window)", k)
-		}
+	if err := applySettings("defend", "thr, window", args, map[string]any{
+		"thr": &cfg.Threshold, "window": &cfg.Window,
+	}); err != nil {
+		return err
 	}
 	det, err := adversary.NewDetector(cfg)
 	if err != nil {
 		return err
 	}
-	ring := s.nw.AliveIDs()
+	ring := s.ringIDs()
 	flagged := det.Flagged(len(ring), func(i int) ids.ID { return ring[i] })
 	var hostileEv, honestEv int
 	for _, i := range flagged {
 		id := ring[i]
 		if s.hostile[id] {
-			s.nw.Kill(id)
+			_ = s.ls.Kill(id) // flagged from the live ring: present
 			delete(s.hostile, id)
 			if s.att != nil {
 				s.att.Evicted()
@@ -535,13 +530,9 @@ func (s *session) defendCmd(args []string) error {
 		}
 		// Honest collateral: re-key rather than remove — the machine
 		// behind the identity is innocent, only its placement dies.
-		if err := s.nw.Leave(id); err != nil {
-			s.nw.Kill(id)
-		}
-		if boot, err := s.entry(); err == nil {
-			if _, err := s.nw.Join(s.gen.Next(), boot); err == nil {
-				s.maintain()
-			}
+		_ = s.ls.Leave(id) // a failed hand-off still takes the node down
+		if _, err := s.ls.Join(s.gen.Next()); err == nil {
+			s.ls.Round()
 		}
 		honestEv++
 	}
@@ -557,57 +548,60 @@ func (s *session) defendCmd(args []string) error {
 
 // eclipse measures owner capture of the attack's target arc: the
 // fraction whose primary owner is hostile (replicas=1 — the shell's
-// overlay stores replicas too, but owner capture is the readable
-// headline at interactive scale).
+// ring stores replicas too, but owner capture is the readable headline
+// at interactive scale).
 func (s *session) eclipse() float64 {
 	if s.att == nil {
 		return 0
 	}
 	lo, hi := s.att.Target()
-	ring := s.nw.AliveIDs()
+	ring := s.ringIDs()
 	return adversary.EclipsedFraction(len(ring),
 		func(i int) ids.ID { return ring[i] },
 		func(i int) bool { return s.hostile[ring[i]] },
 		lo, hi, 1)
 }
 
-// entry returns the node every client command enters the ring at: the
-// first live node in ring order.
-func (s *session) entry() (*chord.Node, error) {
-	alive := s.nw.AliveIDs()
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("no live nodes")
+// ringIDs returns the live node IDs in ring order.
+func (s *session) ringIDs() []ids.ID {
+	out := make([]ids.ID, len(s.ls.Nodes()))
+	for i, n := range s.ls.Nodes() {
+		out[i] = n.ID()
 	}
-	return s.nw.Node(alive[0]), nil
+	return out
 }
 
-// maintain runs one maintenance round on every live node.
-func (s *session) maintain() {
-	s.nw.StabilizeAll()
-	s.rounds++
+// healRing runs maintenance until convergence, bounded by the ring's
+// size, and reports the rounds used and whether it converged.
+func (s *session) healRing() (int, bool) {
+	return s.ls.Converge(4*len(s.ls.Nodes()) + 16)
 }
 
-// setPlan installs a fresh injector for p; a zero plan leaves the
-// transport inert.
-func (s *session) setPlan(p faults.Plan) error {
-	inj, err := faults.New(p)
-	if err != nil {
-		return err
-	}
-	s.nw.SetFaultInjector(inj)
-	return nil
-}
-
-// healRing runs maintenance until convergence (bounded) and returns the
-// rounds used.
-func (s *session) healRing() int {
-	for i := 1; i <= 4*len(s.nw.AliveIDs())+16; i++ {
-		s.maintain()
-		if s.nw.VerifyRing() == nil {
-			return i
+// applySettings parses key=value args into the fields they name, each
+// a *float64, *int or *uint64; what and known name the command and its
+// keys in error messages.
+func applySettings(what, known string, args []string, fields map[string]any) error {
+	for _, kv := range args {
+		k, v, found := strings.Cut(kv, "=")
+		if !found {
+			return fmt.Errorf("bad %s setting %q (want key=value)", what, kv)
+		}
+		var err error
+		switch f := fields[k].(type) {
+		case *float64:
+			*f, err = strconv.ParseFloat(v, 64)
+		case *int:
+			*f, err = strconv.Atoi(v)
+		case *uint64:
+			*f, err = strconv.ParseUint(v, 10, 64)
+		default:
+			return fmt.Errorf("unknown %s key %q (%s)", what, k, known)
+		}
+		if err != nil {
+			return fmt.Errorf("bad %s value %q", k, v)
 		}
 	}
-	return 4*len(s.nw.AliveIDs()) + 16
+	return nil
 }
 
 func atoiArg(args []string, i, def int) (int, error) {

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"chordbalance/internal/chord"
+	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
 	"chordbalance/internal/keys"
+	"chordbalance/internal/netchord"
 	"chordbalance/internal/report"
 	"chordbalance/internal/sim"
 	"chordbalance/internal/stats"
@@ -239,36 +240,29 @@ func WorkSeries(ticks int, opt Options) (*report.Table, error) {
 }
 
 // ChordHops validates the O(log n) lookup-cost model the tick simulator
-// charges for joins and Sybil placements, by building real overlays and
-// measuring routed hop counts.
+// charges for joins and Sybil placements, by building rings of the
+// shipped protocol (netchord, driven in lockstep) and measuring routed
+// hop counts. Messages per join counts every RPC of the build
+// (NewLockstep), the rounds that settle the finished ring included.
 func ChordHops(opt Options) (*report.Table, error) {
-	opt = opt.withDefaults(200) // trials = lookups per overlay here
+	opt = opt.withDefaults(200) // trials = lookups per ring here
 	t := report.NewTable("Chord lookup hops vs network size (fingers fixed)",
 		"nodes", "mean hops", "max hops", "log2(n)", "messages/join")
 	for ci, n := range []int{16, 32, 64, 128} {
-		nw := chord.NewNetwork(chord.Config{})
-		g := keys.NewGenerator(trialSeed(opt.Seed, ci, 0))
-		entry, err := nw.Create(g.Next())
+		l, err := netchord.NewLockstep(netchord.Config{}, faults.Plan{}, n, keys.NewGenerator(trialSeed(opt.Seed, ci, 0)).Next)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("chordhops: %w", err)
 		}
-		for i := 1; i < n; i++ {
-			if _, err := nw.Join(g.Next(), entry); err != nil {
-				return nil, err
-			}
-			nw.StabilizeAll()
-		}
-		if _, ok := nw.StabilizeUntilConverged(4 * n); !ok {
-			return nil, fmt.Errorf("chordhops: %d-node ring did not converge", n)
-		}
-		joinMsgs := nw.TotalMessages()
-		nw.FixAllFingers()
+		joinMsgs := l.RPC().Calls
+		l.FixFingers()
+		entry := l.Nodes()[0]
 		rng := xrand.New(trialSeed(opt.Seed, ci, 1))
 		var hops stats.Online
 		maxHops := 0
 		for i := 0; i < opt.Trials; i++ {
 			_, h, err := entry.Lookup(ids.Random(rng))
 			if err != nil {
+				l.Close()
 				return nil, err
 			}
 			hops.Add(float64(h))
@@ -276,6 +270,7 @@ func ChordHops(opt Options) (*report.Table, error) {
 				maxHops = h
 			}
 		}
+		l.Close()
 		t.AddRowf(n, hops.Mean(), maxHops, log2f(n), float64(joinMsgs)/float64(n))
 	}
 	return t, nil
@@ -324,16 +319,17 @@ func Traffic(opt Options) (*report.Table, error) {
 	return t, nil
 }
 
-// Resilience quantifies the paper's active-backup assumption (§V): how
-// many stored keys survive f *adjacent* node failures under r replicas.
-// Adjacent failures are the worst case — they wipe a contiguous run of
-// the ring, which is exactly where one key's replicas live. The paper
-// asserts recovery from "quite catastrophic failures"; this table shows
-// where that holds (f <= r) and where it cannot (f > r).
+// Resilience quantifies the paper's active-backup assumption (§V) on
+// the shipped protocol: how many acknowledged keys survive f *adjacent*
+// node failures when each key has r copies beyond its owner's. Adjacent
+// failures are the worst case — they wipe a contiguous run of the ring,
+// which is exactly where one key's replicas live. The paper asserts
+// recovery from "quite catastrophic failures"; this table shows where
+// that holds (f <= r) and where it cannot (f > r).
 func Resilience(opt Options) (*report.Table, error) {
 	opt = opt.withDefaults(3)
 	t := report.NewTable(
-		"Replication resilience: 24-node overlay, 120 keys, adjacent failures",
+		"Replication resilience: 24-node ring, 120 keys, adjacent failures",
 		"replicas", "failures", "keys lost", "loss rate")
 	cell := 0
 	for _, replicas := range []int{1, 2, 3, 4} {
@@ -355,59 +351,43 @@ func Resilience(opt Options) (*report.Table, error) {
 	return t, nil
 }
 
+// resilienceTrial stores 120 keys on a converged 24-node ring holding
+// replicas+1 copies of each (netchord counts the owner's copy in
+// Config.Replicas), crashes failures adjacent nodes away from the entry
+// node, lets the ring heal, and reads every key back through the entry.
 func resilienceTrial(replicas, failures int, seed uint64) (lost, total int, err error) {
-	nw := chord.NewNetwork(chord.Config{Replicas: replicas})
-	g := keys.NewGenerator(seed)
-	entry, err := nw.Create(g.Next())
+	const nodes, count = 24, 120
+	l, err := netchord.NewLockstep(netchord.Config{Replicas: replicas + 1}, faults.Plan{}, nodes, keys.NewGenerator(seed).Next)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("resilience: %w", err)
 	}
-	const nodes = 24
-	for i := 1; i < nodes; i++ {
-		if _, err := nw.Join(g.Next(), entry); err != nil {
-			return 0, 0, err
-		}
-		nw.StabilizeAll()
-	}
-	if _, ok := nw.StabilizeUntilConverged(4 * nodes); !ok {
-		return 0, 0, fmt.Errorf("resilience: overlay did not converge")
-	}
-	nw.FixAllFingers()
-	stored := make(map[ids.ID]string)
-	for i := 0; i < 120; i++ {
-		k := g.Next()
-		v := fmt.Sprintf("v%d", i)
-		if err := entry.Put(k, v); err != nil {
-			return 0, 0, err
-		}
-		stored[k] = v
-	}
-	nw.StabilizeAll() // replica repair
-	// Kill `failures` ADJACENT nodes, starting away from the entry node.
-	alive := nw.AliveIDs()
-	start := 0
-	for i, id := range alive {
-		if id == entry.ID() {
-			start = (i + 1 + failures) % len(alive) // keep entry alive
-			break
+	defer l.Close()
+	g := keys.NewGenerator(seed ^ 0x6b657973) // "keys": a stream apart from the node IDs
+	stored := make([]ids.ID, count)
+	c := l.Client()
+	for i := range stored {
+		stored[i] = g.Next()
+		if err := c.Put(stored[i], []byte(fmt.Sprintf("v%d", i))); err != nil {
+			return 0, 0, fmt.Errorf("resilience: put: %w", err)
 		}
 	}
+	// Crash `failures` ADJACENT nodes, starting away from the entry
+	// node (the first in ring order, where the client enters): each
+	// kill moves the next victim into the same live position.
 	for i := 0; i < failures; i++ {
-		victim := alive[(start+i)%len(alive)]
-		if victim == entry.ID() {
-			victim = alive[(start+failures+1)%len(alive)]
+		if err := l.Kill(l.Nodes()[1+failures].ID()); err != nil {
+			return 0, 0, err
 		}
-		nw.Kill(victim)
 	}
-	nw.StabilizeUntilConverged(400)
-	total = len(stored)
-	for k, want := range stored {
-		got, err := entry.Get(k)
-		if err != nil || got != want {
+	l.Converge(400)
+	c = l.Client()
+	for i, k := range stored {
+		got, err := c.Get(k)
+		if err != nil || string(got) != fmt.Sprintf("v%d", i) {
 			lost++
 		}
 	}
-	return lost, total, nil
+	return lost, count, nil
 }
 
 // ArcTable reports the §III arc-length analysis: SHA-1 placement versus

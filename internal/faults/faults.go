@@ -1,5 +1,6 @@
 // Package faults defines a deterministic, seed-driven fault plan shared by
-// the protocol layer (internal/chord) and the tick simulator (internal/sim).
+// the protocol layer (internal/netchord) and the tick simulator
+// (internal/sim).
 //
 // The paper evaluates its load-balancing strategies under *graceful* churn
 // and leans on the "active and aggressive" replication assumption (§V) to
@@ -44,8 +45,8 @@ type Plan struct {
 	// operations are idempotent).
 	DupRate float64
 	// DelayRate is the probability a delivered message is delayed; the
-	// delay is uniform in [1, MaxDelayTicks] ticks and accounted, not
-	// reordered (the in-process overlay stays sequentially consistent).
+	// delay is uniform in [1, MaxDelayTicks] ticks (netchord sleeps it
+	// before writing the frame).
 	DelayRate float64
 	// MaxDelayTicks bounds one message delay. Default 4 (when DelayRate
 	// is set).
@@ -164,7 +165,7 @@ func Backoff(base, k int) int {
 // RNG streams — one for message-level faults, one for crash scheduling —
 // so that, e.g., probing lookups (which consume message draws) can never
 // perturb which nodes crash. Not safe for concurrent use; give each
-// overlay or simulation its own instance.
+// ring or simulation its own instance.
 type Injector struct {
 	plan  Plan
 	msg   *xrand.Rand
@@ -191,15 +192,6 @@ func New(p Plan) (*Injector, error) {
 
 // Plan returns the plan with defaults applied.
 func (in *Injector) Plan() Plan { return in.plan }
-
-// Zero reports whether the injector can ever fire (manual partitions
-// included).
-func (in *Injector) Zero() bool {
-	if in.manual && in.manualOn {
-		return false
-	}
-	return in.plan.Zero()
-}
 
 // Tick returns the injector's current logical time.
 func (in *Injector) Tick() int { return in.tick }

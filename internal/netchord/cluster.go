@@ -96,29 +96,8 @@ func (c *Cluster) Nodes() []*Node {
 // could compute.
 func (c *Cluster) Converged() bool {
 	nodes := c.Nodes()
-	if len(nodes) == 0 {
-		return false
-	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID().Less(nodes[j].ID()) })
-	depth := min(c.cfg.Replicas-1, len(nodes)-1)
-	for i, n := range nodes {
-		next := nodes[(i+1)%len(nodes)]
-		prev := nodes[(i-1+len(nodes))%len(nodes)]
-		if n.Successor().ID != next.ID() {
-			return false
-		}
-		list := n.SuccessorList()
-		for k := 1; k < depth; k++ {
-			if k >= len(list) || list[k].ID != nodes[(i+1+k)%len(nodes)].ID() {
-				return false
-			}
-		}
-		pred, ok := n.Predecessor()
-		if !ok || pred.ID != prev.ID() {
-			return false
-		}
-	}
-	return true
+	return converged(nodes, c.cfg.Replicas)
 }
 
 // AwaitConverged polls Converged until it holds or timeout elapses.

@@ -27,6 +27,9 @@ type NetFaults struct {
 	inj       *faults.Injector
 	start     time.Time
 	tickEvery time.Duration
+	// stepped is set for a Lockstep run: the tick advances only by
+	// crashTick, never with wall time.
+	stepped bool
 
 	// stats are cumulative fault-layer counters.
 	stats NetFaultStats
@@ -77,18 +80,54 @@ func (f *NetFaults) Stats() NetFaultStats {
 	return f.stats
 }
 
-// Tick returns the fault clock's current logical tick (elapsed wall
-// time divided by the tick length).
-func (f *NetFaults) Tick() int {
-	if f == nil {
-		return 0
+// advance moves the injector's schedule to the current wall tick (a
+// stepped clock stays put); callers hold f.mu.
+func (f *NetFaults) advance() {
+	if !f.stepped {
+		f.inj.AdvanceTo(int(time.Since(f.start) / f.tickEvery))
 	}
-	return int(time.Since(f.start) / f.tickEvery)
 }
 
-// advance moves the injector's schedule to the current wall tick;
-// callers hold f.mu.
-func (f *NetFaults) advance() { f.inj.AdvanceTo(f.Tick()) }
+// SetPlan replaces the plan from now on, keeping the fault clock and
+// the counters; a manual partition is lifted with the old plan. An
+// invalid plan is refused and the old one stays.
+func (f *NetFaults) SetPlan(plan faults.Plan) error {
+	inj, err := faults.New(plan)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	inj.AdvanceTo(f.inj.Tick())
+	f.inj = inj
+	return nil
+}
+
+// crashTick steps a stepped clock one tick and draws that tick's
+// crash-stop victims among alive, given in ascending ring order, the
+// way the simulator draws its hosts': one crash draw per node, then
+// the plan's correlated burst, picked at random from the nodes the
+// draws spared. At least one node always survives.
+func (f *NetFaults) crashTick(alive []ids.ID) []ids.ID {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.inj.AdvanceTo(f.inj.Tick() + 1)
+	var out []ids.ID
+	pool := make([]ids.ID, 0, len(alive))
+	for _, id := range alive {
+		if len(alive)-len(out) > 1 && f.inj.CrashNow() {
+			out = append(out, id)
+		} else {
+			pool = append(pool, id)
+		}
+	}
+	for n := f.inj.BurstNow(); n > 0 && len(pool) > 1; n-- {
+		i := f.inj.Pick(len(pool))
+		out = append(out, pool[i])
+		pool = append(pool[:i], pool[i+1:]...)
+	}
+	return out
+}
 
 // DropNow decides whether one frame is lost (nil-safe; false when nil).
 func (f *NetFaults) DropNow() bool {
@@ -231,6 +270,12 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		return len(b), nil // black hole
 	}
 	if d := c.nf.DelayNow(); d > 0 {
+		// A pipe end counts the delayed frame as in flight, or its loss
+		// rule would expire a reader still owed this frame.
+		if h, ok := c.Conn.(interface{ hold(int) }); ok {
+			h.hold(1)
+			defer h.hold(-1)
+		}
 		time.Sleep(d)
 	}
 	n, err := c.Conn.Write(b)

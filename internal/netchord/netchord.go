@@ -19,11 +19,12 @@
 // and does not import — this package.
 //
 // Two transports hide behind one interface: loopback TCP (the default;
-// multi-process capable) and an in-process pipe transport built on
-// net.Pipe for tests that want thousands of "connections" without file
-// descriptors. cmd/chordd runs one or many nodes; cmd/dhtload drives a
-// cluster at a target request rate over sockets. See docs/NETWORK.md
-// for the message flow, node lifecycle, and fault mapping.
+// multi-process capable) and an in-process pipe transport for tests
+// that want thousands of "connections" without file descriptors, and
+// for Lockstep, which replays a seeded fault plan exactly. cmd/chordd
+// runs one or many nodes; cmd/dhtload drives a cluster at a target
+// request rate over sockets. See docs/NETWORK.md for the message flow,
+// node lifecycle, and fault mapping.
 package netchord
 
 import (
@@ -64,7 +65,8 @@ type Config struct {
 	TickEvery time.Duration
 	// SuccessorListLen is r in the Chord paper. Default 8.
 	SuccessorListLen int
-	// Replicas is how many successors mirror each key. Default 2.
+	// Replicas is how many copies of each key the ring keeps: the
+	// owner's plus Replicas-1 on its successors. Default 2.
 	Replicas int
 	// MaxHops bounds one lookup. Default 3*ids.Bits.
 	MaxHops int

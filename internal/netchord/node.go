@@ -143,6 +143,9 @@ type Node struct {
 	lost     []wire.NodeRef
 	lostNext int
 
+	// round counts maintenance rounds run; only maintain touches it.
+	round int
+
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
@@ -227,7 +230,7 @@ func (n *Node) Create() {
 // the change from there.
 func (n *Node) Join(via string) error {
 	boot := wire.NodeRef{Addr: via}
-	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID)
+	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID, nil)
 	if err != nil {
 		return fmt.Errorf("netchord: join lookup via %s: %w", via, err)
 	}
@@ -259,14 +262,22 @@ func (n *Node) Join(via string) error {
 // Start launches the server accept loop and the background maintenance
 // loop. It panics if the node is already closed.
 func (n *Node) Start() {
+	n.serve()
+	n.wg.Add(1)
+	go n.maintenanceLoop()
+}
+
+// serve launches the server accept loop alone: the node answers RPCs
+// but runs maintenance only when its driver calls maintain. It panics
+// if the node is already closed.
+func (n *Node) serve() {
 	select {
 	case <-n.closed:
 		panic("netchord: Start after Close")
 	default:
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.acceptLoop()
-	go n.maintenanceLoop()
 }
 
 // Close shuts the node down: listener, inbound connections, pooled
@@ -535,7 +546,14 @@ func (n *Node) consume(budget uint64) uint64 {
 // Lookup resolves the node responsible for key, starting at this node,
 // returning its ref and the number of routing round trips taken.
 func (n *Node) Lookup(key ids.ID) (wire.NodeRef, int, error) {
-	return lookupFrom(n.pool, n, n.ref, key)
+	return lookupFrom(n.pool, n, n.ref, key, nil)
+}
+
+// LookupTrace is Lookup returning the route as well: every node the
+// lookup visited, this node first, so len(path)-1 is the hop count.
+func (n *Node) LookupTrace(key ids.ID) (owner wire.NodeRef, path []wire.NodeRef, err error) {
+	owner, _, err = lookupFrom(n.pool, n, n.ref, key, &path)
+	return owner, path, err
 }
 
 // lookupFrom is the one iterative lookup, shared by nodes and clients.
@@ -545,13 +563,17 @@ func (n *Node) Lookup(key ids.ID) (wire.NodeRef, int, error) {
 // around by stepping to the closest fallback — the successor-list walk
 // that makes Chord lookups survive stale fingers. When self is non-nil,
 // a step that lands on self is answered locally by routeStep instead
-// of a round trip to itself.
-func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID) (wire.NodeRef, int, error) {
+// of a round trip to itself. When path is non-nil every node the
+// lookup visits is appended to it.
+func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path *[]wire.NodeRef) (wire.NodeRef, int, error) {
 	cur := start
 	var fallbacks []wire.NodeRef
 	var reply wire.Msg // reused by every hop
 	hops := 0
 	for hops <= pool.cfg.MaxHops {
+		if path != nil {
+			*path = append(*path, cur)
+		}
 		var done bool
 		var next wire.NodeRef
 		var list []wire.NodeRef
@@ -744,50 +766,48 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 
 // --- maintenance -----------------------------------------------------
 
-// maintenanceLoop paces stabilization in real time: every
-// StabilizeEveryTicks ticks it runs one stabilize round (successor
-// verification, notify, successor-list refresh) and fixes one finger,
-// exactly the per-round work of the simulator's StabilizeAll but on
-// live connections. Every AntiEntropyEveryTicks ticks it also runs one
-// Merkle anti-entropy pass against its replicas and offers the store a
-// compaction opportunity; with DensityThreshold set, every
-// DensityEveryTicks ticks it also runs one local density scan
-// (docs/ADVERSARY.md).
+// maintenanceLoop paces maintenance in real time: one round (see
+// maintain) every StabilizeEveryTicks ticks.
 func (n *Node) maintenanceLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
 	defer ticker.Stop()
-	every := n.cfg.AntiEntropyEveryTicks / n.cfg.StabilizeEveryTicks
-	if every < 1 {
-		every = 1
-	}
-	densityEvery := n.cfg.DensityEveryTicks / n.cfg.StabilizeEveryTicks
-	if densityEvery < 1 {
-		densityEvery = 1
-	}
-	round := 0
 	for {
 		select {
 		case <-n.closed:
 			return
 		case <-ticker.C:
-			n.stabilizeOnce()
-			n.checkPredecessor()
-			n.fixNextFinger()
-			round++
-			if round%every == 0 {
-				n.antiEntropyOnce()
-				if _, err := n.st.MaybeCompact(); err != nil {
-					n.replicaErrs.Add(1)
-				}
-			}
-			if n.cfg.DensityThreshold > 0 && round%densityEvery == 0 {
-				n.densityScanOnce()
-			}
-			n.probeLost()
-			n.restoreGifts()
+			n.maintain()
 		}
 	}
+}
+
+// maintain runs one maintenance round: one stabilize round (successor
+// verification, notify, successor-list refresh), a predecessor check
+// and one finger fixed, exactly the per-round work of the simulator's
+// StabilizeAll but on live connections. Every AntiEntropyEveryTicks
+// ticks' worth of rounds it also runs one Merkle anti-entropy pass
+// against its replicas and offers the store a compaction opportunity;
+// with DensityThreshold set, every DensityEveryTicks ticks' worth it
+// also runs one local density scan (docs/ADVERSARY.md). The round ends
+// with a graveyard probe and the join-gift check. Exactly one caller
+// drives a node's rounds: its maintenance loop, or a Lockstep driver.
+func (n *Node) maintain() {
+	n.stabilizeOnce()
+	n.checkPredecessor()
+	n.fixNextFinger()
+	n.round++
+	if n.round%max(n.cfg.AntiEntropyEveryTicks/n.cfg.StabilizeEveryTicks, 1) == 0 {
+		n.antiEntropyOnce()
+		if _, err := n.st.MaybeCompact(); err != nil {
+			n.replicaErrs.Add(1)
+		}
+	}
+	if n.cfg.DensityThreshold > 0 && n.round%max(n.cfg.DensityEveryTicks/n.cfg.StabilizeEveryTicks, 1) == 0 {
+		n.densityScanOnce()
+	}
+	n.probeLost()
+	n.restoreGifts()
 }
 
 // densityScanOnce runs the per-arc ID-density defense over the node's
@@ -964,7 +984,7 @@ func (n *Node) probeLost() {
 		}
 	}
 	n.mu.Unlock()
-	owner, _, err := lookupFrom(n.pool, n, cand, n.ref.ID.Add(ids.PowerOfTwo(0)))
+	owner, _, err := lookupFrom(n.pool, n, cand, n.ref.ID.Add(ids.PowerOfTwo(0)), nil)
 	if err != nil || owner.Addr == "" || owner.ID == n.ref.ID {
 		return
 	}

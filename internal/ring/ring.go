@@ -7,7 +7,8 @@
 // lists through active, aggressive maintenance (§V); this package realizes
 // that assumption directly, so joins and leaves move exactly the keys the
 // protocol would move, without simulating the message exchange (the
-// internal/chord package models the protocol itself and its costs).
+// internal/netchord package runs the protocol itself and measures its
+// costs).
 //
 // Key lists are kept in ring order ascending from the owner's predecessor.
 // A join therefore splits a key list at a binary-searched index with zero

@@ -230,7 +230,7 @@ func (c Config) Validate() error {
 }
 
 // MessageStats estimates the protocol traffic a real deployment would
-// incur for the run, using the internal/chord cost model: a join (or Sybil
+// incur for the run, using the Chord cost model internal/netchord runs: a join (or Sybil
 // creation) needs an O(log n) lookup plus successor-list setup; strategies
 // are charged their queries and announcements.
 type MessageStats struct {
