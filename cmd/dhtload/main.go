@@ -274,7 +274,7 @@ func run(args []string, out io.Writer) error {
 		sawStale := false
 		for a := 0; a < attempts; a++ {
 			if a > 0 {
-				time.Sleep(cfg.Ticks(cfg.StabilizeEveryTicks * 2))
+				time.Sleep(cfg.Ticks(netchord.StabilizeEveryTicks * 2))
 			}
 			v, ver, err := client.GetVer(key)
 			if err == nil && ver > want.ver {
@@ -382,7 +382,7 @@ func run(args []string, out io.Writer) error {
 			if time.Now().After(deadline) {
 				break
 			}
-			time.Sleep(cfg.Ticks(cfg.ReportEveryTicks * 4))
+			time.Sleep(cfg.Ticks(netchord.ReportEveryTicks * 4))
 		}
 	}
 

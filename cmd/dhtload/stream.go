@@ -216,7 +216,7 @@ func runStreamLive(o streamOpts, cat *streamload.Catalog, scfg streamload.Config
 	if o.collector != "" {
 		go func() {
 			defer close(done)
-			tick := time.NewTicker(cfg.Ticks(cfg.ReportEveryTicks * 2))
+			tick := time.NewTicker(cfg.Ticks(netchord.ReportEveryTicks * 2))
 			defer tick.Stop()
 			for {
 				select {

@@ -246,6 +246,31 @@ func (in *Injector) BurstTick() bool { return in.BurstNow() > 0 }
 // selection. It panics if n <= 0.
 func (in *Injector) Pick(n int) int { return in.crash.Intn(n) }
 
+// CrashVictims draws one tick's crash-stop victims among n live nodes,
+// numbered 0..n-1 in an order the caller keeps deterministic: one
+// CrashNow draw per node, then the BurstNow quota, each burst victim
+// picked from the nodes the draws spared. At least one node always
+// survives. It returns the victims in draw order in victims' storage
+// and the survivors in spared's; both are caller-owned scratch, so a
+// caller that hands back the returned slices allocates nothing once
+// they have grown.
+func (in *Injector) CrashVictims(n int, victims, spared []int) ([]int, []int) {
+	victims, spared = victims[:0], spared[:0]
+	for i := 0; i < n; i++ {
+		if n-len(victims) > 1 && in.CrashNow() {
+			victims = append(victims, i)
+		} else {
+			spared = append(spared, i)
+		}
+	}
+	for k := in.BurstNow(); k > 0 && len(spared) > 1; k-- {
+		j := in.Pick(len(spared))
+		victims = append(victims, spared[j])
+		spared = append(spared[:j], spared[j+1:]...)
+	}
+	return victims, spared
+}
+
 // ForcePartition activates a partition immediately with the given
 // fraction, overriding the plan's schedule until Heal is called.
 func (in *Injector) ForcePartition(frac float64) error {

@@ -232,3 +232,35 @@ func TestRatesRoughlyHold(t *testing.T) {
 		t.Errorf("crash frequency %.3f far from 0.1", f)
 	}
 }
+
+// TestCrashVictimsSparesOne checks the crash-victim rule both runtimes
+// draw with: victims are distinct, at least one node survives even at
+// CrashRate 1 plus a burst, and survivors and victims partition the
+// nodes.
+func TestCrashVictimsSparesOne(t *testing.T) {
+	for _, p := range []Plan{
+		{Seed: 1, CrashRate: 1},
+		{Seed: 2, CrashRate: 0.3, BurstEvery: 1, BurstSize: 4},
+		{Seed: 3, BurstEvery: 1, BurstSize: 100},
+	} {
+		in, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.AdvanceTo(1)
+		var victims, spared []int
+		for _, n := range []int{1, 2, 7, 20} {
+			victims, spared = in.CrashVictims(n, victims, spared)
+			seen := make(map[int]bool, n)
+			for _, i := range append(append([]int(nil), victims...), spared...) {
+				if i < 0 || i >= n || seen[i] {
+					t.Fatalf("plan %+v, n=%d: index %d out of range or repeated (victims %v, spared %v)", p, n, i, victims, spared)
+				}
+				seen[i] = true
+			}
+			if len(seen) != n || len(spared) == 0 {
+				t.Fatalf("plan %+v, n=%d: victims %v, spared %v", p, n, victims, spared)
+			}
+		}
+	}
+}

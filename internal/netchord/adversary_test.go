@@ -3,39 +3,36 @@ package netchord
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"chordbalance/internal/adversary"
+	"chordbalance/internal/faults"
+	"chordbalance/internal/ids"
 	"chordbalance/internal/wire"
+	"chordbalance/internal/xrand"
 )
 
-// TestJoinPuzzleGate checks puzzle-cost admission on the live join
-// path: a ring running with PuzzleBits set forms normally (the honest
-// path solves the puzzle transparently inside Join), while a hand-built
+// TestJoinPuzzleGate checks puzzle-cost admission on the join path: a
+// ring running with PuzzleBits set forms normally (the honest path
+// solves the puzzle transparently inside Join), while a hand-built
 // TJoin carrying a bogus nonce is refused outright.
 func TestJoinPuzzleGate(t *testing.T) {
-	cfg := testConfig()
-	cfg.PuzzleBits = 8
-	tr := NewPipeTransport()
-	nodes := startRing(t, tr, cfg, 3) // forming at all proves honest admission
-	awaitRing(t, cfg, nodes, 30*time.Second)
-
-	outsider, err := NewNode(cfg, tr, nil, adversary.IDAtFraction(0.42), "")
+	l := lockstepRing(t, Config{PuzzleBits: 8}, faults.Plan{}, 3, 42) // forming at all proves honest admission
+	outsider, err := NewNode(l.cfg, l.tr, nil, adversary.IDAtFraction(0.42), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(outsider.Close)
 	bad := uint64(0)
-	for adversary.VerifyPuzzle(outsider.ID(), bad, cfg.PuzzleBits) {
+	for adversary.VerifyPuzzle(outsider.ID(), bad, l.cfg.PuzzleBits) {
 		bad++
 	}
-	err = outsider.pool.call(nodes[0].Ref(), &wire.Msg{Type: wire.TJoin, From: outsider.ref, A: bad}, nil)
+	err = outsider.pool.call(l.Nodes()[0].Ref(), &wire.Msg{Type: wire.TJoin, From: outsider.ref, A: bad}, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("unsolved join puzzle not refused: err = %v", err)
 	}
 }
 
-// attackPlan is the shared attack dose for the live eclipse tests: six
+// attackPlan is the shared attack dose for the eclipse tests: six
 // hostile identities aimed at one eighth of the ring, with enough work
 // per tick that puzzle-free minting is instant.
 func attackPlan() adversary.AttackConfig {
@@ -48,77 +45,133 @@ func attackPlan() adversary.AttackConfig {
 	}
 }
 
-// runAttack boots a StrategyNone cluster under cfg, points an
-// AttackHost at it, and samples MeasureEclipse until either the
-// predicate is satisfied or the timeout passes. It returns the last
-// observed eclipse fraction and the attacker's final stats.
-func runAttack(t *testing.T, cfg Config, timeout time.Duration, done func(eclipse float64, st AttackStats) bool) (float64, AttackStats) {
-	t.Helper()
-	c, err := NewCluster(cfg, NewPipeTransport(), nil, 10, StrategyNone, 77, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if !c.AwaitConverged(60 * time.Second) {
-		t.Fatal("10-node ring did not converge")
-	}
-	a, err := NewAttackHost(cfg, c.tr, nil, attackPlan(), 5, c.SeedAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	lo, hi := a.Target()
-	a.Start()
+// attackOutcome is what one lockstep attack run ends with.
+type attackOutcome struct {
+	eclipse                  float64
+	minted, evicted, blocked int
+}
 
-	deadline := time.Now().Add(timeout)
-	eclipse := 0.0
-	for {
-		honest := make([]*Node, 0, 16)
-		for _, h := range c.Hosts() {
-			honest = append(honest, h.Nodes()...)
+// runAttack builds a 10-node lockstep ring under cfg and plays the
+// attackPlan dose against it for the given rounds, the test goroutine
+// acting as the attacker. Each round it accrues StabilizeEveryTicks
+// ticks of work, minting on the plan's cadence through the ring's real
+// join path (so PuzzleBits costs actual puzzle solving), then runs one
+// maintenance round. A hostile node that was served a density-scan
+// TEvict in that round complies: it leaves, and the freed budget pays
+// for a fresh clustered ID — the re-mint response to eviction. The run
+// ends with the eclipsed fraction of the target arc over the true
+// membership.
+func runAttack(t *testing.T, cfg Config, rounds int) attackOutcome {
+	t.Helper()
+	l := lockstepRing(t, cfg, faults.Plan{}, 10, 77)
+	att, err := adversary.NewAttacker(attackPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(5)
+	cost := 1 + adversary.PuzzleCost(cfg.PuzzleBits)
+	hostile := make(map[ids.ID]bool) // the live hostile IDs
+	var out attackOutcome
+	tick := 0
+	for range rounds {
+		for range StabilizeEveryTicks {
+			att.Accrue()
+			tick++
+			if tick%att.Config().MintEvery != 0 || !att.CanMint(cost) {
+				continue
+			}
+			n, err := l.Join(att.MintID(rng))
+			if err != nil {
+				out.blocked++ // an occupied ID or a refused join costs nothing
+				continue
+			}
+			att.Minted(cost)
+			hostile[n.ID()] = true
 		}
-		eclipse = MeasureEclipse(honest, a.Nodes(), lo, hi, cfg.Replicas)
-		if done(eclipse, a.Stats()) || time.Now().After(deadline) {
-			return eclipse, a.Stats()
+		l.Round()
+		var evicted []ids.ID
+		for _, n := range l.Nodes() {
+			if hostile[n.ID()] && n.Stats().Served[wire.TEvict] > 0 {
+				evicted = append(evicted, n.ID())
+			}
 		}
-		time.Sleep(10 * cfg.TickEvery)
+		for _, id := range evicted {
+			if err := l.Leave(id); err != nil {
+				t.Fatalf("evicted hostile node %s: leave: %v", id.Short(), err)
+			}
+			delete(hostile, id)
+			att.Evicted()
+		}
+	}
+	lo, hi := att.Target()
+	nodes := l.Nodes()
+	out.eclipse = adversary.EclipsedFraction(len(nodes),
+		func(i int) ids.ID { return nodes[i].ID() },
+		func(i int) bool { return hostile[nodes[i].ID()] },
+		lo, hi, l.cfg.Replicas)
+	out.minted, out.evicted = att.MintCount(), att.EvictCount()
+	return out
+}
+
+// TestEclipseSuppressedByDefense is the networked half of the sybilwar
+// acceptance criterion: the attack dose that eclipses most of the
+// target arc on an undefended ring is measurably suppressed when the
+// ring turns on puzzle admission and the density scan. Hostile
+// identities are evicted over the wire, the eclipse the attacker holds
+// stays strictly below the undefended mark, and a rerun under the same
+// seed repeats every count.
+func TestEclipseSuppressedByDefense(t *testing.T) {
+	const rounds = 25
+	undef := runAttack(t, Config{}, rounds)
+	if undef.eclipse <= 0 || undef.minted == 0 {
+		t.Fatalf("undefended attack achieved no eclipse: %+v", undef)
+	}
+	if undef.evicted != 0 {
+		t.Fatalf("undefended ring evicted hostile identities: %+v", undef)
+	}
+
+	// Mint cost 1025 against WorkRate 300: about one identity per
+	// maintenance round.
+	defended := Config{PuzzleBits: 10, DensityThreshold: 8}
+	def := runAttack(t, defended, rounds)
+	if def.evicted == 0 {
+		t.Errorf("defense never evicted a hostile identity: %+v", def)
+	}
+	if def.eclipse >= undef.eclipse {
+		t.Errorf("defense did not suppress the eclipse: defended %+v, undefended %+v", def, undef)
+	}
+	if again := runAttack(t, defended, rounds); again != def {
+		t.Errorf("same seed, different run: %+v then %+v", def, again)
 	}
 }
 
-// TestEclipseSuppressedByDefense is the live half of the sybilwar
-// acceptance criterion: the same attack dose that eclipses part of the
-// target arc on an undefended cluster is measurably suppressed when the
-// cluster turns on puzzle admission and the density scan — hostile
-// identities actually get evicted over the wire, and the eclipse the
-// attacker can hold stays strictly below the undefended mark.
-func TestEclipseSuppressedByDefense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two live clusters in -short mode")
-	}
-	cfg := clusterConfig()
-	undefEclipse, undefStats := runAttack(t, cfg, 45*time.Second,
-		func(e float64, _ AttackStats) bool { return e > 0 })
-	if undefEclipse <= 0 {
-		t.Fatalf("undefended attack achieved no eclipse: %+v", undefStats)
-	}
-	if undefStats.Minted == 0 {
-		t.Fatalf("undefended attack minted nothing: %+v", undefStats)
-	}
-
-	dcfg := clusterConfig()
-	dcfg.PuzzleBits = 10 // mint cost 1025 vs WorkRate 300: ~1 identity per 4 ticks
-	dcfg.DensityThreshold = 8
-	dcfg.DensityWindow = 4
-	dcfg.DensityEveryTicks = 4 // scan every stabilize round
-	// Run until the defense has demonstrably fired a few times, then take
-	// the eclipse reading of that moment.
-	defEclipse, defStats := runAttack(t, dcfg, 45*time.Second,
-		func(e float64, st AttackStats) bool { return st.Evicted >= 3 && e < undefEclipse })
-	if defStats.Evicted == 0 {
-		t.Errorf("defense never evicted a hostile identity: %+v", defStats)
-	}
-	if defEclipse >= undefEclipse {
-		t.Errorf("defense did not suppress the eclipse: defended %.4f >= undefended %.4f (stats %+v)",
-			defEclipse, undefEclipse, defStats)
+// TestHonestRingNotEvicted is the defense's no-false-positive
+// invariant: on an honest ring of evenly spaced nodes, which no window
+// can make look dense, the density scan sends no eviction notice at any
+// ring size, including while fresh joiners' successor lists are still
+// filling.
+func TestHonestRingNotEvicted(t *testing.T) {
+	for _, n := range []int{16, 32, 48, 64, 128} {
+		i := 0
+		even := func() ids.ID {
+			id := adversary.IDAtFraction(float64(i) / float64(n))
+			i++
+			return id
+		}
+		l, err := NewLockstep(Config{DensityThreshold: 8}, faults.Plan{}, n, even)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 64 {
+			l.Round()
+		}
+		var notices int64
+		for _, nd := range l.Nodes() {
+			notices += nd.Stats().EvictsSent
+		}
+		l.Close()
+		if notices != 0 {
+			t.Errorf("%d-node honest ring: %d eviction notices, want 0", n, notices)
+		}
 	}
 }

@@ -183,7 +183,7 @@ func (c *Client) routed(key ids.ID, m, reply *wire.Msg) error {
 	var err error
 	for attempt := 0; attempt < rerouteAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.cfg.Ticks(c.cfg.StabilizeEveryTicks))
+			time.Sleep(c.cfg.Ticks(StabilizeEveryTicks))
 		}
 		c.lookups.Add(1)
 		var owner wire.NodeRef

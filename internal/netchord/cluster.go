@@ -110,7 +110,7 @@ func (c *Cluster) AwaitConverged(timeout time.Duration) bool {
 		if time.Now().After(deadline) {
 			return false
 		}
-		time.Sleep(c.cfg.Ticks(c.cfg.StabilizeEveryTicks))
+		time.Sleep(c.cfg.Ticks(StabilizeEveryTicks))
 	}
 }
 

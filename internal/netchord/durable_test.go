@@ -28,7 +28,7 @@ func getFromRing(t *testing.T, cfg Config, nodes []*Node, key ids.ID, timeout ti
 		if time.Now().After(deadline) {
 			return nil, 0, lastErr
 		}
-		time.Sleep(cfg.Ticks(cfg.StabilizeEveryTicks))
+		time.Sleep(cfg.Ticks(StabilizeEveryTicks))
 	}
 }
 
@@ -124,7 +124,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("rejoin: %v", err)
 		}
-		time.Sleep(cfg.Ticks(cfg.StabilizeEveryTicks))
+		time.Sleep(cfg.Ticks(StabilizeEveryTicks))
 	}
 	revived.Start()
 	ring := []*Node{nodes[0], revived, nodes[2]}
@@ -178,7 +178,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("anti-entropy did not converge: %d vs %d keys", na, nb)
 		}
-		time.Sleep(cfg.Ticks(cfg.AntiEntropyEveryTicks))
+		time.Sleep(cfg.Ticks(antiEntropyEveryTicks))
 	}
 	if a.Stats().AntiEntropyRounds == 0 && b.Stats().AntiEntropyRounds == 0 {
 		t.Fatal("converged with zero anti-entropy rounds recorded")

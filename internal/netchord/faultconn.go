@@ -104,29 +104,15 @@ func (f *NetFaults) SetPlan(plan faults.Plan) error {
 }
 
 // crashTick steps a stepped clock one tick and draws that tick's
-// crash-stop victims among alive, given in ascending ring order, the
-// way the simulator draws its hosts': one crash draw per node, then
-// the plan's correlated burst, picked at random from the nodes the
-// draws spared. At least one node always survives.
-func (f *NetFaults) crashTick(alive []ids.ID) []ids.ID {
+// crash-stop victims among n live nodes, by the rule the simulator
+// draws its hosts with (faults.Injector.CrashVictims). It returns the
+// victims' indices.
+func (f *NetFaults) crashTick(n int) []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inj.AdvanceTo(f.inj.Tick() + 1)
-	var out []ids.ID
-	pool := make([]ids.ID, 0, len(alive))
-	for _, id := range alive {
-		if len(alive)-len(out) > 1 && f.inj.CrashNow() {
-			out = append(out, id)
-		} else {
-			pool = append(pool, id)
-		}
-	}
-	for n := f.inj.BurstNow(); n > 0 && len(pool) > 1; n-- {
-		i := f.inj.Pick(len(pool))
-		out = append(out, pool[i])
-		pool = append(pool[:i], pool[i+1:]...)
-	}
-	return out
+	victims, _ := f.inj.CrashVictims(n, nil, nil)
+	return victims
 }
 
 // DropNow decides whether one frame is lost (nil-safe; false when nil).

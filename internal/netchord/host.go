@@ -147,7 +147,6 @@ func (h *Host) spawn(id ids.ID, via string) (*Node, error) {
 		return nil, err
 	}
 	n.host = h
-	n.ev = h
 	if via == "" {
 		n.Create()
 	} else if err := n.Join(via); err != nil {
@@ -262,7 +261,7 @@ func (h *Host) loop() {
 			tick := h.tick
 			h.mu.Unlock()
 			h.consumeTick(tick)
-			if tick%h.cfg.ReportEveryTicks == 0 {
+			if tick%ReportEveryTicks == 0 {
 				h.report()
 			}
 			if tick%h.cfg.DecisionEveryTicks == 0 {

@@ -186,7 +186,7 @@ func TestRetiredSybilKeepsUndeliveredWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.host, s.ev = h, h
+		s.host = h
 		s.Create()
 		s.mu.Lock()
 		s.succ = []wire.NodeRef{primary.Ref()}

@@ -225,11 +225,11 @@ func (l *Lockstep) FixFingers() {
 // the live nodes in ring order. At least one node survives. It returns
 // the victims.
 func (l *Lockstep) ChaosTick() []ids.ID {
-	alive := make([]ids.ID, len(l.live))
-	for i, n := range l.live {
-		alive[i] = n.ID()
+	picked := l.nf.crashTick(len(l.live))
+	victims := make([]ids.ID, len(picked))
+	for k, i := range picked {
+		victims[k] = l.live[i].ID()
 	}
-	victims := l.nf.crashTick(alive)
 	for _, id := range victims {
 		_ = l.Kill(id) // drawn from the live set: always present
 	}

@@ -55,6 +55,30 @@ var (
 	ErrNotOwner = errors.New("netchord: not the key's owner")
 )
 
+// Fixed protocol bounds and cadences; ticks are Config.TickEvery long.
+const (
+	// maxHops bounds one lookup.
+	maxHops = 3 * ids.Bits
+	// backoffBaseTicks is the backoff before the first RPC retry; the
+	// k-th retry waits faults.Backoff(backoffBaseTicks, k) ticks.
+	backoffBaseTicks = 1
+	// StabilizeEveryTicks is the cadence of the maintenance round
+	// (successor verification + notify + one finger fixed).
+	StabilizeEveryTicks = 4
+	// antiEntropyEveryTicks is the replica anti-entropy cadence: every
+	// so many ticks a node compares Merkle digests of its primary arc
+	// with its replicas and reconciles the differences.
+	antiEntropyEveryTicks = 8
+	// ReportEveryTicks is a host's report cadence to the collector.
+	ReportEveryTicks = 2
+	// densityWindow is the density scan's window width in consecutive
+	// view entries: half the default successor list, so a clean
+	// majority of the view anchors the ring-size estimate.
+	densityWindow = 4
+	// densityEveryTicks is the density scan cadence.
+	densityEveryTicks = 16
+)
+
 // Config tunes one node (and, via Host/Cluster, a whole runtime). The
 // zero value is usable: WithDefaults fills every field.
 type Config struct {
@@ -68,21 +92,12 @@ type Config struct {
 	// Replicas is how many copies of each key the ring keeps: the
 	// owner's plus Replicas-1 on its successors. Default 2.
 	Replicas int
-	// MaxHops bounds one lookup. Default 3*ids.Bits.
-	MaxHops int
 	// RPCTimeoutTicks is the per-attempt request timeout, in ticks.
 	// Default 40.
 	RPCTimeoutTicks int
 	// MaxRetries bounds RPC re-attempts after a failure; the k-th retry
-	// waits faults.Backoff(BackoffBaseTicks, k) ticks first. Default 3.
+	// first waits 2^(k-1) ticks. Default 3.
 	MaxRetries int
-	// BackoffBaseTicks is the base backoff before the first retry, in
-	// ticks. Default 1.
-	BackoffBaseTicks int
-	// StabilizeEveryTicks is the cadence of the background stabilize
-	// round (successor verification + notify + one finger fixed).
-	// Default 4.
-	StabilizeEveryTicks int
 	// IdleConnTicks is how long a server keeps an idle inbound
 	// connection before closing it. Default 6000 (30s at 5ms ticks).
 	IdleConnTicks int
@@ -109,9 +124,6 @@ type Config struct {
 	InviteThreshold uint64
 	// MaxSybils caps Sybil identities per host. Default 8.
 	MaxSybils int
-	// ReportEveryTicks is the host's report cadence to the collector.
-	// Default 2.
-	ReportEveryTicks int
 	// DataDir is the base directory for the nodes' durable segment logs
 	// (internal/store). Each node logs under DataDir/node-<id>; empty
 	// means memory-backed stores (same semantics, no files, no
@@ -121,10 +133,6 @@ type Config struct {
 	// stores. Writes still hit the log (a graceful close flushes them)
 	// but a crash can lose acknowledged writes — only for benchmarks.
 	NoSync bool
-	// AntiEntropyEveryTicks is the replica anti-entropy cadence: every
-	// so many ticks a node compares Merkle digests of its primary arc
-	// with its replicas and reconciles the differences. Default 8.
-	AntiEntropyEveryTicks int
 	// ReadWorkUnits couples the read path to the balancing strategies:
 	// every served TGet enqueues this many task units at the serving
 	// node, so read pressure (a viral object under the streaming
@@ -150,12 +158,6 @@ type Config struct {
 	// low thresholds evict them too — HostStats.Evictions counts the
 	// collateral. Default 0: no scanning.
 	DensityThreshold float64
-	// DensityWindow is the scan's window width in consecutive view
-	// entries. Default 4 (half the default successor list, so a clean
-	// majority of the view anchors the ring-size estimate).
-	DensityWindow int
-	// DensityEveryTicks is the scan cadence. Default 16.
-	DensityEveryTicks int
 }
 
 // WithDefaults fills unset fields with the defaults above.
@@ -169,20 +171,11 @@ func (c Config) WithDefaults() Config {
 	if c.Replicas == 0 {
 		c.Replicas = 2
 	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 3 * ids.Bits
-	}
 	if c.RPCTimeoutTicks == 0 {
 		c.RPCTimeoutTicks = 40
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
-	}
-	if c.BackoffBaseTicks == 0 {
-		c.BackoffBaseTicks = 1
-	}
-	if c.StabilizeEveryTicks == 0 {
-		c.StabilizeEveryTicks = 4
 	}
 	if c.IdleConnTicks == 0 {
 		c.IdleConnTicks = 6000
@@ -198,18 +191,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxSybils == 0 {
 		c.MaxSybils = 8
-	}
-	if c.ReportEveryTicks == 0 {
-		c.ReportEveryTicks = 2
-	}
-	if c.AntiEntropyEveryTicks == 0 {
-		c.AntiEntropyEveryTicks = 8
-	}
-	if c.DensityWindow == 0 {
-		c.DensityWindow = 4
-	}
-	if c.DensityEveryTicks == 0 {
-		c.DensityEveryTicks = 16
 	}
 	return c
 }

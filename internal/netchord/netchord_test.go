@@ -80,7 +80,7 @@ func awaitRing(t *testing.T, cfg Config, nodes []*Node, timeout time.Duration) {
 		if time.Now().After(deadline) {
 			t.Fatalf("ring did not converge within %v", timeout)
 		}
-		time.Sleep(cfg.Ticks(cfg.StabilizeEveryTicks))
+		time.Sleep(cfg.Ticks(StabilizeEveryTicks))
 	}
 }
 

@@ -16,16 +16,6 @@ import (
 	"chordbalance/internal/wire"
 )
 
-// evictor reacts to a density-defense eviction notice (wire.TEvict)
-// addressed to one of its nodes. The Host implementation retires the
-// identity — re-keying a primary through induced churn, retiring a
-// Sybil gracefully — while the AttackHost implementation feeds the
-// notice into the attacker's re-mint loop. Set alongside the node's
-// owner before Start, like the host pointer.
-type evictor interface {
-	considerEvict(n *Node)
-}
-
 // joinGift is the data copy and task handoff computed for one joiner,
 // kept until the joiner's first notify confirms receipt so a retried
 // TJoin (lost reply) re-sends the identical gift. Gifts unconfirmed
@@ -94,8 +84,7 @@ type Node struct {
 	cfg  Config
 	tr   Transport
 	nf   *NetFaults
-	host *Host   // nil for standalone nodes
-	ev   evictor // eviction-notice owner; nil ignores TEvict
+	host *Host // nil for standalone nodes
 	ref  wire.NodeRef
 
 	// st is the node's durable storage engine: an append-only segment
@@ -570,7 +559,7 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path
 	var fallbacks []wire.NodeRef
 	var reply wire.Msg // reused by every hop
 	hops := 0
-	for hops <= pool.cfg.MaxHops {
+	for hops <= maxHops {
 		if path != nil {
 			*path = append(*path, cur)
 		}
@@ -770,7 +759,7 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 // maintain) every StabilizeEveryTicks ticks.
 func (n *Node) maintenanceLoop() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.Ticks(n.cfg.StabilizeEveryTicks))
+	ticker := time.NewTicker(n.cfg.Ticks(StabilizeEveryTicks))
 	defer ticker.Stop()
 	for {
 		select {
@@ -785,10 +774,10 @@ func (n *Node) maintenanceLoop() {
 // maintain runs one maintenance round: one stabilize round (successor
 // verification, notify, successor-list refresh), a predecessor check
 // and one finger fixed, exactly the per-round work of the simulator's
-// StabilizeAll but on live connections. Every AntiEntropyEveryTicks
+// StabilizeAll but on live connections. Every antiEntropyEveryTicks
 // ticks' worth of rounds it also runs one Merkle anti-entropy pass
 // against its replicas and offers the store a compaction opportunity;
-// with DensityThreshold set, every DensityEveryTicks ticks' worth it
+// with DensityThreshold set, every densityEveryTicks ticks' worth it
 // also runs one local density scan (docs/ADVERSARY.md). The round ends
 // with a graveyard probe and the join-gift check. Exactly one caller
 // drives a node's rounds: its maintenance loop, or a Lockstep driver.
@@ -797,13 +786,13 @@ func (n *Node) maintain() {
 	n.checkPredecessor()
 	n.fixNextFinger()
 	n.round++
-	if n.round%max(n.cfg.AntiEntropyEveryTicks/n.cfg.StabilizeEveryTicks, 1) == 0 {
+	if n.round%(antiEntropyEveryTicks/StabilizeEveryTicks) == 0 {
 		n.antiEntropyOnce()
 		if _, err := n.st.MaybeCompact(); err != nil {
 			n.replicaErrs.Add(1)
 		}
 	}
-	if n.cfg.DensityThreshold > 0 && n.round%max(n.cfg.DensityEveryTicks/n.cfg.StabilizeEveryTicks, 1) == 0 {
+	if n.cfg.DensityThreshold > 0 && n.round%(densityEveryTicks/StabilizeEveryTicks) == 0 {
 		n.densityScanOnce()
 	}
 	n.probeLost()
@@ -820,9 +809,18 @@ func (n *Node) maintain() {
 // retries — the next scan re-fires if the cluster is still there). The
 // node never evicts itself: if it sits inside a flagged cluster its
 // honest neighbors' scans will say so.
+//
+// The scan waits for a full successor list. A list still filling after
+// a join can end in wrap-around entries left from a smaller ring,
+// which squeeze the gaps the size estimate rests on and flag honest
+// nodes.
 func (n *Node) densityScanOnce() {
-	w := n.cfg.DensityWindow
+	const w = densityWindow
 	n.mu.Lock()
+	if len(n.succ) < n.cfg.SuccessorListLen {
+		n.mu.Unlock()
+		return
+	}
 	view := make([]wire.NodeRef, 0, len(n.succ)+1)
 	view = append(view, n.ref)
 	view = append(view, n.succ...)
@@ -1153,7 +1151,7 @@ func (n *Node) handle(req, reply *wire.Msg, recs *[]store.Rec) {
 		reply.Type = wire.TPong
 
 	case wire.TFindSuccessor:
-		if req.A > uint64(n.cfg.MaxHops) {
+		if req.A > uint64(maxHops) {
 			errorMsg(reply, CodeNoRoute, "hop budget exceeded")
 			return
 		}
@@ -1333,14 +1331,12 @@ func (n *Node) handle(req, reply *wire.Msg, recs *[]store.Rec) {
 			errorMsg(reply, CodeBadRequest, "evict without sender ref")
 			return
 		}
-		n.mu.Lock()
-		ev, leaving := n.ev, n.leaving
-		n.mu.Unlock()
 		// Advisory by design: an ownerless (or already-leaving) node just
-		// acknowledges. The evictor dispatches its own goroutine, so the
-		// serve path never blocks on an induced churn cycle.
-		if ev != nil && !leaving {
-			ev.considerEvict(n)
+		// acknowledges. The host retires the identity on its own
+		// goroutine, so the serve path never blocks on an induced churn
+		// cycle.
+		if h := n.host; h != nil && !n.isLeaving() {
+			h.considerEvict(n)
 		}
 		reply.Type = wire.TAck
 

@@ -145,7 +145,7 @@ func (p *peerPool) call(ref wire.NodeRef, m, reply *wire.Msg) error {
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			p.retries.Add(1)
-			wait := faults.Backoff(p.cfg.BackoffBaseTicks, attempt)
+			wait := faults.Backoff(backoffBaseTicks, attempt)
 			p.backoff.Add(int64(wait))
 			//lint:ignore lockheld pr.mu IS the one-call-at-a-time serializer for this peer's pooled conn; backoff must hold it so a second caller cannot interleave frames mid-retry
 			time.Sleep(p.cfg.Ticks(wait))

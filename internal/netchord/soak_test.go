@@ -269,7 +269,7 @@ func TestSoakDurableStore(t *testing.T) {
 				lost++
 				break
 			}
-			time.Sleep(cfg.Ticks(cfg.AntiEntropyEveryTicks))
+			time.Sleep(cfg.Ticks(antiEntropyEveryTicks))
 		}
 		if err == nil && ver == w.ver && string(v) != w.value {
 			t.Errorf("acked bytes lost for %s@%d: %q != %q", key.Short(), w.ver, v, w.value)
@@ -318,7 +318,7 @@ func TestSoakDurableStore(t *testing.T) {
 		if time.Now().After(digestDeadline) {
 			t.Fatalf("anti-entropy never converged: %d divergent arcs remain", diverged)
 		}
-		time.Sleep(cfg.Ticks(cfg.AntiEntropyEveryTicks * 2))
+		time.Sleep(cfg.Ticks(antiEntropyEveryTicks * 2))
 	}
 	t.Logf("all primary arcs digest-equal and metas-equal across replicas")
 

@@ -124,7 +124,7 @@ func TestSoakStream(t *testing.T) {
 	repDone := make(chan struct{})
 	go func() {
 		defer close(repDone)
-		tick := time.NewTicker(cfg.Ticks(cfg.ReportEveryTicks * 2))
+		tick := time.NewTicker(cfg.Ticks(ReportEveryTicks * 2))
 		defer tick.Stop()
 		for {
 			select {
@@ -180,7 +180,7 @@ func TestSoakStream(t *testing.T) {
 					lost++
 					break
 				}
-				time.Sleep(cfg.Ticks(cfg.StabilizeEveryTicks * 2))
+				time.Sleep(cfg.Ticks(StabilizeEveryTicks * 2))
 			}
 		}
 	}

@@ -86,9 +86,9 @@ type advState struct {
 	// perturb the honest engine sequence.
 	rng *xrand.Rand
 	// hostile is the synthetic host backing every hostile virtual node.
-	// It lives outside s.hosts/s.active/s.aliveBit — the waiting-pool
-	// scan, consume, and snapshots never see it — and its zero Sybil cap
-	// keeps it out of strategies' CanCreateSybil reach.
+	// It lives outside s.hosts and s.active — the waiting-pool scan,
+	// consume, and snapshots never see it — and its zero Sybil cap keeps
+	// it out of strategies' CanCreateSybil reach.
 	hostile *hostState
 
 	puzzleCost int
@@ -116,10 +116,7 @@ func (s *Simulation) initAdversary() error {
 		}
 		adv.attacker = a
 		adv.rng = xrand.New(cfg.Seed ^ 0x7c159e3779b94a05)
-		adv.hostile = &hostState{
-			acct: sybil.NewStandalone(len(s.hosts), 1, 0),
-			sim:  s,
-		}
+		adv.hostile = &hostState{Host: sybil.NewStandalone(len(s.hosts), 1, 0), sim: s}
 	}
 	if cfg.Defense.DetectionOn() {
 		d, err := adversary.NewDetector(cfg.Defense)
@@ -210,7 +207,7 @@ func (s *Simulation) defenseStep() {
 			// eclipse cluster.
 			s.recordEvent(EventEvict, h.Index(), v.ID(), v.rn.Workload())
 			s.removeVNode(v)
-			h.acct.DroppedSybil()
+			h.DroppedSybil()
 			s.msgs.SybilsDropped++
 			s.adv.stats.HonestEvicted++
 		default:

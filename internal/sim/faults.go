@@ -79,12 +79,13 @@ func (s *Simulation) repairTicks() int {
 	return 1 + int(math.Ceil(math.Log2(float64(n))))
 }
 
-// crashStep runs one tick of crash-stop departures: one Bernoulli draw
-// per live host in stable index order, plus the plan's correlated burst
-// quota. The ring is never emptied — keys must live somewhere.
+// crashStep runs one tick of crash-stop departures, drawn by the
+// injector (faults.Injector.CrashVictims) over the live hosts in stable
+// index order. The ring is never emptied — keys must live somewhere.
 func (s *Simulation) crashStep() {
-	victims := s.drawCrashVictims()
-	if len(victims) == 0 {
+	alive := s.aliveHosts()
+	s.victims, s.spared = s.finj.CrashVictims(len(alive), s.victims, s.spared)
+	if len(s.victims) == 0 {
 		return
 	}
 	waveTicks := s.repairTicks()
@@ -93,46 +94,11 @@ func (s *Simulation) crashStep() {
 	if waveTicks > s.fstats.RepairTicksMax {
 		s.fstats.RepairTicksMax = waveTicks
 	}
-	for _, h := range victims {
-		s.crashHost(h, waveTicks)
+	// crashHost only marks the active list dirty, so alive stays the
+	// list the indices were drawn over.
+	for _, i := range s.victims {
+		s.crashHost(alive[i], waveTicks)
 	}
-}
-
-// drawCrashVictims asks the injector which live hosts crash this tick.
-// Burst victims are drawn from the hosts still alive after the Bernoulli
-// pass, walking forward from a picked index so they stay distinct. Both
-// passes iterate the cached active-host list (same stable index order
-// the full scan produced, so the injector's draw sequence is
-// unchanged), and the per-tick "already chosen" set is a crashMark
-// tick stamp on the host instead of a freshly allocated map.
-func (s *Simulation) drawCrashVictims() []*hostState {
-	out := s.victims[:0]
-	alive := s.pool.AliveCount()
-	for _, h := range s.aliveHosts() {
-		if alive-len(out) <= 1 {
-			break // never crash the last live host
-		}
-		if s.finj.CrashNow() {
-			out = append(out, h)
-			h.crashMark = s.tick
-		}
-	}
-	if n := s.finj.BurstNow(); n > 0 {
-		pool := s.burstPool[:0]
-		for _, h := range s.aliveHosts() {
-			if h.crashMark != s.tick {
-				pool = append(pool, h)
-			}
-		}
-		for ; n > 0 && len(pool) > 1; n-- {
-			i := s.finj.Pick(len(pool))
-			out = append(out, pool[i])
-			pool = append(pool[:i], pool[i+1:]...)
-		}
-		s.burstPool = pool
-	}
-	s.victims = out
-	return out
 }
 
 // crashHost removes h abruptly. With replication each displaced key is
@@ -164,9 +130,7 @@ func (s *Simulation) crashHost(h *hostState, delay int) {
 	}
 	h.vnodes = h.vnodes[:0]
 	h.wlEpoch = 0
-	h.acct.SetAlive(false)
-	s.aliveBit[h.Index()] = false
-	s.activeDirty = true
+	s.setAlive(h, false)
 	if s.replicas > 0 {
 		// Each displaced key is fetched from one of its replicas by the
 		// new owner; detecting the crash costs one failed-ping round over

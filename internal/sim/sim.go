@@ -389,9 +389,11 @@ type vnode struct {
 func (v *vnode) ID() ids.ID { return v.rn.ID() }
 
 // hostState is one physical machine: the engine-side implementation of
-// strategy.View, answered from the oracle ring.
+// strategy.View, answered from the oracle ring. The embedded sybil.Host
+// is the host's one accounting record — index, strength, Sybil cap,
+// Sybil count and liveness — and is written nowhere else.
 type hostState struct {
-	acct   *sybil.Host
+	*sybil.Host
 	vnodes []*vnode // primary first; empty while in the waiting pool
 
 	// sim points back at the owning engine so Workload can consult the
@@ -410,9 +412,6 @@ type hostState struct {
 	// scans stop re-summing virtual nodes that did not change.
 	wl      int
 	wlEpoch uint64
-	// crashMark is the last tick this host was drawn as a crash victim;
-	// it replaces the per-tick map the burst pass used to allocate.
-	crashMark int
 	// puzzleDebt is unpaid identity-admission work (Defense.PuzzleBits):
 	// each join, Sybil mint, or forced rekey charges the puzzle cost
 	// here, and consumeHost pays it down out of the host's per-tick work
@@ -423,10 +422,6 @@ type hostState struct {
 	helpedTick int
 }
 
-func (h *hostState) Index() int           { return h.acct.Index() }
-func (h *hostState) Strength() int        { return h.acct.Strength() }
-func (h *hostState) SybilCount() int      { return h.acct.SybilCount() }
-func (h *hostState) CanCreateSybil() bool { return h.acct.CanCreateSybil() }
 func (h *hostState) Workload() int {
 	if h.wlEpoch == h.sim.wlEpoch {
 		return h.wl
@@ -448,8 +443,7 @@ type Simulation struct {
 	window []strategy.Peer
 	rng    *xrand.Rand
 	ring   *ring.Ring[vnode]
-	pool   *sybil.Pool
-	hosts  []*hostState
+	hosts  []*hostState // live hosts and the churn waiting pool, by index
 	msgs   MessageStats
 	ideal  int
 	tick   int
@@ -484,18 +478,13 @@ type Simulation struct {
 	wlEpoch uint64
 
 	// active is the live-host list in stable index order, rebuilt lazily
-	// whenever activeDirty is set (any SetAlive transition). consume,
-	// snapshot, EachHost, and the crash Bernoulli pass iterate it instead
-	// of scanning the full host table (half of which is the waiting
-	// pool). churn still scans every host: its RNG draw order — one
-	// Bool per host, alive and waiting alike — is observable behavior.
+	// whenever activeDirty is set (any setAlive transition). consume,
+	// snapshot, EachHost, and the crash draws iterate it instead of
+	// scanning the full host table (half of which is the waiting pool).
+	// churn still scans every host: its RNG draw order — one Bool per
+	// host, alive and waiting alike — is observable behavior.
 	active      []*hostState
 	activeDirty bool
-	// aliveBit mirrors each host's liveness in a packed slice (indexed
-	// like hosts) so churn's mandatory full scan — one RNG draw per
-	// host, alive and waiting alike — reads sequential bytes instead of
-	// chasing two pointers per host. Updated at every SetAlive site.
-	aliveBit []bool
 
 	// adv holds the adversary/defense co-simulation state; nil when both
 	// the attack and defense configs are zero, which keeps every hostile
@@ -509,8 +498,8 @@ type Simulation struct {
 	// scratch buffers reused across ticks
 	leavers     []*hostState
 	joiners     []*hostState
-	victims     []*hostState
-	burstPool   []*hostState
+	victims     []int // indices into aliveHosts()
+	spared      []int
 	newlyAlive  []*hostState
 	activeMerge []*hostState
 }
@@ -529,11 +518,11 @@ func (s *Simulation) aliveHosts() []*hostState {
 	na := s.newlyAlive
 	j := 0
 	for _, h := range s.active {
-		if !h.acct.Alive() {
+		if !h.Alive() {
 			continue // left or crashed since the last repair
 		}
 		for j < len(na) && na[j].Index() < h.Index() {
-			if na[j].acct.Alive() { // not re-crashed within the tick
+			if na[j].Alive() { // not re-crashed within the tick
 				merged = append(merged, na[j])
 			}
 			j++
@@ -541,7 +530,7 @@ func (s *Simulation) aliveHosts() []*hostState {
 		merged = append(merged, h)
 	}
 	for ; j < len(na); j++ {
-		if na[j].acct.Alive() {
+		if na[j].Alive() {
 			merged = append(merged, na[j])
 		}
 	}
@@ -626,29 +615,24 @@ func New(cfg Config) (*Simulation, error) {
 	default: // -1: replication disabled
 		s.replicas = 0
 	}
-	s.pool = sybil.NewPool(sybil.PoolConfig{
+	// The first Nodes hosts start in the network, the next Nodes in the
+	// churn waiting pool (§IV-A). NewPool draws heterogeneous strengths
+	// in index order from the engine stream, before anything else uses it.
+	pool := sybil.NewPool(sybil.PoolConfig{
 		Hosts:         cfg.Nodes,
 		WaitingHosts:  cfg.Nodes,
 		Heterogeneous: cfg.Heterogeneous,
 		MaxSybils:     cfg.MaxSybils,
 	}, s.rng)
-	s.hosts = make([]*hostState, s.pool.Len())
+	s.hosts = make([]*hostState, pool.Len())
 	slab := make([]hostState, len(s.hosts)) // one allocation for the population
 	for i := range s.hosts {
-		slab[i] = hostState{acct: s.pool.Host(i), sim: s}
+		slab[i] = hostState{Host: pool.Host(i), sim: s}
 		s.hosts[i] = &slab[i]
 	}
-	// Populate the active-host list and the packed liveness mirror once
-	// by full scan; from here on both are repaired incrementally (see
-	// aliveHosts, churn, crashHost).
-	s.active = make([]*hostState, 0, cfg.Nodes)
-	s.aliveBit = make([]bool, len(s.hosts))
-	for i, h := range s.hosts {
-		if h.acct.Alive() {
-			s.active = append(s.active, h)
-			s.aliveBit[i] = true
-		}
-	}
+	// From here on the active list is repaired incrementally (see
+	// aliveHosts and setAlive).
+	s.active = append(make([]*hostState, 0, cfg.Nodes), s.hosts[:cfg.Nodes]...)
 	if err := s.initAdversary(); err != nil {
 		return nil, err // unreachable: cfg.Validate already vetted both configs
 	}
@@ -704,7 +688,10 @@ func New(cfg Config) (*Simulation, error) {
 	// Ideal runtime: every initial host working at full speed with a
 	// perfectly even split (§V-C). With streaming, the job can also
 	// never end before the last arrival.
-	totalStrength := s.pool.TotalStrength(cfg.WorkByStrength)
+	totalStrength := 0
+	for _, h := range s.active {
+		totalStrength += h.WorkPerTick(cfg.WorkByStrength)
+	}
 	totalTasks := cfg.Tasks + cfg.StreamTasks
 	s.ideal = (totalTasks + totalStrength - 1) / totalStrength
 	if cfg.StreamTasks > 0 {
@@ -866,12 +853,12 @@ func (s *Simulation) Run() *Result {
 	res.RuntimeFactor = float64(res.Ticks) / float64(s.ideal)
 	res.Messages = s.msgs
 	res.Faults = s.fstats
-	res.FinalAliveHosts = s.pool.AliveCount()
+	res.FinalAliveHosts = len(s.aliveHosts())
 	res.FinalVNodes = s.ring.Len()
 	res.CompletedByStrength = s.completedByStrength
 	res.HostsByStrength = make(map[int]int)
 	for _, h := range s.hosts[:s.cfg.Nodes] {
-		res.HostsByStrength[h.acct.Strength()]++
+		res.HostsByStrength[h.Strength()]++
 	}
 	if s.adv != nil {
 		s.finishAdversary(res)
@@ -893,7 +880,7 @@ func (s *Simulation) consume() int {
 	for _, h := range s.aliveHosts() {
 		if done := s.consumeHost(h, epoch); done > 0 {
 			total += done
-			s.completedByStrength[h.acct.Strength()] += done
+			s.completedByStrength[h.Strength()] += done
 		}
 	}
 	return total
@@ -910,7 +897,7 @@ func (s *Simulation) consumeHost(h *hostState, epoch uint64) int {
 		// tasks: a host still solving its puzzle contributes nothing to
 		// the job this tick. Checked before the idle fast path — a host
 		// with no keys still burns ticks paying its admission cost.
-		b := h.acct.WorkPerTick(s.cfg.WorkByStrength)
+		b := h.WorkPerTick(s.cfg.WorkByStrength)
 		if h.puzzleDebt >= b {
 			h.puzzleDebt -= b
 			return 0
@@ -921,7 +908,7 @@ func (s *Simulation) consumeHost(h *hostState, epoch uint64) int {
 	if h.wlEpoch == epoch && h.wl == 0 {
 		return 0 // provably idle: warm cache says no residual work
 	}
-	budget := h.acct.WorkPerTick(s.cfg.WorkByStrength) - debt
+	budget := h.WorkPerTick(s.cfg.WorkByStrength) - debt
 	done := 0
 	if len(h.vnodes) == 1 {
 		if v := h.vnodes[0]; v.rn.Workload() > 0 {
@@ -980,13 +967,16 @@ func (s *Simulation) churn() {
 	}
 	s.leavers = s.leavers[:0]
 	s.joiners = s.joiners[:0]
-	for i, alive := range s.aliveBit {
-		if alive {
-			if s.rng.Bool(rate) {
-				s.leavers = append(s.leavers, s.hosts[i])
-			}
-		} else if s.rng.Bool(rate) {
-			s.joiners = append(s.joiners, s.hosts[i])
+	// One draw per host, alive and waiting alike, at one rate, so only
+	// the hosts it picks need their liveness read.
+	for _, h := range s.hosts {
+		if !s.rng.Bool(rate) {
+			continue
+		}
+		if h.Alive() {
+			s.leavers = append(s.leavers, h)
+		} else {
+			s.joiners = append(s.joiners, h)
 		}
 	}
 	for _, h := range s.leavers {
@@ -1000,9 +990,7 @@ func (s *Simulation) churn() {
 			s.recordEvent(EventLeave, h.Index(), h.vnodes[0].ID(), h.Workload())
 		}
 		s.detachAll(h)
-		h.acct.SetAlive(false)
-		s.aliveBit[h.Index()] = false
-		s.activeDirty = true
+		s.setAlive(h, false)
 		s.msgs.Leaves++
 	}
 	for _, h := range s.joiners {
@@ -1014,16 +1002,24 @@ func (s *Simulation) churn() {
 			s.fstats.BlockedJoins++
 			continue
 		}
-		h.acct.SetAlive(true)
-		s.aliveBit[h.Index()] = true
-		s.newlyAlive = append(s.newlyAlive, h) // joiners arrive in index order
-		s.activeDirty = true
+		s.setAlive(h, true)
 		v := s.attach(h, id, false)
 		s.recordEvent(EventJoin, h.Index(), v.ID(), v.rn.Workload())
 		s.msgs.Joins++
 		s.chargeLookup()
 		s.chargePuzzle(h)
 	}
+}
+
+// setAlive moves h into or out of the network. Joiners are queued for
+// aliveHosts' merge, in index order because churn admits them that way;
+// a departing host's Sybil identities all leave with it (sybil.SetAlive).
+func (s *Simulation) setAlive(h *hostState, alive bool) {
+	h.SetAlive(alive)
+	if alive {
+		s.newlyAlive = append(s.newlyAlive, h)
+	}
+	s.activeDirty = true
 }
 
 // detachAll removes every virtual node of h from the ring (Sybils first so
@@ -1179,7 +1175,7 @@ func (h *hostState) Invite(p strategy.Peer, id ids.ID) bool {
 
 func (h *hostState) CreateSybil(id ids.ID) (int, bool) {
 	s := h.sim
-	if !h.acct.CanCreateSybil() {
+	if !h.CanCreateSybil() {
 		return 0, false
 	}
 	if _, occupied := s.ring.Get(id); occupied {
@@ -1193,7 +1189,7 @@ func (h *hostState) CreateSybil(id ids.ID) (int, bool) {
 		return 0, false
 	}
 	v := s.attach(h, id, true)
-	h.acct.CreatedSybil()
+	h.CreatedSybil()
 	s.msgs.SybilsCreated++
 	s.chargeLookup()
 	s.chargePuzzle(h)
@@ -1212,7 +1208,7 @@ func (h *hostState) DropSybils() {
 		}
 		s.recordEvent(EventSybilDrop, h.Index(), v.ID(), v.rn.Workload())
 		moved = s.detach(v) || moved
-		h.acct.DroppedSybil()
+		h.DroppedSybil()
 		s.msgs.SybilsDropped++
 	}
 	h.vnodes = kept
