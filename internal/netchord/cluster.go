@@ -5,14 +5,15 @@ import (
 	"sort"
 	"time"
 
-	"chordbalance/internal/ids"
 	"chordbalance/internal/obs"
 	"chordbalance/internal/wire"
 )
 
-// Cluster boots and owns a whole single-process runtime: one collector
-// plus Hosts hosts on a shared transport and fault layer. It exists for
-// cmd/chordd's single-process mode and for tests; multi-process
+// Cluster boots and owns a whole single-process wall-clock runtime:
+// one collector plus Hosts hosts on a shared transport and fault layer,
+// every host and node on its own loops. It exists for cmd/chordd's
+// single-process mode, the soak tests and the benchmarks/ harness;
+// seeded tests run hosts on a Lockstep (AddHost) instead. Multi-process
 // clusters are assembled by running cmd/chordd once per host with the
 // same seed address.
 type Cluster struct {
@@ -112,18 +113,6 @@ func (c *Cluster) AwaitConverged(timeout time.Duration) bool {
 		}
 		time.Sleep(c.cfg.Ticks(StabilizeEveryTicks))
 	}
-}
-
-// TotalKeys counts distinct keys stored anywhere in the cluster
-// (primaries and replicas collapse to one count per key).
-func (c *Cluster) TotalKeys() int {
-	seen := make(map[ids.ID]struct{})
-	for _, n := range c.Nodes() {
-		for _, k := range n.st.Keys() {
-			seen[k] = struct{}{}
-		}
-	}
-	return len(seen)
 }
 
 // FetchStats asks the collector at addr for the cluster view over the

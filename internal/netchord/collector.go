@@ -62,7 +62,7 @@ var collectorMetrics = [...]struct {
 // it reads simulator runs.
 type Collector struct {
 	cfg Config
-	ln  net.Listener
+	srv server
 
 	mu      sync.Mutex
 	last    map[ids.ID]wire.Stats // each sender's latest report
@@ -73,11 +73,6 @@ type Collector struct {
 	set     [len(collectorMetrics)]func(int64)
 	hRepair *obs.Histogram
 	start   time.Time
-
-	conns     map[net.Conn]struct{}
-	closeOnce sync.Once
-	closed    chan struct{}
-	wg        sync.WaitGroup
 }
 
 // NewCollector opens the collector's listener on addr ("" = auto) and
@@ -90,12 +85,10 @@ func NewCollector(cfg Config, tr Transport, addr string, tracer *obs.Tracer) (*C
 	}
 	c := &Collector{
 		cfg:    cfg,
-		ln:     ln,
+		srv:    server{ln: ln, conns: make(map[net.Conn]struct{})},
 		last:   make(map[ids.ID]wire.Stats),
 		tracer: tracer,
 		start:  time.Now(),
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
 	}
 	if tracer != nil {
 		reg := tracer.Registry()
@@ -111,26 +104,17 @@ func NewCollector(cfg Config, tr Transport, addr string, tracer *obs.Tracer) (*C
 		tracer.EmitMeta(obs.F{K: "source", V: "netchord-collector"})
 		tracer.EmitSchema()
 	}
-	c.wg.Add(1)
-	go c.acceptLoop()
+	c.srv.wg.Add(1)
+	go c.srv.acceptLoop(cfg, nil, ids.Zero, func() func(req, reply *wire.Msg) { return c.handle })
 	return c, nil
 }
 
 // Addr returns the collector's listen address.
-func (c *Collector) Addr() string { return c.ln.Addr().String() }
+func (c *Collector) Addr() string { return c.srv.ln.Addr().String() }
 
 // Close shuts the collector down and flushes the tracer.
 func (c *Collector) Close() {
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		_ = c.ln.Close()
-		c.mu.Lock()
-		for conn := range c.conns {
-			_ = conn.Close()
-		}
-		c.mu.Unlock()
-	})
-	c.wg.Wait()
+	c.srv.close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tracer != nil {
@@ -177,36 +161,6 @@ func (c *Collector) statsLocked() wire.Stats {
 		sum.StreamBytes += r.StreamBytes
 	}
 	return sum
-}
-
-// acceptLoop admits connections until the listener closes.
-func (c *Collector) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		select {
-		case <-c.closed:
-			// Accepted while Close runs: Close would never close it.
-			c.mu.Unlock()
-			_ = conn.Close()
-			return
-		default:
-		}
-		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			serveConn(c.cfg, conn, conn, c.handle)
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
-		}()
-	}
 }
 
 // handle dispatches one collector request, filling reply (see

@@ -3,9 +3,9 @@ package netchord
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"chordbalance/internal/ids"
 	"chordbalance/internal/strategy"
@@ -41,8 +41,12 @@ type HostStats struct {
 
 // Host is one physical machine in the networked runtime: a primary
 // virtual node plus up to MaxSybils Sybil identities, a per-tick
-// consume loop, a report stream to the collector, and one of
-// the paper's strategies run every DecisionEveryTicks ticks.
+// consume step, a report stream to the collector, and one of the
+// paper's strategies run every DecisionEveryTicks ticks.
+//
+// One goroutine changes a host's identities: the one calling step, its
+// own loop or a Lockstep's. Request handlers only note invitations and
+// eviction notices; the next step answers them, under the Sybil cap.
 //
 // The Host is both the strategy.World and the strategy.View its
 // strategy decides through: the same internal/strategy code the
@@ -54,6 +58,7 @@ type Host struct {
 	cfg       Config
 	tr        Transport
 	nf        *NetFaults
+	drv       driver
 	index     int
 	strat     strategy.Strategy
 	rng       *xrand.Rand
@@ -69,23 +74,25 @@ type Host struct {
 	lastBusy  int
 	everBusy  bool
 	tick      int
-	helping   bool // an accepted invitation's injection is in flight
-	evicting  bool // a TEvict-induced retirement is in flight
 	injects   int
 	injUnits  uint64 // task units the injected Sybils acquired at birth
 	churns    int
 	evicts    int
-	down      bool
+
+	// Pending responses, filled by request handlers, drained by step:
+	// an accepted invitation (inviteVia "" = none) and an identity a
+	// density notice named (nil = none).
+	inviteAt  ids.ID
+	inviteVia string
+	evict     *Node
 
 	// peers maps the IDs the current decision pass saw in its successor
 	// and predecessor windows to their addresses, so Load, Offer and
 	// Invite can reach them. Only the decision pass touches it.
 	peers map[ids.ID]wire.NodeRef
 
-	// sybilSeq feeds jitterID; atomic because considerInvite injects
-	// from a server-handler goroutine, off the host loop (where h.rng
-	// lives and must stay).
-	sybilSeq atomic.Uint64
+	// sybilSeq feeds jitterID. Only step touches it, like h.rng.
+	sybilSeq uint64
 
 	// Storage counters, cumulative across churn: nodes mirror their
 	// per-identity counters here because induced churn replaces the
@@ -101,14 +108,33 @@ type Host struct {
 	wg        sync.WaitGroup
 }
 
-// NewHost boots one host: it creates the primary node under a
-// deterministic per-host RNG stream, creates a fresh ring when joinAddr
-// is empty or joins through it otherwise, and starts the node's server
-// loops. Call Start to begin consuming, reporting, and deciding.
-// collectorAddr may be empty (no reports). nf may be nil (no faults).
-// strat is any name strategy.ByName accepts; the host runs its own
-// instance.
+// NewHost boots one wall-clock host: it creates the primary node under
+// a deterministic per-host RNG stream, creates a fresh ring when
+// joinAddr is empty or joins through it otherwise, and starts the
+// node's own loops, as for every identity it spawns. Call Start to
+// begin consuming, reporting, and deciding. collectorAddr may be empty
+// (no reports). nf may be nil (no faults). strat is any name
+// strategy.ByName accepts; the host runs its own instance.
 func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat string, seed uint64, joinAddr, collectorAddr string) (*Host, error) {
+	return newHost(cfg, tr, nf, wallClock{}, index, strat, seed, joinAddr, collectorAddr)
+}
+
+// A driver runs a host's identities: run brings one the host spawned
+// into service, drop forgets one it retired or churned away. The wall
+// clock starts each node's own loops; a Lockstep maintains its nodes.
+type driver interface {
+	run(*Node)
+	drop(*Node)
+}
+
+// wallClock runs each identity on its own goroutines.
+type wallClock struct{}
+
+func (wallClock) run(n *Node) { n.Start() }
+func (wallClock) drop(*Node)  {}
+
+// newHost is NewHost under driver drv.
+func newHost(cfg Config, tr Transport, nf *NetFaults, drv driver, index int, strat string, seed uint64, joinAddr, collectorAddr string) (*Host, error) {
 	st, ok := strategy.ByName(strat)
 	if !ok {
 		return nil, fmt.Errorf("netchord: unknown strategy %q", strat)
@@ -118,6 +144,7 @@ func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat string, s
 		cfg:       cfg,
 		tr:        tr,
 		nf:        nf,
+		drv:       drv,
 		index:     index,
 		strat:     st,
 		rng:       xrand.NewStream(seed, index),
@@ -134,7 +161,7 @@ func NewHost(cfg Config, tr Transport, nf *NetFaults, index int, strat string, s
 	if err != nil {
 		return nil, err
 	}
-	n.Start()
+	drv.run(n)
 	h.primary = n
 	return h, nil
 }
@@ -167,19 +194,8 @@ func (h *Host) Start() {
 // Close stops the host loop and shuts down every virtual node.
 func (h *Host) Close() {
 	h.closeOnce.Do(func() { close(h.closed) })
-	// down must be set before Wait: considerInvite checks it and calls
-	// wg.Add under one h.mu critical section, so either it observes down
-	// and bails, or its Add is ordered before this Wait — never an Add
-	// racing a Wait that already saw a zero counter.
-	h.mu.Lock()
-	h.down = true
-	h.mu.Unlock()
 	h.wg.Wait()
-	h.mu.Lock()
-	nodes := h.nodesLocked()
-	h.sybils = nil
-	h.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range h.Nodes() {
 		n.Close()
 	}
 	h.ctl.close()
@@ -187,10 +203,6 @@ func (h *Host) Close() {
 
 // Index returns the host's stable index.
 func (h *Host) Index() int { return h.index }
-
-// HostID returns the host's stable collector identity (distinct from
-// any ring identity; it survives churn).
-func (h *Host) HostID() ids.ID { return h.hostID }
 
 // PrimaryNode returns the host's current primary node.
 func (h *Host) PrimaryNode() *Node {
@@ -203,11 +215,6 @@ func (h *Host) PrimaryNode() *Node {
 func (h *Host) Nodes() []*Node {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.nodesLocked()
-}
-
-// nodesLocked returns primary + sybils; callers hold h.mu.
-func (h *Host) nodesLocked() []*Node {
 	out := make([]*Node, 0, 1+len(h.sybils))
 	if h.primary != nil {
 		out = append(out, h.primary)
@@ -242,32 +249,35 @@ func (h *Host) Stats() HostStats {
 	}
 }
 
-// loop is the host's heartbeat: one consume step per tick, a report
-// every ReportEveryTicks, one strategy decision every
-// DecisionEveryTicks. Decisions may block on RPCs; missed ticker beats
-// are simply dropped, which is the honest cost of acting on a network.
+// loop is the wall-clock host's heartbeat: one step per tick. Steps may
+// block on RPCs; missed ticker beats are simply dropped, which is the
+// honest cost of acting on a network.
 func (h *Host) loop() {
 	defer h.wg.Done()
-	ticker := time.NewTicker(h.cfg.TickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-h.closed:
-			h.report() // final report so the collector sees the end state
-			return
-		case <-ticker.C:
-			h.mu.Lock()
-			h.tick++
-			tick := h.tick
-			h.mu.Unlock()
-			h.consumeTick(tick)
-			if tick%ReportEveryTicks == 0 {
-				h.report()
-			}
-			if tick%h.cfg.DecisionEveryTicks == 0 {
-				h.decide()
-			}
-		}
+	every(h.cfg.TickEvery, h.closed, h.step)
+	h.report() // final report so the collector sees the end state
+}
+
+// step runs one host tick: it answers the pending eviction and
+// invitation, consumes, reports every ReportEveryTicks and decides
+// every DecisionEveryTicks.
+func (h *Host) step() {
+	h.mu.Lock()
+	h.tick++
+	tick := h.tick
+	evict, at, via := h.evict, h.inviteAt, h.inviteVia
+	h.evict, h.inviteVia = nil, ""
+	h.mu.Unlock()
+	h.retireEvicted(evict)
+	if via != "" {
+		_, _ = h.injectSybil(at, via)
+	}
+	h.consumeTick(tick)
+	if tick%ReportEveryTicks == 0 {
+		h.report()
+	}
+	if tick%h.cfg.DecisionEveryTicks == 0 {
+		h.decide()
 	}
 }
 
@@ -340,7 +350,7 @@ func (h *Host) decide() {
 
 // churnPrimary executes one leave/rejoin cycle of the primary under a
 // fresh identifier: a host's induced churn, shared with the density
-// defense (considerEvict), which retires a flagged primary by forcing
+// defense (retireEvicted), which retires a flagged primary by forcing
 // exactly this cycle — eviction is churn the network imposes rather
 // than the host chooses.
 func (h *Host) churnPrimary() {
@@ -359,6 +369,7 @@ func (h *Host) churnPrimary() {
 	// mid-leave, say); the leftovers are re-owned by the next identity
 	// below, so churn never loses work.
 	recs, tasks, _ := primary.leaveRemainder()
+	h.drv.drop(primary)
 	var next *Node
 	for _, via := range vias {
 		if n, err := h.spawn(ids.Random(h.rng), via.Addr); err == nil {
@@ -377,7 +388,7 @@ func (h *Host) churnPrimary() {
 		next = n
 	}
 	reown(next, recs, tasks)
-	next.Start()
+	h.drv.run(next)
 	h.mu.Lock()
 	h.primary = next
 	h.churns++
@@ -404,18 +415,21 @@ func reown(n *Node, recs []wire.Rec, tasks []wire.Task) {
 // re-owns at the next identity, so retiring a Sybil never loses work.
 func (h *Host) retire(n *Node) {
 	recs, tasks, _ := n.leaveRemainder()
+	h.drv.drop(n)
 	reown(h.PrimaryNode(), recs, tasks)
 }
 
 // jitterID perturbs the low 64 bits of id with the host's stable
 // identity and a per-host sequence number. Arc midpoints are symmetric:
 // two idle hosts observing the same loaded arc compute the *same*
-// midpoint, and concurrent joins under one identifier wedge the ring
+// midpoint (and helpers invited into one arc are handed the same
+// placement), and concurrent joins under one identifier wedge the ring
 // permanently (duplicate IDs break the successor ordering every
 // stabilization relies on). The perturbation is at most 2^64 of a
 // 2^ids.Bits space — invisible at arc scale, decisive for uniqueness.
 func (h *Host) jitterID(id ids.ID) ids.ID {
-	salt := binary.BigEndian.Uint64(h.hostID[len(h.hostID)-8:]) + h.sybilSeq.Add(1)
+	h.sybilSeq++
+	salt := binary.BigEndian.Uint64(h.hostID[len(h.hostID)-8:]) + h.sybilSeq
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], salt)
 	for i := 0; i < 8; i++ {
@@ -460,7 +474,7 @@ func (h *Host) SybilCount() int {
 func (h *Host) CanCreateSybil() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.sybils) < h.cfg.MaxSybils && !h.down
+	return len(h.sybils) < h.cfg.MaxSybils
 }
 
 // Strength implements strategy.View: the per-tick compute budget.
@@ -563,18 +577,14 @@ func (h *Host) query(p strategy.Peer) wire.Msg {
 func (h *Host) SplitPoint(strategy.Peer) (ids.ID, bool) { return ids.ID{}, false }
 
 // CreateSybil implements strategy.View: the Sybil joins through the
-// primary at id, jittered (see jitterID).
+// primary (injectSybil).
 func (h *Host) CreateSybil(id ids.ID) (int, bool) {
-	if !h.CanCreateSybil() {
-		return 0, false
-	}
-	acquired, err := h.injectSybil(h.jitterID(id), h.PrimaryNode().Addr())
-	return int(acquired), err == nil
+	return h.injectSybil(id, h.PrimaryNode().Addr())
 }
 
 // Invite implements strategy.View: a TInvite asking p's host to inject
-// a Sybil at id (in Key). The helper answers at once and injects on its
-// own goroutine (considerInvite).
+// a Sybil at id (in Key). The helper answers at once and injects at its
+// next step (considerInvite).
 func (h *Host) Invite(p strategy.Peer, id ids.ID) bool {
 	ref, ok := h.peers[p.ID]
 	if !ok {
@@ -602,119 +612,91 @@ func (h *Host) DropSybils() {
 func (h *Host) RandomID() ids.ID { return ids.Random(h.rng) }
 
 // willHelp reports whether the host would accept an invitation now: at
-// or below the Sybil threshold, under its cap, and not already helping.
+// or below the Sybil threshold, under its cap, and holding no
+// invitation it has not answered yet.
 func (h *Host) willHelp() bool {
 	if h.Workload() > int(h.cfg.SybilThreshold) {
 		return false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.sybils) < h.cfg.MaxSybils && !h.helping && !h.down
+	return len(h.sybils) < h.cfg.MaxSybils && h.inviteVia == ""
 }
 
 // considerInvite is the helper side of an invitation, called from a
-// node's request handler. It answers immediately (accept or refuse) and
-// performs the injection at the placement in req.Key on its own
-// goroutine, so the server never blocks on a join handshake.
+// node's request handler. It answers at once; on accepting, it notes
+// the placement in req.Key and the inviter's address, and step injects
+// the Sybil there.
 func (h *Host) considerInvite(req *wire.Msg) bool {
 	if req.From.Addr == "" || !h.willHelp() {
 		return false
 	}
 	h.mu.Lock()
-	if h.helping || h.down {
-		h.mu.Unlock()
-		return false
+	defer h.mu.Unlock()
+	if h.inviteVia != "" {
+		return false // another invitation took the slot since willHelp
 	}
-	h.helping = true
-	// Add inside the critical section that checked down: pairs with the
-	// down-before-Wait ordering in Close to keep the WaitGroup race-free.
-	h.wg.Add(1)
-	h.mu.Unlock()
-	// Jitter the placement: several helpers may accept invitations into
-	// the same arc concurrently, and they must not collide on one ID.
-	id := h.jitterID(req.Key)
-	via := req.From.Addr
-	go func() {
-		defer h.wg.Done()
-		defer func() {
-			h.mu.Lock()
-			h.helping = false
-			h.mu.Unlock()
-		}()
-		_, _ = h.injectSybil(id, via)
-	}()
+	h.inviteAt, h.inviteVia = req.Key, req.From.Addr
 	return true
 }
 
 // considerEvict is the honest host's response to a density eviction
-// notice naming one of its identities, called from the node's request
-// handler. It answers immediately and does the retirement on its own
-// goroutine (the same discipline as considerInvite): a flagged Sybil
-// leaves gracefully, a flagged primary re-keys through one induced
-// churn cycle — the host stays alive either way, only the improbably
-// placed identity dies. One retirement at a time: a cluster triggers a
-// burst of notices from every scanning neighbor, and retiring one
-// identity per burst already moves the flagged window.
+// notice naming n, one of its identities, called from the node's
+// request handler. It notes n and returns; step retires it
+// (retireEvicted). One retirement at a time: a cluster triggers a burst
+// of notices from every scanning neighbor, and retiring one identity
+// per burst already moves the flagged window, so a notice that finds
+// the slot taken is dropped.
 func (h *Host) considerEvict(n *Node) {
 	h.mu.Lock()
-	if h.evicting || h.down {
-		h.mu.Unlock()
-		return
+	defer h.mu.Unlock()
+	if h.evict == nil {
+		h.evict = n
 	}
-	isPrimary := h.primary == n
-	if !isPrimary {
-		idx := -1
-		for i, s := range h.sybils {
-			if s == n {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			h.mu.Unlock()
-			return // stale notice: the identity is already gone
-		}
-		h.sybils = append(h.sybils[:idx], h.sybils[idx+1:]...)
-	}
-	h.evicting = true
-	h.evicts++
-	// Add inside the critical section that checked down: pairs with the
-	// down-before-Wait ordering in Close to keep the WaitGroup race-free.
-	h.wg.Add(1)
-	h.mu.Unlock()
-	go func() {
-		defer h.wg.Done()
-		defer func() {
-			h.mu.Lock()
-			h.evicting = false
-			h.mu.Unlock()
-		}()
-		if isPrimary {
-			h.churnPrimary()
-		} else {
-			h.retire(n)
-		}
-	}()
 }
 
-// injectSybil projects a Sybil identity at id, joining through via, and
-// counts the birth (and the work it acquired) for the next report.
-func (h *Host) injectSybil(id ids.ID, via string) (uint64, error) {
-	n, err := h.spawn(id, via)
+// retireEvicted retires the identity an eviction notice named: a
+// flagged Sybil leaves gracefully, a flagged primary re-keys through one
+// induced churn cycle — the host stays alive either way, only the
+// improbably placed identity dies. A stale notice, or none (nil),
+// changes nothing.
+func (h *Host) retireEvicted(n *Node) {
+	h.mu.Lock()
+	isPrimary, i := h.primary == n, slices.Index(h.sybils, n)
+	if i >= 0 {
+		h.sybils = slices.Delete(h.sybils, i, i+1)
+	}
+	if isPrimary || i >= 0 {
+		h.evicts++
+	}
+	h.mu.Unlock()
+	switch {
+	case isPrimary:
+		h.churnPrimary()
+	case i >= 0:
+		h.retire(n)
+	}
+}
+
+// injectSybil projects a Sybil identity at id, jittered (see jitterID),
+// joining through via, unless the host is at its Sybil cap. It counts
+// the birth and the work the Sybil acquired for the next report. Only
+// the goroutine that steps the host calls it, so the cap it checks
+// still holds when it appends.
+func (h *Host) injectSybil(id ids.ID, via string) (int, bool) {
+	if !h.CanCreateSybil() {
+		return 0, false
+	}
+	n, err := h.spawn(h.jitterID(id), via)
 	if err != nil {
-		return 0, err
+		return 0, false
 	}
 	acquired := n.TaskUnits()
-	n.Start()
+	h.drv.run(n)
 	h.mu.Lock()
-	if h.down {
-		h.mu.Unlock()
-		n.Close()
-		return 0, ErrClosed
-	}
 	h.sybils = append(h.sybils, n)
 	h.injects++
 	h.injUnits += acquired
 	h.mu.Unlock()
-	return acquired, nil
+	return int(acquired), true
 }

@@ -1,9 +1,8 @@
 package netchord
 
 import (
-	"sort"
+	"slices"
 	"testing"
-	"time"
 
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
@@ -12,25 +11,16 @@ import (
 	"chordbalance/internal/xrand"
 )
 
-// sharedRing boots an 8-host ring running "none" with a three-entry
-// successor list, waits for it to converge, and returns its hosts in
-// ring order of their primaries.
-func sharedRing(t *testing.T, cfg Config) (*Cluster, []*Host) {
+// sharedRing converges a lockstep ring of 8 hosts running "none" with a
+// three-entry successor list, and returns its hosts in ring order of
+// their primaries.
+func sharedRing(t *testing.T, cfg Config) (*Lockstep, []*Host) {
 	t.Helper()
 	cfg.SuccessorListLen = 3
-	c, err := NewCluster(cfg, NewPipeTransport(), nil, 8, StrategyNone, 31, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if !c.AwaitConverged(30 * time.Second) {
-		t.Fatal("ring did not converge")
-	}
-	ring := append([]*Host(nil), c.Hosts()...)
-	sort.Slice(ring, func(i, j int) bool {
-		return ring[i].PrimaryNode().ID().Less(ring[j].PrimaryNode().ID())
-	})
-	return c, ring
+	l, hosts := hostRing(t, cfg, faults.Plan{}, 8, StrategyNone, 31)
+	ring := slices.Clone(hosts)
+	slices.SortFunc(ring, func(a, b *Host) int { return a.PrimaryNode().ID().Compare(b.PrimaryNode().ID()) })
+	return l, ring
 }
 
 // load submits units of work owned by h's primary.
@@ -41,23 +31,19 @@ func load(t *testing.T, h *Host, units uint64) {
 	}
 }
 
-// served sums the requests of one type every node has handled.
-func served(c *Cluster, typ wire.Type) int64 {
+// served sums the requests of one type every live node has handled.
+func served(l *Lockstep, typ wire.Type) int64 {
 	var sum int64
-	for _, n := range c.Nodes() {
+	for _, n := range l.Nodes() {
 		sum += n.Stats().Served[typ]
 	}
 	return sum
 }
 
-// sybilAt waits for h to hold exactly one Sybil and checks that it sits
-// at want, up to the 64-bit jitter in its low bytes.
+// sybilAt checks that h holds exactly one Sybil and that it sits at
+// want, up to the 64-bit jitter in its low bytes.
 func sybilAt(t *testing.T, h *Host, want ids.ID) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for h.SybilCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
 	nodes := h.Nodes()
 	if len(nodes) != 2 {
 		t.Fatalf("host %d has %d identities, want a primary and one Sybil", h.Index(), len(nodes))
@@ -70,15 +56,15 @@ func sybilAt(t *testing.T, h *Host, want ids.ID) {
 
 // decide runs one pass of the named strategy through h's World and
 // returns the workload queries and invitations it sent.
-func decide(t *testing.T, c *Cluster, h *Host, name string) (queries, invites int64) {
+func decide(t *testing.T, l *Lockstep, h *Host, name string) (queries, invites int64) {
 	t.Helper()
 	s, ok := strategy.ByName(name)
 	if !ok {
 		t.Fatalf("no strategy %q", name)
 	}
-	q0, i0 := served(c, wire.TWorkloadQuery), served(c, wire.TInvite)
+	q0, i0 := served(l, wire.TWorkloadQuery), served(l, wire.TInvite)
 	s.Decide(h)
-	return served(c, wire.TWorkloadQuery) - q0, served(c, wire.TInvite) - i0
+	return served(l, wire.TWorkloadQuery) - q0, served(l, wire.TInvite) - i0
 }
 
 // TestHostRunsSharedStrategies runs internal/strategy's rules through a
@@ -86,8 +72,8 @@ func decide(t *testing.T, c *Cluster, h *Host, name string) (queries, invites in
 // only the messages the rule charges for.
 func TestHostRunsSharedStrategies(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
-		c, ring := sharedRing(t, clusterConfig())
-		q, inv := decide(t, c, ring[0], "random")
+		l, ring := sharedRing(t, Config{})
+		q, inv := decide(t, l, ring[0], "random")
 		if q != 0 || inv != 0 {
 			t.Errorf("random sent %d workload queries and %d invites, want none", q, inv)
 		}
@@ -97,7 +83,7 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 	})
 
 	t.Run("neighbor", func(t *testing.T) {
-		c, ring := sharedRing(t, clusterConfig())
+		l, ring := sharedRing(t, Config{})
 		// The largest of the three successor arcs, by ID distance alone.
 		best := 1
 		for i := 2; i <= 3; i++ {
@@ -106,7 +92,7 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 				best = i
 			}
 		}
-		q, inv := decide(t, c, ring[0], "neighbor")
+		q, inv := decide(t, l, ring[0], "neighbor")
 		if q != 0 || inv != 0 {
 			t.Errorf("neighbor sent %d workload queries and %d invites, want none", q, inv)
 		}
@@ -114,7 +100,7 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 	})
 
 	t.Run("smart-neighbor", func(t *testing.T) {
-		c, ring := sharedRing(t, clusterConfig())
+		l, ring := sharedRing(t, Config{})
 		// Load the smallest successor arc heaviest, so the pick differs
 		// from neighbor's arc-size estimate.
 		heavy := 1
@@ -131,7 +117,7 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 			}
 			load(t, ring[i], units)
 		}
-		q, inv := decide(t, c, ring[0], "smart-neighbor")
+		q, inv := decide(t, l, ring[0], "smart-neighbor")
 		if q != 3 || inv != 0 {
 			t.Errorf("smart-neighbor sent %d workload queries and %d invites, want 3 and 0", q, inv)
 		}
@@ -139,20 +125,18 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 	})
 
 	t.Run("invitation", func(t *testing.T) {
-		cfg := clusterConfig()
-		cfg.SybilThreshold = 50000
-		cfg.InviteThreshold = 100000
-		c, ring := sharedRing(t, cfg)
+		l, ring := sharedRing(t, Config{SybilThreshold: 50000, InviteThreshold: 100000})
 		// ring[4] is overloaded; its three predecessors all qualify, and
 		// the middle one is the least loaded — not the nearest.
 		load(t, ring[4], 400000)
 		load(t, ring[3], 30000)
 		load(t, ring[2], 10000)
 		load(t, ring[1], 20000)
-		q, inv := decide(t, c, ring[4], "invitation")
+		q, inv := decide(t, l, ring[4], "invitation")
 		if q != 3 || inv != 1 {
 			t.Errorf("invitation sent %d workload queries and %d invites, want 3 probes and 1 invite", q, inv)
 		}
+		l.Round() // the helper injects at its next step
 		sybilAt(t, ring[2], ids.Midpoint(ring[3].PrimaryNode().ID(), ring[4].PrimaryNode().ID()))
 		for _, h := range []*Host{ring[1], ring[3], ring[4]} {
 			if n := h.SybilCount(); n != 0 {
@@ -162,68 +146,106 @@ func TestHostRunsSharedStrategies(t *testing.T) {
 	})
 }
 
-// TestRetiredSybilKeepsUndeliveredWork retires a Sybil holding task
-// units, by density eviction and by DropSybils, across a network that
-// drops every frame: no hand-off can succeed, and the units must stay
-// on the host, re-owned at its primary.
+// TestRetiredSybilKeepsUndeliveredWork retires an identity holding task
+// units across a network that drops every frame: a Sybil by density
+// eviction and by DropSybils, and a flagged primary by eviction, which
+// churns it through the lone-restart fallback. No hand-off can succeed,
+// and every unit must stay on the host, re-owned at its primary.
 func TestRetiredSybilKeepsUndeliveredWork(t *testing.T) {
-	cfg := clusterConfig()
-	nf, err := NewNetFaults(faults.Plan{Seed: 5, DropRate: 1}, cfg.TickEvery)
+	for _, tc := range []struct {
+		name string
+		// retire retires an identity of h, whose one Sybil is s.
+		retire func(h *Host, s *Node)
+		// identities is how many identities h keeps.
+		identities int
+	}{
+		{"evict-sybil", func(h *Host, s *Node) { h.considerEvict(s); h.step() }, 1},
+		{"evict-primary", func(h *Host, _ *Node) { h.considerEvict(h.PrimaryNode()); h.step() }, 2},
+		{"drop-sybils", func(h *Host, _ *Node) { h.DropSybils() }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := lockstepRing(t, Config{}, faults.Plan{Seed: 5, DropRate: 1}, 0, 0)
+			h, err := l.AddHost(StrategyNone, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			primary := h.PrimaryNode()
+			rng := xrand.New(9)
+			// The host's Sybil holds 64 units and the primary 40, each the
+			// other's only successor, behind the lossy network.
+			s, err := NewNode(h.cfg, h.tr, h.nf, ids.Random(rng), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.host = h
+			s.Create()
+			s.mu.Lock()
+			s.succ = []wire.NodeRef{primary.Ref()}
+			s.addTaskLocked(ids.Random(rng), 64)
+			s.mu.Unlock()
+			h.drv.run(s)
+			h.mu.Lock()
+			h.sybils = append(h.sybils, s)
+			h.mu.Unlock()
+			primary.mu.Lock()
+			primary.succ = []wire.NodeRef{s.Ref()}
+			primary.addTaskLocked(primary.ID(), 40)
+			primary.mu.Unlock()
+
+			tc.retire(h, s)
+			st := h.Stats()
+			if got := st.Residual + st.Consumed; got != 104 {
+				t.Errorf("host holds %d and consumed %d units, want 104 in all", st.Residual, st.Consumed)
+			}
+			if n := len(h.Nodes()); n != tc.identities {
+				t.Errorf("host keeps %d identities, want %d", n, tc.identities)
+			}
+			if tc.name == "evict-primary" && (h.PrimaryNode() == primary || st.Churns != 1 || st.Evictions != 1) {
+				t.Errorf("flagged primary not churned: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSybilCapHoldsAcrossInvitationAndPass puts a host running random
+// injection at MaxSybils-1 Sybils, has it accept an invitation, and
+// runs the round in which it answers the invitation and its own pass
+// mints: both spend the last slot, and only one may.
+func TestSybilCapHoldsAcrossInvitationAndPass(t *testing.T) {
+	const maxSybils = 3
+	cfg := Config{MaxSybils: maxSybils, SybilThreshold: 1 << 20, DecisionEveryTicks: 1}
+	l := lockstepRing(t, cfg, faults.Plan{}, 0, 0)
+	h, err := l.AddHost("random", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHost(cfg, NewPipeTransport(), nf, 0, StrategyNone, 3, "", "")
+	inviter, err := l.AddHost(StrategyNone, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.Close)
-	primary := h.PrimaryNode()
-	rng := xrand.New(9)
-	// attach gives the host a Sybil holding units whose only hand-off
-	// target is the primary, behind the lossy network.
-	attach := func(units uint64) *Node {
-		s, err := NewNode(h.cfg, h.tr, h.nf, ids.Random(rng), "")
-		if err != nil {
-			t.Fatal(err)
+	// Work at or below the Sybil threshold: the pass keeps its Sybils
+	// and mints more, and the host still accepts invitations.
+	load(t, h, 1000)
+	rng := xrand.New(11)
+	for h.SybilCount() < maxSybils-1 {
+		if _, ok := h.CreateSybil(ids.Random(rng)); !ok {
+			t.Fatal("could not mint below the cap")
 		}
-		s.host = h
-		s.Create()
-		s.mu.Lock()
-		s.succ = []wire.NodeRef{primary.Ref()}
-		s.addTaskLocked(ids.Random(rng), units)
-		s.mu.Unlock()
-		h.mu.Lock()
-		h.sybils = append(h.sybils, s)
-		h.mu.Unlock()
-		return s
 	}
-	primary.mu.Lock()
-	primary.addTaskLocked(primary.ID(), 40)
-	primary.mu.Unlock()
-	before := h.Workload()
-
-	s := attach(64)
-	h.considerEvict(s)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h.mu.Lock()
-		done := !h.evicting
-		h.mu.Unlock()
-		if done || time.Now().After(deadline) {
-			break
+	from := inviter.PrimaryNode()
+	var reply wire.Msg
+	invite := &wire.Msg{Type: wire.TInvite, Key: ids.Random(rng), From: from.Ref()}
+	if err := from.pool.call(h.PrimaryNode().Ref(), invite, &reply); err != nil || !reply.Flag {
+		t.Fatalf("invitation refused at %d Sybils: %v", h.SybilCount(), err)
+	}
+	injects := h.Stats().Injections
+	for range 3 {
+		l.Round()
+		if n := h.SybilCount(); n > maxSybils {
+			t.Fatalf("host holds %d Sybils, cap %d", n, maxSybils)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if got := h.Workload(); got != before+64 {
-		t.Errorf("after evicting a Sybil: host holds %d units, want %d", got, before+64)
-	}
-
-	attach(32)
-	h.DropSybils()
-	if got := h.Workload(); got != before+96 {
-		t.Errorf("after dropping a Sybil: host holds %d units, want %d", got, before+96)
-	}
-	if n := len(h.Nodes()); n != 1 {
-		t.Errorf("host keeps %d identities, want only its primary", n)
+	if st := h.Stats(); st.Sybils != maxSybils || st.Injections != injects+1 {
+		t.Errorf("after the invitation round: %+v, want %d Sybils from %d injections", st, maxSybils, injects+1)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // Lockstep drives a ring of Nodes from one goroutine, one maintenance
 // round at a time. Its nodes serve RPCs over one PipeTransport but run
 // no maintenance loop: Round calls each live node's round function
-// (the one its loop would call) in ring order. Every RPC is therefore
+// (the one its loop would call) in ring order, then steps each host
+// (AddHost) as its loop would, strategy included. Every RPC is therefore
 // caused by the driving goroutine, one at a time, so the order in which
 // frames meet the fault plan's decisions is fixed: the same seed, plan
 // and calls give the same routes, counters and outcomes, run after
@@ -26,18 +27,21 @@ import (
 //
 // A Lockstep is not safe for concurrent use.
 type Lockstep struct {
-	cfg  Config
-	tr   *PipeTransport
-	nf   *NetFaults
-	live []*Node // ascending ID
-	all  []*Node // every node ever started, for the counters
-	dead int
+	cfg       Config
+	tr        *PipeTransport
+	nf        *NetFaults
+	live      []*Node // ascending ID
+	all       []*Node // every node ever started, for the counters
+	dead      int
+	hosts     []*Host // in index order
+	collector *Collector
 	// rounds counts maintenance rounds run on the whole ring.
 	rounds int
 }
 
 // NewLockstep builds an n-node ring under cfg and fault plan, IDs drawn
-// from next, and runs rounds until it converges, 4n+16 at most. After
+// from next, and runs rounds until it converges, 4n+16 at most; n = 0
+// builds an empty driver, for a ring of AddHost hosts. After
 // each join the joiner's predecessor runs the maintenance round that
 // links the joiner in, so a join costs what Chord's join protocol needs
 // — a lookup, the handshake and two stabilizations — rather than a
@@ -55,6 +59,9 @@ func NewLockstep(cfg Config, plan faults.Plan, n int, next func() ids.ID) (*Lock
 	}
 	nf.stepped = true
 	l := &Lockstep{cfg: cfg, tr: NewPipeTransport(), nf: nf}
+	if l.collector, err = NewCollector(cfg, l.tr, "", nil); err != nil {
+		return nil, err
+	}
 	if err := l.build(n, next); err != nil {
 		l.Close()
 		return nil, err
@@ -64,6 +71,9 @@ func NewLockstep(cfg Config, plan faults.Plan, n int, next func() ids.ID) (*Lock
 
 // build creates the ring for NewLockstep.
 func (l *Lockstep) build(n int, next func() ids.ID) error {
+	if n == 0 {
+		return nil
+	}
 	if _, err := l.start(next(), func(n *Node) error { n.Create(); return nil }); err != nil {
 		return err
 	}
@@ -81,12 +91,16 @@ func (l *Lockstep) build(n int, next func() ids.ID) error {
 	return nil
 }
 
-// Close shuts every live node down.
+// Close shuts every host and live node down, then the collector.
 func (l *Lockstep) Close() {
+	for _, h := range l.hosts {
+		h.Close()
+	}
 	for _, n := range l.live {
 		n.Close()
 	}
-	l.live = nil
+	l.hosts, l.live = nil, nil
+	l.collector.Close()
 }
 
 // Faults returns the fault layer every node and client shares.
@@ -101,6 +115,9 @@ func (l *Lockstep) Dead() int { return l.dead }
 
 // Rounds returns how many maintenance rounds the ring has run.
 func (l *Lockstep) Rounds() int { return l.rounds }
+
+// Collector returns the collector the hosts report to.
+func (l *Lockstep) Collector() *Collector { return l.collector }
 
 // RPC sums the RPC counters of every node the driver ever ran.
 func (l *Lockstep) RPC() RPCStats {
@@ -128,24 +145,52 @@ func (l *Lockstep) Join(id ids.ID) (*Node, error) {
 	return l.start(id, func(n *Node) error { return n.Join(via) })
 }
 
-// start opens a node at id, serves it, brings it onto the ring with
-// enter and adds it to the live set in ring order.
+// AddHost boots a host running strat (a strategy.ByName name) on seed's
+// RNG stream for its index, as NewCluster does. Its primary joins
+// through the first live node, or creates the ring. Every identity the
+// host spawns joins the live set and leaves it when retired or churned
+// away; Kill, Leave and ChaosTick do not tell the host.
+func (l *Lockstep) AddHost(strat string, seed uint64) (*Host, error) {
+	via := ""
+	if len(l.live) > 0 {
+		via = l.live[0].Addr()
+	}
+	h, err := newHost(l.cfg, l.tr, l.nf, l, len(l.hosts), strat, seed, via, l.collector.Addr())
+	if err != nil {
+		return nil, err
+	}
+	l.hosts = append(l.hosts, h)
+	h.report() // registers the host, as Start does
+	return h, nil
+}
+
+// run serves a node that has entered the ring, a host's included, and
+// adds it to the live set (driver).
+func (l *Lockstep) run(n *Node) {
+	n.serve()
+	l.all = append(l.all, n)
+	i, _ := l.search(n.ID())
+	l.live = slices.Insert(l.live, i, n)
+}
+
+// drop takes a host's departed identity out of the live set (driver).
+func (l *Lockstep) drop(n *Node) { _, _ = l.remove(n.ID()) }
+
+// start opens a node at id, brings it onto the ring with enter and
+// runs it.
 func (l *Lockstep) start(id ids.ID, enter func(*Node) error) (*Node, error) {
-	i, found := l.search(id)
-	if found {
+	if _, found := l.search(id); found {
 		return nil, fmt.Errorf("netchord: id %s already on the ring", id.Short())
 	}
 	n, err := NewNode(l.cfg, l.tr, l.nf, id, "")
 	if err != nil {
 		return nil, err
 	}
-	n.serve()
-	l.all = append(l.all, n)
 	if err := enter(n); err != nil {
 		n.Close()
 		return nil, err
 	}
-	l.live = slices.Insert(l.live, i, n)
+	l.run(n)
 	return n, nil
 }
 
@@ -186,10 +231,17 @@ func (l *Lockstep) Leave(id ids.ID) error {
 	return n.Leave()
 }
 
-// Round runs one maintenance round on every live node, in ring order.
+// Round runs one maintenance round on every live node, in ring order,
+// then the StabilizeEveryTicks host ticks a round lasts on the wall
+// clock, each tick stepping every host in index order.
 func (l *Lockstep) Round() {
 	for _, n := range l.live {
 		n.maintain()
+	}
+	for range StabilizeEveryTicks {
+		for _, h := range l.hosts {
+			h.step()
+		}
 	}
 	l.rounds++
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"chordbalance/internal/adversary"
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
 	"chordbalance/internal/keys"
@@ -282,6 +283,51 @@ func TestGracefulLeave(t *testing.T) {
 	}
 }
 
+// TestJoinGiftConfirmedAfterStaleLookup joins a node through a stale
+// lookup: the giver's predecessor sits between it and the joiner, so
+// the joiner's stabilization links it to that predecessor instead. The
+// giver must still learn that its gift arrived, or the gift leaves
+// with the giver and its task units count twice.
+func TestJoinGiftConfirmedAfterStaleLookup(t *testing.T) {
+	at := []float64{0.1, 0.6} // the ring: p, then the giver
+	l, err := NewLockstep(Config{}, faults.Plan{}, 2, func() ids.ID {
+		id := adversary.IDAtFraction(at[0])
+		at = at[1:]
+		return id
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	giver := l.Nodes()[1]
+	giver.mu.Lock()
+	giver.addTaskLocked(giver.ID(), 40)
+	giver.mu.Unlock()
+	// x becomes the giver's predecessor; p still names the giver its
+	// successor, so a lookup through p for j's ID ends at the giver.
+	x, err := l.Join(adversary.IDAtFraction(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := l.Join(adversary.IDAtFraction(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Successor().ID != x.ID() || j.TaskUnits() != 40 {
+		t.Fatalf("joiner's successor %s with %d units, want x with the giver's 40", j.Successor().ID.Short(), j.TaskUnits())
+	}
+	if err := l.Leave(giver.ID()); err != nil {
+		t.Fatal(err)
+	}
+	var units uint64
+	for _, n := range l.Nodes() {
+		units += n.TaskUnits()
+	}
+	if units != 40 {
+		t.Errorf("ring holds %d task units after the giver left, want 40", units)
+	}
+}
+
 // TestPartitionBlocksThenHeals cuts the ring in two: lookups that must
 // cross the cut fail, and after the heal the ring reconverges and every
 // key is readable again.
@@ -315,9 +361,10 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 }
 
 // TestLockstepSameSeedSameRun runs one scripted lockstep session twice
-// at 10% frame loss with crash bursts: every RPC and fault counter must
-// repeat exactly. It passes under -race too: a lockstep run is driven
-// from one goroutine, so no two RPCs ever race for a fault decision.
+// at 10% frame loss with crash bursts, and one session of hosts running
+// a strategy twice: every RPC, fault and host counter must repeat
+// exactly. It passes under -race too: a lockstep run is driven from one
+// goroutine, so no two RPCs ever race for a fault decision.
 func TestLockstepSameSeedSameRun(t *testing.T) {
 	type result struct {
 		rpc     RPCStats
@@ -355,6 +402,48 @@ func TestLockstepSameSeedSameRun(t *testing.T) {
 	}
 	if first.faults.Drops == 0 || first.rpc.Retries == 0 || first.dead == 0 {
 		t.Fatalf("the plan injected nothing: %+v", first)
+	}
+
+	// A host session: 16 invitation hosts at 2% frame loss with the
+	// density scan on, one arc loaded, and one forced partition and heal.
+	// Their strategies' RPCs, the invitations they answer and the
+	// evictions they obey all repeat too.
+	type hostResult struct {
+		hosts     []HostStats
+		collector wire.Stats
+		rpc       RPCStats
+	}
+	hostRun := func() hostResult {
+		l, hosts := hostRing(t, Config{DensityThreshold: 8}, faults.Plan{Seed: 6, DropRate: 0.02}, 16, "invitation", 19)
+		loadArc(t, hosts[0].PrimaryNode(), hosts[3].PrimaryNode(), 512, 8, xrand.New(3))
+		for r := range 48 {
+			switch r {
+			case 8:
+				if err := l.Faults().ForcePartition(0.25); err != nil {
+					t.Fatal(err)
+				}
+			case 24:
+				l.Faults().Heal()
+			}
+			l.Round()
+		}
+		var r hostResult
+		for _, h := range hosts {
+			r.hosts = append(r.hosts, h.Stats())
+		}
+		r.collector, r.rpc = l.Collector().Stats(), l.RPC()
+		return r
+	}
+	hfirst, hsecond := hostRun(), hostRun()
+	if !slices.Equal(hfirst.hosts, hsecond.hosts) || hfirst.collector != hsecond.collector || hfirst.rpc != hsecond.rpc {
+		t.Fatalf("same seed, different host runs:\n%+v\n%+v", hfirst, hsecond)
+	}
+	evictions := 0
+	for _, st := range hfirst.hosts {
+		evictions += st.Evictions
+	}
+	if hfirst.collector.Injections == 0 || evictions == 0 || hfirst.rpc.PartitionRefusals == 0 {
+		t.Fatalf("the host session injected, evicted or refused nothing: %+v", hfirst)
 	}
 }
 

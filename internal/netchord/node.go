@@ -93,7 +93,7 @@ type Node struct {
 	st *store.Store
 
 	pool *peerPool
-	ln   net.Listener
+	srv  server
 
 	mu         sync.Mutex
 	pred       wire.NodeRef
@@ -134,9 +134,6 @@ type Node struct {
 
 	// round counts maintenance rounds run; only maintain touches it.
 	round int
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -181,12 +178,11 @@ func NewNode(cfg Config, tr Transport, nf *NetFaults, id ids.ID, addr string) (*
 		nf:          nf,
 		ref:         wire.NodeRef{ID: id, Addr: ln.Addr().String()},
 		st:          st,
-		ln:          ln,
+		srv:         server{ln: ln, conns: make(map[net.Conn]struct{})},
 		fingers:     make([]wire.NodeRef, ids.Bits),
 		tasks:       make(map[ids.ID]uint64),
 		seenTokens:  make(map[uint64]struct{}),
 		joinHandoff: make(map[ids.ID]*joinGift),
-		conns:       make(map[net.Conn]struct{}),
 		closed:      make(chan struct{}),
 	}
 	n.pool = newPeerPool(tr, cfg, nf, func() ids.ID { return id })
@@ -243,17 +239,27 @@ func (n *Node) Join(via string) error {
 	if _, err := n.st.ApplyAll(storeRecs(nil, reply.Recs)); err != nil {
 		return fmt.Errorf("netchord: join: applying gift: %w", err)
 	}
-	// One eager stabilize round links us in without waiting a tick.
+	// One eager stabilize round links us in without waiting a tick. If
+	// it links us to a closer node than the giver (a stale lookup), the
+	// giver still needs the notify that confirms its gift, or the gift
+	// leaves with it and counts twice.
 	n.stabilizeOnce()
+	if n.Successor().ID != succ.ID {
+		_ = n.pool.call(succ, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
+	}
 	return nil
 }
 
 // Start launches the server accept loop and the background maintenance
-// loop. It panics if the node is already closed.
+// loop, one round (see maintain) every StabilizeEveryTicks ticks. It
+// panics if the node is already closed.
 func (n *Node) Start() {
 	n.serve()
 	n.wg.Add(1)
-	go n.maintenanceLoop()
+	go func() {
+		defer n.wg.Done()
+		every(n.cfg.Ticks(StabilizeEveryTicks), n.closed, n.maintain)
+	}()
 }
 
 // serve launches the server accept loop alone: the node answers RPCs
@@ -265,8 +271,11 @@ func (n *Node) serve() {
 		panic("netchord: Start after Close")
 	default:
 	}
-	n.wg.Add(1)
-	go n.acceptLoop()
+	// Replies pass through the fault layer too (remote identity is
+	// unknown server-side, so only drop/dup/delay apply; the client side
+	// already enforces the partition).
+	n.srv.wg.Add(1)
+	go n.srv.acceptLoop(n.cfg, n.nf, n.ref.ID, n.handler)
 }
 
 // Close shuts the node down: listener, inbound connections, pooled
@@ -277,14 +286,9 @@ func (n *Node) serve() {
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		close(n.closed)
-		_ = n.ln.Close()
-		n.connMu.Lock()
-		for c := range n.conns {
-			_ = c.Close()
-		}
-		n.connMu.Unlock()
 		n.pool.close()
 	})
+	n.srv.close()
 	n.wg.Wait()
 	_ = n.st.Close()
 }
@@ -755,18 +759,17 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 
 // --- maintenance -----------------------------------------------------
 
-// maintenanceLoop paces maintenance in real time: one round (see
-// maintain) every StabilizeEveryTicks ticks.
-func (n *Node) maintenanceLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.Ticks(StabilizeEveryTicks))
+// every calls fn every d until stop closes. Ticks that pass while fn
+// runs are dropped, not queued.
+func every(d time.Duration, stop <-chan struct{}, fn func()) {
+	ticker := time.NewTicker(d)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.closed:
+		case <-stop:
 			return
 		case <-ticker.C:
-			n.maintain()
+			fn()
 		}
 	}
 }
@@ -1049,47 +1052,66 @@ func (n *Node) fixNextFinger() {
 
 // --- server ----------------------------------------------------------
 
+// server admits connections on ln and answers each on its own
+// goroutine through serveConn until close. Node and Collector both
+// serve this way.
+type server struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // open connections; nil once closed
+	wg    sync.WaitGroup
+}
+
 // acceptLoop admits inbound connections until the listener closes.
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
+// Each connection's frames pass through nf (nil: no faults) as sent by
+// self, and handler makes the connection's request handler.
+func (s *server) acceptLoop(cfg Config, nf *NetFaults, self ids.ID, handler func() func(req, reply *wire.Msg)) {
+	defer s.wg.Done()
 	for {
-		conn, err := n.ln.Accept()
+		conn, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
-		// Replies pass through the fault layer too (remote identity is
-		// unknown server-side, so only drop/dup/delay apply; the client
-		// side already enforces the partition).
-		wrapped := n.nf.Wrap(conn, n.ref.ID, ids.Zero)
-		// A conn accepted while Close runs (a listener may still hand
-		// one over after it closed) must not outlive it: Close would
+		// A conn accepted while close runs (a listener may still hand
+		// one over after it closed) must not outlive it: close would
 		// never close it, and a peer still using it would keep serveConn,
-		// and so Close's wait, alive.
-		n.connMu.Lock()
-		select {
-		case <-n.closed:
-			n.connMu.Unlock()
+		// and so close's wait, alive.
+		s.mu.Lock()
+		if s.conns == nil {
+			s.mu.Unlock()
 			_ = conn.Close()
 			return
-		default:
 		}
-		n.conns[conn] = struct{}{}
-		n.connMu.Unlock()
-		n.wg.Add(1)
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		s.wg.Add(1)
 		go func() {
-			defer n.wg.Done()
-			serveConn(n.cfg, conn, wrapped, n.handler())
-			n.connMu.Lock()
-			delete(n.conns, conn)
-			n.connMu.Unlock()
+			defer s.wg.Done()
+			serveConn(cfg, conn, nf.Wrap(conn, self, ids.Zero), handler())
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
+}
+
+// close stops accepting, closes every open connection and waits for
+// the server's goroutines. Calling it again only waits.
+func (s *server) close() {
+	_ = s.ln.Close()
+	s.mu.Lock()
+	for conn := range s.conns {
+		_ = conn.Close()
+	}
+	s.conns = nil
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 // serveConn answers the requests on one accepted connection until EOF,
 // idle timeout, a malformed frame or shutdown, then closes it. raw
 // carries the deadlines; conn is raw itself or raw behind the fault
-// layer, and carries the frames. Node and Collector both serve this way.
+// layer, and carries the frames.
 //
 // One request Msg and one reply Msg serve the whole connection. Each
 // request is read into the same Msg, so handle must copy whatever it
@@ -1332,9 +1354,9 @@ func (n *Node) handle(req, reply *wire.Msg, recs *[]store.Rec) {
 			return
 		}
 		// Advisory by design: an ownerless (or already-leaving) node just
-		// acknowledges. The host retires the identity on its own
-		// goroutine, so the serve path never blocks on an induced churn
-		// cycle.
+		// acknowledges. The host only notes the notice here and retires
+		// the identity at its next step, so the serve path never blocks
+		// on an induced churn cycle.
 		if h := n.host; h != nil && !n.isLeaving() {
 			h.considerEvict(n)
 		}

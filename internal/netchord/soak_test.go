@@ -19,8 +19,26 @@ import (
 
 	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
+	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
 )
+
+// awaitProgress polls the collector until the cluster has consumed at
+// least want units with nothing residual, or the deadline passes.
+func awaitProgress(t *testing.T, c *Cluster, want uint64, timeout time.Duration) wire.Stats {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		p := c.Collector().Stats()
+		if p.Consumed >= want && p.Residual == 0 {
+			return p
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workload incomplete after %v: %+v", timeout, p)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
 
 // soakGoroutineSlack is the tolerated post-shutdown goroutine delta.
 // The Go runtime parks a few of its own helpers (netpoll, timer
