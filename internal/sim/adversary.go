@@ -11,7 +11,7 @@ package sim
 //
 // Determinism: the adversary draws from its own seeded stream, so the
 // engine RNG sees exactly the honest draw sequence. Puzzle debt is paid
-// by the host's own consume slot.
+// out of the host's own work budget when it settles.
 
 import (
 	"chordbalance/internal/adversary"
@@ -87,8 +87,9 @@ type advState struct {
 	rng *xrand.Rand
 	// hostile is the synthetic host backing every hostile virtual node.
 	// It lives outside s.hosts and s.active — the waiting-pool scan,
-	// consume, and snapshots never see it — and its zero Sybil cap keeps
-	// it out of strategies' CanCreateSybil reach.
+	// settleAll, and snapshots never see it — it never consumes, so keys
+	// it holds keep the calendar busy, and its zero Sybil cap keeps it
+	// out of strategies' CanCreateSybil reach.
 	hostile *hostState
 
 	puzzleCost int
@@ -116,7 +117,7 @@ func (s *Simulation) initAdversary() error {
 		}
 		adv.attacker = a
 		adv.rng = xrand.New(cfg.Seed ^ 0x7c159e3779b94a05)
-		adv.hostile = &hostState{Host: sybil.NewStandalone(len(s.hosts), 1, 0), sim: s}
+		adv.hostile = &hostState{Host: sybil.NewStandalone(len(s.hosts), 1, 0), sim: s, settled: never}
 	}
 	if cfg.Defense.DetectionOn() {
 		d, err := adversary.NewDetector(cfg.Defense)
@@ -144,6 +145,10 @@ func (s *Simulation) adversaryStep() {
 		return
 	}
 	cost := 1 + s.adv.puzzleCost
+	if !a.CanMint(cost) {
+		return
+	}
+	s.settleAll()
 	for a.CanMint(cost) {
 		id, ok := s.mintHostileID(a)
 		if !ok {
@@ -187,6 +192,7 @@ func (s *Simulation) defenseStep() {
 	if len(flagged) == 0 {
 		return
 	}
+	s.settleAll()
 	s.adv.victims = s.adv.victims[:0]
 	for _, pos := range flagged {
 		s.adv.victims = append(s.adv.victims, &s.ring.At(pos).Data)
@@ -243,7 +249,7 @@ func (s *Simulation) rekeyPrimary(v *vnode) {
 }
 
 // removeVNode takes one virtual node off the ring and out of its host's
-// list, invalidating the two affected workload caches.
+// list; detach settles and reschedules the two affected hosts.
 func (s *Simulation) removeVNode(v *vnode) {
 	s.detach(v)
 	h := v.host
@@ -253,17 +259,18 @@ func (s *Simulation) removeVNode(v *vnode) {
 			break
 		}
 	}
-	h.wlEpoch = 0
 }
 
-// chargePuzzle adds the admission puzzle cost to a host's debt; a no-op
-// when the defense (or its puzzle) is off, so undefended runs are
-// untouched.
+// chargePuzzle adds the admission puzzle cost to a host's debt, which
+// delays its finish tick; a no-op when the defense (or its puzzle) is
+// off, so undefended runs are untouched.
 func (s *Simulation) chargePuzzle(h *hostState) {
 	if s.adv == nil || s.adv.puzzleCost == 0 {
 		return
 	}
+	s.settle(h)
 	h.puzzleDebt += s.adv.puzzleCost
+	s.reschedule(h)
 	s.adv.stats.PuzzleWorkCharged += s.adv.puzzleCost
 }
 

@@ -50,3 +50,41 @@ func BenchmarkSimTick(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRun measures the tick loop alone on each configuration of
+// the repository benchmark's sim-paper-1k round: 1000 hosts and 100k
+// tasks, one trial per iteration, with New (ring build and task
+// seeding) outside the timer. ns/tick divides the timed runs by the
+// ticks they took.
+func BenchmarkRun(b *testing.B) {
+	for _, c := range []struct {
+		name, strategy string
+		churn          float64
+	}{
+		{"none", "none", 0},
+		{"churn", "none", 0.01},
+		{"random", "random", 0},
+		{"neighbor", "neighbor", 0},
+		{"invitation", "invitation", 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			ticks := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := benchConfig(b, c.strategy, uint64(i)+1)
+				cfg.Tasks = 100_000
+				cfg.ChurnRate = c.churn
+				s, err := sim.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				ticks += s.Run().Ticks
+			}
+			if ticks > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
+			}
+		})
+	}
+}

@@ -125,11 +125,12 @@ func (s *Simulation) crashHost(h *hostState, delay int) {
 			// before removal so Remove hands nothing to the successor.
 			lost = append(lost, v.rn.Keys()...)
 			v.rn.ConsumeN(w)
+			h.wl -= w
 		}
 		s.detach(v) // the successor inherits whatever survived the drain
 	}
 	h.vnodes = h.vnodes[:0]
-	h.wlEpoch = 0
+	s.reschedule(h)
 	s.setAlive(h, false)
 	if s.replicas > 0 {
 		// Each displaced key is fetched from one of its replicas by the
@@ -157,10 +158,7 @@ func (s *Simulation) resubmitDue() {
 			kept = append(kept, p)
 			continue
 		}
-		if err := s.ring.Seed(p.keys); err != nil {
-			panic(err) // the ring always has at least one node
-		}
-		s.wlEpoch++ // re-seeded keys landed on arbitrary hosts
+		s.seed(p.keys)
 		s.fstats.Resubmitted += len(p.keys)
 		s.recordEvent(EventResubmit, -1, p.keys[0], len(p.keys))
 		// Re-submission is a fresh store: one O(log n) lookup per key.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chordbalance/internal/adversary"
+	"chordbalance/internal/xrand"
 )
 
 // TestHostileHostCannotMint checks that the adversary's hostile host,
@@ -103,4 +104,58 @@ func TestHomogeneousStrengthOne(t *testing.T) {
 			t.Fatalf("MaxSybils 1 heterogeneous host %d: strength %d cap %d", h.Index(), h.Strength(), h.MaxSybils())
 		}
 	}
+}
+
+// TestAliveHostsRepairAcrossTicks checks the live-host list's
+// incremental repair when reads are ticks apart, as they are once no
+// per-tick pass reads it: the joiners then span several runs out of
+// index order, and a host can leave and rejoin — or join, leave and
+// rejoin — between two reads. Every read must equal a full rescan in
+// index order, with no host twice.
+func TestAliveHostsRepairAcrossTicks(t *testing.T) {
+	s := newWorld(t, Config{Nodes: 10, Tasks: 100, Seed: 1})
+	check := func(when string) {
+		t.Helper()
+		var want []*hostState
+		for _, h := range s.hosts {
+			if h.Alive() {
+				want = append(want, h)
+			}
+		}
+		got := s.aliveHosts()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d live hosts listed, rescan finds %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: position %d lists host %d, rescan has host %d", when, i, got[i].Index(), want[i].Index())
+			}
+		}
+	}
+	check("fresh")
+	h := s.hosts
+	// Tick 1: two joiners and a leaver. Tick 2: a later joiner before an
+	// earlier one, the leaver back, and joiner 15 out and in again.
+	s.setAlive(h[15], true)
+	s.setAlive(h[12], true)
+	s.setAlive(h[3], false)
+	s.setAlive(h[11], true)
+	s.setAlive(h[3], true)
+	s.setAlive(h[15], false)
+	s.setAlive(h[15], true)
+	s.setAlive(h[12], false)
+	check("after joins, leaves and rejoins over two ticks")
+
+	// Random toggles, read every few ticks.
+	rng := xrand.New(7)
+	for tick := 0; tick < 200; tick++ {
+		for n := rng.Intn(4); n > 0; n-- {
+			x := h[rng.Intn(len(h))]
+			s.setAlive(x, !x.Alive())
+		}
+		if rng.Intn(5) == 0 {
+			check("random toggles")
+		}
+	}
+	check("end")
 }

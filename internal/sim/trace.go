@@ -161,9 +161,9 @@ func (m *simMetrics) emitDone(res *Result) {
 // observe gathers the per-tick view and emits one tick record. It runs
 // after the tick's work (consume/churn/faults/strategy/maintenance), so
 // the record describes the same end-of-tick state snapshot() captures.
-// Only reads: no RNG draws, no key movement, no cache invalidation
-// beyond warming (Workload() validates caches with the same values the
-// engine would compute anyway).
+// Only reads: no RNG draws and no key movement. A traced run settles
+// every host at every consume point, so the ring's key total and every
+// Workload() here are current.
 func (m *simMetrics) observe(s *Simulation, done int) {
 	alive := s.aliveHosts()
 	m.wlHist.Reset()

@@ -182,66 +182,95 @@ func TestWorldChargeMessages(t *testing.T) {
 	}
 }
 
-// TestWorldSybilCacheInvalidation pins what the workload-cache skip is
-// keyed on. A Sybil that takes keys on arrival, or hands keys back on
-// withdrawal, must invalidate both its own host's cache and the ring
-// successor's host's; one that arrives and leaves empty changes no
-// host's sum and leaves both caches warm. Being a Sybil decides
-// neither.
+// TestWorldSybilCacheInvalidation pins which key movements re-enter
+// hosts in the finish-tick calendar. A Sybil that takes keys on arrival,
+// or hands keys back on withdrawal, must reschedule exactly its own host
+// and the ring successor's host, leaving every other host's finish tick
+// alone; one that arrives and leaves empty changes no host's sum and
+// reschedules nobody. Being a Sybil decides neither. After every step
+// the calendar recount (checkCalendar) must hold.
 func TestWorldSybilCacheInvalidation(t *testing.T) {
-	trueLoad := func(h *hostState) int {
-		w := 0
-		for _, v := range h.vnodes {
-			w += v.rn.Workload()
+	finishes := func(s *Simulation) []int {
+		out := make([]int, s.cfg.Nodes)
+		for i, h := range s.hosts[:s.cfg.Nodes] {
+			out[i] = h.finish
 		}
-		return w
+		return out
 	}
-	check := func(s *Simulation, when string, wantWarm bool) {
+	// step runs op and checks that it rescheduled want hosts, that only
+	// the hosts in moved changed finish tick, and that every host's
+	// recorded workload is its vnodes' sum.
+	step := func(s *Simulation, when string, want int, op func(), moved ...*hostState) {
 		t.Helper()
-		for _, h := range s.hosts[:s.cfg.Nodes] {
-			if warm := h.wlEpoch == s.wlEpoch; warm != wantWarm {
-				t.Errorf("%s: host %d cache warm = %v, want %v", when, h.Index(), warm, wantWarm)
+		before, n := finishes(s), s.reschedules
+		op()
+		if got := s.reschedules - n; got != want {
+			t.Errorf("%s: %d hosts rescheduled, want %d", when, got, want)
+		}
+		after := finishes(s)
+		for i := range before {
+			changed := before[i] != after[i]
+			expected := false
+			for _, h := range moved {
+				expected = expected || h.Index() == i
 			}
-			if got, want := h.Workload(), trueLoad(h); got != want { // also re-warms
-				t.Errorf("%s: host %d reports workload %d, its vnodes hold %d", when, h.Index(), got, want)
+			if changed != expected {
+				t.Errorf("%s: host %d finish tick %d -> %d, changed = %v, want %v",
+					when, i, before[i], after[i], changed, expected)
 			}
+		}
+		if err := s.checkCalendar(); err != nil {
+			t.Errorf("%s: %v", when, err)
 		}
 	}
 
-	s := newWorld(t, Config{Nodes: 2, Tasks: 1000, Seed: 5, CheckInvariants: true})
-	check(s, "fresh", false)
+	s := newWorld(t, Config{Nodes: 8, Tasks: 1000, Seed: 5, CheckInvariants: true})
+	if err := s.checkCalendar(); err != nil {
+		t.Fatalf("fresh: %v", err)
+	}
 	owner, helper := s.hosts[0], s.hosts[1]
-	if helper.Workload() > owner.Workload() {
-		owner, helper = helper, owner
+	for _, h := range s.hosts[:s.cfg.Nodes] {
+		if h.Workload() > owner.Workload() {
+			owner = h
+		}
+	}
+	if helper == owner {
+		helper = s.hosts[0]
 	}
 	id, ok := owner.SplitPoint(owner.Primary())
 	if !ok {
 		t.Fatal("no split point on the loaded host")
 	}
 	before := owner.Workload()
-	acquired, ok := helper.CreateSybil(id)
+	var acquired int
+	step(s, "a Sybil split a loaded arc", 2, func() {
+		acquired, ok = helper.CreateSybil(id)
+	}, owner, helper)
 	if !ok || acquired == 0 {
 		t.Fatalf("Sybil at the split point acquired %d keys (ok=%v)", acquired, ok)
 	}
-	check(s, "after a Sybil split a loaded arc", false)
 	if got := owner.Workload(); got != before-acquired {
 		t.Errorf("owner reports %d after losing %d of %d keys", got, acquired, before)
 	}
-	helper.DropSybils()
-	check(s, "after the Sybil handed its keys back", false)
+	if want := s.consumed + owner.Workload(); owner.finish != want {
+		t.Errorf("owner finishes at tick %d, want %d", owner.finish, want)
+	}
+	step(s, "the Sybil handed its keys back", 2, helper.DropSybils, owner, helper)
 	if got := owner.Workload(); got != before {
 		t.Errorf("owner reports %d after getting its %d keys back", got, before)
 	}
 
 	// The same two operations on arcs with no keys move nothing.
 	s = newWorld(t, Config{Nodes: 2, Tasks: 0, Seed: 5, CheckInvariants: true})
-	check(s, "fresh, empty", false)
-	if acquired, ok := s.hosts[1].CreateSybil(s.randomID()); !ok || acquired != 0 {
-		t.Fatalf("Sybil on an empty ring acquired %d keys (ok=%v)", acquired, ok)
+	step(s, "an empty Sybil arrived", 0, func() {
+		if acquired, ok := s.hosts[1].CreateSybil(s.randomID()); !ok || acquired != 0 {
+			t.Fatalf("Sybil on an empty ring acquired %d keys (ok=%v)", acquired, ok)
+		}
+	})
+	step(s, "an empty Sybil left", 0, s.hosts[1].DropSybils)
+	if s.busy != 0 {
+		t.Errorf("empty ring counts %d busy hosts", s.busy)
 	}
-	check(s, "after an empty Sybil arrived", true)
-	s.hosts[1].DropSybils()
-	check(s, "after an empty Sybil left", true)
 }
 
 // TestSybilLifecycleOneAllocation pins the steady-state cost of one
