@@ -8,11 +8,10 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"chordbalance/internal/ids"
+	"chordbalance/internal/parallel"
 	"chordbalance/internal/stats"
 )
 
@@ -75,42 +74,44 @@ func (g *Generator) NodeIDs(n int) []ids.ID {
 	return out
 }
 
-// taskKeyChunk is the slice of the counter range one TaskKeys worker
-// hashes per claim: a 100k-key trial splits into ~25 chunks, and the
-// streamed per-tick arrivals (one chunk or less) stay serial.
+// taskKeyChunk is the slice of the counter range one TaskKeys claim
+// hashes: a 100k-key trial splits into ~25 chunks, and the streamed
+// per-tick arrivals (one chunk or less) stay serial.
 const taskKeyChunk = 4096
 
 // TaskKeys returns n task keys (duplicates allowed, as for real file
 // chunks; SHA-1 makes them vanishingly rare anyway): exactly n calls of
-// Next, with batches over one chunk hashed by the caller and up to
-// GOMAXPROCS-1 hashers, each chunk from its own counter indices.
+// Next, with batches over one chunk hashed by the caller and
+// internal/parallel's helpers, each chunk from its own counter indices.
 func (g *Generator) TaskKeys(n int) []ids.ID {
-	out := make([]ids.ID, n)
+	b := taskBatch{out: make([]ids.ID, n), g: g, base: g.next}
+	g.next += uint64(n)
+	parallel.Claim((n+taskKeyChunk-1)/taskKeyChunk, b, taskBatch.hash)
+	return b.out
+}
+
+// taskBatch is one TaskKeys call: out[i] is the stream's (base+i)-th
+// identifier.
+type taskBatch struct {
+	out  []ids.ID
+	g    *Generator
+	base uint64
+}
+
+// hash fills chunk c of the batch.
+func (b taskBatch) hash(c int) {
+	lo := c * taskKeyChunk
+	b.g.fill(b.out[lo:min(len(b.out), lo+taskKeyChunk)], b.base+uint64(lo))
+}
+
+// Reserve takes the next n indices of the stream, as n calls of Next
+// would, and returns a fill that writes keys from, from+1, ... of that
+// range into dst. The fill is a pure function of its arguments, so
+// disjoint ranges may be filled concurrently and in any order.
+func (g *Generator) Reserve(n int) func(dst []ids.ID, from int) {
 	base := g.next
 	g.next += uint64(n)
-	chunks := (n + taskKeyChunk - 1) / taskKeyChunk
-	workers := min(runtime.GOMAXPROCS(0), chunks)
-	if workers <= 1 {
-		g.fill(out, base)
-		return out
-	}
-	var claimed, filled atomic.Int64
-	hash := func() {
-		for c := int(claimed.Add(1)) - 1; c < chunks; c = int(claimed.Add(1)) - 1 {
-			lo := c * taskKeyChunk
-			g.fill(out[lo:min(n, lo+taskKeyChunk)], base+uint64(lo))
-			filled.Add(1)
-		}
-	}
-	for ; workers > 1; workers-- {
-		wakeHasher(hash)
-	}
-	hash()
-	// at most one chunk's wait; yield, never park (see the hashers)
-	for filled.Load() < int64(chunks) {
-		runtime.Gosched()
-	}
-	return out
+	return func(dst []ids.ID, from int) { g.fill(dst, base+uint64(from)) }
 }
 
 // sha1Portable sets out[k] to SHA-1(salt‖from+k), both counters
@@ -122,36 +123,6 @@ func sha1Portable(out []ids.ID, salt, from uint64) {
 	for k := range out {
 		binary.BigEndian.PutUint64(buf[8:], from+uint64(k))
 		out[k] = sha1.Sum(buf[:])
-	}
-}
-
-// TaskKeys' hashers live for the process, holding nothing between
-// batches: spawning per batch, or parking the caller on a WaitGroup,
-// would add runtime allocations (goroutine structs, wait-queue entries)
-// whose count depends on scheduling, and a trial's allocation count
-// must repeat exactly (benchmarks' TestDigestStable). A wake-up is
-// dropped when hasherWake (a few batches deep at up to 64 cores) is
-// full and is a no-op once its batch's chunks are all claimed.
-var (
-	hasherN    atomic.Int64
-	hasherWake = make(chan func(), 64)
-)
-
-// wakeHasher hands hash to an idle hasher, starting one if fewer than
-// GOMAXPROCS-1 exist.
-func wakeHasher(hash func()) {
-	if hasherN.Add(1) < int64(runtime.GOMAXPROCS(0)) {
-		go func() {
-			for h := range hasherWake {
-				h()
-			}
-		}()
-	} else {
-		hasherN.Add(-1)
-	}
-	select {
-	case hasherWake <- hash:
-	default:
 	}
 }
 

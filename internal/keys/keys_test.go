@@ -91,9 +91,9 @@ func TestTaskKeysMatchesNext(t *testing.T) {
 }
 
 // TestTaskKeysConcurrentCallers runs several generators at once, as a
-// sweep's parallel trials do: they share TaskKeys' hashers, so wake-ups
-// go stale or are dropped, and every caller must still get its own
-// serial stream.
+// sweep's parallel trials do: they share internal/parallel's helpers,
+// so wake-ups go stale or are dropped, and every caller must still get
+// its own serial stream.
 func TestTaskKeysConcurrentCallers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var wg sync.WaitGroup
@@ -113,6 +113,32 @@ func TestTaskKeysConcurrentCallers(t *testing.T) {
 		}(uint64(c))
 	}
 	wg.Wait()
+}
+
+// TestReserveMatchesNext pins Reserve to the serial stream: its fill
+// writes the reserved keys in any order and any split, Reserve(n)
+// advances the stream exactly as n calls of Next, and two reservations
+// never overlap.
+func TestReserveMatchesNext(t *testing.T) {
+	g, twin := NewGenerator(78), NewGenerator(78)
+	g.Next() // start mid-stream, not at counter 0
+	twin.Next()
+	for _, n := range []int{0, 1, 5, 3*taskKeyChunk + 17} {
+		fill := g.Reserve(n)
+		got := make([]ids.ID, n)
+		for hi := n; hi > 0; hi -= 1000 { // back to front, 1000 keys a call
+			lo := max(0, hi-1000)
+			fill(got[lo:hi], lo)
+		}
+		for i, k := range got {
+			if want := twin.Next(); k != want {
+				t.Fatalf("n=%d: key %d = %v, serial stream says %v", n, i, k, want)
+			}
+		}
+	}
+	if a, b := g.Next(), twin.Next(); a != b {
+		t.Fatalf("stream after the reservations = %v, serial stream says %v", a, b)
+	}
 }
 
 func TestEvenIDsSpacing(t *testing.T) {

@@ -139,24 +139,50 @@ func BenchmarkRingRemove(b *testing.B) {
 }
 
 // BenchmarkRingSeed measures routing a fresh batch of task keys onto a
-// 1024-node ring: one radix-assisted sort of the batch plus one binary
-// search per distinct owner. The per-iteration drain keeps the key
-// population (and therefore the merge cost) constant across iterations.
+// 1024-node ring: one radix-assisted sort of the batch plus one
+// galloping search per distinct owner. The per-iteration drain keeps
+// the key population (and therefore the merge cost) constant across
+// iterations. The slice case seeds a finished 8192-key batch; the
+// generator cases seed a sim-paper-1k and a sim-scale-100k batch as
+// the simulator does, hashing straight from the generator into the
+// sort (SeedFrom), and report ns per key.
 func BenchmarkRingSeed(b *testing.B) {
-	r, _ := buildRing(b, 1024, 0)
-	g := keys.NewGenerator(3)
-	batch := g.TaskKeys(8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Seed(batch); err != nil {
-			b.Fatal(err)
-		}
+	drain := func(r *Ring[int]) {
 		b.StopTimer()
 		for j := 0; j < r.Len(); j++ {
 			r.At(j).ConsumeN(1 << 30)
 		}
 		b.StartTimer()
+	}
+	b.Run("slice-8k", func(b *testing.B) {
+		r, _ := buildRing(b, 1024, 0)
+		batch := keys.NewGenerator(3).TaskKeys(8192)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := r.Seed(batch); err != nil {
+				b.Fatal(err)
+			}
+			drain(r)
+		}
+	})
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"gen-100k", 100_000}, {"gen-2M", 2_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			r, _ := buildRing(b, 1024, 0)
+			g := keys.NewGenerator(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.SeedFrom(c.n, g.Reserve(c.n)); err != nil {
+					b.Fatal(err)
+				}
+				drain(r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/key")
+		})
 	}
 }
 
@@ -173,7 +199,7 @@ func BenchmarkSortedCopy(b *testing.B) {
 			batch := keys.NewGenerator(5).TaskKeys(c.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = sortedCopy(batch)[0]
+				benchSink = sortedArena(len(batch), copyFill(batch))[0]
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/key")
 		})

@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 
@@ -110,7 +111,9 @@ func modelSearch(model []ids.ID, id ids.ID) int {
 // whose population is dense in equal prefixes and segment-boundary
 // neighbours through arbitrary Insert/Remove/Get/Owner/Seed/Consume
 // sequences, and checks every answer against a sorted slice. One Seed
-// in sixteen is at least radixMin keys, so the radix arena path runs too.
+// in sixteen is more than one seedChunk of keys, so the radix pipeline
+// runs too and merges several chunks, its arena checked against a
+// sorted copy.
 func FuzzBuiltRingModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 2, 0, 3, 1, 4, 9, 5, 3})
 	for seed := uint64(1); seed <= 4; seed++ { // long mixed programs for plain `go test`
@@ -176,11 +179,16 @@ func FuzzBuiltRingModel(f *testing.F) {
 			case 4:
 				batch := []ids.ID{id, id.Succ(), pick(program[i+2], program[i+1])}
 				if program[i+1]%16 == 0 {
-					// A radix-sized batch: the fuzz-derived IDs repeated
-					// with pool neighbours, so equal prefixes and
-					// segment-boundary IDs stay in it.
-					for j := 0; len(batch) < radixMin; j++ {
+					// A batch of more than one chunk, ragged by the
+					// operand: the fuzz-derived IDs repeated with pool
+					// neighbours, so equal prefixes and segment-boundary
+					// IDs stay in it, and the radix pipeline merges the
+					// chunks' groups.
+					for j := 0; len(batch) <= seedChunk+8*int(program[i+2]); j++ {
 						batch = append(batch, batch[j%3], pick(byte(j), program[i+2]))
+					}
+					if got, want := sortedArena(len(batch), copyFill(batch)), sortedModel(batch); !slices.Equal(got, want) {
+						t.Fatalf("step %d: the seed arena of %d keys differs from the sorted model", i/3, len(batch))
 					}
 				}
 				if err := r.Seed(batch); err != nil {

@@ -20,10 +20,13 @@
 // self-repairing position hint, so Succ/Pred/PredID are O(1) between
 // topology changes and never worse than one segment-local binary search
 // after one; searches are inlined (no sort.Search closures, zero
-// allocations); Seed sorts each incoming batch by identifier once
-// (radix-assisted for large batches) into one fresh arena, hands every
-// owner its contiguous run — one binary search per distinct owner, not
-// per key — as its window in place, or merges it with the node's
+// allocations); Seed sorts each incoming batch by identifier once into
+// one fresh arena — large batches in a two-phase radix pipeline that
+// runs on internal/parallel's helpers, and SeedFrom hashes a generated
+// batch straight into it instead of copying a finished slice — then
+// hands every owner its contiguous run, found by galloping from its
+// start (one O(log run) search per distinct owner, not a comparison
+// per key), as its window in place, or merges it with the node's
 // residual keys in a single two-run pass;
 // Remove reuses the successor's consumed front (or hands the whole
 // window over) instead of allocating a merged slice whenever it can;
@@ -51,6 +54,7 @@ import (
 	"sort"
 
 	"chordbalance/internal/ids"
+	"chordbalance/internal/parallel"
 )
 
 // Errors returned by ring mutations.
@@ -168,50 +172,123 @@ type Ring[T any] struct {
 	mode      ConsumeMode
 }
 
-// radixMin is the batch size above which sortedCopy switches from
-// comparison sort to the two-byte radix scatter. Below it, the fixed
-// cost of clearing 64Ki bucket counters outweighs the comparison
+// radixMin is the batch size from which sortedArena switches from one
+// comparison sort on the caller to the two-phase radix pipeline. Below
+// it, the fixed cost of the radix passes outweighs the comparison
 // savings (streamed per-tick seed batches stay under this).
 const radixMin = 4096
 
-// sortedCopy returns a fresh, exactly-sized copy of s sorted ascending
-// by identifier — the arena Seed carves owners' windows from — and never
-// writes to s. Large batches take an MSD radix pass on the first two ID
-// bytes (uniform SHA-1 keys spread ~evenly over 64Ki buckets), scattered
-// straight from s into the arena, then tiny per-bucket sorts: one O(k)
-// scatter instead of O(k log k) 20-byte comparisons. Counters are 32-bit
-// (2^31 keys would be 40 GiB). Equal keys are identical bytes, so the
-// result is exactly the order a comparison sort yields.
-func sortedCopy(s []ids.ID) []ids.ID {
-	out := make([]ids.ID, len(s))
-	if len(s) < radixMin {
-		copy(out, s)
-		sort.Sort(idKeys(out))
-		return out
+// seedChunk is how many keys one phase-1 claim of the radix pipeline
+// fills and groups: 80 KiB of keys, which stay in L1/L2 from the fill
+// to the grouping, and few enough that a chunk's offsets fit in uint16.
+const seedChunk = 4096
+
+// sortedArena returns a fresh, exactly-sized slice of the batch's n
+// keys sorted ascending by identifier — the arena Seed carves owners'
+// windows from. fill(dst, from) sets dst to the batch's keys from,
+// from+1, ... and may run concurrently on disjoint ranges.
+//
+// Large batches run as the two phases of one parallel.ClaimPhases loop.
+// Phase 1 takes one claim per seedChunk keys: it fills the chunk
+// (hashing straight into the arena, which phase 2 overwrites later),
+// counts its top bytes and groups it by top byte into tmp while it is
+// still in cache, keeping the 256 group offsets. Phase 2 takes one
+// claim per top byte: it sums that byte's offsets over the chunks into
+// its place in the arena, gathers its group from every chunk, scatters
+// it by second byte straight into that place, and sorts each two-byte
+// bucket (sortBucket). Uniform SHA-1 keys spread evenly over the 64Ki
+// buckets, so that is two O(n) passes instead of O(n log n) 20-byte
+// comparisons. Equal keys are identical bytes, so the result is the
+// order a comparison sort yields, whatever the core count or schedule.
+func sortedArena(n int, fill func(dst []ids.ID, from int)) []ids.ID {
+	arena := make([]ids.ID, n)
+	if n < radixMin {
+		fill(arena, 0)
+		sort.Sort(idKeys(arena))
+		return arena
 	}
-	count := make([]int32, 1<<16)
-	for _, k := range s {
-		count[int(k[0])<<8|int(k[1])]++
+	chunks := (n + seedChunk - 1) / seedChunk
+	p := radixPass{fill: fill, arena: arena, tmp: make([]ids.ID, n), offs: make([]uint16, 257*chunks), chunks: chunks}
+	parallel.ClaimPhases(chunks, 256, p, radixPass.group, radixPass.place)
+	return arena
+}
+
+// radixPass is sortedArena's state, shared by value with every claim.
+// offs[b*chunks+c], for b up to 256, is the number of chunk c's keys
+// whose top byte is below b: chunk c's group of top byte b spans
+// offs[b*chunks+c] to offs[(b+1)*chunks+c] of its part of tmp, and top
+// byte b starts at the sum over c in the arena. At 2M keys the 257
+// uint16 rows take 246 KiB, less than the 64Ki int32 counters of a
+// one-pass two-byte scatter.
+type radixPass struct {
+	fill       func(dst []ids.ID, from int)
+	arena, tmp []ids.ID
+	offs       []uint16
+	chunks     int
+}
+
+// group is phase 1 for chunk c.
+func (p radixPass) group(c int) {
+	lo := c * seedChunk
+	hi := min(len(p.arena), lo+seedChunk)
+	in := p.arena[lo:hi:hi]
+	p.fill(in, lo)
+	var pos [256]int32
+	for _, k := range in {
+		pos[k[0]]++
 	}
 	var sum int32
-	for b, c := range count {
-		count[b] = sum
-		sum += c
+	for b, cnt := range pos {
+		p.offs[b*p.chunks+c] = uint16(sum)
+		pos[b] = sum
+		sum += cnt
 	}
-	for _, k := range s {
-		b := int(k[0])<<8 | int(k[1])
-		out[count[b]] = k
-		count[b]++
+	p.offs[256*p.chunks+c] = uint16(sum)
+	out := p.tmp[lo:hi:hi]
+	for _, k := range in {
+		out[pos[k[0]]] = k
+		pos[k[0]]++
 	}
-	// count[b] is now the end offset of bucket b.
+}
+
+// place is phase 2 for top byte b.
+func (p radixPass) place(b int) {
+	from, to := p.offs[b*p.chunks:][:p.chunks], p.offs[(b+1)*p.chunks:][:p.chunks]
+	var lo, hi int
+	for c := range from {
+		lo += int(from[c])
+		hi += int(to[c])
+	}
+	dst := p.arena[lo:hi:hi]
+	// run returns chunk c's group of top byte b in tmp.
+	run := func(c int) []ids.ID {
+		return p.tmp[c*seedChunk+int(from[c]) : c*seedChunk+int(to[c])]
+	}
+	var pos [256]int32
+	for c := range from {
+		for _, k := range run(c) {
+			pos[k[1]]++
+		}
+	}
+	var sum int32
+	for j, cnt := range pos {
+		pos[j] = sum
+		sum += cnt
+	}
+	for c := range from {
+		for _, k := range run(c) {
+			dst[pos[k[1]]] = k
+			pos[k[1]]++
+		}
+	}
+	// pos[j] is now the end of second byte j's bucket.
 	var start int32
-	for _, end := range count {
+	for _, end := range pos {
 		if end-start > 1 {
-			sortBucket(out[start:end])
+			sortBucket(dst[start:end])
 		}
 		start = end
 	}
-	return out
 }
 
 // sortBucket orders one radix bucket. Buckets are tiny for uniform keys
@@ -714,49 +791,40 @@ func (s idKeys) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // Seed distributes task keys to their owners. It may be called on a ring
 // whose nodes already hold keys; new keys are merged in ring order. It
-// returns ErrEmpty if the ring has no nodes.
-//
-// The batch is sorted by absolute identifier once, out of place, into a
-// fresh arena; every owner's bucket is then a contiguous run of it,
-// located with one binary search per *distinct* owner instead of one per
-// key. An owner with no residual keys takes its run as its window in
-// place, so the arena is the windows' shared backing array — disjoint
-// windows over one array, exactly what Insert splits already produce —
-// and Seed never keeps a reference to taskKeys. The wrapping node (the
-// first on the ring) owns two runs — keys above the last node and keys
-// at or below itself — which concatenate, tail first, into exactly its
-// ring-distance order from its predecessor. With a single node the two
-// runs compose to the whole circle, so no special case is needed.
+// returns ErrEmpty if the ring has no nodes. Seed never writes to
+// taskKeys nor keeps a reference to it.
 func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
+	return r.SeedFrom(len(taskKeys), func(dst []ids.ID, from int) { copy(dst, taskKeys[from:]) })
+}
+
+// SeedFrom is Seed for a batch of count keys that fill writes: fill(dst,
+// from) must set dst to the batch's keys from, from+1, ..., and may be
+// called concurrently on disjoint ranges, so a key source such as a
+// hash stream fills the sort's own arena in parallel instead of a
+// slice that Seed would then copy.
+//
+// The batch is sorted by absolute identifier once into a fresh arena
+// (sortedArena); every owner's bucket is then a contiguous run of it,
+// whose end is found by galloping from its start, one O(log run)
+// search per *distinct* owner instead of a comparison per key. An owner
+// with no residual keys takes its run as its window in place, so the
+// arena is the windows' shared backing array — disjoint windows over
+// one array, exactly what Insert splits already produce. The wrapping
+// node (the first on the ring) owns two runs — keys above the last node
+// and keys at or below itself — which concatenate, tail first, into
+// exactly its ring-distance order from its predecessor. With a single
+// node the two runs compose to the whole circle, so no special case is
+// needed.
+func (r *Ring[T]) SeedFrom(count int, fill func(dst []ids.ID, from int)) error {
 	if r.count == 0 {
 		return ErrEmpty
 	}
-	sorted := sortedCopy(taskKeys)
+	sorted := sortedArena(count, fill)
 	fs, foff := r.firstPos()
 	ls, loff := r.lastPos()
 	first, last := r.node(fs, foff), r.node(ls, loff)
-	// headEnd: first sorted key strictly above the first node's ID.
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if first.id.Less(sorted[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	headEnd := lo
-	// tailStart: first sorted key strictly above the last node's ID.
-	lo, hi = headEnd, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if last.id.Less(sorted[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	tailStart := lo
+	headEnd := above(sorted, 0, len(sorted), first.id)
+	tailStart := above(sorted, headEnd, len(sorted), last.id)
 	// Middle segments: each run of keys in (pred, owner].
 	for lo := headEnd; lo < tailStart; {
 		os := r.segOf(sorted[lo])
@@ -766,10 +834,7 @@ func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 		n := r.node(os, ooff)
 		ps, poff := r.occupiedBefore(os, ooff)
 		predID := r.node(ps, poff).id
-		hi := lo + 1
-		for hi < tailStart && !n.id.Less(sorted[hi]) {
-			hi++
-		}
+		hi := above(sorted, lo+1, tailStart, n.id)
 		n.mergeSeed(predID, sorted[lo:hi])
 		lo = hi
 	}
@@ -786,8 +851,32 @@ func (r *Ring[T]) Seed(taskKeys []ids.ID) error {
 		}
 		first.mergeSeed(last.id, run)
 	}
-	r.totalKeys += len(taskKeys)
+	r.totalKeys += count
 	return nil
+}
+
+// above returns the first index in [lo, hi) of the ascending s whose
+// key is above id, or hi. It gallops from lo — probes 1, 2, 4, ... keys
+// ahead — and then bisects the last gap, so a run of k keys costs
+// O(log k) comparisons however long s is.
+func above(s []ids.ID, lo, hi int, id ids.ID) int {
+	for step := 1; lo+step <= hi; step <<= 1 {
+		p := lo + step - 1
+		if id.Less(s[p]) {
+			hi = p
+			break
+		}
+		lo = p + 1
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if id.Less(s[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // mergeSeed merges the non-empty incoming run (ascending in ring

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"chordbalance/internal/ids"
@@ -295,5 +299,239 @@ func TestSeedAllocsIndependentOfOwners(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[0] > 8 {
 		t.Fatalf("Seed allocates %v times onto 1000 owners and %v onto 4000; want one constant <= 8", counts[0], counts[1])
+	}
+}
+
+// arenaBatches returns the batch shapes sortedArena must sort at size
+// n: uniform SHA-1 keys, Zipf duplicates, runs of seven keys that tie
+// on all 8 prefix bytes (every fifth key a copy of the one before), one
+// shared top byte (all of phase 2 in one claim, with second-byte
+// buckets past sortBucket's insertion limit from about 12k keys on) and
+// one shared two-byte prefix (one bucket).
+func arenaBatches(n int) map[string][]ids.ID {
+	rng := xrand.New(uint64(n) + 1)
+	ties := make([]ids.ID, n)
+	for i := range ties {
+		ties[i] = withPrefix(rng, uint16(rng.Uint64()))
+		if i%7 != 0 {
+			copy(ties[i][:8], ties[i-1][:8])
+		}
+		if i%5 == 4 {
+			ties[i] = ties[i-1]
+		}
+	}
+	top := make([]ids.ID, n)
+	shared := make([]ids.ID, n)
+	for i := range top {
+		top[i] = withPrefix(rng, uint16(rng.Uint64()))
+		top[i][0] = 0x5a
+		shared[i] = withPrefix(rng, 0xabcd)
+	}
+	return map[string][]ids.ID{
+		"uniform":       keys.NewGenerator(uint64(n)).TaskKeys(n),
+		"zipf":          keys.ZipfKeys(rng, 9, n, 50, 1.2),
+		"prefix-ties":   ties,
+		"shared-top":    top,
+		"shared-prefix": shared,
+	}
+}
+
+// sortedModel is the sorted-slice reference: a copy sorted by the
+// library sort with ids.Compare (FuzzCompare pins it to bytes.Compare).
+func sortedModel(batch []ids.ID) []ids.ID {
+	m := slices.Clone(batch)
+	slices.SortFunc(m, ids.ID.Compare)
+	return m
+}
+
+// copyFill is the fill Seed gives sortedArena for a finished batch.
+func copyFill(batch []ids.ID) func(dst []ids.ID, from int) {
+	return func(dst []ids.ID, from int) { copy(dst, batch[from:]) }
+}
+
+// checkArena sorts batch, copied in by the claims in the order they
+// run, and compares the arena with the sorted model want and the batch
+// with its copy (the batch is only read).
+func checkArena(t *testing.T, what string, batch, want []ids.ID) {
+	t.Helper()
+	orig := slices.Clone(batch)
+	got := sortedArena(len(batch), copyFill(batch))
+	if len(got) != len(want) || cap(got) != len(want) {
+		t.Fatalf("%s: arena len %d cap %d, want %d", what, len(got), cap(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: arena[%d] = %v, model %v", what, i, got[i].Short(), want[i].Short())
+		}
+	}
+	if !slices.Equal(batch, orig) {
+		t.Fatalf("%s: sortedArena wrote to its source slice", what)
+	}
+}
+
+// TestSortedArenaMatchesModel checks the seed sort against a sorted
+// copy at every size its pipeline treats differently — empty, below
+// radixMin (serial), exactly one chunk, one chunk and a key, and a
+// ragged multi-chunk batch — for every batch shape, and at a
+// sim-paper-1k trial's 100k for the shapes the simulator seeds (uniform
+// and Zipf), on the caller alone (GOMAXPROCS 1) and with helpers.
+func TestSortedArenaMatchesModel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type batch struct {
+		name       string
+		keys, want []ids.ID
+	}
+	var batches []batch
+	add := func(n int, name string, ks []ids.ID) {
+		batches = append(batches, batch{fmt.Sprintf("n=%d %s", n, name), ks, sortedModel(ks)})
+	}
+	for _, n := range []int{0, 1, radixMin - 1, radixMin, seedChunk + 1, 5*seedChunk + 123} {
+		for name, ks := range arenaBatches(n) {
+			add(n, name, ks)
+		}
+	}
+	large := arenaBatches(100_000)
+	add(100_000, "uniform", large["uniform"])
+	add(100_000, "zipf", large["zipf"])
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, b := range batches {
+			checkArena(t, fmt.Sprintf("procs=%d %s", procs, b.name), b.keys, b.want)
+		}
+	}
+}
+
+// TestSortedArena2M hashes sim-scale-100k's uniform batch, plus one key,
+// straight into the arena with helpers, as the simulator seeds it. A
+// library sort of 2M keys is too slow under the race detector to be
+// the model here, so the arena must be ascending, as long as the batch
+// and hold the same keys: equal wrapping sums of every key's words,
+// which a lost, repeated or corrupted key would break.
+func TestSortedArena2M(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 2_000_001
+	batch := keys.NewGenerator(3).TaskKeys(n)
+	got := sortedArena(n, keys.NewGenerator(3).Reserve(n))
+	if len(got) != n {
+		t.Fatalf("arena holds %d keys, want %d", len(got), n)
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(got[i-1][:], got[i][:]) > 0 {
+			t.Fatalf("arena descends at %d: %v then %v", i, got[i-1].Short(), got[i].Short())
+		}
+	}
+	if a, b := keySums(got), keySums(batch); a != b {
+		t.Fatalf("arena key sums %x, batch %x", a, b)
+	}
+}
+
+// keySums returns the wrapping sums of the keys' three big-endian words.
+func keySums(ks []ids.ID) (s [3]uint64) {
+	for _, k := range ks {
+		s[0] += binary.BigEndian.Uint64(k[:8])
+		s[1] += binary.BigEndian.Uint64(k[8:16])
+		s[2] += uint64(binary.BigEndian.Uint32(k[16:]))
+	}
+	return s
+}
+
+// TestSortedArenaConcurrentCallers sorts on several goroutines at once,
+// as a sweep's parallel trials do: they share internal/parallel's
+// helpers with each other, so wake-ups go stale or are dropped, and
+// every caller must still get its own sorted arena.
+func TestSortedArenaConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				g := keys.NewGenerator(uint64(10*c + round))
+				n := 3*seedChunk + 17*c + round
+				want := sortedModel(g.TaskKeys(n))
+				got := sortedArena(n, keys.NewGenerator(uint64(10*c+round)).Reserve(n))
+				if !slices.Equal(got, want) {
+					t.Errorf("caller %d round %d: arena differs from the model", c, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSeedFromMatchesSeed seeds the same keys both ways — Seed from a
+// TaskKeys slice and SeedFrom straight from the generator's reserved
+// range — onto twin rings, which must then hold identical windows, with
+// both generators left at the same counter.
+func TestSeedFromMatchesSeed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 100, radixMin, 100_000} {
+			a, _ := buildRing(t, 1000, 0)
+			b, _ := buildRing(t, 1000, 0)
+			ga, gb := keys.NewGenerator(6), keys.NewGenerator(6)
+			ga.Next() // start mid-stream
+			gb.Next()
+			if err := a.Seed(ga.TaskKeys(n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.SeedFrom(n, gb.Reserve(n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if a.TotalKeys() != n || b.TotalKeys() != n {
+				t.Fatalf("procs=%d n=%d: rings hold %d and %d keys", procs, n, a.TotalKeys(), b.TotalKeys())
+			}
+			for i := 0; i < a.Len(); i++ {
+				if !slices.Equal(a.At(i).Keys(), b.At(i).Keys()) {
+					t.Fatalf("procs=%d n=%d: node %d's window differs between Seed and SeedFrom", procs, n, i)
+				}
+			}
+			if x, y := ga.Next(), gb.Next(); x != y {
+				t.Fatalf("procs=%d n=%d: generator after Seed at %v, after SeedFrom at %v", procs, n, x.Short(), y.Short())
+			}
+		}
+	}
+	if err := New[int]().SeedFrom(3, keys.NewGenerator(1).Reserve(3)); err != ErrEmpty {
+		t.Fatalf("SeedFrom on an empty ring: %v, want ErrEmpty", err)
+	}
+}
+
+// TestSeedFromAllocs pins a 100k-key SeedFrom's allocation count: with
+// helpers it is the count on the caller alone (AllocsPerRun runs at
+// GOMAXPROCS 1) plus the one loop record, whoever ran which claim. The
+// runtime can add allocations of its own to a run with helpers (a
+// thread, a wait-queue entry), never remove one, so the least of five
+// runs is compared.
+func TestSeedFromAllocs(t *testing.T) {
+	r, ns := buildRing(t, 1000, 0)
+	seed := func() {
+		// the same keys every run, so the wrapping owner always gets
+		// its fresh window
+		if err := r.SeedFrom(100_000, keys.NewGenerator(12).Reserve(100_000)); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ns {
+			n.ConsumeN(1 << 30)
+		}
+	}
+	alone := uint64(testing.AllocsPerRun(5, seed))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	seed() // start the helper outside the count
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seed()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != alone+1 {
+		t.Fatalf("a 100k-key SeedFrom allocates %d times on the caller alone and %d with helpers, want one more", alone, least)
 	}
 }

@@ -158,7 +158,7 @@ func (s *Simulation) resubmitDue() {
 			kept = append(kept, p)
 			continue
 		}
-		s.seed(p.keys)
+		s.seed(len(p.keys), p.keys)
 		s.fstats.Resubmitted += len(p.keys)
 		s.recordEvent(EventResubmit, -1, p.keys[0], len(p.keys))
 		// Re-submission is a fresh store: one O(log n) lookup per key.

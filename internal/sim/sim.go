@@ -576,13 +576,19 @@ func (s *Simulation) resum(h *hostState) {
 	}
 }
 
-// seed routes task keys onto the ring (stream arrivals, crash
-// re-submissions). Merged windows must start from settled ones, and the
-// keys can land on any host, so every host settles before and is
-// re-summed after.
-func (s *Simulation) seed(keys []ids.ID) {
+// seed routes n task keys onto the ring: keys when given (crash
+// re-submissions), else n new ones from the task stream (arrivals).
+// Merged windows must start from settled ones, and the keys can land on
+// any host, so every host settles before and is re-summed after.
+func (s *Simulation) seed(n int, keys []ids.ID) {
 	s.settleAll()
-	if err := s.ring.Seed(keys); err != nil {
+	var err error
+	if keys != nil {
+		err = s.ring.Seed(keys)
+	} else {
+		err = s.tasks.seed(s.ring, n)
+	}
+	if err != nil {
 		panic(err) // the ring always has at least one node
 	}
 	for _, h := range s.aliveHosts() {
@@ -736,15 +742,19 @@ func newTaskStream(cfg Config) *taskStream {
 	return ts
 }
 
-func (ts *taskStream) next(n int) []ids.ID {
+// seed routes n new task keys onto r. Uniform keys are hashed straight
+// into the seed's sorted arena from the generator's reserved counter
+// range (ring.SeedFrom); Zipf references are drawn serially, in RNG
+// order, into a batch first.
+func (ts *taskStream) seed(r *ring.Ring[vnode], n int) error {
 	if ts.zipf == nil {
-		return ts.gen.TaskKeys(n)
+		return r.SeedFrom(n, ts.gen.Reserve(n))
 	}
-	out := make([]ids.ID, n)
-	for i := range out {
-		out[i] = ts.objects[ts.zipf.Rank(ts.rng)-1]
+	batch := make([]ids.ID, n)
+	for i := range batch {
+		batch[i] = ts.objects[ts.zipf.Rank(ts.rng)-1]
 	}
-	return out
+	return r.Seed(batch)
 }
 
 // New builds a simulation: hosts with SHA-1 primary IDs, the waiting pool,
@@ -857,7 +867,7 @@ func New(cfg Config) (*Simulation, error) {
 	// Seed the job's initial task keys; streamed tasks arrive later.
 	s.tasks = newTaskStream(cfg)
 	s.streamLeft = cfg.StreamTasks
-	if err := s.ring.Seed(s.tasks.next(cfg.Tasks)); err != nil {
+	if err := s.tasks.seed(s.ring, cfg.Tasks); err != nil {
 		return nil, err
 	}
 	// Ideal runtime: every initial host working at full speed with a
@@ -1011,7 +1021,7 @@ func (s *Simulation) Run() *Result {
 			if n > s.streamLeft {
 				n = s.streamLeft
 			}
-			s.seed(s.tasks.next(n))
+			s.seed(n, nil)
 			s.streamLeft -= n
 		}
 		done := s.consume()
