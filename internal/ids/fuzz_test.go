@@ -2,6 +2,7 @@ package ids
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 )
 
@@ -30,6 +31,9 @@ func FuzzArithmeticLaws(f *testing.F) {
 	f.Add([]byte{1}, []byte{2})
 	f.Add(bytes.Repeat([]byte{0xff}, 20), []byte{1})
 	f.Add([]byte{}, bytes.Repeat([]byte{0xaa}, 25))
+	// Carries and borrows across both word cuts (bytes 4 and 12).
+	f.Add(bytes.Repeat([]byte{0xff}, 16), []byte{0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{1})
 	f.Fuzz(func(t *testing.T, araw, braw []byte) {
 		a, b := FromBytes(araw), FromBytes(braw)
 		if a.Add(b).Sub(b) != a {
@@ -40,6 +44,26 @@ func FuzzArithmeticLaws(f *testing.F) {
 		}
 		if a.Distance(b) != b.Sub(a) {
 			t.Fatal("Distance definition violated")
+		}
+		// The word-wise Add, Sub and Half against math/big mod 2^160.
+		x, y := new(big.Int).SetBytes(a[:]), new(big.Int).SetBytes(b[:])
+		mod := new(big.Int).Lsh(big.NewInt(1), Bits)
+		for _, c := range []struct {
+			op   string
+			got  ID
+			want *big.Int
+		}{
+			{"Add", a.Add(b), new(big.Int).Add(x, y)},
+			{"Sub", a.Sub(b), new(big.Int).Sub(x, y)},
+			{"Sub", b.Sub(a), new(big.Int).Sub(y, x)},
+			{"Half", a.Half(), new(big.Int).Rsh(x, 1)},
+			{"Half", b.Half(), new(big.Int).Rsh(y, 1)},
+		} {
+			var want ID
+			c.want.Mod(c.want, mod).FillBytes(want[:])
+			if c.got != want {
+				t.Fatalf("%s on %v, %v = %v, math/big says %v", c.op, a, b, c.got, want)
+			}
 		}
 		// Between complement law for distinct points.
 		if a != b {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Bits is the width of the identifier space in bits.
@@ -146,32 +147,52 @@ func (a ID) Equal(b ID) bool { return a == b }
 // IsZero reports whether the ID is 0.
 func (a ID) IsZero() bool { return a == Zero }
 
+// words is an identifier as three big-endian words, cut 4+8+8 as in
+// Less: hi holds the top 32 bits, mid and lo 64 each. A three-word
+// struct lives in registers, so arithmetic composed from these methods
+// (Midpoint) loads its operands once and stores its result once.
+type words struct{ hi, mid, lo uint64 }
+
+func (a ID) words() words {
+	return words{uint64(binary.BigEndian.Uint32(a[0:4])), binary.BigEndian.Uint64(a[4:12]), binary.BigEndian.Uint64(a[12:20])}
+}
+
+// put stores x into *out, the inverse of ID.words; hi's bits above 32
+// are dropped, which reduces a sum or difference mod 2^160. Callers
+// put straight into their named result: returning a local instead
+// costs a 20-byte copy whose wide loads cannot be forwarded from the
+// three narrower stores.
+func (x words) put(out *ID) {
+	binary.BigEndian.PutUint32(out[0:4], uint32(x.hi))
+	binary.BigEndian.PutUint64(out[4:12], x.mid)
+	binary.BigEndian.PutUint64(out[12:20], x.lo)
+}
+
+func (x words) add(y words) words {
+	lo, c := bits.Add64(x.lo, y.lo, 0)
+	mid, c := bits.Add64(x.mid, y.mid, c)
+	return words{x.hi + y.hi + c, mid, lo}
+}
+
+func (x words) sub(y words) words {
+	lo, c := bits.Sub64(x.lo, y.lo, 0)
+	mid, c := bits.Sub64(x.mid, y.mid, c)
+	return words{(x.hi - y.hi - c) & (1<<32 - 1), mid, lo}
+}
+
+func (x words) half() words {
+	return words{x.hi >> 1, x.mid>>1 | x.hi<<63, x.lo>>1 | x.mid<<63}
+}
+
 // Add returns (a + b) mod 2^160.
-func (a ID) Add(b ID) ID {
-	var out ID
-	var carry uint16
-	for i := Bytes - 1; i >= 0; i-- {
-		s := uint16(a[i]) + uint16(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
+func (a ID) Add(b ID) (out ID) {
+	a.words().add(b.words()).put(&out)
 	return out
 }
 
 // Sub returns (a - b) mod 2^160.
-func (a ID) Sub(b ID) ID {
-	var out ID
-	var borrow int16
-	for i := Bytes - 1; i >= 0; i-- {
-		d := int16(a[i]) - int16(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
+func (a ID) Sub(b ID) (out ID) {
+	a.words().sub(b.words()).put(&out)
 	return out
 }
 
@@ -190,13 +211,8 @@ func (a ID) Pred() ID { return a.Sub(FromUint64(1)) }
 func (a ID) Distance(b ID) ID { return b.Sub(a) }
 
 // Half returns a / 2 (logical shift right by one bit).
-func (a ID) Half() ID {
-	var out ID
-	var carry byte
-	for i := 0; i < Bytes; i++ {
-		out[i] = a[i]>>1 | carry<<7
-		carry = a[i] & 1
-	}
+func (a ID) Half() (out ID) {
+	a.words().half().put(&out)
 	return out
 }
 
@@ -255,8 +271,10 @@ func BetweenLeftIncl(x, a, b ID) bool {
 // b, i.e. a + (b-a)/2 mod 2^160. For a == b (the full ring) it returns the
 // antipode of a. The result always satisfies BetweenRightIncl(mid, a, b)
 // when the arc contains at least two points.
-func Midpoint(a, b ID) ID {
-	return a.Add(a.Distance(b).Half())
+func Midpoint(a, b ID) (mid ID) {
+	x := a.words()
+	x.add(b.words().sub(x).half()).put(&mid)
+	return mid
 }
 
 // ArcFraction returns the length of the clockwise arc (a, b] as a float64

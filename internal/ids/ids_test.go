@@ -453,3 +453,31 @@ func BenchmarkUniformInRange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIDArith measures the ring arithmetic every Sybil placement
+// runs — a distance, an arc's midpoint, an invitation split — over 1024
+// random pairs, so no operand stays constant.
+func BenchmarkIDArith(b *testing.B) {
+	rng := xrand.New(11)
+	var xs, ys [1024]ID
+	for i := range xs {
+		xs[i], ys[i] = Random(rng), Random(rng)
+	}
+	var sink ID
+	b.Run("add", func(b *testing.B) {
+		for i := range b.N {
+			sink = xs[i&1023].Add(ys[i&1023])
+		}
+	})
+	b.Run("sub", func(b *testing.B) {
+		for i := range b.N {
+			sink = xs[i&1023].Sub(ys[i&1023])
+		}
+	})
+	b.Run("midpoint", func(b *testing.B) {
+		for i := range b.N {
+			sink = Midpoint(xs[i&1023], ys[i&1023])
+		}
+	})
+	_ = sink
+}

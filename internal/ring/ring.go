@@ -19,8 +19,9 @@
 // Hot-path performance (docs/PERFORMANCE.md): every node carries a
 // self-repairing position hint, so Succ/Pred/PredID are O(1) between
 // topology changes and never worse than one segment-local binary search
-// after one; searches are inlined (no sort.Search closures, zero
-// allocations); Seed sorts each incoming batch by identifier once into
+// after one, and Walk leaves the hint of every node it visits exact;
+// searches are inlined (no sort.Search closures, zero allocations);
+// Seed sorts each incoming batch by identifier once into
 // one fresh arena — large batches in a two-phase radix pipeline that
 // runs on internal/parallel's helpers, and SeedFrom hashes a generated
 // batch straight into it instead of copying a finished slice — then
@@ -52,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"chordbalance/internal/ids"
 	"chordbalance/internal/parallel"
@@ -208,9 +210,65 @@ func sortedArena(n int, fill func(dst []ids.ID, from int)) []ids.ID {
 		return arena
 	}
 	chunks := (n + seedChunk - 1) / seedChunk
-	p := radixPass{fill: fill, arena: arena, tmp: make([]ids.ID, n), offs: make([]uint16, 257*chunks), chunks: chunks}
+	sc := takeScratch(n, 257*chunks)
+	p := radixPass{fill: fill, arena: arena, tmp: sc.tmp, offs: sc.offs, chunks: chunks}
 	parallel.ClaimPhases(chunks, 256, p, radixPass.group, radixPass.place)
+	putScratch(sc) // every claim has returned: phase 2 is done with it
 	return arena
+}
+
+// radixScratch is one radix pass's scratch: tmp, one key per batch key,
+// and offs. Phase 1 writes every entry of them that phase 2 reads, so
+// reused scratch needs no clearing.
+type radixScratch struct {
+	tmp  []ids.ID
+	offs []uint16
+}
+
+// seedScratch is the free list sortedArena takes its scratch from and
+// returns it to, so a process that seeds many large batches (a sweep's
+// trials, the benchmark's rounds) allocates the n-key tmp once, not per
+// batch. It lives for the whole process and retains at most
+// seedScratchMax entries — no more than the number of large seeds that
+// ever ran at once — each as large as the largest batch that used it:
+// after a 2M-key seed, 40 MB of keys and 246 KiB of offsets the collector
+// cannot reclaim. A mutex rather than a sync.Pool guards it because a
+// pool is emptied by garbage collections, and a trial's allocation
+// count must not depend on when one ran.
+var seedScratch struct {
+	sync.Mutex
+	free []radixScratch
+}
+
+const seedScratchMax = 4
+
+// takeScratch returns scratch with len(tmp) == keys and len(offs) ==
+// offs, reusing the free list's most recent entry where it is large
+// enough.
+func takeScratch(keys, offs int) radixScratch {
+	seedScratch.Lock()
+	var sc radixScratch
+	if k := len(seedScratch.free); k > 0 {
+		sc = seedScratch.free[k-1]
+		seedScratch.free = seedScratch.free[:k-1]
+	}
+	seedScratch.Unlock()
+	if cap(sc.tmp) < keys {
+		sc.tmp = make([]ids.ID, keys)
+	}
+	if cap(sc.offs) < offs {
+		sc.offs = make([]uint16, offs)
+	}
+	return radixScratch{sc.tmp[:keys], sc.offs[:offs]}
+}
+
+// putScratch returns sc to the free list unless it is full.
+func putScratch(sc radixScratch) {
+	seedScratch.Lock()
+	if len(seedScratch.free) < seedScratchMax {
+		seedScratch.free = append(seedScratch.free, sc)
+	}
+	seedScratch.Unlock()
 }
 
 // radixPass is sortedArena's state, shared by value with every claim.
@@ -561,17 +619,26 @@ func (r *Ring[T]) Pred(n *Node[T], k int) *Node[T] {
 // Walk calls fn on the k nodes that follow n clockwise, nearest first
 // (counterclockwise for negative k). It locates n once and takes one
 // step per node visited, wrapping — and revisiting — when |k| exceeds
-// the ring size. fn must not change the ring's topology.
+// the ring size. Each visited node's position hint is left exact, so
+// fn's PredID on it, and later posOf calls until the next splice, cost
+// O(1). fn must not change the ring's topology.
 func (r *Ring[T]) Walk(n *Node[T], k int, fn func(*Node[T])) {
 	s, off := r.posOf(n)
 	for ; k > 0; k-- {
 		s, off = r.stepNext(s, off)
-		fn(r.node(s, off))
+		fn(r.hinted(s, off))
 	}
 	for ; k < 0; k++ {
 		s, off = r.occupiedBefore(s, off)
-		fn(r.node(s, off))
+		fn(r.hinted(s, off))
 	}
+}
+
+// hinted returns the node at (s, off) with its position hint set to off.
+func (r *Ring[T]) hinted(s, off int) *Node[T] {
+	n := r.node(s, off)
+	n.off = int32(off)
+	return n
 }
 
 // Insert places a new node at id carrying data, splitting the key range of

@@ -148,6 +148,53 @@ func TestWalkMatchesSucc(t *testing.T) {
 	}
 }
 
+// TestWalkLeavesExactHints checks that every node Walk visits, either
+// way round, leaves with an exact position hint, after splices that
+// made hints stale: Walk's callers read PredID on each node, which is
+// O(1) only from an exact hint.
+func TestWalkLeavesExactHints(t *testing.T) {
+	r, nodes := buildRing(t, 400, 0)
+	exact := func(n *Node[int]) bool {
+		seg := r.segs[n.seg].slots
+		return int(n.off) < len(seg) && seg[n.off] == n.slot
+	}
+	rng := xrand.New(3)
+	for i := 0; i < 50; i++ { // splices leave hints stale
+		if err := r.Remove(nodes[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Insert(ids.Random(rng), -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := 0
+	for i := range r.Len() {
+		if !exact(r.At(i)) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no stale hint to repair; the splices did not shift any node")
+	}
+	for _, k := range []int{r.Len() / 2, -(r.Len() / 2), r.Len() + 3} {
+		visited := 0
+		r.Walk(nodes[60], k, func(m *Node[int]) {
+			if !exact(m) {
+				t.Fatalf("Walk(%d) handed fn node %s with a stale hint", k, m.ID().Short())
+			}
+			visited++
+		})
+		if visited != max(k, -k) {
+			t.Fatalf("Walk(%d) visited %d nodes", k, visited)
+		}
+	}
+	for i := range r.Len() {
+		if !exact(r.At(i)) {
+			t.Fatalf("node %d's hint is stale after walking the whole ring", i)
+		}
+	}
+}
+
 // TestGetTracksSplices checks that the search Get remembers for a
 // following Insert never outlives a topology change.
 func TestGetTracksSplices(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 
 	"chordbalance/internal/adversary"
@@ -659,8 +660,8 @@ type Simulation struct {
 	// whenever activeDirty is set (any setAlive transition). settleAll,
 	// snapshot, EachHost, and the crash draws iterate it instead of
 	// scanning the full host table (half of which is the waiting pool).
-	// churn still scans every host: its RNG draw order — one Bool per
-	// host, alive and waiting alike — is observable behavior.
+	// churn still draws for every host: its RNG draw order — one Bool
+	// per host, alive and waiting alike — is observable behavior.
 	active      []*hostState
 	activeDirty bool
 
@@ -674,6 +675,7 @@ type Simulation struct {
 	obsm *simMetrics
 
 	// scratch buffers reused across ticks
+	picks       []int32 // churn's picked indices into hosts
 	leavers     []*hostState
 	joiners     []*hostState
 	victims     []int // indices into aliveHosts()
@@ -1179,10 +1181,9 @@ func (s *Simulation) churn() {
 	s.joiners = s.joiners[:0]
 	// One draw per host, alive and waiting alike, at one rate, so only
 	// the hosts it picks need their liveness read.
-	for _, h := range s.hosts {
-		if !s.rng.Bool(rate) {
-			continue
-		}
+	s.picks = s.rng.Picks(s.picks[:0], len(s.hosts), rate)
+	for _, i := range s.picks {
+		h := s.hosts[i]
 		if h.Alive() {
 			s.leavers = append(s.leavers, h)
 		} else {
@@ -1267,8 +1268,13 @@ func (s *Simulation) chargeLookup() {
 	if n < 2 {
 		return
 	}
-	s.msgs.LookupMessages += int(math.Ceil(math.Log2(float64(n))))
+	s.msgs.LookupMessages += lookupHops(n)
 }
+
+// lookupHops returns ⌈log2 n⌉ for n >= 2: the bit length of n-1, in
+// integers, where math.Log2 would pay a float conversion and a call
+// per Sybil.
+func lookupHops(n int) int { return bits.Len(uint(n - 1)) }
 
 func (s *Simulation) snapshot(tick int) Snapshot {
 	s.settleAll()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -403,6 +404,17 @@ func BenchmarkTickRandomInjection(b *testing.B) {
 			Strategy: strategy.NewRandomInjection()})
 		if err != nil || !res.Completed {
 			b.Fatal("run failed")
+		}
+	}
+}
+
+// TestLookupChargeMatchesLog2 pins the integer lookup charge to the
+// float formula it replaced, ⌈log2 n⌉, for every ring size from 2 to
+// 2^22.
+func TestLookupChargeMatchesLog2(t *testing.T) {
+	for n := 2; n <= 1<<22; n++ {
+		if got, want := lookupHops(n), int(math.Ceil(math.Log2(float64(n)))); got != want {
+			t.Fatalf("lookupHops(%d) = %d, want ⌈log2 n⌉ = %d", n, got, want)
 		}
 	}
 }

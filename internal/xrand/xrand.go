@@ -78,9 +78,8 @@ func SplitSeed(seed, streamID uint64) uint64 {
 
 // Uint64 returns the next 64 uniformly distributed bits. The rotates go
 // through math/bits so they compile to single instructions and the whole
-// generator fits the compiler's inlining budget — the simulator draws one
-// Bernoulli variate per host per tick, so call overhead here is a
-// measurable fraction of churn cost.
+// generator fits the compiler's inlining budget. Picks repeats this
+// step on locals for the simulator's per-host churn scan.
 func (r *Rand) Uint64() uint64 {
 	s1 := r.s[1]
 	result := bits.RotateLeft64(s1*5, 7) * 9
@@ -160,37 +159,45 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
+// Picks appends to dst the indices i in [0, n) for which the i-th of n
+// successive Bool(p) calls would return true, and leaves the generator
+// exactly where those calls would: no draw for p <= 0 or p >= 1, n
+// draws otherwise. It is the simulator's churn scan — one Bernoulli
+// draw per host per tick — with the state held in locals instead of
+// reloaded and spilled around every draw. Float64() < p compares
+// (u>>11)/2^53 with p; scaling both sides by 2^53 is exact, so the test
+// is u>>11 < ceil(p·2^53) in integers. A NaN p draws and picks nothing,
+// as Bool(NaN) does.
+func (r *Rand) Picks(dst []int32, n int, p float64) []int32 {
+	if p <= 0 {
+		return dst
 	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function (Fisher-Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
+	if p >= 1 {
+		for i := range n {
+			dst = append(dst, int32(i))
+		}
+		return dst
 	}
-}
-
-// NormFloat64 returns a standard normal variate via the polar
-// (Marsaglia) method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+	var thresh uint64
+	if !math.IsNaN(p) {
+		thresh = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range n {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if u>>11 < thresh {
+			dst = append(dst, int32(i))
 		}
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return dst
 }
 
 // ExpFloat64 returns an exponential variate with rate 1.
@@ -201,36 +208,4 @@ func (r *Rand) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Binomial returns a draw from Binomial(n, p). For small n it sums
-// Bernoulli trials; for large n it uses a normal approximation with
-// continuity correction, which is accurate to well under one part in a
-// thousand for the n*p regimes this simulator uses (churn arrivals).
-func (r *Rand) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(mean + sd*r.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }

@@ -1,9 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -137,60 +137,51 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(19)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
+// TestPicksMatchesBool pins Picks to the loop of Bool calls it replaces:
+// the same indices and the same generator state afterwards, for rates
+// at and beyond both ends, NaN, a dyadic rate whose threshold is exact,
+// the smallest and largest rates the threshold must still tell apart
+// from 0 and 1, and the simulator's churn rates.
+func TestPicksMatchesBool(t *testing.T) {
+	const dyadic = 12345.0 / (1 << 53)
+	rates := []float64{0, -0.5, 1, 1.5, math.NaN(), dyadic, 1e-300, 1 - 0x1p-53, 0.01, 0.001, 0.3}
+	for _, p := range rates {
+		for _, n := range []int{0, 1, 2000, 200_000} {
+			a, b := New(uint64(n)+7), New(uint64(n)+7)
+			var want []int32
+			for i := range n {
+				if a.Bool(p) {
+					want = append(want, int32(i))
+				}
 			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(23)
-	f := func(seed uint64) bool {
-		rr := New(seed)
-		xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		rr.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, len(xs))
-		for _, v := range xs {
-			if v < 0 || v >= len(xs) || seen[v] {
-				return false
+			got := b.Picks(nil, n, p)
+			if len(got) != len(want) {
+				t.Fatalf("Picks(n=%d, p=%v) picked %d, the Bool loop %d", n, p, len(got), len(want))
 			}
-			seen[v] = true
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("Picks(n=%d, p=%v)[%d] = %d, the Bool loop %d", n, p, i, got[i], want[i])
+				}
+			}
+			if *a != *b {
+				t.Fatalf("Picks(n=%d, p=%v) left the generator at %v, the Bool loop at %v", n, p, b.s, a.s)
+			}
 		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	// At the threshold: a draw u equal to p·2^53 is not below p, and one
+	// the next float above it is, because the threshold rounds p·2^53
+	// up. Below 2^52 that next float leaves p·2^53 a fraction to round.
+	seed := uint64(1)
+	for New(seed).Uint64()>>11 >= 1<<52 {
+		seed++
 	}
-	_ = r
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(29)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
+	u := New(seed).Uint64() >> 11
+	if got := New(seed).Picks(nil, 1, float64(u)/(1<<53)); len(got) != 0 {
+		t.Fatalf("a draw equal to p was picked")
 	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v", variance)
+	p := math.Nextafter(float64(u)/(1<<53), 1)
+	if got := New(seed).Picks([]int32{9}, 1, p); len(got) != 2 || got[0] != 9 || got[1] != 0 {
+		t.Fatalf("Picks = %v, want the draw just below p appended after dst's 9", got)
 	}
 }
 
@@ -207,48 +198,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("exponential mean = %v", mean)
-	}
-}
-
-func TestBinomialSmall(t *testing.T) {
-	r := New(37)
-	if r.Binomial(0, 0.5) != 0 || r.Binomial(10, 0) != 0 {
-		t.Error("degenerate binomials must be 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Error("Binomial(n,1) must be n")
-	}
-	const n, trials = 20, 50000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		k := r.Binomial(n, 0.25)
-		if k < 0 || k > n {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
-		sum += float64(k)
-	}
-	if mean := sum / trials; math.Abs(mean-5) > 0.1 {
-		t.Errorf("Binomial(20,0.25) mean = %v, want ~5", mean)
-	}
-}
-
-func TestBinomialLargeApproximation(t *testing.T) {
-	r := New(41)
-	const n, trials = 1000, 20000
-	p := 0.01
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		k := float64(r.Binomial(n, p))
-		sum += k
-		sumSq += k * k
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean-10) > 0.3 {
-		t.Errorf("large binomial mean = %v, want ~10", mean)
-	}
-	if math.Abs(variance-9.9) > 1.5 {
-		t.Errorf("large binomial variance = %v, want ~9.9", variance)
 	}
 }
 
@@ -280,5 +229,35 @@ func BenchmarkFloat64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Float64()
+	}
+}
+
+// BenchmarkPicks compares one churn scan through Picks with the Bool
+// loop it replaced, at the scan lengths of benchmarks/'s sim-paper-1k
+// (2 000 hosts) and sim-scale-100k (200 000) at churn rate 0.01.
+func BenchmarkPicks(b *testing.B) {
+	const p = 0.01
+	for _, n := range []int{2000, 200_000} {
+		b.Run(fmt.Sprintf("picks-%d", n), func(b *testing.B) {
+			r := New(1)
+			var buf []int32
+			for range b.N {
+				buf = r.Picks(buf[:0], n, p)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/draw")
+		})
+		b.Run(fmt.Sprintf("bool-%d", n), func(b *testing.B) {
+			r := New(1)
+			var buf []int32
+			for range b.N {
+				buf = buf[:0]
+				for i := range n {
+					if r.Bool(p) {
+						buf = append(buf, int32(i))
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/draw")
+		})
 	}
 }
