@@ -55,6 +55,17 @@ func TestNodeIDsDistinct(t *testing.T) {
 		}
 		seen[id] = true
 	}
+	// The batch hash is the stream itself: the same IDs as 1000 calls of
+	// Next, and the generator left where they would leave it.
+	ref := NewGenerator(1)
+	for i, id := range idsOut {
+		if want := ref.Next(); id != want {
+			t.Fatalf("NodeIDs[%d] = %v, Next says %v", i, id, want)
+		}
+	}
+	if got, want := g.Next(), ref.Next(); got != want {
+		t.Fatalf("after NodeIDs, Next = %v, want %v", got, want)
+	}
 }
 
 func TestTaskKeysCount(t *testing.T) {

@@ -4,8 +4,9 @@ package keys
 
 import "chordbalance/internal/ids"
 
-// useSHANI is false: only the amd64 build has the SHA-NI kernel.
-var useSHANI = false
+// useSHANI and useAVX512 are false: only the amd64 build has the
+// kernels.
+var useSHANI, useAVX512 = false, false
 
 // fill sets out[i] to the stream's (from+i)-th identifier by
 // crypto/sha1.

@@ -826,40 +826,21 @@ func New(cfg Config) (*Simulation, error) {
 	// Place live hosts' primary virtual nodes at SHA-1 identifiers,
 	// followed by any static virtual servers, as one bulk ring.Build:
 	// O(V log V) instead of the O(V^2) repeated incremental Inserts
-	// cost. Byte-identical to the old loop because the generator
-	// sequence is unchanged and the duplicate check sees exactly the
-	// same already-accepted ID set the incremental ring did.
-	gen := keys.NewGenerator(cfg.Seed)
-	taken := make(map[ids.ID]bool, cfg.Nodes*(1+cfg.StaticVNodes))
-	freshID := func() ids.ID {
-		for {
-			id := gen.Next()
-			if !taken[id] {
-				taken[id] = true
-				return id
-			}
-		}
-	}
+	// cost.
 	nvn := cfg.Nodes * (1 + cfg.StaticVNodes)
-	nodeIDs := make([]ids.ID, 0, nvn)
+	nodeIDs := keys.NewGenerator(cfg.Seed).NodeIDs(nvn)
 	data := make([]vnode, 0, nvn)
-	addVN := func(h *hostState) {
-		nodeIDs = append(nodeIDs, freshID())
-		data = append(data, vnode{host: h})
-	}
-	for _, h := range s.hosts[:cfg.Nodes] {
-		addVN(h)
-	}
-	for i := 0; i < cfg.StaticVNodes; i++ {
+	// One pass of the hosts for their primaries, then one per static
+	// copy. Static copies are not Sybils: they are permanent ring
+	// members and do not count against the Sybil cap.
+	for range 1 + cfg.StaticVNodes {
 		for _, h := range s.hosts[:cfg.Nodes] {
-			// Static copies are not Sybils: they are permanent ring
-			// members and do not count against the Sybil cap.
-			addVN(h)
+			data = append(data, vnode{host: h})
 		}
 	}
 	rns, err := s.ring.Build(nodeIDs, data)
 	if err != nil {
-		return nil, err // unreachable: freshID never repeats an ID
+		return nil, err // unreachable: NodeIDs never repeats an ID
 	}
 	for _, rn := range rns { // input order: each host's primary first
 		v := &rn.Data
