@@ -34,13 +34,12 @@ type ArcAnalysis struct {
 
 // AnalyzeArcs measures the arc-length distribution of the given node IDs.
 func AnalyzeArcs(nodeIDs []ids.ID) ArcAnalysis {
-	fr := ArcFractions(nodeIDs)
-	n := len(fr)
+	sorted := ArcFractions(nodeIDs)
+	n := len(sorted)
 	a := ArcAnalysis{Nodes: n}
 	if n == 0 {
 		return a
 	}
-	sorted := append([]float64(nil), fr...)
 	sort.Float64s(sorted)
 	var sum float64
 	for _, f := range sorted {

@@ -233,25 +233,21 @@ func AnalyzeDistribution(nodes, tasks int, salt uint64) DistributionReport {
 }
 
 // ArcFractions returns each node's share of the ring (the fraction of the
-// key space it owns), parallel to nodeIDs.
+// key space it owns) in ring order: entry i is the arc that ends at the
+// i-th smallest ID. nodeIDs is not modified.
 func ArcFractions(nodeIDs []ids.ID) []float64 {
-	if len(nodeIDs) == 0 {
+	n := len(nodeIDs)
+	switch n {
+	case 0:
 		return nil
+	case 1:
+		return []float64{1}
 	}
 	sorted := append([]ids.ID(nil), nodeIDs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	frac := make(map[ids.ID]float64, len(sorted))
+	out := make([]float64, n)
 	for i, id := range sorted {
-		pred := sorted[(i+len(sorted)-1)%len(sorted)]
-		if len(sorted) == 1 {
-			frac[id] = 1
-		} else {
-			frac[id] = ids.ArcFraction(pred, id)
-		}
-	}
-	out := make([]float64, len(nodeIDs))
-	for i, id := range nodeIDs {
-		out[i] = frac[id]
+		out[i] = ids.ArcFraction(sorted[(i+n-1)%n], id)
 	}
 	return out
 }

@@ -16,7 +16,6 @@ package sim
 import (
 	"chordbalance/internal/adversary"
 	"chordbalance/internal/ids"
-	"chordbalance/internal/sybil"
 	"chordbalance/internal/xrand"
 )
 
@@ -117,7 +116,7 @@ func (s *Simulation) initAdversary() error {
 		}
 		adv.attacker = a
 		adv.rng = xrand.New(cfg.Seed ^ 0x7c159e3779b94a05)
-		adv.hostile = &hostState{Host: sybil.NewStandalone(len(s.hosts), 1, 0), sim: s, settled: never}
+		adv.hostile = &hostState{index: len(s.hosts), strength: 1, alive: true, sim: s, settled: never}
 	}
 	if cfg.Defense.DetectionOn() {
 		d, err := adversary.NewDetector(cfg.Defense)
@@ -213,7 +212,7 @@ func (s *Simulation) defenseStep() {
 			// eclipse cluster.
 			s.recordEvent(EventEvict, h.Index(), v.ID(), v.rn.Workload())
 			s.removeVNode(v)
-			h.DroppedSybil()
+			h.droppedSybil()
 			s.msgs.SybilsDropped++
 			s.adv.stats.HonestEvicted++
 		default:

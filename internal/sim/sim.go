@@ -23,7 +23,6 @@ import (
 	"chordbalance/internal/obs"
 	"chordbalance/internal/ring"
 	"chordbalance/internal/strategy"
-	"chordbalance/internal/sybil"
 	"chordbalance/internal/xrand"
 )
 
@@ -391,17 +390,21 @@ type vnode struct {
 func (v *vnode) ID() ids.ID { return v.rn.ID() }
 
 // hostState is one physical machine: the engine-side implementation of
-// strategy.View, answered from the oracle ring. The embedded sybil.Host
-// is the host's one accounting record — index, strength, Sybil cap,
-// Sybil count and liveness — and is written nowhere else.
+// strategy.View, answered from the oracle ring, and the host's one
+// accounting record (§V-B). In the paper's terms a host's first identity
+// is its real node and any further ones are its Sybils.
 //
 // A host's consumption is applied lazily: its virtual nodes' windows,
 // wl and puzzleDebt describe the end of tick settled, and settle brings
 // them up to the engine's consume point before anything reads or moves
 // the host's keys. finish is the host's entry in the engine's calendar.
 type hostState struct {
-	*sybil.Host
-	vnodes []*vnode // primary first; empty while in the waiting pool
+	index    int      // stable identity: position in s.hosts
+	strength int      // compute strength: 1, or U{1..MaxSybils} when heterogeneous
+	maxSybil int      // Sybil cap: MaxSybils, or the strength when heterogeneous
+	sybils   int      // Sybils projected besides the primary
+	alive    bool     // in the network rather than the churn waiting pool
+	vnodes   []*vnode // primary first; empty while in the waiting pool
 
 	// sim points back at the owning engine so the View methods can settle
 	// (set once in New, never changed).
@@ -431,13 +434,43 @@ type hostState struct {
 	helpedTick int
 }
 
+func (h *hostState) Index() int      { return h.index }
+func (h *hostState) Strength() int   { return h.strength }
+func (h *hostState) SybilCount() int { return h.sybils }
+
+// CanCreateSybil reports whether h is live and below its Sybil cap.
+func (h *hostState) CanCreateSybil() bool { return h.alive && h.sybils < h.maxSybil }
+
+// createdSybil counts a new Sybil. It panics past the cap: callers check
+// CanCreateSybil first.
+func (h *hostState) createdSybil() {
+	if !h.CanCreateSybil() {
+		panic(fmt.Sprintf("sim: host %d exceeded Sybil cap %d", h.index, h.maxSybil))
+	}
+	h.sybils++
+}
+
+// droppedSybil counts a Sybil leaving the ring.
+func (h *hostState) droppedSybil() {
+	if h.sybils == 0 {
+		panic(fmt.Sprintf("sim: host %d dropped a Sybil it does not have", h.index))
+	}
+	h.sybils--
+}
+
 func (h *hostState) Workload() int {
 	h.sim.settle(h)
 	return h.wl
 }
 
-// budget is the work h completes per tick under the run's work rule.
-func (h *hostState) budget() int { return h.WorkPerTick(h.sim.cfg.WorkByStrength) }
+// budget is the work h completes per tick under the run's work rule
+// (§V-B, "Work Measurement"): its strength, or one task.
+func (h *hostState) budget() int {
+	if h.sim.cfg.WorkByStrength {
+		return h.strength
+	}
+	return 1
+}
 
 // never is the settled tick of a host that consumes nothing (waiting
 // pool, hostile host) and the finish tick of keys nobody will consume.
@@ -698,7 +731,7 @@ func (s *Simulation) aliveHosts() []*hostState {
 	}
 	merged := s.activeMerge[:0]
 	keep := func(h *hostState) {
-		if h.Alive() && (len(merged) == 0 || merged[len(merged)-1] != h) {
+		if h.alive && (len(merged) == 0 || merged[len(merged)-1] != h) {
 			merged = append(merged, h)
 		}
 	}
@@ -799,23 +832,21 @@ func New(cfg Config) (*Simulation, error) {
 		s.replicas = 0
 	}
 	// The first Nodes hosts start in the network, the next Nodes in the
-	// churn waiting pool (§IV-A). NewPool draws heterogeneous strengths
-	// in index order from the engine stream, before anything else uses it.
-	pool := sybil.NewPool(sybil.PoolConfig{
-		Hosts:         cfg.Nodes,
-		WaitingHosts:  cfg.Nodes,
-		Heterogeneous: cfg.Heterogeneous,
-		MaxSybils:     cfg.MaxSybils,
-	}, s.rng)
-	s.hosts = make([]*hostState, pool.Len())
+	// churn waiting pool (§IV-A). Heterogeneous strengths are drawn in
+	// index order from the engine stream, before anything else uses it.
+	s.hosts = make([]*hostState, 2*cfg.Nodes)
 	slab := make([]hostState, len(s.hosts)) // one allocation for the population
 	for i := range s.hosts {
-		hh := pool.Host(i)
-		slab[i] = hostState{Host: hh, sim: s}
-		if !hh.Alive() {
-			slab[i].settled = never
+		h := &slab[i]
+		*h = hostState{index: i, strength: 1, maxSybil: cfg.MaxSybils, alive: i < cfg.Nodes, sim: s}
+		if cfg.Heterogeneous {
+			h.strength = s.rng.IntRange(1, cfg.MaxSybils)
+			h.maxSybil = h.strength
 		}
-		s.hosts[i] = &slab[i]
+		if !h.alive {
+			h.settled = never
+		}
+		s.hosts[i] = h
 	}
 	// From here on the active list is repaired incrementally (see
 	// aliveHosts and setAlive).
@@ -1165,7 +1196,7 @@ func (s *Simulation) churn() {
 	s.picks = s.rng.Picks(s.picks[:0], len(s.hosts), rate)
 	for _, i := range s.picks {
 		h := s.hosts[i]
-		if h.Alive() {
+		if h.alive {
 			s.leavers = append(s.leavers, h)
 		} else {
 			s.joiners = append(s.joiners, h)
@@ -1206,13 +1237,14 @@ func (s *Simulation) churn() {
 // setAlive moves h into or out of the network. Joiners are queued for
 // aliveHosts' merge and start consuming from the next tick; a departing
 // host settles one last time and then consumes nothing while it waits,
-// and its Sybil identities all leave with it (sybil.SetAlive).
+// and its Sybil identities all leave with it.
 func (s *Simulation) setAlive(h *hostState, alive bool) {
 	if !alive {
 		s.settle(h)
 		h.settled = never
+		h.sybils = 0
 	}
-	h.SetAlive(alive)
+	h.alive = alive
 	s.activeDirty = true
 	if alive {
 		h.settled = s.consumed
@@ -1409,7 +1441,7 @@ func (h *hostState) CreateSybil(id ids.ID) (int, bool) {
 		return 0, false
 	}
 	v := s.attach(h, id, true)
-	h.CreatedSybil()
+	h.createdSybil()
 	s.msgs.SybilsCreated++
 	s.chargeLookup()
 	s.chargePuzzle(h)
@@ -1428,7 +1460,7 @@ func (h *hostState) DropSybils() {
 		}
 		s.recordEvent(EventSybilDrop, h.Index(), v.ID(), v.rn.Workload())
 		s.detach(v)
-		h.DroppedSybil()
+		h.droppedSybil()
 		s.msgs.SybilsDropped++
 	}
 	h.vnodes = kept
