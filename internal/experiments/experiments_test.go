@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chordbalance/internal/sim"
+	"chordbalance/internal/stats"
 )
 
 func TestTrialSeedIndependence(t *testing.T) {
@@ -98,9 +99,6 @@ func TestFactorStatFailurePropagates(t *testing.T) {
 }
 
 func TestTable1SmallRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table 1 full grid is slow")
-	}
 	cells, err := Table1(Options{Trials: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +122,32 @@ func TestTable1SmallRun(t *testing.T) {
 	out := Table1Report(cells).String()
 	if !strings.Contains(out, "Table I") || !strings.Contains(out, "69.410") {
 		t.Errorf("report missing content:\n%s", out)
+	}
+}
+
+// TestFreshLoadsTable1Shape verifies the core Table I claim on one fresh
+// network: every key has exactly one owner, the median workload is far
+// below the mean (tasks/nodes) and σ is on the order of the mean, because
+// SHA-1 arcs follow an exponential distribution.
+func TestFreshLoadsTable1Shape(t *testing.T) {
+	loads, err := freshLoads(1000, 100000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	for _, l := range loads {
+		sum += l
+	}
+	if len(loads) != 1000 || sum != 100000 {
+		t.Fatalf("%d loads summing to %d, want 1000 summing to 100000", len(loads), sum)
+	}
+	// Paper: median 69.4, σ 137. Allow generous slack for a single trial.
+	s := stats.SummarizeInts(loads)
+	if s.Median < 50 || s.Median > 90 {
+		t.Errorf("median = %v, want ~69", s.Median)
+	}
+	if s.StdDev < 80 || s.StdDev > 200 {
+		t.Errorf("sigma = %v, want ~100-140", s.StdDev)
 	}
 }
 
@@ -155,9 +179,6 @@ func TestTable2TinyGrid(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-task assignment is slow")
-	}
 	h, median, err := Figure1(Options{Trials: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,10 @@ func Figure1(opt Options) (*stats.Histogram, float64, error) {
 	h := newWorkloadHistogram()
 	var medians stats.Online
 	for i := 0; i < opt.Trials; i++ {
-		g := keys.NewGenerator(trialSeed(opt.Seed, 0, i))
-		nodeIDs := g.NodeIDs(1000)
-		loads := keys.Assign(nodeIDs, g.TaskKeys(1000000))
+		loads, err := freshLoads(1000, 1000000, trialSeed(opt.Seed, 0, i))
+		if err != nil {
+			return nil, 0, err
+		}
 		for _, l := range loads {
 			h.AddInt(l)
 		}

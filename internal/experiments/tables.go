@@ -6,6 +6,7 @@ import (
 	"chordbalance/internal/keys"
 	"chordbalance/internal/parallel"
 	"chordbalance/internal/report"
+	"chordbalance/internal/ring"
 	"chordbalance/internal/stats"
 )
 
@@ -37,20 +38,39 @@ func Table1(opt Options) ([]Table1Cell, error) {
 	opt = opt.withDefaults(20)
 	out := make([]Table1Cell, len(Table1Configs))
 	for c, cell := range Table1Configs {
-		medians := parallel.Map(opt.Trials, opt.Workers, func(i int) [2]float64 {
-			r := keys.AnalyzeDistribution(cell.Nodes, cell.Tasks, trialSeed(opt.Seed, c, i))
-			return [2]float64{r.MedianWorkload, r.StdDev}
+		trials, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (stats.Summary, error) {
+			loads, err := freshLoads(cell.Nodes, cell.Tasks, trialSeed(opt.Seed, c, i))
+			return stats.SummarizeInts(loads), err
 		})
+		if err != nil {
+			return nil, fmt.Errorf("table1 %d nodes/%d tasks: %w", cell.Nodes, cell.Tasks, err)
+		}
 		var med, sig stats.Online
-		for _, m := range medians {
-			med.Add(m[0])
-			sig.Add(m[1])
+		for _, s := range trials {
+			med.Add(s.Median)
+			sig.Add(s.StdDev)
 		}
 		cell.MedianMean = med.Mean()
 		cell.SigmaMean = sig.Mean()
 		out[c] = cell
 	}
 	return out, nil
+}
+
+// freshLoads returns every node's key count, in ring order, on one fresh
+// SHA-1 network: the stream salted by salt gives nodes distinct node IDs
+// and then tasks keys, and each key goes to the first node clockwise at
+// or after it on the ring every simulation trial seeds.
+func freshLoads(nodes, tasks int, salt uint64) ([]int, error) {
+	g := keys.NewGenerator(salt)
+	r := ring.New[struct{}]()
+	if _, err := r.Build(g.NodeIDs(nodes), make([]struct{}, nodes)); err != nil {
+		return nil, err
+	}
+	if err := r.SeedFrom(tasks, g.Reserve(tasks)); err != nil {
+		return nil, err
+	}
+	return r.Workloads(), nil
 }
 
 // Table1Report renders Table I with paper-vs-measured columns.

@@ -32,13 +32,20 @@ type ArcAnalysis struct {
 	KSStatistic float64
 }
 
-// AnalyzeArcs measures the arc-length distribution of the given node IDs.
+// AnalyzeArcs measures the arc-length distribution of the given node IDs:
+// each node's share of the key space, the arc that ends at it. nodeIDs is
+// not modified.
 func AnalyzeArcs(nodeIDs []ids.ID) ArcAnalysis {
-	sorted := ArcFractions(nodeIDs)
-	n := len(sorted)
+	n := len(nodeIDs)
 	a := ArcAnalysis{Nodes: n}
 	if n == 0 {
 		return a
+	}
+	byID := append([]ids.ID(nil), nodeIDs...)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].Less(byID[j]) })
+	sorted := make([]float64, n)
+	for i, id := range byID {
+		sorted[i] = ids.ArcFraction(byID[(i+n-1)%n], id) // a lone node's arc is the whole ring: 1
 	}
 	sort.Float64s(sorted)
 	var sum float64
@@ -72,10 +79,6 @@ func AnalyzeArcs(nodeIDs []ids.ID) ArcAnalysis {
 	a.KSStatistic = ks
 	return a
 }
-
-// ExpectedMedianToMean is the exponential model's prediction for the
-// median workload over the mean workload: ln 2.
-func ExpectedMedianToMean() float64 { return math.Ln2 }
 
 // ExpectedMaxToMean predicts the largest arc relative to the mean for n
 // nodes: ln n + γ (Euler-Mascheroni). This is also the no-strategy,

@@ -42,8 +42,8 @@ func TestAnalyzeArcsSHA1MatchesExponential(t *testing.T) {
 		t.Errorf("mean fraction = %v", a.MeanFraction)
 	}
 	// Median/mean must sit near ln 2 — the Table I phenomenon.
-	if math.Abs(a.MedianToMean-ExpectedMedianToMean()) > 0.08 {
-		t.Errorf("median/mean = %v, want ~%v", a.MedianToMean, ExpectedMedianToMean())
+	if math.Abs(a.MedianToMean-math.Ln2) > 0.08 {
+		t.Errorf("median/mean = %v, want ~%v", a.MedianToMean, math.Ln2)
 	}
 	// Max/mean near ln n + gamma.
 	want := ExpectedMaxToMean(2000)

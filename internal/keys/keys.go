@@ -1,18 +1,16 @@
 // Package keys generates node identifiers and task keys the way the paper
 // does: by feeding (pseudo-)random inputs through SHA-1, "a favorite for
-// many distributed hash tables" (§III). It also provides the arc-length and
-// workload analyses behind Table I and Figure 1.
+// many distributed hash tables" (§III). It also provides the arc-length
+// analysis that explains the skew Table I and Figure 1 measure on the
+// ring.
 package keys
 
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"chordbalance/internal/ids"
 	"chordbalance/internal/parallel"
-	"chordbalance/internal/stats"
 )
 
 // HashUint64 returns SHA1(v) as a ring identifier, with v encoded
@@ -164,90 +162,6 @@ func fraction(num, den uint64) ids.ID {
 		rem <<= 8
 		out[i] = byte(rem / den)
 		rem %= den
-	}
-	return out
-}
-
-// Assign counts how many task keys each node owns. Nodes are identified by
-// their position in nodeIDs; the returned slice is parallel to nodeIDs.
-// Ownership follows Chord: node n owns keys in (pred(n), n].
-func Assign(nodeIDs, taskKeys []ids.ID) []int {
-	if len(nodeIDs) == 0 {
-		return nil
-	}
-	sorted := append([]ids.ID(nil), nodeIDs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	counts := make(map[ids.ID]int, len(sorted))
-	for _, k := range taskKeys {
-		counts[ownerOf(sorted, k)]++
-	}
-	out := make([]int, len(nodeIDs))
-	for i, id := range nodeIDs {
-		out[i] = counts[id]
-	}
-	return out
-}
-
-// ownerOf returns the ID in sorted (ascending) that owns key k: the first
-// node clockwise at or after k, wrapping to sorted[0].
-func ownerOf(sorted []ids.ID, k ids.ID) ids.ID {
-	i := sort.Search(len(sorted), func(i int) bool {
-		return k.Compare(sorted[i]) <= 0
-	})
-	if i == len(sorted) {
-		i = 0
-	}
-	return sorted[i]
-}
-
-// DistributionReport captures the Table I statistics for one configuration.
-type DistributionReport struct {
-	Nodes, Tasks   int
-	MedianWorkload float64
-	StdDev         float64
-	Mean           float64
-	Gini           float64
-}
-
-// String renders the report as a Table I row.
-func (r DistributionReport) String() string {
-	return fmt.Sprintf("%6d nodes %8d tasks  median=%8.3f  sigma=%9.3f  mean=%8.3f  gini=%.3f",
-		r.Nodes, r.Tasks, r.MedianWorkload, r.StdDev, r.Mean, r.Gini)
-}
-
-// AnalyzeDistribution builds Table I statistics for a fresh SHA-1 network.
-// salt seeds the generator so trials are independent but reproducible.
-func AnalyzeDistribution(nodes, tasks int, salt uint64) DistributionReport {
-	g := NewGenerator(salt)
-	nodeIDs := g.NodeIDs(nodes)
-	loads := Assign(nodeIDs, g.TaskKeys(tasks))
-	s := stats.SummarizeInts(loads)
-	return DistributionReport{
-		Nodes:          nodes,
-		Tasks:          tasks,
-		MedianWorkload: s.Median,
-		StdDev:         s.StdDev,
-		Mean:           s.Mean,
-		Gini:           stats.GiniInts(loads),
-	}
-}
-
-// ArcFractions returns each node's share of the ring (the fraction of the
-// key space it owns) in ring order: entry i is the arc that ends at the
-// i-th smallest ID. nodeIDs is not modified.
-func ArcFractions(nodeIDs []ids.ID) []float64 {
-	n := len(nodeIDs)
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return []float64{1}
-	}
-	sorted := append([]ids.ID(nil), nodeIDs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	out := make([]float64, n)
-	for i, id := range sorted {
-		out[i] = ids.ArcFraction(sorted[(i+n-1)%n], id)
 	}
 	return out
 }

@@ -4,10 +4,8 @@ import (
 	"crypto/sha1"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"chordbalance/internal/ids"
 )
@@ -163,12 +161,10 @@ func TestEvenIDsSpacing(t *testing.T) {
 	if out[2] != ids.PowerOfTwo(159) {
 		t.Errorf("half-way id = %v, want 2^159", out[2])
 	}
-	// All gaps within one unit of each other.
-	fr := ArcFractions(out)
-	for _, f := range fr {
-		if math.Abs(f-0.25) > 1e-9 {
-			t.Errorf("even arc fraction = %v, want 0.25", f)
-		}
+	// All gaps within one unit of each other: every arc is the mean.
+	a := AnalyzeArcs(out)
+	if math.Abs(a.MeanFraction-0.25) > 1e-9 || math.Abs(a.MedianToMean-1) > 1e-9 || math.Abs(a.MaxToMean-1) > 1e-9 {
+		t.Errorf("even arcs = %+v, want every fraction 0.25", a)
 	}
 	if EvenIDs(0, ids.Zero) != nil {
 		t.Error("EvenIDs(0) must be nil")
@@ -195,116 +191,19 @@ func TestFraction(t *testing.T) {
 	}
 }
 
-func TestAssignSimple(t *testing.T) {
-	nodes := []ids.ID{ids.FromUint64(100), ids.FromUint64(200)}
-	tasks := []ids.ID{
-		ids.FromUint64(50),  // (200, 100] wrapping -> node 100
-		ids.FromUint64(100), // own key inclusive -> node 100
-		ids.FromUint64(150), // (100, 200] -> node 200
-		ids.FromUint64(250), // wraps -> node 100
+// TestAnalyzeArcsSumToOne checks that the arcs AnalyzeArcs measures
+// cover the ring exactly once: n arcs whose mean is 1/n. The empty and
+// single-node rings are TestAnalyzeArcsEmpty's and
+// TestAnalyzeArcsSingleNode's.
+func TestAnalyzeArcsSumToOne(t *testing.T) {
+	a := AnalyzeArcs(NewGenerator(11).NodeIDs(100))
+	if a.Nodes != 100 {
+		t.Fatalf("nodes = %d", a.Nodes)
 	}
-	got := Assign(nodes, tasks)
-	if got[0] != 3 || got[1] != 1 {
-		t.Errorf("Assign = %v, want [3 1]", got)
+	if a.MedianFraction <= 0 || a.MaxToMean < 1 {
+		t.Errorf("degenerate arcs: %+v", a)
 	}
-}
-
-func TestAssignEmpty(t *testing.T) {
-	if Assign(nil, []ids.ID{ids.Zero}) != nil {
-		t.Error("no nodes must yield nil")
-	}
-	got := Assign([]ids.ID{ids.FromUint64(5)}, nil)
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("no tasks: %v", got)
-	}
-}
-
-func TestAssignSingleNodeOwnsAll(t *testing.T) {
-	g := NewGenerator(3)
-	tasks := g.TaskKeys(100)
-	got := Assign([]ids.ID{ids.FromUint64(777)}, tasks)
-	if got[0] != 100 {
-		t.Errorf("single node owns %d, want 100", got[0])
-	}
-}
-
-func TestAssignConservation(t *testing.T) {
-	f := func(seed uint64, nNodes, nTasks uint8) bool {
-		n := int(nNodes%50) + 1
-		m := int(nTasks)
-		g := NewGenerator(seed)
-		loads := Assign(g.NodeIDs(n), g.TaskKeys(m))
-		sum := 0
-		for _, l := range loads {
-			if l < 0 {
-				return false
-			}
-			sum += l
-		}
-		return sum == m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOwnerOfBoundaries(t *testing.T) {
-	sorted := []ids.ID{ids.FromUint64(10), ids.FromUint64(20), ids.FromUint64(30)}
-	cases := []struct{ key, want uint64 }{
-		{10, 10}, {11, 20}, {20, 20}, {25, 30}, {30, 30}, {31, 10}, {5, 10},
-	}
-	for _, c := range cases {
-		if got := ownerOf(sorted, ids.FromUint64(c.key)); got != ids.FromUint64(c.want) {
-			t.Errorf("ownerOf(%d) = %v, want %d", c.key, got, c.want)
-		}
-	}
-}
-
-func TestArcFractionsSumToOne(t *testing.T) {
-	g := NewGenerator(11)
-	fr := ArcFractions(g.NodeIDs(100))
-	var sum float64
-	for _, f := range fr {
-		if f < 0 {
-			t.Fatal("negative arc")
-		}
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-6 {
+	if sum := a.MeanFraction * 100; math.Abs(sum-1) > 1e-6 {
 		t.Errorf("arc fractions sum = %v", sum)
-	}
-	if ArcFractions(nil) != nil {
-		t.Error("empty input must be nil")
-	}
-	single := ArcFractions([]ids.ID{ids.FromUint64(3)})
-	if len(single) != 1 || single[0] != 1 {
-		t.Errorf("single node fraction = %v", single)
-	}
-}
-
-// TestAnalyzeDistributionTable1Shape verifies the core Table I claim: the
-// median workload is far below the mean (tasks/nodes) and σ is on the order
-// of the mean, because SHA-1 arcs follow an exponential distribution.
-func TestAnalyzeDistributionTable1Shape(t *testing.T) {
-	r := AnalyzeDistribution(1000, 100000, 42)
-	if r.Mean != 100 {
-		t.Fatalf("mean = %v, want exactly tasks/nodes = 100", r.Mean)
-	}
-	// Paper: median 69.4, σ 137. Allow generous slack for a single trial.
-	if r.MedianWorkload < 50 || r.MedianWorkload > 90 {
-		t.Errorf("median = %v, want ~69", r.MedianWorkload)
-	}
-	if r.StdDev < 80 || r.StdDev > 200 {
-		t.Errorf("sigma = %v, want ~100-140", r.StdDev)
-	}
-	if r.Gini < 0.3 || r.Gini > 0.7 {
-		t.Errorf("gini = %v, want ~0.5 for exponential arcs", r.Gini)
-	}
-}
-
-func TestDistributionReportString(t *testing.T) {
-	r := DistributionReport{Nodes: 10, Tasks: 100, MedianWorkload: 7, StdDev: 10.5, Mean: 10, Gini: 0.5}
-	if s := r.String(); s == "" || !sort.StringsAreSorted([]string{s}) {
-		t.Errorf("String() = %q", s)
 	}
 }
