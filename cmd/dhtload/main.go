@@ -207,7 +207,7 @@ func run(args []string, out io.Writer) error {
 		tracer = obs.New(sink)
 		reg = tracer.Registry()
 	}
-	hist := reg.Histogram("load.latency", "us", "operation latency", obs.LogEdges(1e7, 3))
+	hist := reg.Histogram("load.latency", "us", "operation latency", stats.LogEdges(1e7, 3))
 	ops := reg.Counter("load.ops", "ops", "operations issued")
 	errs := reg.Counter("load.errors", "ops", "operations failed")
 	vAcked := reg.Counter("load.verify.acked", "writes", "verification writes acknowledged")

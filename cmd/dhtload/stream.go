@@ -11,6 +11,7 @@ import (
 	"chordbalance/internal/ids"
 	"chordbalance/internal/netchord"
 	"chordbalance/internal/obs"
+	"chordbalance/internal/stats"
 	"chordbalance/internal/streamload"
 	"chordbalance/internal/wire"
 	"chordbalance/internal/xrand"
@@ -257,7 +258,7 @@ func emitStreamTrace(o streamOpts, r streamload.Result) error {
 	}
 	tracer := obs.New(sink)
 	reg := tracer.Registry()
-	hist := reg.Histogram("stream.fetch_us", "us", "per-chunk fetch latency", obs.LogEdges(1e7, 3))
+	hist := reg.Histogram("stream.fetch_us", "us", "per-chunk fetch latency", stats.LogEdges(1e7, 3))
 	chunks := reg.Counter("stream.chunks", "chunks", "chunks delivered")
 	miss := reg.Counter("stream.deadline_miss", "chunks", "chunks past their playback deadline")
 	rebuf := reg.Counter("stream.rebuffers", "stalls", "playhead stalls")

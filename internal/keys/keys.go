@@ -57,28 +57,14 @@ func (g *Generator) at(i uint64) ids.ID {
 	return id[0]
 }
 
-// NodeIDs returns n distinct SHA-1 node identifiers: the stream's
-// identifiers in order, each repeat skipped. The first n are hashed in
-// one batch; only after a repeat does it draw more, one at a time.
+// NodeIDs returns the stream's next n identifiers as node IDs. A
+// repeat among them would be a SHA-1 collision, which no one can
+// produce; ring.Build still rejects a repeated ID with ErrOccupied.
 func (g *Generator) NodeIDs(n int) []ids.ID {
 	out := make([]ids.ID, n)
 	g.fill(out, g.next)
 	g.next += uint64(n)
-	seen := make(map[ids.ID]struct{}, n)
-	kept := out[:0]
-	keep := func(id ids.ID) {
-		if _, dup := seen[id]; !dup { // SHA-1 collisions are absurdly unlikely, but be exact
-			seen[id] = struct{}{}
-			kept = append(kept, id)
-		}
-	}
-	for _, id := range out {
-		keep(id)
-	}
-	for len(kept) < n {
-		keep(g.Next())
-	}
-	return kept
+	return out
 }
 
 // taskKeyChunk is the slice of the counter range one TaskKeys claim

@@ -58,6 +58,21 @@ var t0 = time.Now()
 	wantFindings(t, got, "nowallclock")
 }
 
+func TestNoWallClockExemptsOnlyStreamloadLiveSource(t *testing.T) {
+	// live.go is the streaming engine's wall-clock source; the session
+	// loop beside it also runs the virtual driver and must stay checked.
+	src := `package fixture
+
+import "time"
+
+var t0 = time.Now()
+`
+	got := checkFixture(t, NoWallClock(), map[string]string{"internal/streamload/live.go": src})
+	wantFindings(t, got, "nowallclock")
+	got = checkFixture(t, NoWallClock(), map[string]string{"internal/streamload/engine.go": src})
+	wantFindings(t, got, "nowallclock", 5)
+}
+
 func TestNoWallClockRenamedImport(t *testing.T) {
 	src := `package fixture
 

@@ -7,6 +7,7 @@ import (
 
 	"chordbalance/internal/ids"
 	"chordbalance/internal/obs"
+	"chordbalance/internal/stats"
 	"chordbalance/internal/wire"
 )
 
@@ -100,7 +101,7 @@ func NewCollector(cfg Config, tr Transport, addr string, tracer *obs.Tracer) (*C
 			}
 		}
 		c.hRepair = reg.Histogram("net.store.repair_batch", "recs",
-			"records repaired per host report interval", obs.LogEdges(1<<20, 4))
+			"records repaired per host report interval", stats.LogEdges(1<<20, 4))
 		tracer.EmitMeta(obs.F{K: "source", V: "netchord-collector"})
 		tracer.EmitSchema()
 	}

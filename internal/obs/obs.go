@@ -27,7 +27,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -150,27 +149,6 @@ func (h *Histogram) Counts() []int64 { return h.m.buckets }
 
 // Edges returns the bucket boundaries. The caller must not mutate them.
 func (h *Histogram) Edges() []float64 { return h.m.edges }
-
-// LogEdges builds logarithmically spaced bucket edges with binsPerDecade
-// edges per decade covering [1, max] — the shape of the paper's workload
-// figures and of stats.NewLogHistogram, so trace histograms and dhtsim
-// snapshot histograms bin identically. It panics if max < 1 or
-// binsPerDecade < 1.
-func LogEdges(max float64, binsPerDecade int) []float64 {
-	if max < 1 || binsPerDecade < 1 {
-		panic("obs: invalid log edge parameters")
-	}
-	decades := math.Ceil(math.Log10(max))
-	if decades < 1 {
-		decades = 1
-	}
-	n := int(decades) * binsPerDecade
-	edges := make([]float64, n+1)
-	for i := range edges {
-		edges[i] = math.Pow(10, float64(i)/float64(binsPerDecade))
-	}
-	return edges
-}
 
 // Registry holds a run's metrics in sorted name order, so every registry
 // dump — and therefore every trace record — is byte-deterministic.

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"chordbalance/internal/stats"
 )
 
 func TestRegistrySortedAndIdempotent(t *testing.T) {
@@ -63,21 +65,6 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, c := range h.Counts() {
 		if c != 0 {
 			t.Fatalf("Reset left buckets %v", h.Counts())
-		}
-	}
-}
-
-func TestLogEdgesMatchPaperBinning(t *testing.T) {
-	edges := LogEdges(100000, 3)
-	if len(edges) != 16 {
-		t.Fatalf("len(edges) = %d, want 16 (5 decades x 3 + 1)", len(edges))
-	}
-	if edges[0] != 1 {
-		t.Fatalf("edges[0] = %v, want 1", edges[0])
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			t.Fatalf("edges not increasing at %d: %v", i, edges)
 		}
 	}
 }
@@ -180,7 +167,7 @@ func TestEnabledTickSteadyStateAllocFree(t *testing.T) {
 	tr := New(Discard{})
 	c := tr.Registry().Counter("c", "", "")
 	g := tr.Registry().Gauge("g", "", "")
-	h := tr.Registry().Histogram("h", "", "", LogEdges(1000, 3))
+	h := tr.Registry().Histogram("h", "", "", stats.LogEdges(1000, 3))
 	tr.EmitTick(0) // warm the line buffer
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)

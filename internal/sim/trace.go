@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"chordbalance/internal/obs"
+	"chordbalance/internal/stats"
 )
 
 // workloadHistMax and workloadHistBinsPerDecade define the trace
@@ -103,7 +104,7 @@ func newSimMetrics(t *obs.Tracer) *simMetrics {
 		wlImbalance: reg.Gauge("sim.workload.imbalance", "", "max/mean per-host workload ratio (1 = perfectly even)"),
 		wlHist: reg.Histogram("sim.workload.hosts", "tasks",
 			"per-host residual workload distribution (log bins; bucket 0 = idle hosts)",
-			obs.LogEdges(workloadHistMax, workloadHistBinsPerDecade)),
+			stats.LogEdges(workloadHistMax, workloadHistBinsPerDecade)),
 
 		joins:      reg.Counter("sim.msgs.joins", "joins", "hosts that joined via churn"),
 		leaves:     reg.Counter("sim.msgs.leaves", "leaves", "hosts that left gracefully via churn"),

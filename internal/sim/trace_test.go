@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chordbalance/internal/obs"
+	"chordbalance/internal/stats"
 	"chordbalance/internal/strategy"
 )
 
@@ -96,7 +97,7 @@ func TestTraceAgreesWithSnapshots(t *testing.T) {
 	for _, rec := range tr.Ticks {
 		byTick[rec.Tick] = rec
 	}
-	edges := obs.LogEdges(workloadHistMax, workloadHistBinsPerDecade)
+	edges := stats.LogEdges(workloadHistMax, workloadHistBinsPerDecade)
 
 	checked := 0
 	for _, snap := range res.Snapshots {

@@ -23,9 +23,18 @@ type Histogram struct {
 	total     int
 }
 
-// NewLogHistogram builds a histogram with binsPerDecade log-spaced bins per
-// decade covering [1, max]. It panics if max < 1 or binsPerDecade < 1.
+// NewLogHistogram builds a histogram over LogEdges(max, binsPerDecade).
+// It panics if max < 1 or binsPerDecade < 1.
 func NewLogHistogram(max float64, binsPerDecade int) *Histogram {
+	edges := LogEdges(max, binsPerDecade)
+	return &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
+}
+
+// LogEdges builds logarithmically spaced bin edges with binsPerDecade
+// edges per decade covering [1, max]: the binning of the paper's
+// workload figures, shared by every histogram and trace so they bin
+// identically. It panics if max < 1 or binsPerDecade < 1.
+func LogEdges(max float64, binsPerDecade int) []float64 {
 	if max < 1 || binsPerDecade < 1 {
 		panic("stats: invalid log histogram parameters")
 	}
@@ -33,12 +42,11 @@ func NewLogHistogram(max float64, binsPerDecade int) *Histogram {
 	if decades < 1 {
 		decades = 1
 	}
-	n := int(decades) * binsPerDecade
-	edges := make([]float64, n+1)
+	edges := make([]float64, int(decades)*binsPerDecade+1)
 	for i := range edges {
 		edges[i] = math.Pow(10, float64(i)/float64(binsPerDecade))
 	}
-	return &Histogram{Edges: edges, Counts: make([]int, n)}
+	return edges
 }
 
 // Add records one observation. Negative values panic: workloads are counts.

@@ -33,6 +33,21 @@ func TestNewLogHistogramSubdivided(t *testing.T) {
 	}
 }
 
+func TestLogEdgesMatchPaperBinning(t *testing.T) {
+	edges := LogEdges(100000, 3)
+	if len(edges) != 16 {
+		t.Fatalf("len(edges) = %d, want 16 (5 decades x 3 + 1)", len(edges))
+	}
+	if edges[0] != 1 {
+		t.Fatalf("edges[0] = %v, want 1", edges[0])
+	}
+	for i := 1; i < len(edges); i++ {
+		if edges[i] <= edges[i-1] {
+			t.Fatalf("edges not increasing at %d: %v", i, edges)
+		}
+	}
+}
+
 func TestHistogramPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewLogHistogram(0.5, 1) },

@@ -17,11 +17,11 @@
 // The read path couples back to the paper's strategies through
 // netchord's Config.ReadWorkUnits: every served fetch charges the owner
 // task units, so a viral object registers as workload the strategies
-// can shed by splitting its arc among Sybil identities. The engine here
-// is deliberately transport-agnostic: it drives any Fetcher, and the
-// same Viewer state machine runs under the real-time Engine (goroutines
-// against a live cluster, cmd/dhtload -stream) and the discrete-event
-// virtual driver (RunVirtual), whose runs are bit-for-bit reproducible.
+// can shed by splitting its arc among Sybil identities. One session
+// loop drives every Viewer, fed by one of two event sources: Engine.Run
+// fetches through any Fetcher on the wall clock (a live cluster,
+// cmd/dhtload -stream), and RunVirtual schedules seeded completions on
+// a discrete-event clock, so its runs are bit-for-bit reproducible.
 // See docs/STREAMING.md for the model and a worked session.
 package streamload
 

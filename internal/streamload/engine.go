@@ -1,9 +1,9 @@
 package streamload
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,11 +13,11 @@ import (
 )
 
 // Fetcher retrieves one chunk and returns its payload size. Fetch
-// blocks for the full round trip (the Engine pipelines calls from many
-// goroutines, so implementations must be safe for concurrent use) and
-// must eventually return — a fetch that can hang forever would wedge a
-// viewer's pipeline slot. NetFetcher adapts a netchord client; the
-// virtual driver synthesizes fetches from a latency model instead.
+// blocks for the full round trip. The Engine runs each fetch on its own
+// goroutine, so implementations must be safe for concurrent use, and
+// Run waits for every fetch it started, so Fetch must eventually
+// return. NetFetcher adapts a netchord client; RunVirtual needs no
+// Fetcher, since it schedules each completion at a seeded latency.
 type Fetcher interface {
 	Fetch(obj, chunk int, key ids.ID) (int, error)
 }
@@ -98,29 +98,18 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Engine drives Viewers concurrent playback sessions against a live
-// Fetcher in real time: one goroutine per viewer runs the session loop,
-// plus one short-lived goroutine per in-flight fetch. Monotone counters
-// are exposed through Totals for a reporter loop; everything else is
-// folded into the Result when Run returns.
+// Engine drives Viewers concurrent playback sessions. Run plays them
+// against a live Fetcher in real time; RunVirtual plays them on a
+// discrete-event clock. Both run the same session loop (run), and the
+// monotone counters behind Totals can be polled while it runs.
 type Engine struct {
 	cfg  Config
 	zipf *keys.Zipf
-
-	start time.Time
 
 	chunks atomic.Uint64
 	misses atomic.Uint64
 	rebufs atomic.Uint64
 	bytes  atomic.Uint64
-
-	mu          sync.Mutex
-	latNs       []int64
-	startupNs   []int64
-	sessions    int
-	fetchErrors uint64
-	sloMiss     uint64
-	stallNs     int64
 }
 
 // NewEngine validates cfg and returns a ready engine; call Run exactly
@@ -144,187 +133,191 @@ func (e *Engine) Totals() Totals {
 	}
 }
 
-// clock is nanoseconds since Run started (monotonic).
-func (e *Engine) clock() int64 { return time.Since(e.start).Nanoseconds() }
-
-// Run plays sessions until the chunk target is reached (or one session
-// per viewer when no target is set), or ctx is canceled; in-flight
-// fetches are always drained before it returns.
-func (e *Engine) Run(ctx context.Context, f Fetcher) Result {
-	e.start = time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < e.cfg.Viewers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			e.viewerLoop(ctx, f, idx)
-		}(i)
-	}
-	wg.Wait()
-
-	r := Result{
-		Viewers:      e.cfg.Viewers,
-		Chunks:       e.chunks.Load(),
-		DeadlineMiss: e.misses.Load(),
-		Rebuffers:    e.rebufs.Load(),
-		Bytes:        e.bytes.Load(),
-		DurationNs:   e.clock(),
-	}
-	e.mu.Lock()
-	r.Sessions = e.sessions
-	r.FetchErrors = e.fetchErrors
-	r.SLOMiss = e.sloMiss
-	r.StallNs = e.stallNs
-	latNs, startupNs := e.latNs, e.startupNs
-	e.mu.Unlock()
-	r.finalize(latNs, startupNs)
-	return r
+// event is one occurrence for one viewer: a fetch completing, or a
+// wake at which the playhead can move without a delivery.
+type event struct {
+	at     int64
+	seq    uint64
+	viewer int
+	wake   bool
+	fail   bool
+	chunk  int
+	bytes  uint64
+	lat    int64
 }
 
-// viewerLoop runs back-to-back sessions for one viewer until the run's
-// chunk target is met.
-func (e *Engine) viewerLoop(ctx context.Context, f Fetcher, idx int) {
-	rng := xrand.Split(e.cfg.Seed, uint64(idx))
-	for {
-		if ctx.Err() != nil {
-			return
+// queue is a min-heap of scheduled events in (at, seq) order. seq is
+// the push order, so ties break deterministically. Callers use push and
+// pop; the exported methods serve container/heap.
+type queue struct {
+	h   []event
+	seq uint64
+}
+
+func (q *queue) push(ev event) {
+	ev.seq = q.seq
+	q.seq++
+	heap.Push(q, ev)
+}
+
+func (q *queue) pop() event { return heap.Pop(q).(event) }
+
+func (q *queue) Len() int { return len(q.h) }
+func (q *queue) Less(i, j int) bool {
+	a, b := q.h[i], q.h[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+func (q *queue) Swap(i, j int) { q.h[i], q.h[j] = q.h[j], q.h[i] }
+func (q *queue) Push(x any)    { q.h = append(q.h, x.(event)) }
+func (q *queue) Pop() any {
+	ev := q.h[len(q.h)-1]
+	q.h = q.h[:len(q.h)-1]
+	return ev
+}
+
+// source is what differs between a live and a virtual run: where the
+// time comes from and how a fetch completes.
+type source interface {
+	// now is the current time in nanoseconds since the run began.
+	now() int64
+	// fetch starts fetching ev.chunk of object obj for ev.viewer; its
+	// completion comes back from next as a non-wake event.
+	fetch(q *queue, obj int, ev event)
+	// next waits for the next event, a completion or q's earliest
+	// wake, and removes it. ok=false ends the run.
+	next(q *queue) (ev event, ok bool)
+}
+
+// session is one viewer's open playback session.
+type session struct {
+	v      *Viewer
+	rng    *xrand.Rand // workload choices: object and join offset
+	obj    int
+	wakeAt int64 // the pending wake's time, 0 for none
+	prev   ViewerStats
+}
+
+// run is the session loop. Each viewer plays back-to-back sessions
+// (one, without a chunk target) until the target is met or ctx is
+// canceled. After every event the viewer dispatches what it may fetch
+// and keeps one pending wake, at NextWake, whether or not fetches are
+// in flight. A wake whose time is not the viewer's pending wake time is
+// stale and dropped when it comes due; two wakes of one viewer at one
+// time are interchangeable, so the time alone identifies the current
+// one.
+func (e *Engine) run(ctx context.Context, src source) Result {
+	cfg, cat := e.cfg, e.cfg.Catalog
+	var (
+		q         queue
+		res       Result
+		startupUs []float64
+		open      int
+		sess      = make([]session, cfg.Viewers)
+	)
+	sloNs, backoff := int64(cfg.SLO), int64(cfg.RetryBackoff)
+
+	// fold adds the session's counters since its last fold to the
+	// totals and returns its stats at now.
+	fold := func(s *session, now int64) ViewerStats {
+		st := s.v.Stats(now)
+		e.chunks.Add(uint64(st.Delivered - s.prev.Delivered))
+		e.misses.Add(uint64(st.DeadlineMiss - s.prev.DeadlineMiss))
+		e.rebufs.Add(uint64(st.Rebuffers - s.prev.Rebuffers))
+		s.prev = st
+		return st
+	}
+	pump := func(i int, now int64) {
+		s := &sess[i]
+		for chunk, ok := s.v.Next(now); ok; chunk, ok = s.v.Next(now) {
+			src.fetch(&q, s.obj, event{viewer: i, chunk: chunk})
 		}
-		obj := e.zipf.Rank(rng) - 1
-		start := 0
-		if e.cfg.MidJoinProb > 0 && e.cfg.Catalog.ObjectChunks > 1 && rng.Bool(e.cfg.MidJoinProb) {
-			start = rng.IntRange(1, e.cfg.Catalog.ObjectChunks-1)
-		}
-		e.session(ctx, f, obj, start)
-		if e.cfg.TargetChunks == 0 || e.chunks.Load() >= e.cfg.TargetChunks {
-			return
+		if at, ok := s.v.NextWake(now); !ok {
+			s.wakeAt = 0
+		} else if at != s.wakeAt {
+			s.wakeAt = at
+			q.push(event{at: at, viewer: i, wake: true})
 		}
 	}
-}
-
-// fetchResult carries one completed fetch back to its session loop.
-type fetchResult struct {
-	chunk int
-	bytes uint64
-	latNs int64
-	err   error
-}
-
-// session plays object obj from chunk start to the end, pipelining
-// fetches through the viewer's window.
-func (e *Engine) session(ctx context.Context, f Fetcher, obj, start int) {
-	cat := e.cfg.Catalog
-	now := e.clock()
-	v := NewViewer(ViewerConfig{
+	vc := ViewerConfig{
 		Chunks:        cat.ObjectChunks,
-		StartChunk:    start,
-		ChunkDur:      int64(e.cfg.ChunkDur),
-		StartupChunks: e.cfg.StartupChunks,
-		Window:        e.cfg.Window,
-		MaxInFlight:   e.cfg.MaxInFlight,
-	}, now)
-	// Capacity MaxInFlight and at most MaxInFlight outstanding fetches:
-	// sends below can never block, so fetch goroutines always finish.
-	results := make(chan fetchResult, e.cfg.MaxInFlight)
-	timer := time.NewTimer(e.cfg.ChunkDur)
-	defer timer.Stop()
-
-	var prev ViewerStats
-	var lat []int64
-	var fetchErrs, sloMiss uint64
-	sloNs := int64(e.cfg.SLO)
-	backoff := int64(e.cfg.RetryBackoff)
-
-	apply := func(r fetchResult) {
-		now = e.clock()
-		if r.err != nil {
-			fetchErrs++
-			v.Fail(now, r.chunk, backoff)
-			return
+		ChunkDur:      int64(cfg.ChunkDur),
+		StartupChunks: cfg.StartupChunks,
+		Window:        cfg.Window,
+		MaxInFlight:   cfg.MaxInFlight,
+	}
+	start := func(i int, now int64) {
+		s := &sess[i]
+		s.obj, vc.StartChunk = e.zipf.Rank(s.rng)-1, 0
+		if cfg.MidJoinProb > 0 && cat.ObjectChunks > 1 && s.rng.Bool(cfg.MidJoinProb) {
+			vc.StartChunk = s.rng.IntRange(1, cat.ObjectChunks-1)
 		}
-		v.Deliver(now, r.chunk)
-		e.bytes.Add(r.bytes)
-		lat = append(lat, r.latNs)
-		if sloNs > 0 && r.latNs > sloNs {
-			sloMiss++
+		s.v, s.prev, s.wakeAt = NewViewer(vc, now), ViewerStats{}, 0
+		open++
+		pump(i, now)
+	}
+	finish := func(i int, now int64) {
+		s := &sess[i]
+		st := fold(s, now)
+		res.Sessions++
+		res.StallNs += st.StallNs
+		if st.Started {
+			startupUs = append(startupUs, float64(st.StartupNs)/1e3)
 		}
-		st := v.Stats(now)
-		e.chunks.Add(uint64(st.Delivered - prev.Delivered))
-		e.misses.Add(uint64(st.DeadlineMiss - prev.DeadlineMiss))
-		e.rebufs.Add(uint64(st.Rebuffers - prev.Rebuffers))
-		prev = st
+		s.v, s.wakeAt = nil, 0
+		open--
 	}
 
-	for !v.Done() && ctx.Err() == nil {
-		now = e.clock()
-		for {
-			chunk, ok := v.Next(now)
-			if !ok {
-				break
-			}
-			go e.fetch(f, obj, chunk, results)
+	now := src.now()
+	for i := range sess {
+		sess[i].rng = xrand.Split(cfg.Seed, uint64(i))
+		start(i, now)
+	}
+	for open > 0 {
+		ev, ok := src.next(&q)
+		if !ok {
+			break
 		}
-		// Sleep until something can change state: a delivery, the next
-		// playhead boundary, or a retry becoming eligible. The ChunkDur
-		// fallback guards the (unreachable by construction) case of no
-		// wake source with nothing in flight.
-		wake, wok := v.NextWake(now)
-		wait := time.Duration(-1)
-		if wok {
-			wait = time.Duration(wake - now)
-		} else if v.InFlight() == 0 {
-			wait = e.cfg.ChunkDur
+		now = src.now()
+		s := &sess[ev.viewer]
+		switch {
+		case ev.wake:
+			if ev.at != s.wakeAt {
+				continue
+			}
+		case ev.fail:
+			res.FetchErrors++
+			s.v.Fail(now, ev.chunk, backoff)
+		default:
+			s.v.Deliver(now, ev.chunk)
+			e.bytes.Add(ev.bytes)
+			res.LatsUs = append(res.LatsUs, float64(ev.lat)/1e3)
+			if sloNs > 0 && ev.lat > sloNs {
+				res.SLOMiss++
+			}
 		}
-		if wait >= 0 {
-			if wait < 50*time.Microsecond {
-				wait = 50 * time.Microsecond
+		fold(s, now)
+		if !s.v.Done() {
+			if ctx.Err() == nil {
+				pump(ev.viewer, now)
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wait)
-			select {
-			case r := <-results:
-				apply(r)
-			case <-timer.C:
-			case <-ctx.Done():
-			}
-		} else {
-			select {
-			case r := <-results:
-				apply(r)
-			case <-ctx.Done():
-			}
+			continue
+		}
+		finish(ev.viewer, now)
+		if ctx.Err() == nil && cfg.TargetChunks > 0 && e.chunks.Load() < cfg.TargetChunks {
+			start(ev.viewer, now)
 		}
 	}
-	// Drain in-flight fetches (bounded by their own RPC timeouts) so no
-	// goroutine outlives the session.
-	for v.InFlight() > 0 {
-		apply(<-results)
+	// A canceled run folds its open sessions as they stand.
+	now = src.now()
+	for i := range sess {
+		if sess[i].v != nil {
+			finish(i, now)
+		}
 	}
 
-	now = e.clock()
-	st := v.Stats(now)
-	e.chunks.Add(uint64(st.Delivered - prev.Delivered))
-	e.misses.Add(uint64(st.DeadlineMiss - prev.DeadlineMiss))
-	e.rebufs.Add(uint64(st.Rebuffers - prev.Rebuffers))
-	e.mu.Lock()
-	e.sessions++
-	e.latNs = append(e.latNs, lat...)
-	if st.Started {
-		e.startupNs = append(e.startupNs, st.StartupNs)
-	}
-	e.fetchErrors += fetchErrs
-	e.sloMiss += sloMiss
-	e.stallNs += st.StallNs
-	e.mu.Unlock()
-}
-
-// fetch performs one blocking fetch and reports the timed outcome.
-func (e *Engine) fetch(f Fetcher, obj, chunk int, results chan<- fetchResult) {
-	t0 := e.clock()
-	n, err := f.Fetch(obj, chunk, e.cfg.Catalog.ChunkKey(obj, chunk))
-	results <- fetchResult{chunk: chunk, bytes: uint64(n), latNs: e.clock() - t0, err: err}
+	t := e.Totals()
+	res.Viewers, res.DurationNs = cfg.Viewers, now
+	res.Chunks, res.DeadlineMiss, res.Rebuffers, res.Bytes = t.Chunks, t.DeadlineMiss, t.Rebuffers, t.Bytes
+	res.finalize(startupUs)
+	return res
 }

@@ -71,29 +71,20 @@ type Result struct {
 	LatsUs []float64 `json:"-"`
 }
 
-// finalize fills the derived fields of r from the raw latency and
-// startup samples (nanoseconds).
-func (r *Result) finalize(latNs, startupNs []int64) {
+// finalize fills the derived fields of r from LatsUs and the startup
+// samples (microseconds).
+func (r *Result) finalize(startupUs []float64) {
 	if r.Chunks > 0 {
 		r.RebufferRate = float64(r.Rebuffers) / float64(r.Chunks)
 		r.DeadlineMissRate = float64(r.DeadlineMiss) / float64(r.Chunks)
 	}
-	if len(latNs) > 0 {
-		us := make([]float64, len(latNs))
-		for i, v := range latNs {
-			us[i] = float64(v) / 1e3
-		}
-		r.LatsUs = us
-		r.FetchP50us = stats.Percentile(us, 50)
-		r.FetchP90us = stats.Percentile(us, 90)
-		r.FetchP99us = stats.Percentile(us, 99)
+	if len(r.LatsUs) > 0 {
+		r.FetchP50us = stats.Percentile(r.LatsUs, 50)
+		r.FetchP90us = stats.Percentile(r.LatsUs, 90)
+		r.FetchP99us = stats.Percentile(r.LatsUs, 99)
 	}
-	if len(startupNs) > 0 {
-		us := make([]float64, len(startupNs))
-		for i, v := range startupNs {
-			us[i] = float64(v) / 1e3
-		}
-		r.StartupP50us = stats.Percentile(us, 50)
-		r.StartupP99us = stats.Percentile(us, 99)
+	if len(startupUs) > 0 {
+		r.StartupP50us = stats.Percentile(startupUs, 50)
+		r.StartupP99us = stats.Percentile(startupUs, 99)
 	}
 }

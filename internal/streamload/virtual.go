@@ -1,9 +1,9 @@
 package streamload
 
 import (
+	"context"
 	"time"
 
-	"chordbalance/internal/keys"
 	"chordbalance/internal/xrand"
 )
 
@@ -23,211 +23,56 @@ type VirtualConfig struct {
 	LossProb float64
 }
 
-// vEvent is one scheduled occurrence in virtual time. Ordering is
-// (at, seq): seq is the push order, so ties break deterministically and
-// the whole run is a pure function of the config.
-type vEvent struct {
-	at     int64
-	seq    uint64
-	viewer int
-	gen    int // session generation, so stale events are dropped
-	wake   bool
-	fail   bool
-	chunk  int
-	bytes  uint64
-	lat    int64
+// virtual is the discrete-event source behind RunVirtual: the clock is
+// the time of the last event taken from the queue, and each fetch is a
+// completion event scheduled at a latency drawn from its viewer's
+// network stream.
+type virtual struct {
+	cfg    VirtualConfig
+	netRng []*xrand.Rand
+	t      int64
 }
 
-// before is the heap ordering.
-func (a vEvent) before(b vEvent) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
+func (s *virtual) now() int64 { return s.t }
 
-// vHeap is a plain binary min-heap of events.
-type vHeap []vEvent
-
-// push adds an event, restoring the heap invariant.
-func (h *vHeap) push(ev vEvent) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+func (s *virtual) fetch(q *queue, _ int, ev event) {
+	rng := s.netRng[ev.viewer]
+	ev.lat = int64(s.cfg.BaseLatency)
+	if s.cfg.JitterLatency > 0 {
+		ev.lat += int64(rng.ExpFloat64() * float64(s.cfg.JitterLatency))
 	}
+	ev.fail = s.cfg.LossProb > 0 && rng.Bool(s.cfg.LossProb)
+	ev.at, ev.bytes = s.t+ev.lat, uint64(s.cfg.Catalog.ChunkSize(ev.chunk))
+	q.push(ev)
 }
 
-// pop removes and returns the earliest event.
-func (h *vHeap) pop() vEvent {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s) && s[l].before(s[min]) {
-			min = l
-		}
-		if r < len(s) && s[r].before(s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+func (s *virtual) next(q *queue) (event, bool) {
+	if len(q.h) == 0 {
+		return event{}, false
 	}
-	*h = s
-	return top
+	ev := q.pop()
+	s.t = ev.at
+	return ev, true
 }
 
-// vSession is one viewer's live session state in the virtual run.
-type vSession struct {
-	v    *Viewer
-	obj  int
-	gen  int
-	prev ViewerStats
-}
-
-// RunVirtual plays the streaming workload under a discrete-event clock:
-// no goroutines, no wall time, every fetch completing at a latency
-// drawn from per-viewer seeded streams. Two runs with the same config
-// produce identical Results bit for bit — the determinism anchor the
-// real-time Engine (same Viewer state machine, real network) cannot
-// give, used by tests and for fast workload iteration.
+// RunVirtual plays the streaming workload through the Engine's session
+// loop on a discrete-event clock: no goroutines, no wall time, every
+// fetch completing at a latency drawn from per-viewer seeded streams.
+// Two runs with the same config produce identical Results bit for bit —
+// the determinism anchor a live run cannot give.
 func RunVirtual(cfg VirtualConfig) (Result, error) {
-	cfg.Config = cfg.Config.withDefaults()
-	if err := cfg.Config.validate(); err != nil {
+	e, err := NewEngine(cfg.Config)
+	if err != nil {
 		return Result{}, err
 	}
 	if cfg.BaseLatency <= 0 {
 		cfg.BaseLatency = time.Millisecond
 	}
-	cat := cfg.Catalog
-	zipf := keys.NewZipf(cat.Objects, cfg.ZipfS)
-
-	// Two streams per viewer: one for workload choices (object, join
-	// offset), one for the network model (latency, loss), so changing
-	// the latency model never perturbs which objects get watched.
-	objRng := make([]*xrand.Rand, cfg.Viewers)
-	netRng := make([]*xrand.Rand, cfg.Viewers)
-	for i := range objRng {
-		objRng[i] = xrand.Split(cfg.Seed, uint64(i))
-		netRng[i] = xrand.Split(cfg.Seed, 1<<32|uint64(i))
+	// Network draws get their own stream per viewer, so changing the
+	// latency model never perturbs which objects get watched.
+	src := &virtual{cfg: cfg, netRng: make([]*xrand.Rand, e.cfg.Viewers)}
+	for i := range src.netRng {
+		src.netRng[i] = xrand.Split(e.cfg.Seed, 1<<32|uint64(i))
 	}
-
-	var (
-		h         vHeap
-		seq       uint64
-		sess      = make([]vSession, cfg.Viewers)
-		res       Result
-		latNs     []int64
-		startupNs []int64
-	)
-	push := func(ev vEvent) {
-		ev.seq = seq
-		seq++
-		h.push(ev)
-	}
-	sloNs, backoff := int64(cfg.SLO), int64(cfg.RetryBackoff)
-
-	// pump dispatches every fetch the viewer allows right now, then
-	// schedules a wake if only the clock (not a delivery) can move the
-	// session forward.
-	pump := func(i int, now int64) {
-		s := &sess[i]
-		for {
-			chunk, ok := s.v.Next(now)
-			if !ok {
-				break
-			}
-			lat := int64(cfg.BaseLatency)
-			if cfg.JitterLatency > 0 {
-				lat += int64(netRng[i].ExpFloat64() * float64(cfg.JitterLatency))
-			}
-			fail := cfg.LossProb > 0 && netRng[i].Bool(cfg.LossProb)
-			push(vEvent{at: now + lat, viewer: i, gen: s.gen, fail: fail,
-				chunk: chunk, bytes: uint64(cat.ChunkSize(chunk)), lat: lat})
-		}
-		if s.v.InFlight() == 0 && !s.v.Done() {
-			if at, ok := s.v.NextWake(now); ok {
-				push(vEvent{at: at, viewer: i, gen: s.gen, wake: true})
-			}
-		}
-	}
-
-	start := func(i int, now int64) {
-		s := &sess[i]
-		startChunk := 0
-		s.obj = zipf.Rank(objRng[i]) - 1
-		if cfg.MidJoinProb > 0 && cat.ObjectChunks > 1 && objRng[i].Bool(cfg.MidJoinProb) {
-			startChunk = objRng[i].IntRange(1, cat.ObjectChunks-1)
-		}
-		s.v = NewViewer(ViewerConfig{
-			Chunks:        cat.ObjectChunks,
-			StartChunk:    startChunk,
-			ChunkDur:      int64(cfg.ChunkDur),
-			StartupChunks: cfg.StartupChunks,
-			Window:        cfg.Window,
-			MaxInFlight:   cfg.MaxInFlight,
-		}, now)
-		s.prev = ViewerStats{}
-		pump(i, now)
-	}
-
-	for i := 0; i < cfg.Viewers; i++ {
-		start(i, 0)
-	}
-	now := int64(0)
-	for len(h) > 0 {
-		ev := h.pop()
-		now = ev.at
-		s := &sess[ev.viewer]
-		if s.v == nil || ev.gen != s.gen {
-			continue
-		}
-		if ev.wake {
-			pump(ev.viewer, now)
-			continue
-		}
-		if ev.fail {
-			res.FetchErrors++
-			s.v.Fail(now, ev.chunk, backoff)
-		} else {
-			s.v.Deliver(now, ev.chunk)
-			res.Bytes += ev.bytes
-			latNs = append(latNs, ev.lat)
-			if sloNs > 0 && ev.lat > sloNs {
-				res.SLOMiss++
-			}
-		}
-		st := s.v.Stats(now)
-		res.Chunks += uint64(st.Delivered - s.prev.Delivered)
-		res.DeadlineMiss += uint64(st.DeadlineMiss - s.prev.DeadlineMiss)
-		res.Rebuffers += uint64(st.Rebuffers - s.prev.Rebuffers)
-		s.prev = st
-		if s.v.Done() {
-			res.StallNs += st.StallNs
-			if st.Started {
-				startupNs = append(startupNs, st.StartupNs)
-			}
-			res.Sessions++
-			s.v = nil
-			s.gen++
-			if cfg.TargetChunks > 0 && res.Chunks < cfg.TargetChunks {
-				start(ev.viewer, now)
-			}
-		} else {
-			pump(ev.viewer, now)
-		}
-	}
-	res.Viewers = cfg.Viewers
-	res.DurationNs = now
-	res.finalize(latNs, startupNs)
-	return res, nil
+	return e.run(context.TODO(), src), nil
 }

@@ -143,3 +143,42 @@ func TestVirtualHeavyLossStillCompletes(t *testing.T) {
 		t.Fatal("50% loss produced zero errors")
 	}
 }
+
+func TestVirtualWakesWithFetchesInFlight(t *testing.T) {
+	// Every fetch takes 3 ms and every chunk plays for 2 ms. Chunks 0
+	// and 1 arrive together at 3 ms; chunk 0 starts playback, so chunk
+	// k's boundary falls at 3+2k ms until the first stall. The window of
+	// 2 opens a slot only when the playhead crosses a boundary, so the
+	// boundary wake must fire even with a fetch in flight:
+	//
+	//   - at boundary(1)+ the playhead reaches chunk 1 and chunk 2 goes
+	//     out; it lands 3 ms later, 1 ms past boundary(2): a rebuffer.
+	//   - at boundary(2)+, stalled on chunk 2 with it still in flight,
+	//     the window is [2, 4) and chunk 3 goes out. Chunk 2 ends the
+	//     stall 1 ms later, shifting chunk 3's deadline by 1 ms, so
+	//     chunk 3 lands exactly on its boundary: on time.
+	//
+	// The pair repeats from chunk 4: every even chunk from 2 to 38
+	// stalls and every odd one arrives on time, 19 rebuffers. Waking
+	// only with nothing in flight skips the wake at the stall, so each
+	// chunk goes out when its predecessor lands and all of 2..39 stall:
+	// 38.
+	res, err := RunVirtual(VirtualConfig{
+		Config: Config{
+			Catalog:       &Catalog{Objects: 1, ObjectChunks: 40, ChunkBytes: 64, Salt: 4},
+			Viewers:       1,
+			Seed:          1,
+			ChunkDur:      2 * time.Millisecond,
+			StartupChunks: 1,
+			Window:        2,
+			MaxInFlight:   2,
+		},
+		BaseLatency: 3 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Chunks != 40 || res.Rebuffers != 19 {
+		t.Fatalf("chunks=%d rebuffers=%d, want 40 and 19", res.Chunks, res.Rebuffers)
+	}
+}
