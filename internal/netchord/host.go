@@ -93,6 +93,9 @@ type Host struct {
 
 	// sybilSeq feeds jitterID. Only step touches it, like h.rng.
 	sybilSeq uint64
+	// repBuf is encodeReport's buffer, touched only by the goroutine
+	// that steps the host.
+	repBuf []byte
 
 	// Storage counters, cumulative across churn: nodes mirror their
 	// per-identity counters here because induced churn replaces the
@@ -225,8 +228,13 @@ func (h *Host) Nodes() []*Node {
 // Workload sums residual task units across the host's virtual nodes —
 // the only load signal a real host has locally (§V).
 func (h *Host) Workload() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	sum := 0
-	for _, n := range h.Nodes() {
+	if h.primary != nil {
+		sum = int(h.primary.TaskUnits())
+	}
+	for _, n := range h.sybils {
 		sum += int(n.TaskUnits())
 	}
 	return sum
@@ -286,8 +294,13 @@ func (h *Host) step() {
 // belongs to the machine, not the identity).
 func (h *Host) consumeTick(tick int) {
 	budget := uint64(h.cfg.ConsumePerTick)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	var done uint64
-	for _, n := range h.Nodes() {
+	if h.primary != nil {
+		done = h.primary.consume(budget)
+	}
+	for _, n := range h.sybils {
 		if done >= budget {
 			break
 		}
@@ -296,14 +309,12 @@ func (h *Host) consumeTick(tick int) {
 	if done == 0 {
 		return
 	}
-	h.mu.Lock()
 	h.consumed += done
 	if !h.everBusy {
 		h.everBusy = true
 		h.firstBusy = tick
 	}
 	h.lastBusy = tick
-	h.mu.Unlock()
 }
 
 // report pushes the host's cumulative counters to the collector as one
@@ -313,6 +324,19 @@ func (h *Host) report() {
 	if h.collector == "" {
 		return
 	}
+	_ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
+		Type:  wire.TReport,
+		From:  wire.NodeRef{ID: h.hostID},
+		Value: h.encodeReport(),
+	}, nil)
+}
+
+// encodeReport encodes the host's counters into repBuf and returns it.
+// One buffer serves every report: only the goroutine that steps the
+// host reports (Start's first report precedes its loop), and ctl.call
+// has encoded the message's Value into its frame by the time it
+// returns.
+func (h *Host) encodeReport() []byte {
 	s := wire.Stats{
 		Hosts:              1,
 		Residual:           uint64(h.Workload()),
@@ -330,11 +354,8 @@ func (h *Host) report() {
 	s.Injections = uint64(h.injects)
 	s.InjectedUnits = h.injUnits
 	h.mu.Unlock()
-	_ = h.ctl.call(wire.NodeRef{Addr: h.collector}, &wire.Msg{
-		Type:  wire.TReport,
-		From:  wire.NodeRef{ID: h.hostID},
-		Value: wire.AppendStats(nil, &s),
-	}, nil)
+	h.repBuf = wire.AppendStats(h.repBuf[:0], &s)
+	return h.repBuf
 }
 
 // decide runs one decision pass on the host loop: the induced-churn

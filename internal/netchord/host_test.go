@@ -249,3 +249,36 @@ func TestSybilCapHoldsAcrossInvitationAndPass(t *testing.T) {
 		t.Errorf("after the invitation round: %+v, want %d Sybils from %d injections", st, maxSybils, injects+1)
 	}
 }
+
+// TestHostTickAllocs pins an idle host's per-tick cost: consuming,
+// summing the workload and encoding the report allocate nothing, with
+// Sybils as without. (Consuming held task units sorts them, which
+// allocates; the networked benchmarks' hosts hold keys, not tasks.)
+func TestHostTickAllocs(t *testing.T) {
+	l := lockstepRing(t, Config{MaxSybils: 3}, faults.Plan{}, 0, 0)
+	h, err := l.AddHost(StrategyNone, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(13)
+	for h.SybilCount() < 2 {
+		if _, ok := h.CreateSybil(ids.Random(rng)); !ok {
+			t.Fatal("could not mint a Sybil")
+		}
+	}
+	if got := len(h.encodeReport()); got != wire.StatsLen {
+		t.Fatalf("report encodes %d bytes, want %d", got, wire.StatsLen)
+	}
+	for _, tc := range []struct {
+		name string
+		tick func()
+	}{
+		{"consumeTick", func() { h.consumeTick(1) }},
+		{"Workload", func() { _ = h.Workload() }},
+		{"encodeReport", func() { _ = h.encodeReport() }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.tick); got != 0 {
+			t.Errorf("%s allocates %v a tick, want 0", tc.name, got)
+		}
+	}
+}

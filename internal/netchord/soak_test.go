@@ -339,6 +339,11 @@ func TestSoakDurableStore(t *testing.T) {
 		time.Sleep(cfg.Ticks(antiEntropyEveryTicks * 2))
 	}
 	t.Logf("all primary arcs digest-equal and metas-equal across replicas")
+	var compactions uint64
+	for _, n := range c.Nodes() {
+		compactions += n.Store().Stats().Compactions
+	}
+	t.Logf("store compactions over the soak: %d", compactions)
 
 	// (3) Goroutine-exact shutdown.
 	c.Close()

@@ -84,3 +84,77 @@ func FuzzStoreRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLogScan holds the windowed log scanner to the whole-buffer
+// decoder: over arbitrary segment bytes it must yield exactly the
+// records, offsets and encoded bytes that a DecodeRecord loop over the
+// whole buffer yields, in order, and stop at the same valid-prefix
+// length. Every window from the longest decoded record up to the whole
+// input is tried, so window refills split the records at every byte,
+// and so is the production window.
+func FuzzLogScan(f *testing.F) {
+	var seg []byte
+	for i := 0; i < 5; i++ {
+		var err error
+		seg, err = AppendRecord(seg, Rec{Key: ids.FromUint64(uint64(i)), Ver: uint64(i + 1), Value: bytes.Repeat([]byte{byte(i)}, 7*i)})
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	tomb, err := AppendRecord(append([]byte(nil), seg...), Rec{Key: ids.FromUint64(9), Ver: 4, Tombstone: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(tomb)
+	f.Add(seg[:len(seg)-3]) // torn tail
+	corrupt := append([]byte(nil), seg...)
+	corrupt[len(seg)/2] ^= 0x10
+	f.Add(corrupt)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		var want []Rec
+		var offs []int
+		valid, longest := 0, 1
+		for valid < len(data) {
+			rec, n, err := DecodeRecord(data[valid:])
+			if err != nil {
+				break
+			}
+			want, offs = append(want, rec), append(offs, valid)
+			valid += n
+			longest = max(longest, n)
+		}
+		win := make([]byte, max(len(data)+1, scanWindow))
+		check := func(w int) {
+			sc := logScan{win: win[:w]}
+			sc.reset(bytes.NewReader(data), int64(len(data)))
+			i := 0
+			for rec, raw, off, ok := sc.next(); ok; rec, raw, off, ok = sc.next() {
+				if i == len(want) {
+					t.Fatalf("window %d: record %d at %d past the %d the decoder finds", w, i, off, len(want))
+				}
+				if off != int64(offs[i]) || !bytes.Equal(raw, data[off:off+int64(len(raw))]) ||
+					rec.Key != want[i].Key || rec.Ver != want[i].Ver || rec.Tombstone != want[i].Tombstone ||
+					!bytes.Equal(rec.Value, want[i].Value) {
+					t.Fatalf("window %d: record %d at %d differs from the decoder's at %d", w, i, off, offs[i])
+				}
+				i++
+			}
+			if sc.err != nil {
+				t.Fatalf("window %d: %v", w, sc.err)
+			}
+			if i != len(want) || sc.valid() != int64(valid) {
+				t.Fatalf("window %d: %d records, valid prefix %d; decoder %d, %d", w, i, sc.valid(), len(want), valid)
+			}
+		}
+		for w := longest; w <= len(data)+1; w++ {
+			check(w)
+		}
+		check(scanWindow)
+	})
+}

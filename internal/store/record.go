@@ -88,6 +88,17 @@ func AppendRecord(dst []byte, r Rec) ([]byte, error) {
 // not a record (bad length, CRC mismatch, inconsistent value length,
 // unknown flags). The returned value does not alias b.
 func DecodeRecord(b []byte) (Rec, int, error) {
+	r, n, err := viewRecord(b)
+	if err == nil && len(r.Value) > 0 {
+		r.Value = append([]byte(nil), r.Value...)
+	}
+	return r, n, err
+}
+
+// viewRecord is DecodeRecord without the copy: it verifies the record at
+// the front of b in place, and the returned value aliases b (nil when
+// empty). The log scanner yields these views.
+func viewRecord(b []byte) (Rec, int, error) {
 	var r Rec
 	if len(b) < RecordHeaderLen {
 		return r, 0, ErrShortRecord
@@ -119,7 +130,7 @@ func DecodeRecord(b []byte) (Rec, int, error) {
 		return r, 0, fmt.Errorf("%w: tombstone with %d value bytes", ErrCorrupt, vlen)
 	}
 	if vlen > 0 {
-		r.Value = append([]byte(nil), b[recValueOff:recValueOff+vlen]...)
+		r.Value = b[recValueOff:total:total]
 	}
 	return r, total, nil
 }

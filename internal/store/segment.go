@@ -119,19 +119,6 @@ func parseSegmentName(name string) (uint64, bool) {
 	return 0, false
 }
 
-// readAll returns the segment's valid bytes [0, size).
-func (sg *segment) readAll() ([]byte, error) {
-	buf := make([]byte, sg.size)
-	if sg.size == 0 {
-		return buf, nil
-	}
-	n, err := sg.b.ReadAt(buf, 0)
-	if err != nil && !(err == io.EOF && int64(n) == sg.size) {
-		return nil, fmt.Errorf("store: segment %d short read %d/%d: %w", sg.id, n, sg.size, err)
-	}
-	return buf, nil
-}
-
 // syncDir fsyncs a directory so segment creations and deletions are
 // durable, best-effort on filesystems that reject directory fsync.
 func syncDir(dir string) {

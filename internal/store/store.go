@@ -102,10 +102,16 @@ type Store struct {
 	opts Options
 
 	// wmu serializes the append path: version assignment, record
-	// writes, rotation, and compaction. It also guards scratch and the
-	// active segment's size.
+	// writes, rotation, and compaction. It also guards scratch (the
+	// append path's encode buffer and compaction's batch buffer), scan,
+	// moves and the active segment's size.
 	wmu     sync.Mutex
 	scratch []byte
+	// scan is the log scanner replay and compaction share (Open is
+	// single-threaded); its window is reused across segments. moves
+	// holds the keys of a compaction batch (compact.go).
+	scan  logScan
+	moves []move
 
 	// appended is the sequence number of the last record written;
 	// synced is the highest sequence number known durable.
@@ -232,34 +238,35 @@ func (s *Store) replaySegment(id uint64, last bool) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	sg := &segment{id: id, path: path, b: fileBackend{f}, size: fi.Size()}
-	buf, err := sg.readAll()
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	valid := int64(0)
-	for int64(len(buf)) > valid {
-		rec, n, derr := DecodeRecord(buf[valid:])
-		if derr != nil {
-			// A torn or corrupt tail ends this segment's replay. Only
-			// the last segment is truncated (the crash that tore it is
-			// the only writer that could have); an earlier bad tail is
-			// kept as evidence and skipped.
-			if last {
-				if terr := sg.b.Truncate(valid); terr != nil {
-					_ = f.Close()
-					return fmt.Errorf("store: truncating torn tail: %w", terr)
-				}
-				sg.size = valid
-				s.stats.truncated.Add(1)
-			} else {
-				s.stats.corrupt.Add(1)
-			}
+	sc := &s.scan
+	sc.reset(sg.b, sg.size)
+	for {
+		rec, raw, off, ok := sc.next()
+		if !ok {
 			break
 		}
-		s.applyReplayed(rec, id, valid, int64(n))
-		valid += int64(n)
+		s.applyReplayed(rec, id, off, int64(len(raw)))
 		s.stats.replayed.Add(1)
+	}
+	if sc.err != nil {
+		_ = f.Close()
+		return fmt.Errorf("store: segment %d: %w", id, sc.err)
+	}
+	if valid := sc.valid(); valid < sg.size {
+		// A torn or corrupt tail ends this segment's replay. Only the
+		// last segment is truncated (the crash that tore it is the only
+		// writer that could have); an earlier bad tail is kept as
+		// evidence and skipped.
+		if last {
+			if terr := sg.b.Truncate(valid); terr != nil {
+				_ = f.Close()
+				return fmt.Errorf("store: truncating torn tail: %w", terr)
+			}
+			sg.size = valid
+			s.stats.truncated.Add(1)
+		} else {
+			s.stats.corrupt.Add(1)
+		}
 	}
 	s.totalBytes += sg.size
 	s.segs = append(s.segs, sg)
@@ -269,6 +276,7 @@ func (s *Store) replaySegment(id uint64, last bool) error {
 // applyReplayed applies one replayed record with the same
 // last-writer-wins rule the live append path uses, so a reopened index
 // is identical to the pre-crash one (Open is single-threaded; no locks).
+// rec is a scanner view: its value is hashed, never kept.
 func (s *Store) applyReplayed(rec Rec, seg uint64, off, size int64) {
 	cur, ok := s.index[rec.Key]
 	sum := sha256.Sum256(rec.Value)
