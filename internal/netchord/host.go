@@ -160,7 +160,9 @@ func newHost(cfg Config, tr Transport, nf *NetFaults, drv driver, index int, str
 	// traffic: it bypasses the fault layer so measurements survive the
 	// faults they measure.
 	h.ctl = newPeerPool(tr, cfg, nil, func() ids.ID { return h.hostID })
-	n, err := h.spawn(ids.Random(h.rng), joinAddr)
+	// A failed first join has no primary to re-own what the giver could
+	// not take back.
+	n, _, _, err := h.spawn(ids.Random(h.rng), joinAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -170,20 +172,24 @@ func newHost(cfg Config, tr Transport, nf *NetFaults, drv driver, index int, str
 }
 
 // spawn creates one of the host's identities at id: it joins the ring
-// through via, or creates a ring alone when via is empty.
-func (h *Host) spawn(id ids.ID, via string) (*Node, error) {
+// through via, or creates a ring alone when via is empty. A handshake
+// can fail after the giver pushed part of its arc here, and those units
+// are acked: the node then leaves, handing them back to the giver, and
+// spawn returns what no successor took, for the caller to re-own as
+// retire does.
+func (h *Host) spawn(id ids.ID, via string) (*Node, []wire.Rec, []wire.Task, error) {
 	n, err := NewNode(h.cfg, h.tr, h.nf, id, "")
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	n.host = h
 	if via == "" {
 		n.Create()
 	} else if err := n.Join(via); err != nil {
-		n.Close()
-		return nil, err
+		recs, tasks, _ := n.leaveRemainder()
+		return nil, recs, tasks, err
 	}
-	return n, nil
+	return n, nil, nil, nil
 }
 
 // Start sends the host's first report, which registers it with the
@@ -393,7 +399,9 @@ func (h *Host) churnPrimary() {
 	h.drv.drop(primary)
 	var next *Node
 	for _, via := range vias {
-		if n, err := h.spawn(ids.Random(h.rng), via.Addr); err == nil {
+		n, r, t, err := h.spawn(ids.Random(h.rng), via.Addr)
+		recs, tasks = append(recs, r...), append(tasks, t...)
+		if err == nil {
 			next = n
 			break
 		}
@@ -402,7 +410,7 @@ func (h *Host) churnPrimary() {
 		// Every rejoin path failed (e.g. mid-partition): restart alone
 		// so the host keeps serving; the graveyard probes re-merge the
 		// rings after heal.
-		n, err := h.spawn(ids.Random(h.rng), "")
+		n, _, _, err := h.spawn(ids.Random(h.rng), "")
 		if err != nil {
 			return
 		}
@@ -708,8 +716,9 @@ func (h *Host) injectSybil(id ids.ID, via string) (int, bool) {
 	if !h.CanCreateSybil() {
 		return 0, false
 	}
-	n, err := h.spawn(h.jitterID(id), via)
+	n, recs, tasks, err := h.spawn(h.jitterID(id), via)
 	if err != nil {
+		reown(h.PrimaryNode(), recs, tasks)
 		return 0, false
 	}
 	acquired := n.TaskUnits()

@@ -14,16 +14,17 @@ import (
 // no maintenance loop: Round calls each live node's round function
 // (the one its loop would call) in ring order, then steps each host
 // (AddHost) as its loop would, strategy included. Every RPC is therefore
-// caused by the driving goroutine, one at a time, so the order in which
-// frames meet the fault plan's decisions is fixed: the same seed, plan
-// and calls give the same routes, counters and outcomes, run after
-// run. cmd/chordnet and the chord-hops and resilience experiments run
+// caused by the driving goroutine, one at a time (a giver pushes a
+// joiner its arc while the driver waits on the handshake), so the order
+// in which frames meet the fault plan's decisions is fixed: the same
+// seed, plan and calls give the same routes, counters and outcomes, run
+// after run. cmd/chordnet and the chord-hops and resilience experiments run
 // the shipped protocol this way.
 //
-// No wall-clock timer fires inside a run. The RPC deadline, the idle
-// close of server connections and the join-gift grace period are set
-// far beyond any run, and lost frames cost no wall time (see pipe), so
-// only retry backoff and client reroute pauses sleep, for nanoseconds.
+// No wall-clock timer fires inside a run. The RPC deadline and the idle
+// close of server connections are set far beyond any run, and lost
+// frames cost no wall time (see pipe), so only retry backoff and client
+// reroute pauses sleep, for nanoseconds.
 //
 // A Lockstep is not safe for concurrent use.
 type Lockstep struct {
@@ -50,7 +51,7 @@ type Lockstep struct {
 // Replicas included, are the caller's.
 func NewLockstep(cfg Config, plan faults.Plan, n int, next func() ids.ID) (*Lockstep, error) {
 	cfg.TickEvery = time.Nanosecond // backoff and reroute pauses all but vanish
-	cfg.RPCTimeoutTicks = 1 << 50   // 13 days, and the gift grace ten times that
+	cfg.RPCTimeoutTicks = 1 << 50   // 13 days
 	cfg.IdleConnTicks = 1 << 51
 	cfg = cfg.WithDefaults()
 	nf, err := NewNetFaults(plan, cfg.TickEvery)
@@ -164,10 +165,9 @@ func (l *Lockstep) AddHost(strat string, seed uint64) (*Host, error) {
 	return h, nil
 }
 
-// run serves a node that has entered the ring, a host's included, and
-// adds it to the live set (driver).
+// run adds a node that has entered the ring, a host's included, to the
+// live set (driver). The node has served RPCs since NewNode.
 func (l *Lockstep) run(n *Node) {
-	n.serve()
 	l.all = append(l.all, n)
 	i, _ := l.search(n.ID())
 	l.live = slices.Insert(l.live, i, n)
@@ -177,7 +177,8 @@ func (l *Lockstep) run(n *Node) {
 func (l *Lockstep) drop(n *Node) { _, _ = l.remove(n.ID()) }
 
 // start opens a node at id, brings it onto the ring with enter and
-// runs it.
+// runs it. A node whose join failed leaves, which hands back whatever
+// the giver pushed before the handshake failed.
 func (l *Lockstep) start(id ids.ID, enter func(*Node) error) (*Node, error) {
 	if _, found := l.search(id); found {
 		return nil, fmt.Errorf("netchord: id %s already on the ring", id.Short())
@@ -187,7 +188,7 @@ func (l *Lockstep) start(id ids.ID, enter func(*Node) error) (*Node, error) {
 		return nil, err
 	}
 	if err := enter(n); err != nil {
-		n.Close()
+		_ = n.Leave()
 		return nil, err
 	}
 	l.run(n)

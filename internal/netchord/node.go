@@ -16,24 +16,8 @@ import (
 	"chordbalance/internal/wire"
 )
 
-// joinGift is the data copy and task handoff computed for one joiner,
-// kept until the joiner's first notify confirms receipt so a retried
-// TJoin (lost reply) re-sends the identical gift. Gifts unconfirmed
-// past the client's whole retry budget are resolved by restoreGifts:
-// reachable joiner means the gift arrived (drop the stash), dead joiner
-// means the handshake died (take the task units back).
-type joinGift struct {
-	ref   wire.NodeRef
-	recs  []wire.Rec
-	tasks []wire.Task
-	born  time.Time
-}
-
 // maxSeenTokens bounds the idempotency-token memory per node.
 const maxSeenTokens = 4096
-
-// maxJoinHandoffs bounds unconfirmed join gifts kept per node.
-const maxJoinHandoffs = 64
 
 // maxLostPeers bounds the graveyard of pruned peers kept for ring
 // re-merge probing after a partition heals.
@@ -79,7 +63,9 @@ const putVersionAttempts = 4
 // handlers never block on the network while holding the mutex, so
 // request cycles between nodes cannot deadlock. The TPut handler does
 // block on its replica round trips — without holding any lock — because
-// the durability contract is exactly "acknowledged means replicated".
+// the durability contract is exactly "acknowledged means replicated",
+// and so does the TJoin handler on its push, because a joiner is
+// admitted only once it holds its arc.
 type Node struct {
 	cfg  Config
 	tr   Transport
@@ -105,23 +91,22 @@ type Node struct {
 	taskUnits  uint64
 	everTasked bool
 
-	// At-least-once defenses: the RPC layer retries after lost replies,
+	// At-least-once defense: the RPC layer retries after lost replies,
 	// so task-bearing messages must be exactly-once at the application
 	// layer. seenTokens remembers recently applied TTask/TTransfer
-	// idempotency tokens (FIFO-evicted); joinHandoff stashes the
-	// data/task gift computed for a joiner so a retried TJoin re-sends
-	// the same gift instead of finding the tasks already deleted
-	// (cleared by the joiner's first TNotify).
-	seenTokens  map[uint64]struct{}
-	tokenOrder  []uint64
-	joinHandoff map[ids.ID]*joinGift
-	joinOrder   []ids.ID
+	// idempotency tokens (FIFO-evicted); a join's hand-off travels as
+	// TTransfer chunks, so it is covered too.
+	seenTokens map[uint64]struct{}
+	tokenOrder []uint64
 
-	// leaving is set the moment Leave snapshots the node's state; from
-	// then on task-bearing requests are refused with CodeShutdown, so no
-	// work can slip into a node that has already counted itself out (the
-	// sender re-routes to the successor instead).
+	// leaving is set the moment Leave begins; from then on task-bearing
+	// requests and joins are refused with CodeShutdown, so no work can
+	// slip into a node that has already counted itself out (the sender
+	// re-routes to the successor instead).
 	leaving bool
+	// handoffs counts join hand-offs in flight. Leave waits for them
+	// before its snapshot, so units a failed push puts back leave too.
+	handoffs sync.WaitGroup
 
 	// lost is the graveyard: peers pruned as unreachable (dead successor
 	// heads, unresponsive predecessors). probeLost revisits them because
@@ -151,8 +136,10 @@ type Node struct {
 }
 
 // NewNode opens a listener on addr (or an auto-assigned one when addr
-// is empty) and returns a stopped node with identity id. Call Create or
-// Join, then Start, to bring it onto a ring. nf may be nil (no faults).
+// is empty) and returns a node with identity id that answers RPCs but
+// runs no maintenance. Call Create or Join, then Start, to bring it
+// onto a ring; the joiner must already answer, since the giver pushes
+// its arc during the handshake. nf may be nil (no faults).
 //
 // When cfg.DataDir is set the node opens (or reopens) its segment log
 // at DataDir/node-<id>: a node restarted under the same identity and
@@ -173,19 +160,23 @@ func NewNode(cfg Config, tr Transport, nf *NetFaults, id ids.ID, addr string) (*
 		return nil, err
 	}
 	n := &Node{
-		cfg:         cfg,
-		tr:          tr,
-		nf:          nf,
-		ref:         wire.NodeRef{ID: id, Addr: ln.Addr().String()},
-		st:          st,
-		srv:         server{ln: ln, conns: make(map[net.Conn]struct{})},
-		fingers:     make([]wire.NodeRef, ids.Bits),
-		tasks:       make(map[ids.ID]uint64),
-		seenTokens:  make(map[uint64]struct{}),
-		joinHandoff: make(map[ids.ID]*joinGift),
-		closed:      make(chan struct{}),
+		cfg:        cfg,
+		tr:         tr,
+		nf:         nf,
+		ref:        wire.NodeRef{ID: id, Addr: ln.Addr().String()},
+		st:         st,
+		srv:        server{ln: ln, conns: make(map[net.Conn]struct{})},
+		fingers:    make([]wire.NodeRef, ids.Bits),
+		tasks:      make(map[ids.ID]uint64),
+		seenTokens: make(map[uint64]struct{}),
+		closed:     make(chan struct{}),
 	}
 	n.pool = newPeerPool(tr, cfg, nf, func() ids.ID { return id })
+	// Replies pass through the fault layer too (remote identity is
+	// unknown server-side, so only drop/dup/delay apply; the client side
+	// already enforces the partition).
+	n.srv.wg.Add(1)
+	go n.srv.acceptLoop(cfg, nf, id, n.handler)
 	return n, nil
 }
 
@@ -210,9 +201,13 @@ func (n *Node) Create() {
 
 // Join brings the node onto the ring reachable through via: resolve the
 // node's successor with an iterative lookup starting at via, then run
-// the join handshake, acquiring the data and task units the node is now
-// responsible for. The background loops (started by Start) disseminate
-// the change from there.
+// the join handshake, during which the successor pushes the records and
+// task units the node is now responsible for. The background loops
+// (started by Start) disseminate the change from there.
+//
+// A failed handshake may follow chunks the successor already pushed.
+// The node keeps them, with that successor as its successor, so a Leave
+// hands them back.
 func (n *Node) Join(via string) error {
 	boot := wire.NodeRef{Addr: via}
 	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID, nil)
@@ -225,6 +220,9 @@ func (n *Node) Join(via string) error {
 	// Admission cost: with puzzles on, every identity — honest joiner,
 	// strategy-minted Sybil, or attacker — pays the same work here.
 	nonce := adversary.SolvePuzzle(n.ref.ID, n.cfg.PuzzleBits)
+	n.mu.Lock()
+	n.succ = []wire.NodeRef{succ}
+	n.mu.Unlock()
 	var reply wire.Msg
 	if err := n.pool.call(succ, &wire.Msg{Type: wire.TJoin, From: n.ref, A: nonce}, &reply); err != nil {
 		return fmt.Errorf("netchord: join handshake: %w", err)
@@ -232,50 +230,26 @@ func (n *Node) Join(via string) error {
 	n.mu.Lock()
 	list := append([]wire.NodeRef{succ}, reply.List...) // a copy: the node keeps none of reply's memory
 	n.succ = dedupeRefs(list, n.ref.ID, n.cfg.SuccessorListLen)
-	for _, tk := range reply.Tasks {
-		n.addTaskLocked(tk.Key, tk.Units)
-	}
 	n.mu.Unlock()
-	if _, err := n.st.ApplyAll(storeRecs(nil, reply.Recs)); err != nil {
-		return fmt.Errorf("netchord: join: applying gift: %w", err)
-	}
-	// One eager stabilize round links us in without waiting a tick. If
-	// it links us to a closer node than the giver (a stale lookup), the
-	// giver still needs the notify that confirms its gift, or the gift
-	// leaves with it and counts twice.
+	// One eager stabilize round links us in without waiting a tick.
 	n.stabilizeOnce()
-	if n.Successor().ID != succ.ID {
-		_ = n.pool.call(succ, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
-	}
 	return nil
 }
 
-// Start launches the server accept loop and the background maintenance
-// loop, one round (see maintain) every StabilizeEveryTicks ticks. It
-// panics if the node is already closed.
+// Start launches the background maintenance loop, one round (see
+// maintain) every StabilizeEveryTicks ticks; the node has answered RPCs
+// since NewNode. It panics if the node is already closed.
 func (n *Node) Start() {
-	n.serve()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		every(n.cfg.Ticks(StabilizeEveryTicks), n.closed, n.maintain)
-	}()
-}
-
-// serve launches the server accept loop alone: the node answers RPCs
-// but runs maintenance only when its driver calls maintain. It panics
-// if the node is already closed.
-func (n *Node) serve() {
 	select {
 	case <-n.closed:
 		panic("netchord: Start after Close")
 	default:
 	}
-	// Replies pass through the fault layer too (remote identity is
-	// unknown server-side, so only drop/dup/delay apply; the client side
-	// already enforces the partition).
-	n.srv.wg.Add(1)
-	go n.srv.acceptLoop(n.cfg, n.nf, n.ref.ID, n.handler)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		every(n.cfg.Ticks(StabilizeEveryTicks), n.closed, n.maintain)
+	}()
 }
 
 // Close shuts the node down: listener, inbound connections, pooled
@@ -294,10 +268,11 @@ func (n *Node) Close() {
 }
 
 // Leave departs gracefully: mark the node as leaving (so no new work
-// can arrive after the snapshot), move every key and task unit to the
-// first reachable successor, then Close. The snapshot is a move, not a
-// copy — once taken, the units exist only in the outbound transfer, so
-// they can be consumed locally xor handed off, never both.
+// can arrive after the snapshot), wait for any join hand-off in flight,
+// move every key and task unit to the first reachable successor, then
+// Close. The snapshot is a move, not a copy — once taken, the units
+// exist only in the outbound transfer, so they can be consumed locally
+// xor handed off, never both.
 func (n *Node) Leave() error {
 	_, _, err := n.leaveRemainder()
 	return err
@@ -313,19 +288,13 @@ func (n *Node) Leave() error {
 func (n *Node) leaveRemainder() ([]wire.Rec, []wire.Task, error) {
 	n.mu.Lock()
 	n.leaving = true
+	n.mu.Unlock()
+	n.handoffs.Wait()
+	n.mu.Lock()
 	tasks := make([]wire.Task, 0, len(n.tasks))
 	for _, k := range sortedTaskKeys(n.tasks) {
 		tasks = append(tasks, wire.Task{Key: k, Units: n.tasks[k]})
 	}
-	// Any gift still unconfirmed leaves with us: fold it into the
-	// handoff so a vanished joiner cannot take the units to the grave.
-	for _, id := range n.joinOrder {
-		if g := n.joinHandoff[id]; g != nil {
-			tasks = append(tasks, g.tasks...)
-		}
-	}
-	n.joinHandoff = make(map[ids.ID]*joinGift)
-	n.joinOrder = nil
 	n.tasks = make(map[ids.ID]uint64)
 	n.taskUnits = 0
 	succs := append([]wire.NodeRef(nil), n.succ...)
@@ -782,8 +751,8 @@ func every(d time.Duration, stop <-chan struct{}, fn func()) {
 // against its replicas and offers the store a compaction opportunity;
 // with DensityThreshold set, every densityEveryTicks ticks' worth it
 // also runs one local density scan (docs/ADVERSARY.md). The round ends
-// with a graveyard probe and the join-gift check. Exactly one caller
-// drives a node's rounds: its maintenance loop, or a Lockstep driver.
+// with a graveyard probe. Exactly one caller drives a node's rounds:
+// its maintenance loop, or a Lockstep driver.
 func (n *Node) maintain() {
 	n.stabilizeOnce()
 	n.checkPredecessor()
@@ -799,7 +768,6 @@ func (n *Node) maintain() {
 		n.densityScanOnce()
 	}
 	n.probeLost()
-	n.restoreGifts()
 }
 
 // densityScanOnce runs the per-arc ID-density defense over the node's
@@ -1001,39 +969,6 @@ func (n *Node) probeLost() {
 	_ = n.pool.call(owner, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
 }
 
-// restoreGifts resolves join gifts left unconfirmed past the joiner's
-// whole client-side retry budget (with slack). A joiner that still
-// answers a ping got its reply — or is on the ring and will notify — so
-// the stash is simply dropped; a dead joiner took the handshake with it,
-// so the extracted task units are folded back in. Work is therefore
-// conserved even when a join dies between the gift and the first notify.
-func (n *Node) restoreGifts() {
-	grace := n.cfg.Ticks(n.cfg.RPCTimeoutTicks*(n.cfg.MaxRetries+2)) * 2
-	n.mu.Lock()
-	var stale []*joinGift
-	for _, id := range n.joinOrder {
-		if g := n.joinHandoff[id]; g != nil && time.Since(g.born) > grace {
-			stale = append(stale, g)
-		}
-	}
-	n.mu.Unlock()
-	for _, g := range stale {
-		err := n.pool.tryOnce(g.ref, &wire.Msg{Type: wire.TPing})
-		n.mu.Lock()
-		if n.joinHandoff[g.ref.ID] != g {
-			n.mu.Unlock()
-			continue // confirmed or replaced while we probed
-		}
-		delete(n.joinHandoff, g.ref.ID)
-		if err != nil && !n.leaving {
-			for _, tk := range g.tasks {
-				n.addTaskLocked(tk.Key, tk.Units)
-			}
-		}
-		n.mu.Unlock()
-	}
-}
-
 // fixNextFinger advances the round-robin finger repair by one entry.
 func (n *Node) fixNextFinger() {
 	n.mu.Lock()
@@ -1153,9 +1088,9 @@ func (n *Node) handler() func(req, reply *wire.Msg) {
 }
 
 // handle dispatches one request, filling reply (see serveConn). recs is
-// the connection's storeRecs scratch. Handlers touch only local state
-// (or spawn goroutines for work that needs the network), so a request
-// cycle between nodes can never deadlock on n.mu.
+// the connection's storeRecs scratch. Handlers hold n.mu only over
+// local state, never across a call to another node, so a request cycle
+// between nodes can never deadlock on n.mu.
 func (n *Node) handle(req, reply *wire.Msg, recs *[]store.Rec) {
 	n.served[req.Type].Add(1)
 	switch req.Type {
@@ -1393,13 +1328,14 @@ func (n *Node) applyRecs(recs *[]store.Rec, in []wire.Rec) error {
 	return err
 }
 
-// handleJoin admits joiner From as this node's new predecessor,
-// handing over the data keys (kept locally as replicas) and task units
-// (moved, not copied — work must not be double-counted) in the range
-// (pred, From.ID]. The gift is stashed until the joiner's first notify:
-// a retried TJoin whose reply was lost re-sends the identical gift, so
-// task moves stay exactly-once over the at-least-once RPC layer. The
-// gift keeps req.From, a value; its records and tasks are the node's own.
+// handleJoin admits joiner From as this node's new predecessor. It
+// moves the task units in (pred, From.ID] out of the node and pushes
+// them, with a copy of every record in that arc (the node keeps its
+// own as replicas), to the joiner through transferTo: the chunked,
+// token-deduplicated TTransfer path a leave uses, so a retried chunk is
+// never applied twice. Units the push could not deliver are put back
+// and the join is refused with CodeUnavailable; on success the joiner
+// becomes the predecessor and the reply carries the successor List.
 func (n *Node) handleJoin(req, reply *wire.Msg) {
 	j := req.From
 	if j.Addr == "" || j.ID == n.ref.ID {
@@ -1411,55 +1347,52 @@ func (n *Node) handleJoin(req, reply *wire.Msg) {
 		return
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.leaving {
+		n.mu.Unlock()
 		errorMsg(reply, CodeShutdown, "node is leaving")
 		return
 	}
-	g := n.joinHandoff[j.ID]
-	if g == nil {
-		low := n.ref.ID
-		if n.hasPred {
-			low = n.pred.ID
-		}
-		g = &joinGift{ref: j, born: time.Now()}
-		// low == j.ID happens when the joiner is already our predecessor
-		// (a re-join of the same identity after its gift was confirmed);
-		// the interval (j, j] would cover the whole ring, so hand over
-		// nothing — the joiner's state never came back to us.
-		if low != j.ID {
-			arc, err := n.st.ArcRecs(low, j.ID, wire.MaxRecs)
-			if err != nil {
-				errorMsg(reply, CodeUnavailable, "join gift: "+err.Error())
-				return
+	low := n.ref.ID
+	if n.hasPred {
+		low = n.pred.ID
+	}
+	// low == j.ID happens when the joiner is already our predecessor (a
+	// retried join whose first reply was lost); the interval (j, j]
+	// would cover the whole ring, so hand over nothing — the first
+	// attempt already pushed the arc.
+	rejoin := low == j.ID
+	var tasks []wire.Task
+	if !rejoin {
+		for _, k := range sortedTaskKeys(n.tasks) {
+			if ids.BetweenRightIncl(k, low, j.ID) {
+				tasks = append(tasks, wire.Task{Key: k, Units: n.tasks[k]})
+				n.taskUnits -= n.tasks[k]
+				delete(n.tasks, k)
 			}
-			// One frame only: anti-entropy tops up whatever the byte
-			// budget trims once the joiner is linked in.
-			g.recs, _ = splitRecChunk(wireRecs(arc))
-			for _, k := range sortedTaskKeys(n.tasks) {
-				if ids.BetweenRightIncl(k, low, j.ID) && len(g.tasks) < wire.MaxTasks {
-					g.tasks = append(g.tasks, wire.Task{Key: k, Units: n.tasks[k]})
-					n.taskUnits -= n.tasks[k]
-					delete(n.tasks, k)
-				}
-			}
-		}
-		n.joinHandoff[j.ID] = g
-		n.joinOrder = append(n.joinOrder, j.ID)
-		// Evict the oldest unconfirmed gifts, skipping already-cleared
-		// entries; losing a gift is then only possible after 64 joins
-		// whose joiners all vanished before notifying.
-		for len(n.joinOrder) > maxJoinHandoffs {
-			old := n.joinOrder[0]
-			n.joinOrder = n.joinOrder[1:]
-			delete(n.joinHandoff, old)
 		}
 	}
+	n.handoffs.Add(1)
+	n.mu.Unlock()
+	defer n.handoffs.Done()
+	if !rejoin {
+		arc, err := n.st.ArcRecs(low, j.ID, 1<<30)
+		if err == nil {
+			_, tasks, err = n.transferTo(j, wireRecs(arc), tasks)
+		}
+		if err != nil {
+			n.mu.Lock()
+			for _, tk := range tasks {
+				n.addTaskLocked(tk.Key, tk.Units)
+			}
+			n.mu.Unlock()
+			errorMsg(reply, CodeUnavailable, "join hand-off: "+err.Error())
+			return
+		}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	reply.Type = wire.TJoinOK
 	reply.List = append(reply.List, n.succ...)
-	// The gift is kept for a retried join, so it is set, never appended
-	// into; serveConn drops both slices before the next request.
-	reply.Recs, reply.Tasks = g.recs, g.tasks
 	// Adopt the joiner as predecessor when it improves the pointer.
 	if !n.hasPred || ids.Between(j.ID, n.pred.ID, n.ref.ID) {
 		n.pred = j
@@ -1469,13 +1402,10 @@ func (n *Node) handleJoin(req, reply *wire.Msg) {
 
 // notify is Chord's notify handler: adopt caller as predecessor when
 // it sits between the current predecessor and us (caller is a value:
-// its Addr string is never rewritten by the next decode). A notify also
-// confirms any pending join gift for the caller (its join reply
-// arrived, or the ring has linked it in regardless).
+// its Addr string is never rewritten by the next decode).
 func (n *Node) notify(caller wire.NodeRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.joinHandoff, caller.ID)
 	if caller.ID == n.ref.ID {
 		return
 	}

@@ -23,7 +23,8 @@ const (
 	// the next cadence tick; convergence is amortized, not abandoned.
 	maxSyncRPCs = 64
 	// maxChunkBytes is the value-byte budget of one bulk record frame
-	// (TReplicate, TTransfer, TSyncFetchOK, TJoinOK gifts). Frames also
+	// (TReplicate, TSyncFetchOK, and each TTransfer chunk of a leave or
+	// a join hand-off). Frames also
 	// carry keys, versions, and headers, so this stays well under
 	// wire.MaxPayload even at MaxRecs records.
 	maxChunkBytes = 256 << 10

@@ -67,10 +67,20 @@ func (mb *memBackend) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("store: negative offset %d", off)
 	}
 	end := off + int64(len(p))
-	if end > int64(len(mb.b)) {
-		grown := make([]byte, end)
+	switch old := int64(len(mb.b)); {
+	case end > int64(cap(mb.b)):
+		// Double the capacity, so a run of appends copies the segment
+		// O(log n) times, not once per append. The new bytes are zeros.
+		grown := make([]byte, end, max(end, 2*int64(cap(mb.b))))
 		copy(grown, mb.b)
 		mb.b = grown
+	case end > old:
+		// Capacity kept past a Truncate may hold stale bytes: a gap
+		// before off reads as zeros, as a file's hole does.
+		mb.b = mb.b[:end]
+		if off > old {
+			clear(mb.b[old:off])
+		}
 	}
 	copy(mb.b[off:end], p)
 	return len(p), nil

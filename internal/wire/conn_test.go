@@ -49,7 +49,7 @@ var streamReaders = []struct {
 // from frame to frame, so a decoded value, record, list address or text
 // that aliased it would change when the next frame overwrote it.
 func FuzzConnStream(f *testing.F) {
-	f.Add(byte(3), byte(TJoinOK), uint64(1), []byte("value"), "addr:1", uint64(2), true)
+	f.Add(byte(3), byte(TJoinOK-1), uint64(1), []byte("value"), "addr:1", uint64(2), true) // fuzzMsg skips TInvalid
 	f.Add(byte(2), byte(TPut), uint64(9), bytes.Repeat([]byte{0xab}, 300), "", uint64(0), false)
 	f.Add(byte(1), byte(TError), uint64(5), []byte{}, "no route to key", uint64(7), true)
 	f.Add(byte(3), byte(TFindSuccessorOK), uint64(3), []byte("x"), "127.0.0.1:9001", uint64(1), true)

@@ -27,7 +27,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(frame, byte(ty), uint64(1), []byte("value"), "addr:1", uint64(2), true)
 	}
-	f.Add([]byte{'C', 'B', Version, 1}, byte(TJoinOK), uint64(0), []byte{}, "", uint64(0), false)
+	// fuzzMsg's type byte for TJoinOK is TJoinOK-1 (it skips TInvalid).
+	f.Add([]byte{'C', 'B', Version, 1}, byte(TJoinOK-1), uint64(0), []byte{}, "", uint64(0), false)
 	// Collector traffic with real Stats blobs: a host's report, a
 	// streaming client's, and the cluster view; then a report stamped
 	// with the previous frame version, one cut short, and an unknown
@@ -175,6 +176,7 @@ func normalize(b []byte) []byte {
 func FuzzDecodeInto(f *testing.F) {
 	ty := func(t Type) byte { return byte(t - 1) } // fuzzMsg's type byte for t
 	f.Add(ty(TJoinOK), ty(TJoinOK), byte(5), byte(2), []byte("value"), "127.0.0.1:9001", uint64(1), true)
+	f.Add(ty(TTransfer), ty(TTransfer), byte(5), byte(2), []byte("value"), "127.0.0.1:9001", uint64(1), true)
 	f.Add(ty(TReplicate), ty(TReplicate), byte(1), byte(1), bytes.Repeat([]byte{7}, 64), "", uint64(3), false)
 	f.Add(ty(TSyncFetchOK), ty(TPing), byte(4), byte(0), []byte("abc"), "x", uint64(0), false)
 	f.Add(ty(TFindSuccessorOK), ty(TGetOK), byte(3), byte(1), []byte{}, "peer", uint64(9), true)

@@ -46,8 +46,9 @@ import (
 // and put TInvite's Sybil placement in Key (docs/NETWORK.md). Version
 // 5 folded the collector's seven report and progress messages into
 // TReport, renumbering the types after TInviteOK, and dropped the D
-// slot.
-const Version = 5
+// slot. Version 6 dropped TJoinOK's Recs and Tasks: the giver pushes a
+// joiner's arc as TTransfer chunks during the handshake.
+const Version = 6
 
 // Frame geometry and hard bounds. The caps are generous for the runtime's
 // actual traffic but small enough that a hostile peer cannot force large
@@ -125,8 +126,8 @@ const (
 	// From's ID; 0 when the ring runs puzzle-free — see Config
 	// PuzzleBits in netchord).
 	TJoin
-	// TJoinOK answers with the callee's successor List plus the data
-	// (Recs) and work (Tasks) the joiner now owns.
+	// TJoinOK answers with the callee's successor List, once the callee
+	// has pushed the joiner its arc's data and work as TTransfer chunks.
 	TJoinOK
 	// TGet fetches the value for Key from its owner.
 	TGet
@@ -334,7 +335,7 @@ var fieldsOf = [typeCount]uint16{
 	TSuccListOK:      fList,
 	TNotify:          fFrom,
 	TJoin:            fFrom | fA,
-	TJoinOK:          fList | fRecs | fTasks,
+	TJoinOK:          fList,
 	TGet:             fKey,
 	TGetOK:           fValue | fFlag | fA,
 	TPut:             fKey | fValue,
