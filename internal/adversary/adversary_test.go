@@ -332,7 +332,7 @@ func TestEstimateRingSize(t *testing.T) {
 	// A clean successor-list view of a uniform ring recovers n exactly.
 	ring := uniformRing(128)
 	view := append([]ids.ID(nil), ring[10:19]...)
-	if got := EstimateRingSize(view); got != 128 {
+	if got := EstimateRingSize(view, nil); got != 128 {
 		t.Errorf("clean view estimate = %d, want 128", got)
 	}
 	// A view dominated by a Sybil cluster (6 hostile of 9 entries) must
@@ -345,19 +345,27 @@ func TestEstimateRingSize(t *testing.T) {
 		poisoned = append(poisoned, IDAtFraction(ring[11].Float64()+1e-6*float64(i+1)))
 	}
 	poisoned = append(poisoned, ring[12])
-	got := EstimateRingSize(poisoned)
+	got := EstimateRingSize(poisoned, nil)
 	if got < 96 || got > 300 {
 		t.Errorf("poisoned view estimate = %d, want within [96, 300] of true 128", got)
 	}
+	// A gap buffer reused from an earlier view changes nothing.
+	buf := make([]float64, 16)
+	for i := range buf {
+		buf[i] = 9
+	}
+	if again := EstimateRingSize(poisoned, buf); again != got {
+		t.Errorf("poisoned view estimate with a reused buffer = %d, want %d", again, got)
+	}
 	// Degenerate views.
-	if got := EstimateRingSize(nil); got != 0 {
+	if got := EstimateRingSize(nil, nil); got != 0 {
 		t.Errorf("empty view estimate = %d, want 0", got)
 	}
-	if got := EstimateRingSize(ring[:1]); got != 1 {
+	if got := EstimateRingSize(ring[:1], nil); got != 1 {
 		t.Errorf("singleton view estimate = %d, want 1", got)
 	}
 	dup := []ids.ID{ring[3], ring[3], ring[3]}
-	if got := EstimateRingSize(dup); got != len(dup) {
+	if got := EstimateRingSize(dup, nil); got != len(dup) {
 		t.Errorf("all-duplicate view estimate = %d, want %d", got, len(dup))
 	}
 }

@@ -155,14 +155,15 @@ func EclipsedFraction(n int, at func(int) ids.ID, hostile func(int) bool, lo, hi
 // estimate runs high (up to ~2x), which shrinks density ratios and errs
 // toward flagging less, never more. The result is clamped to at least
 // the view size. Views smaller than two IDs return the view size
-// unchanged.
-func EstimateRingSize(view []ids.ID) int {
+// unchanged. gaps is memory for the view's gaps, reused when its
+// capacity holds them; a nil gaps allocates.
+func EstimateRingSize(view []ids.ID, gaps []float64) int {
 	if len(view) < 2 {
 		return len(view)
 	}
-	gaps := make([]float64, len(view)-1)
-	for i := range gaps {
-		gaps[i] = ids.ArcFraction(view[i], view[i+1])
+	gaps = gaps[:0]
+	for i := 0; i+1 < len(view); i++ {
+		gaps = append(gaps, ids.ArcFraction(view[i], view[i+1]))
 	}
 	sort.Float64s(gaps)
 	top := gaps[len(gaps)/2:]

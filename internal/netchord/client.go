@@ -153,7 +153,7 @@ func (c *Client) Ping() error {
 // Lookup resolves the owner of key with the iterative lookup (see
 // lookupFrom), starting at the seed node.
 func (c *Client) Lookup(key ids.ID) (wire.NodeRef, int, error) {
-	return lookupFrom(c.pool, nil, c.seed, key, nil)
+	return lookupFrom(c.pool, nil, c.seed, key, nil, nil)
 }
 
 // rerouteAttempts bounds how many times a keyed operation re-resolves a

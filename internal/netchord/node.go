@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,12 @@ type Node struct {
 
 	// round counts maintenance rounds run; only maintain touches it.
 	round int
+	// maint is the memory maintenance reuses from round to round, so a
+	// steady ring's rounds allocate nothing. Only the one goroutine that
+	// runs the node's rounds touches it: its maintenance loop or the
+	// Lockstep stepping it, and Join, which runs before Start. It needs
+	// no lock, and n.mu is never held across the RPCs that use it.
+	maint maintScratch
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -210,7 +217,7 @@ func (n *Node) Create() {
 // hands them back.
 func (n *Node) Join(via string) error {
 	boot := wire.NodeRef{Addr: via}
-	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID, nil)
+	succ, _, err := lookupFrom(n.pool, n, boot, n.ref.ID, nil, nil)
 	if err != nil {
 		return fmt.Errorf("netchord: join lookup via %s: %w", via, err)
 	}
@@ -223,13 +230,15 @@ func (n *Node) Join(via string) error {
 	n.mu.Lock()
 	n.succ = []wire.NodeRef{succ}
 	n.mu.Unlock()
-	var reply wire.Msg
-	if err := n.pool.call(succ, &wire.Msg{Type: wire.TJoin, From: n.ref, A: nonce}, &reply); err != nil {
+	sc := &n.maint
+	join := sc.request(wire.TJoin)
+	join.From, join.A = n.ref, nonce
+	if err := n.pool.call(succ, join, &sc.reply); err != nil {
 		return fmt.Errorf("netchord: join handshake: %w", err)
 	}
+	sc.refs = append(append(sc.refs[:0], succ), sc.reply.List...)
 	n.mu.Lock()
-	list := append([]wire.NodeRef{succ}, reply.List...) // a copy: the node keeps none of reply's memory
-	n.succ = dedupeRefs(list, n.ref.ID, n.cfg.SuccessorListLen)
+	n.adoptSuccLocked(sc.refs)
 	n.mu.Unlock()
 	// One eager stabilize round links us in without waiting a tick.
 	n.stabilizeOnce()
@@ -508,13 +517,13 @@ func (n *Node) consume(budget uint64) uint64 {
 // Lookup resolves the node responsible for key, starting at this node,
 // returning its ref and the number of routing round trips taken.
 func (n *Node) Lookup(key ids.ID) (wire.NodeRef, int, error) {
-	return lookupFrom(n.pool, n, n.ref, key, nil)
+	return lookupFrom(n.pool, n, n.ref, key, nil, nil)
 }
 
 // LookupTrace is Lookup returning the route as well: every node the
 // lookup visited, this node first, so len(path)-1 is the hop count.
 func (n *Node) LookupTrace(key ids.ID) (owner wire.NodeRef, path []wire.NodeRef, err error) {
-	owner, _, err = lookupFrom(n.pool, n, n.ref, key, &path)
+	owner, _, err = lookupFrom(n.pool, n, n.ref, key, &path, nil)
 	return owner, path, err
 }
 
@@ -526,11 +535,14 @@ func (n *Node) LookupTrace(key ids.ID) (owner wire.NodeRef, path []wire.NodeRef,
 // that makes Chord lookups survive stale fingers. When self is non-nil,
 // a step that lands on self is answered locally by routeStep instead
 // of a round trip to itself. When path is non-nil every node the
-// lookup visits is appended to it.
-func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path *[]wire.NodeRef) (wire.NodeRef, int, error) {
+// lookup visits is appended to it. Every hop reuses sc's request,
+// reply and lists; a nil sc gets a fresh scratch for this lookup.
+func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path *[]wire.NodeRef, sc *scratch) (wire.NodeRef, int, error) {
+	if sc == nil {
+		sc = new(scratch)
+	}
 	cur := start
 	var fallbacks []wire.NodeRef
-	var reply wire.Msg // reused by every hop
 	hops := 0
 	for hops <= maxHops {
 		if path != nil {
@@ -541,11 +553,14 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path
 		var list []wire.NodeRef
 		var err error
 		if self != nil && cur.Addr == self.ref.Addr {
-			done, next, list = self.routeStep(key, nil)
+			done, next, sc.refs = self.routeStep(key, sc.refs[:0])
+			list = sc.refs
 		} else {
-			err = pool.call(cur, &wire.Msg{Type: wire.TFindSuccessor, Key: key, A: uint64(hops)}, &reply)
+			req := sc.request(wire.TFindSuccessor)
+			req.Key, req.A = key, uint64(hops)
+			err = pool.call(cur, req, &sc.reply)
 			if err == nil {
-				done, next, list = reply.Flag, reply.Node, reply.List
+				done, next, list = sc.reply.Flag, sc.reply.Node, sc.reply.List
 			}
 		}
 		if err != nil {
@@ -561,13 +576,14 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path
 		}
 		// Keep the answerer's successor list (minus the chosen hop) as
 		// fallbacks in case next is unreachable. They are copied out of
-		// list, which is reply's, before the next hop reads into reply.
-		fallbacks = fallbacks[:0]
+		// list, which is the reply's, before the next hop reads into it.
+		fallbacks = sc.more[:0]
 		for _, r := range list {
 			if r.ID != next.ID && r.Addr != "" {
 				fallbacks = append(fallbacks, r)
 			}
 		}
+		sc.more = fallbacks
 		cur = next
 		hops++
 	}
@@ -576,7 +592,8 @@ func lookupFrom(pool *peerPool, self *Node, start wire.NodeRef, key ids.ID, path
 
 // routeStep answers one routing step locally: done=true when the
 // node's immediate successor owns key; otherwise the closest preceding
-// candidate plus the successor list, appended to dst, as fallbacks.
+// candidate plus the successor list, appended to dst, as fallbacks. The
+// list it returns is dst, extended or not.
 func (n *Node) routeStep(key ids.ID, dst []wire.NodeRef) (done bool, next wire.NodeRef, list []wire.NodeRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -585,7 +602,7 @@ func (n *Node) routeStep(key ids.ID, dst []wire.NodeRef) (done bool, next wire.N
 		succ = n.succ[0]
 	}
 	if succ.ID == n.ref.ID || ids.BetweenRightIncl(key, n.ref.ID, succ.ID) {
-		return true, succ, nil
+		return true, succ, dst
 	}
 	next = n.closestPrecedingLocked(key)
 	if next.ID == n.ref.ID {
@@ -728,6 +745,39 @@ func (n *Node) pushReplicas(key ids.ID, ver uint64, value []byte) (uint64, error
 
 // --- maintenance -----------------------------------------------------
 
+// scratch is the memory a caller reuses from RPC to RPC: one request,
+// one reply and two list buffers. A reply read into again reuses the
+// addresses and values earlier replies left (wire.Msg), so a caller
+// that keeps its scratch makes its steady calls without allocating. A
+// scratch serves one goroutine at a time.
+type scratch struct {
+	req, reply wire.Msg
+	// refs and more are list buffers: a candidate successor list and
+	// its deduplicated form, or a lookup's local step and its fallbacks.
+	refs, more []wire.NodeRef
+}
+
+// request returns the scratch request, reset to a bare message of type
+// t for the caller to fill in.
+func (s *scratch) request(t wire.Type) *wire.Msg {
+	s.req = wire.Msg{Type: t}
+	return &s.req
+}
+
+// maintScratch is a node's maintenance scratch (Node.maint).
+type maintScratch struct {
+	scratch
+	// lookup is the finger and graveyard lookups' own scratch: their
+	// answers come from all over the ring, and read into the
+	// stabilization reply they would displace the addresses it keeps.
+	lookup scratch
+	// ring, gaps and flagged are the density scan's ID, gap and flag
+	// buffers; its view of the ring is refs.
+	ring    []ids.ID
+	gaps    []float64
+	flagged []bool
+}
+
 // every calls fn every d until stop closes. Ticks that pass while fn
 // runs are dropped, not queued.
 func every(d time.Duration, stop <-chan struct{}, fn func()) {
@@ -787,27 +837,31 @@ func (n *Node) maintain() {
 // nodes.
 func (n *Node) densityScanOnce() {
 	const w = densityWindow
+	sc := &n.maint
 	n.mu.Lock()
 	if len(n.succ) < n.cfg.SuccessorListLen {
 		n.mu.Unlock()
 		return
 	}
-	view := make([]wire.NodeRef, 0, len(n.succ)+1)
-	view = append(view, n.ref)
-	view = append(view, n.succ...)
+	sc.refs = append(append(sc.refs[:0], n.ref), n.succ...)
 	n.mu.Unlock()
+	view := sc.refs
 	// The estimate needs an honest majority of gaps outside any one
 	// window; with fewer entries than that the view is all window and
 	// there is no uniform remainder to compare against.
 	if len(view) < w+2 {
 		return
 	}
-	ringIDs := make([]ids.ID, len(view))
-	for i, r := range view {
-		ringIDs[i] = r.ID
+	ringIDs := sc.ring[:0]
+	for _, r := range view {
+		ringIDs = append(ringIDs, r.ID)
 	}
-	est := adversary.EstimateRingSize(ringIDs)
-	flagged := make([]bool, len(view))
+	sc.ring = ringIDs
+	sc.gaps = slices.Grow(sc.gaps[:0], len(view))
+	est := adversary.EstimateRingSize(ringIDs, sc.gaps)
+	flagged := slices.Grow(sc.flagged[:0], len(view))[:len(view)]
+	clear(flagged)
+	sc.flagged = flagged
 	for i := 0; i+w <= len(view); i++ {
 		if adversary.ViewDensityRatio(ringIDs, i, w, est) < n.cfg.DensityThreshold {
 			continue
@@ -820,7 +874,9 @@ func (n *Node) densityScanOnce() {
 		if !f || view[i].ID == n.ref.ID {
 			continue
 		}
-		if err := n.pool.tryOnce(view[i], &wire.Msg{Type: wire.TEvict, From: n.ref}); err == nil {
+		evict := sc.request(wire.TEvict)
+		evict.From = n.ref
+		if err := n.pool.tryOnce(view[i], evict, &sc.reply); err == nil {
 			n.evictsSent.Add(1)
 		}
 	}
@@ -831,6 +887,7 @@ func (n *Node) densityScanOnce() {
 // predecessor if closer, refresh the successor list, and notify.
 func (n *Node) stabilizeOnce() {
 	n.stabilizes.Add(1)
+	sc := &n.maint
 	for {
 		n.mu.Lock()
 		if len(n.succ) == 0 || n.succ[0].ID == n.ref.ID {
@@ -847,8 +904,7 @@ func (n *Node) stabilizeOnce() {
 		succ := n.succ[0]
 		n.mu.Unlock()
 
-		var reply wire.Msg
-		if err := n.pool.call(succ, &wire.Msg{Type: wire.TGetPred}, &reply); err != nil {
+		if err := n.pool.call(succ, sc.request(wire.TGetPred), &sc.reply); err != nil {
 			// Dead or unreachable successor: drop it and try the backup
 			// (this is exactly what the successor list exists for). Keep
 			// at least self so the node can rejoin via fallbacks.
@@ -868,22 +924,24 @@ func (n *Node) stabilizeOnce() {
 			continue
 		}
 		// Adopt succ.pred if it sits between us and succ and answers.
-		if reply.Flag {
-			x := reply.Node
+		if sc.reply.Flag {
+			x := sc.reply.Node
 			if x.Addr != "" && x.ID != n.ref.ID && ids.Between(x.ID, n.ref.ID, succ.ID) {
-				if err := n.Ping(x); err == nil {
+				if err := n.pool.call(x, sc.request(wire.TPing), &sc.reply); err == nil {
 					succ = x
 				}
 			}
 		}
-		if err := n.pool.call(succ, &wire.Msg{Type: wire.TGetSuccList}, &reply); err != nil {
+		if err := n.pool.call(succ, sc.request(wire.TGetSuccList), &sc.reply); err != nil {
 			return // skip the round; stale pointers heal next time
 		}
+		sc.refs = append(append(sc.refs[:0], succ), sc.reply.List...)
 		n.mu.Lock()
-		list := append([]wire.NodeRef{succ}, reply.List...) // a copy: the node keeps none of reply's memory
-		n.succ = dedupeRefs(list, n.ref.ID, n.cfg.SuccessorListLen)
+		n.adoptSuccLocked(sc.refs)
 		n.mu.Unlock()
-		_ = n.pool.call(succ, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
+		notify := sc.request(wire.TNotify)
+		notify.From = n.ref
+		_ = n.pool.call(succ, notify, &sc.reply)
 		return
 	}
 }
@@ -898,7 +956,7 @@ func (n *Node) checkPredecessor() {
 	if !has || pred.ID == n.ref.ID || pred.Addr == "" {
 		return
 	}
-	if err := n.Ping(pred); err != nil {
+	if err := n.pool.call(pred, n.maint.request(wire.TPing), &n.maint.reply); err != nil {
 		n.mu.Lock()
 		if n.hasPred && n.pred.ID == pred.ID {
 			n.hasPred = false
@@ -934,6 +992,7 @@ func (n *Node) rememberLostLocked(r wire.NodeRef) {
 // it tightens the pointer, then notifies it — one cross-ring edge, and
 // stabilization zips the rest back together.
 func (n *Node) probeLost() {
+	sc := &n.maint
 	n.mu.Lock()
 	if len(n.lost) == 0 {
 		n.mu.Unlock()
@@ -942,7 +1001,7 @@ func (n *Node) probeLost() {
 	cand := n.lost[n.lostNext%len(n.lost)]
 	n.lostNext++
 	n.mu.Unlock()
-	if n.pool.tryOnce(cand, &wire.Msg{Type: wire.TPing}) != nil {
+	if n.pool.tryOnce(cand, sc.request(wire.TPing), &sc.reply) != nil {
 		return // still dead or still partitioned; try again next round
 	}
 	n.mu.Lock()
@@ -953,7 +1012,7 @@ func (n *Node) probeLost() {
 		}
 	}
 	n.mu.Unlock()
-	owner, _, err := lookupFrom(n.pool, n, cand, n.ref.ID.Add(ids.PowerOfTwo(0)), nil)
+	owner, _, err := lookupFrom(n.pool, n, cand, n.ref.ID.Add(ids.PowerOfTwo(0)), nil, &sc.lookup)
 	if err != nil || owner.Addr == "" || owner.ID == n.ref.ID {
 		return
 	}
@@ -963,10 +1022,13 @@ func (n *Node) probeLost() {
 		cur = n.succ[0]
 	}
 	if cur.ID == n.ref.ID || ids.Between(owner.ID, n.ref.ID, cur.ID) {
-		n.succ = dedupeRefs(append([]wire.NodeRef{owner}, n.succ...), n.ref.ID, n.cfg.SuccessorListLen)
+		sc.refs = append(append(sc.refs[:0], owner), n.succ...)
+		n.adoptSuccLocked(sc.refs)
 	}
 	n.mu.Unlock()
-	_ = n.pool.call(owner, &wire.Msg{Type: wire.TNotify, From: n.ref}, nil)
+	notify := sc.request(wire.TNotify)
+	notify.From = n.ref
+	_ = n.pool.call(owner, notify, &sc.reply)
 }
 
 // fixNextFinger advances the round-robin finger repair by one entry.
@@ -976,7 +1038,7 @@ func (n *Node) fixNextFinger() {
 	n.nextFinger = (n.nextFinger + 1) % ids.Bits
 	target := n.ref.ID.Add(ids.PowerOfTwo(i))
 	n.mu.Unlock()
-	owner, _, err := n.Lookup(target)
+	owner, _, err := lookupFrom(n.pool, n, n.ref, target, nil, &n.maint.lookup)
 	if err != nil {
 		return // leave the stale entry; a later round will retry
 	}
@@ -1422,25 +1484,42 @@ func errorMsg(reply *wire.Msg, code uint64, text string) {
 
 // --- helpers ---------------------------------------------------------
 
-// dedupeRefs returns list with self and duplicates removed, first
-// occurrence kept, truncated to max entries.
-func dedupeRefs(list []wire.NodeRef, self ids.ID, max int) []wire.NodeRef {
-	out := make([]wire.NodeRef, 0, max)
-	seen := make(map[ids.ID]struct{}, len(list))
+// dedupeRefs returns list with self, addressless entries and
+// duplicate IDs removed, first occurrence kept, in dst's memory; dst
+// and list must not overlap. The output stops once it holds max
+// entries, and it keeps the first entry even when max is 0 or less. A list holds
+// at most SuccessorListLen+1 entries, so a linear scan of the output
+// finds duplicates without a map.
+func dedupeRefs(dst, list []wire.NodeRef, self ids.ID, max int) []wire.NodeRef {
+	out := dst[:0]
+next:
 	for _, r := range list {
 		if r.ID == self || r.Addr == "" {
 			continue
 		}
-		if _, dup := seen[r.ID]; dup {
-			continue
+		for _, o := range out {
+			if o.ID == r.ID {
+				continue next
+			}
 		}
-		seen[r.ID] = struct{}{}
 		out = append(out, r)
 		if len(out) >= max {
 			break
 		}
 	}
 	return out
+}
+
+// adoptSuccLocked makes list, deduplicated, the successor list. It
+// replaces n.succ only when the result differs, and then with a new
+// slice: n.succ's backing array is never written, since a reader may
+// hold it. Callers hold n.mu and run the node's rounds (it dedupes
+// into n.maint).
+func (n *Node) adoptSuccLocked(list []wire.NodeRef) {
+	n.maint.more = dedupeRefs(n.maint.more, list, n.ref.ID, n.cfg.SuccessorListLen)
+	if !slices.Equal(n.maint.more, n.succ) {
+		n.succ = slices.Clone(n.maint.more)
+	}
 }
 
 // sortedTaskKeys returns m's keys in ascending ring order, so bulk

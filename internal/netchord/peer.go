@@ -179,10 +179,11 @@ func (p *peerPool) call(ref wire.NodeRef, m, reply *wire.Msg) error {
 }
 
 // tryOnce performs a single-attempt RPC: no retries, no backoff. It is
-// the cheap probe behind graveyard revival checks and gift resolution,
-// where failure is the expected case and a full retry ladder would
-// stall the maintenance loop.
-func (p *peerPool) tryOnce(ref wire.NodeRef, m *wire.Msg) error {
+// the cheap probe behind graveyard revival checks and density-scan
+// evictions, where failure is the expected case and a full retry ladder
+// would stall the maintenance loop. It reads the answer into reply, as
+// call does.
+func (p *peerPool) tryOnce(ref wire.NodeRef, m, reply *wire.Msg) error {
 	if ref.Addr == "" {
 		return fmt.Errorf("netchord: probe %v: empty address", m.Type)
 	}
@@ -199,7 +200,7 @@ func (p *peerPool) tryOnce(ref wire.NodeRef, m *wire.Msg) error {
 	defer pr.mu.Unlock()
 	p.calls.Add(1)
 	//lint:ignore lockheld pr.mu serializes RPCs on the pooled conn by design (see call); a probe holding it only delays other callers to the same peer, never a lock attempt's I/O depends on
-	return p.attempt(pr, ref, m, nil, p.cfg.rpcTimeout())
+	return p.attempt(pr, ref, m, reply, p.cfg.rpcTimeout())
 }
 
 // callOwner sends m, a keyed request, to owner, the node a lookup

@@ -317,7 +317,7 @@ func TestSoakDurableStore(t *testing.T) {
 			}
 			want, _ := n.Store().Digest(pred.ID, n.ID())
 			wantMetas, _ := n.Store().Metas(pred.ID, n.ID(), math.MaxInt)
-			reps := dedupeRefs(n.SuccessorList(), n.ID(), cfg.Replicas-1)
+			reps := dedupeRefs(nil, n.SuccessorList(), n.ID(), cfg.Replicas-1)
 			for _, r := range reps {
 				rep := byID[r.ID]
 				if rep == nil {

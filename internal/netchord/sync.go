@@ -101,7 +101,8 @@ func (n *Node) antiEntropyOnce() {
 		return
 	}
 	lo, hi := n.pred.ID, n.ref.ID
-	replicas := dedupeRefs(append([]wire.NodeRef(nil), n.succ...), n.ref.ID, n.cfg.Replicas-1)
+	replicas := dedupeRefs(n.maint.refs, n.succ, n.ref.ID, n.cfg.Replicas-1)
+	n.maint.refs = replicas
 	n.mu.Unlock()
 	if len(replicas) == 0 {
 		return
@@ -132,8 +133,11 @@ func (n *Node) syncRange(peer wire.NodeRef, lo, hi ids.ID, depth int, budget *in
 	// repair bytes under a steady write stream. An unchanged arc is a
 	// memo hit either way.
 	localSum, localCount := n.st.Digest(lo, hi)
-	var reply wire.Msg
-	err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncDigest, Key: lo, Key2: hi}, &reply)
+	sc := &n.maint
+	req := sc.request(wire.TSyncDigest)
+	req.Key, req.Key2 = lo, hi
+	reply := &sc.reply
+	err := n.pool.call(peer, req, reply)
 	if err != nil || reply.Type != wire.TSyncDigestOK || len(reply.Value) != wire.SumLen {
 		n.replicaErrs.Add(1)
 		return
@@ -172,8 +176,11 @@ func (n *Node) reconcileLeaf(peer wire.NodeRef, lo, hi ids.ID, budget *int) {
 		return
 	}
 	*budget--
-	var reply wire.Msg
-	err := n.pool.call(peer, &wire.Msg{Type: wire.TSyncKeys, Key: lo, Key2: hi}, &reply)
+	sc := &n.maint
+	req := sc.request(wire.TSyncKeys)
+	req.Key, req.Key2 = lo, hi
+	reply := &sc.reply
+	err := n.pool.call(peer, req, reply)
 	if err != nil || reply.Type != wire.TSyncKeysOK {
 		n.replicaErrs.Add(1)
 		return

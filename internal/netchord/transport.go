@@ -155,7 +155,9 @@ func (pipeAddr) Network() string { return "pipe" }
 func (a pipeAddr) String() string { return string(a) }
 
 // pipe is one in-memory duplex connection: two ends sharing one lock,
-// each holding the bytes its peer wrote and it has not read yet. Unlike
+// each holding the bytes its peer wrote and it has not read yet, and
+// each with a wake signal for its one reader that allocates nothing, so
+// a steady stream of frames costs no garbage. Unlike
 // net.Pipe a write never waits for its reader, and the pipe knows when
 // a frame was lost. If both ends wait to read while no bytes are in
 // flight either way and no write is held in a fault delay, nothing can
@@ -165,7 +167,6 @@ func (a pipeAddr) String() string { return string(a) }
 // passes; here it costs no wall time.
 type pipe struct {
 	mu   sync.Mutex
-	wake chan struct{} // closed and replaced on every change a waiter must see
 	ends [2]pipeEnd
 }
 
@@ -177,6 +178,11 @@ type pipeEnd struct {
 	held    int  // writes from this end held in a fault delay
 	readDL  time.Time
 	timer   *time.Timer // wakes the waiters at readDL
+	// wake holds at most one pending wake for this end's reader, sent
+	// on every change it must see. A wake sent after the reader's last
+	// check but before it parks waits in the slot, so it is never lost;
+	// one the reader no longer needs costs it one more check.
+	wake chan struct{}
 }
 
 // pipeConn is one end of a pipe as a net.Conn; side 0 is the dialer.
@@ -189,14 +195,25 @@ type pipeConn struct {
 // newPipe returns the dialer's and the listener's end of a fresh pipe
 // to the listener at addr.
 func newPipe(addr pipeAddr) (client, server *pipeConn) {
-	p := &pipe{wake: make(chan struct{})}
+	p := &pipe{}
+	p.ends[0].wake = make(chan struct{}, 1)
+	p.ends[1].wake = make(chan struct{}, 1)
 	return &pipeConn{p: p, side: 0, remote: addr}, &pipeConn{p: p, side: 1, remote: "pipe"}
 }
 
-// broadcastLocked wakes every waiter to re-check the pipe's state.
+// wakeLocked wakes side's reader to re-check the pipe's state. The
+// send never blocks: a wake already pending covers this one.
+func (p *pipe) wakeLocked(side int) {
+	select {
+	case p.ends[side].wake <- struct{}{}:
+	default:
+	}
+}
+
+// broadcastLocked wakes the readers at both ends.
 func (p *pipe) broadcastLocked() {
-	close(p.wake)
-	p.wake = make(chan struct{})
+	p.wakeLocked(0)
+	p.wakeLocked(1)
 }
 
 // broadcast is broadcastLocked for the deadline timers.
@@ -246,11 +263,10 @@ func (c *pipeConn) Read(b []byte) (int, error) {
 		// end waits too: wake it to apply the rule.
 		me.reading = true
 		if p.lostLocked(1 - c.side) {
-			p.broadcastLocked()
+			p.wakeLocked(1 - c.side)
 		}
-		wake := p.wake
 		p.mu.Unlock()
-		<-wake // a deadline timer broadcasts too
+		<-me.wake // a deadline timer broadcasts too
 		p.mu.Lock()
 		me.reading = false
 	}
@@ -270,7 +286,7 @@ func (c *pipeConn) Write(b []byte) (int, error) {
 	peer := &p.ends[1-c.side]
 	peer.in.Write(b)
 	if peer.reading {
-		p.broadcastLocked()
+		p.wakeLocked(1 - c.side)
 	}
 	return len(b), nil
 }
@@ -324,7 +340,7 @@ func (c *pipeConn) SetReadDeadline(t time.Time) error {
 		me.timer.Reset(time.Until(t))
 	}
 	if me.reading {
-		p.broadcastLocked()
+		p.wakeLocked(c.side)
 	}
 	return nil
 }

@@ -162,3 +162,31 @@ func TestPipeDelayedWriteIsNotLost(t *testing.T) {
 		t.Fatalf("dialer after peer close: %v, want EOF", r.err)
 	}
 }
+
+// TestPipeWakeBeforeParkIsKept writes to a reader that has just
+// decided to wait: it has marked itself reading and let go of the lock,
+// but has not parked yet. The test holds the reader in that window by
+// playing its part by hand, then parks: the wake the write sent must be
+// waiting for it, or a reader would sleep with the frame in its buffer.
+// A real Read then returns the frame.
+func TestPipeWakeBeforeParkIsKept(t *testing.T) {
+	cli, srv := newPipe("pipe:test")
+	p := srv.p
+	p.mu.Lock()
+	p.ends[1].reading = true // the reader's last step before it unlocks
+	p.mu.Unlock()
+	if _, err := cli.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.ends[1].wake: // the reader parks
+	case <-time.After(5 * time.Second):
+		t.Fatal("a wake sent before the reader parked was lost")
+	}
+	p.mu.Lock()
+	p.ends[1].reading = false
+	p.mu.Unlock()
+	if r := <-readAsync(srv); r.err != nil || r.n != 1 {
+		t.Fatalf("read %+v, want the byte", r)
+	}
+}

@@ -33,6 +33,37 @@ func hotFrames() []struct {
 	}
 }
 
+// alternatingFrames are frame sequences one pooled connection carries
+// in a steady ring, each read into one Msg: a replica's server reads
+// its predecessor's pushes between that predecessor's stabilization
+// requests, and a node's client reads replies of several types from its
+// successor. The addresses repeat, as a steady ring's do, so a warm Msg
+// decodes every frame of the sequence into memory an earlier frame of
+// the same type left, though a frame of another type came between.
+func alternatingFrames() []struct {
+	name string
+	msgs []*Msg
+} {
+	value := make([]byte, 64)
+	list := make([]NodeRef, 8)
+	for i := range list {
+		list[i] = NodeRef{ID: ids.FromUint64(uint64(100 + i)), Addr: "127.0.0.1:" + string(rune('a'+i)) + "9001"}
+	}
+	pred := NodeRef{ID: ids.FromUint64(7), Addr: "127.0.0.1:40007"}
+	replicate := &Msg{Type: TReplicate, Req: 1, Recs: []Rec{{Key: ids.FromUint64(42), Ver: 3, Value: value}}}
+	return []struct {
+		name string
+		msgs []*Msg
+	}{
+		{"replicate,get_pred,replicate", []*Msg{replicate, {Type: TGetPred, Req: 2}, replicate}},
+		{"get_pred_ok,succ_list_ok,find_successor_ok", []*Msg{
+			{Type: TGetPredOK, Req: 3, Node: pred, Flag: true},
+			{Type: TSuccListOK, Req: 4, List: list},
+			{Type: TFindSuccessorOK, Req: 5, Node: pred, List: list},
+		}},
+	}
+}
+
 // TestDecodeAllocs pins Decode's allocation count on the hot frames.
 func TestDecodeAllocs(t *testing.T) {
 	for _, c := range hotFrames() {
@@ -77,7 +108,8 @@ func (w *countWriter) Write(p []byte) (int, error) {
 }
 
 // TestConnAllocs pins a warm Conn's per-frame cost: writing allocates
-// nothing, reading into a warm Msg allocates nothing, and every frame
+// nothing, reading into a warm Msg allocates nothing, also when frames
+// of other types come between (alternatingFrames), and every frame
 // — one over the buffer cap included — is exactly one Write, which the
 // fault-injecting conn wrapper in internal/netchord counts as one
 // message.
@@ -117,6 +149,32 @@ func TestConnAllocs(t *testing.T) {
 		}
 		if got != 0 {
 			t.Errorf("%s: ReadMsg into a warm Msg allocates %v per frame, want 0", c.name, got)
+		}
+	}
+
+	for _, seq := range alternatingFrames() {
+		var stream []byte
+		for _, m := range seq.msgs {
+			var err error
+			if stream, err = Append(stream, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := readConn(&loopReader{frame: stream})
+		var m Msg
+		var readErr error
+		got := testing.AllocsPerRun(100, func() {
+			for range seq.msgs {
+				if err := r.ReadMsg(&m); err != nil {
+					readErr = err
+				}
+			}
+		})
+		if readErr != nil {
+			t.Fatalf("%s: %v", seq.name, readErr)
+		}
+		if got != 0 {
+			t.Errorf("%s: reading the sequence into one warm Msg allocates %v, want 0", seq.name, got)
 		}
 	}
 

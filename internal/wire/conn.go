@@ -72,16 +72,17 @@ func (c *Conn) ReadMsg(m *Msg) error {
 	return err
 }
 
-// shed drops each of m's slices whose memory, element values included,
-// exceeds connBufCap, the bound Conn keeps on its own buffers. List and
-// Value stay under it by their caps (MaxListLen, MaxValueLen).
+// shed drops each of m's slices whose memory, element values included
+// and kept elements past len too (see keep), exceeds connBufCap, the
+// bound Conn keeps on its own buffers. List and Value stay under it by
+// their caps (MaxListLen, MaxValueLen).
 func (m *Msg) shed() {
 	recs := cap(m.Recs) * int(unsafe.Sizeof(Rec{}))
-	for _, rec := range m.Recs { // elements past len hold no value (resize)
+	for _, rec := range withKept(m.Recs, m.kept.recs) { // elements past them hold no value
 		recs += cap(rec.Value)
 	}
 	if recs > connBufCap {
-		m.Recs = nil
+		m.Recs, m.kept.recs = nil, 0
 	}
 	if cap(m.Tasks)*int(unsafe.Sizeof(Task{})) > connBufCap {
 		m.Tasks = nil

@@ -171,7 +171,9 @@ func normalize(b []byte) []byte {
 //  1. decoding B into a Msg left by A equals Decode(B), with nil and
 //     empty slices alike: a reused slice, record value or string keeps
 //     nothing of A, and every field B's type lacks is reset;
-//  2. a Msg read from a Conn does not change when a second Msg is then
+//  2. decoding A again into that Msg equals Decode(A): what B's type
+//     lacked and the Msg kept from A for reuse leaks nothing either;
+//  3. a Msg read from a Conn does not change when a second Msg is then
 //     read from the same Conn.
 func FuzzDecodeInto(f *testing.F) {
 	ty := func(t Type) byte { return byte(t - 1) } // fuzzMsg's type byte for t
@@ -182,6 +184,14 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add(ty(TFindSuccessorOK), ty(TGetOK), byte(3), byte(1), []byte{}, "peer", uint64(9), true)
 	f.Add(ty(TError), ty(TError), byte(0), byte(0), []byte("e"), "no route to key", uint64(2), true)
 	f.Add(ty(TError), ty(TGetPredOK), byte(0), byte(0), []byte("e"), "no route to key", uint64(2), true)
+	// B's type lacks a field A carries, so A's third decode reuses what
+	// the Msg kept across B.
+	f.Add(ty(TSuccListOK), ty(TGetPredOK), byte(5), byte(0), []byte{}, "127.0.0.1:9001", uint64(4), true)
+	f.Add(ty(TReplicate), ty(TGetPred), byte(1), byte(0), bytes.Repeat([]byte{7}, 64), "", uint64(3), false)
+	f.Add(ty(TReplicate), ty(TNotify), byte(3), byte(0), []byte("value"), "127.0.0.1:9002", uint64(5), false)
+	f.Add(ty(TFindSuccessorOK), ty(TSuccListOK), byte(4), byte(2), []byte{}, "peer:1", uint64(6), true)
+	f.Add(ty(TNotify), ty(TGetSuccList), byte(0), byte(0), []byte{}, "127.0.0.1:9003", uint64(7), false)
+	f.Add(ty(TTransfer), ty(TSyncKeysOK), byte(5), byte(3), []byte("value"), "x", uint64(8), true)
 
 	f.Fuzz(func(t *testing.T, tyA, tyB, nA, nB byte, val []byte, addr string, a uint64, flag bool) {
 		if len(val) > MaxValueLen {
@@ -216,9 +226,17 @@ func FuzzDecodeInto(f *testing.F) {
 		if _, err := m.decode(frameB); err != nil {
 			t.Fatal(err)
 		}
+		checkPastLen(t, &m)
 		if !reflect.DeepEqual(canon(&m), canon(wantB)) {
 			t.Fatalf("B decoded over A differs from Decode(B)\nover: %+v\nnew:  %+v", m, *wantB)
 		}
+		if _, err := m.decode(frameA); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(canon(&m), canon(wantA)) {
+			t.Fatalf("A decoded over B over A differs from Decode(A)\nover: %+v\nnew:  %+v", m, *wantA)
+		}
+		checkPastLen(t, &m)
 
 		c := readConn(bytes.NewReader(append(append([]byte(nil), frameA...), frameB...)))
 		var x, y Msg
@@ -232,6 +250,23 @@ func FuzzDecodeInto(f *testing.F) {
 			t.Fatalf("reading B changed the Msg read from A\nA: %+v\nwant: %+v", x, *wantA)
 		}
 	})
+}
+
+// checkPastLen fails unless every List and Recs element past len and
+// past the elements m keeps for reuse is zero: a frame with fewer
+// elements must pin none of an earlier frame's addresses or values.
+func checkPastLen(t *testing.T, m *Msg) {
+	t.Helper()
+	for i, r := range m.List[len(withKept(m.List, m.kept.list)):cap(m.List)] {
+		if r != (NodeRef{}) {
+			t.Fatalf("List element %d past len+kept holds %+v", i, r)
+		}
+	}
+	for i, r := range m.Recs[len(withKept(m.Recs, m.kept.recs)):cap(m.Recs)] {
+		if r.Key != ids.Zero || r.Ver != 0 || r.Value != nil {
+			t.Fatalf("Recs element %d past len+kept holds %+v", i, r)
+		}
+	}
 }
 
 // variedMsg builds a valid message of a type chosen by ty, with every
@@ -272,11 +307,13 @@ func variedMsg(ty, n byte, val []byte, addr string, a uint64, flag bool) *Msg {
 	return m
 }
 
-// canon is m with every empty slice, record values included, nil: the
-// decoder may keep capacity behind an empty slice, and the comparisons
-// here treat nil and empty alike.
+// canon is m with every empty slice, record values included, nil, and
+// without the memory it keeps for reuse: the decoder may keep capacity
+// behind an empty slice, and the comparisons here treat nil and empty
+// alike.
 func canon(m *Msg) Msg {
 	c := *m
+	c.kept = kept{}
 	if len(c.List) == 0 {
 		c.List = nil
 	}

@@ -283,6 +283,16 @@ type Task struct {
 // constant's doc comment; Append rejects nothing (it simply skips
 // fields outside the subset) and decoding leaves them zero. A Msg that
 // (*Conn).ReadMsg fills owns its slices until the next ReadMsg into it.
+//
+// A Msg read into again reuses what earlier frames decoded into it,
+// across frames of other types too: a frame whose type lacks List or
+// Recs leaves that field empty but keeps its elements, unexported, for
+// the next frame that carries it (see keep), and a frame that lacks
+// From or Node keeps its address. An address equal to one the Msg holds
+// is shared rather than allocated again (see takeRef). What a Msg holds
+// past its fields is thus what one earlier frame decoded into List and
+// Recs, bounded by the largest frame it decoded (at most MaxPayload),
+// plus two addresses; ReadMsg sheds large slices before it waits.
 type Msg struct {
 	Type Type
 	// Req matches replies to requests on a pooled connection.
@@ -303,6 +313,19 @@ type Msg struct {
 	A, B, C uint64
 	Flag    bool
 	Text    string
+
+	// kept is the decoded memory held past the fields for reuse.
+	kept kept
+}
+
+// kept is the memory a Msg holds past its fields for later frames:
+// how many List and Recs elements past len still hold an earlier
+// frame's values, and the last From and Node addresses it decoded.
+// Tasks and Metas own no heap memory, so their capacity is all there
+// is to keep (resize).
+type kept struct {
+	list, recs int
+	from, node string
 }
 
 // Field presence bits, in encoding order.
@@ -567,10 +590,11 @@ func (r *reader) takeBytes(dst []byte, cap int) ([]byte, error) {
 	return append(dst[:0], b...), nil
 }
 
-// takeRef reads a NodeRef into ref. ref.Addr keeps its string when the
-// bytes equal it (the comparison does not allocate), so a peer's
-// address is allocated once, not once per frame.
-func (r *reader) takeRef(ref *NodeRef) error {
+// takeRef reads a NodeRef into ref. Its address shares the string of
+// an equal address in ref, among also or in pool (the comparisons do
+// not allocate), so a peer's address is allocated once, not once per
+// frame, list position or frame type.
+func (r *reader) takeRef(ref *NodeRef, pool []NodeRef, also ...string) error {
 	var err error
 	if ref.ID, err = r.takeID(); err != nil {
 		return err
@@ -586,9 +610,22 @@ func (r *reader) takeRef(ref *NodeRef) error {
 	if err != nil {
 		return err
 	}
-	if string(b) != ref.Addr {
-		ref.Addr = string(b)
+	if string(b) == ref.Addr {
+		return nil
 	}
+	for _, a := range also {
+		if a == string(b) {
+			ref.Addr = a
+			return nil
+		}
+	}
+	for i := range pool {
+		if pool[i].Addr == string(b) {
+			ref.Addr = pool[i].Addr
+			return nil
+		}
+	}
+	ref.Addr = string(b)
 	return nil
 }
 
@@ -637,11 +674,50 @@ func resize[S ~[]E, E any](s S, n int) S {
 	return s[:n]
 }
 
+// keep is resize for a field whose elements own heap memory (List's
+// addresses, Recs' value buffers), which it keeps for the next frame;
+// *kept counts the elements past len that hold an earlier frame's
+// values. A frame that carries the field (has) gets back, as stale, the
+// elements past n that still hold values: the caller zeroes them once
+// it has decoded the new elements (a list first reuses their
+// addresses), so a shorter frame pins none of a longer one's values. A
+// frame that lacks the field leaves s empty and its elements kept past
+// len, for the next frame that carries the field to decode into: a
+// TGetPredOK between two TSuccListOKs, or a TNotify between two
+// TReplicates, then costs neither list's addresses nor the records'
+// value buffers. What s keeps past len is therefore the elements one
+// earlier frame decoded, bounded by the largest frame the Msg decoded
+// (at most MaxPayload); a reused Rec value may keep the larger capacity
+// an earlier value in its slot grew it to, which ReadMsg's shed bounds.
+func keep[S ~[]E, E any](s S, n int, has bool, kept *int) (out, stale S) {
+	held := len(withKept(s, *kept))
+	if !has {
+		*kept = held
+		return s[:0], nil
+	}
+	*kept = 0
+	if n > cap(s) {
+		out = make(S, n)
+		copy(out, s[:held])
+		return out, nil
+	}
+	if n < held {
+		stale = s[n:held]
+	}
+	return s[:n], stale
+}
+
+// withKept returns s extended over the kept elements past its len.
+func withKept[S ~[]E, E any](s S, kept int) S {
+	return s[:min(len(s)+kept, cap(s))]
+}
+
 // decode parses one complete frame into m. Every field the frame's type
 // carries is refilled in place: slices (each Rec.Value included) into
 // their existing capacity, and a string kept when the new bytes equal
-// it. Every other field is reset. Nothing aliases b. On error m's
-// contents are unspecified.
+// it or another address the Msg holds. Every other field is reset, a
+// slice's elements and a ref's address kept for reuse (see keep and
+// takeRef). Nothing aliases b. On error m's contents are unspecified.
 func (m *Msg) decode(b []byte) (int, error) {
 	if len(b) < HeaderLen {
 		return 0, ErrTruncated
@@ -680,12 +756,18 @@ func (m *Msg) decode(b []byte) (int, error) {
 		}
 	}
 	for _, ref := range [2]struct {
-		bit uint16
-		p   *NodeRef
-	}{{fFrom, &m.From}, {fNode, &m.Node}} {
+		bit  uint16
+		p    *NodeRef
+		kept *string
+	}{{fFrom, &m.From, &m.kept.from}, {fNode, &m.Node, &m.kept.node}} {
+		if ref.p.Addr != "" {
+			*ref.kept = ref.p.Addr
+		}
+		*ref.p = NodeRef{}
 		if mask&ref.bit == 0 {
-			*ref.p = NodeRef{}
-		} else if err = r.takeRef(ref.p); err != nil {
+			continue
+		}
+		if err = r.takeRef(ref.p, withKept(m.List, m.kept.list), m.kept.from, m.kept.node); err != nil {
 			return 0, err
 		}
 	}
@@ -695,19 +777,24 @@ func (m *Msg) decode(b []byte) (int, error) {
 			return 0, err
 		}
 	}
-	m.List = resize(m.List, n)
+	var stale []NodeRef
+	m.List, stale = keep(m.List, n, mask&fList != 0, &m.kept.list)
 	for i := range m.List {
-		if err = r.takeRef(&m.List[i]); err != nil {
+		if err = r.takeRef(&m.List[i], m.List[:n+len(stale)], m.kept.from, m.kept.node); err != nil {
+			clear(stale)
 			return 0, err
 		}
 	}
+	clear(stale)
 	n = 0
 	if mask&fRecs != 0 {
 		if n, err = r.count(MaxRecs, ids.Bytes+8+4); err != nil {
 			return 0, err
 		}
 	}
-	m.Recs = resize(m.Recs, n)
+	var staleRecs []Rec
+	m.Recs, staleRecs = keep(m.Recs, n, mask&fRecs != 0, &m.kept.recs)
+	clear(staleRecs)
 	for i := range m.Recs {
 		rec := &m.Recs[i]
 		if rec.Key, err = r.takeID(); err != nil {
