@@ -12,12 +12,11 @@ build:
 	$(GO) vet ./...
 
 # Determinism & concurrency linter plus the documentation checkers;
-# see docs/LINTING.md. The -suppressions pass is advisory (always exit
-# 0): it warns about //lint:ignore directives that no longer suppress
-# anything so they get cleaned up with the code they excused.
+# see docs/LINTING.md. The full-registry run also fails on any
+# //lint:ignore directive that no longer suppresses anything, so it
+# goes with the code it excused.
 lint:
 	$(GO) run ./cmd/dhtlint ./...
-	$(GO) run ./cmd/dhtlint -suppressions ./...
 	$(GO) run ./cmd/mdcheck
 
 # Just the godoc rule, for quick iteration while writing docs.

@@ -5,14 +5,15 @@
 //	file:line:col [rule] message
 //
 // and any finding makes the exit status nonzero, so `make lint` and CI
-// fail closed. Rules, per-path exemptions, and the //lint:ignore
+// fail closed. A run of the full registry also reports every
+// //lint:ignore directive that suppressed nothing as a lint-stale
+// finding. Rules, per-path exemptions, and the //lint:ignore
 // suppression syntax are documented in docs/LINTING.md.
 //
 //	dhtlint ./...              # lint the whole module
 //	dhtlint -list              # show the rule registry
 //	dhtlint -rules norand ./internal/...
 //	dhtlint -json ./...        # one JSON object per finding, for CI
-//	dhtlint -suppressions ./... # audit //lint:ignore directives for staleness
 package main
 
 import (
@@ -37,17 +38,12 @@ func run(args []string, out, errw io.Writer) int {
 	flags := flag.NewFlagSet("dhtlint", flag.ContinueOnError)
 	flags.SetOutput(errw)
 	var (
-		rulesFlag    = flags.String("rules", "", "comma-separated subset of rules to run (default: all)")
-		list         = flags.Bool("list", false, "list registered rules and exit")
-		verbose      = flags.Bool("v", false, "also print type-checker diagnostics (never affect exit status)")
-		jsonOut      = flags.Bool("json", false, "emit findings as JSON, one object per line (file/line/col/rule/message)")
-		suppressions = flags.Bool("suppressions", false, "report stale //lint:ignore directives instead of findings; always exits 0")
+		rulesFlag = flags.String("rules", "", "comma-separated subset of rules to run (default: all, which also reports stale //lint:ignore directives)")
+		list      = flags.Bool("list", false, "list registered rules and exit")
+		verbose   = flags.Bool("v", false, "also print type-checker diagnostics (never affect exit status)")
+		jsonOut   = flags.Bool("json", false, "emit findings as JSON, one object per line (file/line/col/rule/message)")
 	)
 	if err := flags.Parse(args); err != nil {
-		return 2
-	}
-	if *suppressions && *rulesFlag != "" {
-		fmt.Fprintln(errw, "dhtlint: -suppressions audits against the full registry; it cannot be combined with -rules")
 		return 2
 	}
 
@@ -86,7 +82,11 @@ func run(args []string, out, errw io.Writer) int {
 
 	loader := lint.NewLoader(root, modPath)
 	runner := &lint.Runner{Rules: rules, ModuleRoot: root}
-	var findings, stale []lint.Finding
+	// A directive is audited only against the full registry: under a
+	// -rules subset, one naming a rule that did not run would read as
+	// stale.
+	auditStale := *rulesFlag == ""
+	var findings []lint.Finding
 	for _, dir := range dirs {
 		pkgs, err := loader.LoadDir(dir)
 		if err != nil {
@@ -100,18 +100,13 @@ func run(args []string, out, errw io.Writer) int {
 				}
 			}
 		}
-		f, s := runner.Run(pkgs...)
+		f, stale := runner.Run(pkgs...)
 		findings = append(findings, f...)
-		stale = append(stale, s...)
+		if auditStale {
+			findings = append(findings, stale...)
+		}
 	}
 
-	if *suppressions {
-		printFindings(out, stale, *jsonOut)
-		if len(stale) > 0 {
-			fmt.Fprintf(errw, "dhtlint: %d stale suppression(s) — directives that no longer suppress anything\n", len(stale))
-		}
-		return 0
-	}
 	printFindings(out, findings, *jsonOut)
 	if len(findings) > 0 {
 		fmt.Fprintf(errw, "dhtlint: %d finding(s)\n", len(findings))

@@ -144,9 +144,37 @@ func Draw() int { return rand.Int() }
 	}
 }
 
-func TestRunSuppressionsMode(t *testing.T) {
-	writeModule(t, map[string]string{
-		"internal/pkg/a.go": `// Package pkg is a fixture with a stale directive.
+// TestRunReportsStaleDirectives: a full-registry run reports a
+// //lint:ignore that suppresses nothing as a lint-stale finding and
+// fails.
+func TestRunReportsStaleDirectives(t *testing.T) {
+	writeModule(t, staleFixture)
+	var out, errw bytes.Buffer
+	if code := run([]string{"./..."}, &out, &errw); code != 1 {
+		t.Fatalf("exit = %d, want 1 (a stale directive is a finding)\nstderr: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "[lint-stale]") || !strings.Contains(out.String(), "norand") {
+		t.Errorf("missing stale-directive report:\n%s", out.String())
+	}
+	if !strings.Contains(errw.String(), "1 finding(s)") {
+		t.Errorf("missing stderr summary: %s", errw.String())
+	}
+}
+
+// TestRunRulesSubsetSkipsStaleAudit: a -rules run cannot tell a stale
+// directive from one naming a rule it did not run, so it audits none.
+func TestRunRulesSubsetSkipsStaleAudit(t *testing.T) {
+	writeModule(t, staleFixture)
+	var out, errw bytes.Buffer
+	if code := run([]string{"-rules", "nowallclock", "./..."}, &out, &errw); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
+	}
+}
+
+// staleFixture holds one //lint:ignore directive that suppresses
+// nothing.
+var staleFixture = map[string]string{
+	"internal/pkg/a.go": `// Package pkg is a fixture with a stale directive.
 package pkg
 
 // Add returns a+b.
@@ -155,25 +183,6 @@ func Add(a, b int) int {
 	return a + b
 }
 `,
-	})
-	var out, errw bytes.Buffer
-	if code := run([]string{"-suppressions", "./..."}, &out, &errw); code != 0 {
-		t.Fatalf("exit = %d, want 0 (-suppressions is advisory)\nstderr: %s", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "[lint-stale]") || !strings.Contains(out.String(), "norand") {
-		t.Errorf("missing stale-directive report:\n%s", out.String())
-	}
-	if !strings.Contains(errw.String(), "stale suppression(s)") {
-		t.Errorf("missing stderr summary: %s", errw.String())
-	}
-}
-
-func TestRunSuppressionsRejectsRulesSubset(t *testing.T) {
-	writeModule(t, nil)
-	var out, errw bytes.Buffer
-	if code := run([]string{"-suppressions", "-rules", "norand", "./..."}, &out, &errw); code != 2 {
-		t.Fatalf("exit = %d, want 2 (auditing a subset would mis-report directives as stale)", code)
-	}
 }
 
 // TestSelfLint runs the full registry over this repository itself: the
@@ -191,18 +200,9 @@ func TestSelfLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := filepath.Join(root, "...")
 	var out, errw bytes.Buffer
-	if code := run([]string{pattern}, &out, &errw); code != 0 {
+	if code := run([]string{filepath.Join(root, "...")}, &out, &errw); code != 0 {
 		t.Errorf("repository does not self-lint (exit %d):\n%s%s", code, out.String(), errw.String())
-	}
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-suppressions", pattern}, &out, &errw); code != 0 {
-		t.Fatalf("suppressions audit exit = %d, want 0:\n%s", code, errw.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("stale //lint:ignore directives:\n%s", out.String())
 	}
 }
 

@@ -45,9 +45,8 @@ func run(args []string, out, log io.Writer) error {
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		md      = fs.Bool("md", false, "emit Markdown tables (for EXPERIMENTS.md)")
 
-		// Per-trial JSONL traces (docs/OBSERVABILITY.md). Only experiments
-		// that aggregate through experiments.FactorStat (the summary tables
-		// and ablations) write traces; bespoke drivers run untraced.
+		// Per-trial JSONL traces (docs/OBSERVABILITY.md), one per
+		// simulator trial.
 		traceDir = fs.String("trace", "", "write per-trial JSONL traces into this directory (<exp>-c<cell>-t<trial>.jsonl)")
 
 		// Perf-evidence profiles (docs/PERFORMANCE.md, EXPERIMENTS.md).

@@ -18,8 +18,7 @@ func AblationSybilThreshold(opt Options) ([]SummaryCell, error) {
 			cells = append(cells, SummaryCell{
 				Name: fmt.Sprintf("random %dn/%dk thr=%d", net.n, net.t/1000, thr),
 				Note: "paper: threshold helps only at 100 tasks/node",
-				Spec: Spec{Nodes: net.n, Tasks: net.t, StrategyName: "random",
-					SybilThreshold: thr},
+				Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: net.n, Tasks: net.t, SybilThreshold: thr}},
 			})
 		}
 	}
@@ -35,14 +34,12 @@ func AblationMaxSybils(opt Options) ([]SummaryCell, error) {
 		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("random hetero 1000n/100k maxSybils=%d", cap),
 			Note: "paper: 1..10 strengths perform worse than 1..5",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random",
-				Heterogeneous: true, WorkByStrength: true, MaxSybils: cap},
+			Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 100000, Heterogeneous: true, WorkByStrength: true, MaxSybils: cap}},
 		})
 		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("random hetero 1000n/1M maxSybils=%d", cap),
 			Note: "paper: increase ~0.3-0.4 at 1000 tasks/node",
-			Spec: Spec{Nodes: 1000, Tasks: 1000000, StrategyName: "random",
-				Heterogeneous: true, WorkByStrength: true, MaxSybils: cap},
+			Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 1000000, Heterogeneous: true, WorkByStrength: true, MaxSybils: cap}},
 		})
 	}
 	return runSummary(cells, opt)
@@ -57,8 +54,7 @@ func AblationChurnOnRandom(opt Options) ([]SummaryCell, error) {
 		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("random 1000n/100k churn=%g", rate),
 			Note: "paper: churn adds ~+0.06 at 0.01, never helps",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random",
-				ChurnRate: rate},
+			Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 100000, ChurnRate: rate}},
 		})
 	}
 	return runSummary(cells, opt)
@@ -72,34 +68,19 @@ func AblationChurnOnRandom(opt Options) ([]SummaryCell, error) {
 // effective.
 func AblationConsumeMode(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	modes := []struct {
+	var cells []SummaryCell
+	for _, m := range []struct {
 		name string
 		mode ring.ConsumeMode
-	}{{"front", ring.ConsumeFront}, {"alternate", ring.ConsumeAlternate}}
-	var out []SummaryCell
-	cell := 0
-	for _, m := range modes {
+	}{{"front", ring.ConsumeFront}, {"alternate", ring.ConsumeAlternate}} {
 		for _, strat := range []string{"random", "neighbor", "smart-neighbor", "invitation"} {
-			spec := Spec{Nodes: 1000, Tasks: 100000, StrategyName: strat}
-			mode := m.mode
-			fn := func(seed uint64) sim.Config {
-				cfg := spec.Config(seed)
-				cfg.ConsumeMode = mode
-				return cfg
-			}
-			st, err := FactorStat(fn, cell, opt)
-			if err != nil {
-				return nil, fmt.Errorf("%s consume=%s: %w", strat, m.name, err)
-			}
-			out = append(out, SummaryCell{
+			cells = append(cells, SummaryCell{
 				Name: fmt.Sprintf("%s, consume=%s", strat, m.name),
-				Spec: spec,
-				Stat: st,
+				Cell: Cell{Strategy: strat, Config: sim.Config{Nodes: 1000, Tasks: 100000, ConsumeMode: m.mode}},
 			})
-			cell++
 		}
 	}
-	return out, nil
+	return runSummary(cells, opt)
 }
 
 // AblationDecisionCadence varies how often the strategies run their
@@ -107,57 +88,26 @@ func AblationConsumeMode(opt Options) ([]SummaryCell, error) {
 func AblationDecisionCadence(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
 	var cells []SummaryCell
-	cadences := []int{1, 5, 10, 25}
-	for _, every := range cadences {
+	for _, every := range []int{1, 5, 10, 25} {
 		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("random 1000n/100k decide-every=%d", every),
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random"},
+			Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 100000, DecisionEvery: every}},
 		})
 	}
-	out := make([]SummaryCell, len(cells))
-	for i, c := range cells {
-		every := cadences[i]
-		spec := c.Spec
-		fn := func(seed uint64) sim.Config {
-			cfg := spec.Config(seed)
-			cfg.DecisionEvery = every
-			return cfg
-		}
-		st, err := FactorStat(fn, i, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Name, err)
-		}
-		c.Stat = st
-		out[i] = c
-	}
-	return out, nil
+	return runSummary(cells, opt)
 }
 
 // AblationAvoidRepeats measures §IV-C's suggested refinement of marking
 // arcs that yielded no work as invalid for future Sybil injection.
 func AblationAvoidRepeats(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	settings := []bool{false, true}
-	out := make([]SummaryCell, len(settings))
-	for i, avoid := range settings {
-		c := SummaryCell{
+	var cells []SummaryCell
+	for _, avoid := range []bool{false, true} {
+		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("neighbor 1000n/100k avoid-repeats=%v", avoid),
 			Note: "paper: suggested but not evaluated",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "neighbor"},
-		}
-		avoidRepeats := avoid
-		spec := c.Spec
-		fn := func(seed uint64) sim.Config {
-			cfg := spec.Config(seed)
-			cfg.AvoidRepeats = avoidRepeats
-			return cfg
-		}
-		st, err := FactorStat(fn, i, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Name, err)
-		}
-		c.Stat = st
-		out[i] = c
+			Cell: Cell{Strategy: "neighbor", Config: sim.Config{Nodes: 1000, Tasks: 100000, AvoidRepeats: avoid}},
+		})
 	}
-	return out, nil
+	return runSummary(cells, opt)
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"chordbalance/internal/faults"
-	"chordbalance/internal/parallel"
 	"chordbalance/internal/report"
 	"chordbalance/internal/sim"
 	"chordbalance/internal/stats"
@@ -21,7 +20,6 @@ import (
 // replication degree, with the aggregated outcome over trials.
 type ChaosCell struct {
 	Name     string
-	Spec     Spec
 	Plan     faults.Plan
 	Replicas int
 
@@ -37,7 +35,6 @@ type ChaosCell struct {
 // bursts, and a partition-then-heal episode, each with replication on
 // (default degree) and off.
 func chaosCells() []ChaosCell {
-	base := Spec{Nodes: 200, Tasks: 20000, StrategyName: "random"}
 	plans := []struct {
 		name string
 		plan faults.Plan
@@ -56,7 +53,6 @@ func chaosCells() []ChaosCell {
 			}
 			out = append(out, ChaosCell{
 				Name:     fmt.Sprintf("%s, %s", p.name, mode),
-				Spec:     base,
 				Plan:     p.plan,
 				Replicas: replicas,
 			})
@@ -65,47 +61,32 @@ func chaosCells() []ChaosCell {
 	return out
 }
 
-// Chaos runs the fault-plan grid and aggregates runtime factor, keys
-// lost, and mean time-to-repair per cell.
+// Chaos runs the fault-plan grid: random injection on 200 hosts with 20k
+// tasks under each plan, each trial's faults drawn from a stream apart
+// from its seed. It aggregates runtime factor, keys lost, and mean
+// time-to-repair per cell.
 func Chaos(opt Options) ([]ChaosCell, error) {
 	opt = opt.withDefaults(5)
 	cells := chaosCells()
 	for ci := range cells {
 		c := &cells[ci]
-		cfg := func(seed uint64) sim.Config {
-			s := c.Spec.Config(seed)
-			s.Replicas = c.Replicas
-			s.Faults = c.Plan
-			s.Faults.Seed = seed ^ 0xc4ce5adcf623d983
-			return s
+		cell := Cell{
+			Strategy: "random",
+			Config:   sim.Config{Nodes: 200, Tasks: 20000, Replicas: c.Replicas, Faults: c.Plan},
+			perTrial: func(cfg *sim.Config) { cfg.Faults.Seed = cfg.Seed ^ 0xc4ce5adcf623d983 },
 		}
-		type outcome struct {
-			factor, lost, mttr float64
-			completed          bool
-		}
-		results, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (outcome, error) {
-			res, err := sim.Run(cfg(trialSeed(opt.Seed, ci, i)))
-			if err != nil {
-				return outcome{}, err
+		var f, l, m stats.Online
+		err := runTrials(cell, ci, opt, func(_ int, res *sim.Result) error {
+			f.Add(res.RuntimeFactor)
+			l.Add(float64(res.Faults.KeysLost))
+			m.Add(res.Faults.MeanTimeToRepair())
+			if res.Completed {
+				c.Completed++
 			}
-			return outcome{
-				factor:    res.RuntimeFactor,
-				lost:      float64(res.Faults.KeysLost),
-				mttr:      res.Faults.MeanTimeToRepair(),
-				completed: res.Completed,
-			}, nil
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
-		}
-		var f, l, m stats.Online
-		for _, r := range results {
-			f.Add(r.factor)
-			l.Add(r.lost)
-			m.Add(r.mttr)
-			if r.completed {
-				c.Completed++
-			}
 		}
 		c.Trials = opt.Trials
 		c.Factor = onlineStat(f)
@@ -113,16 +94,6 @@ func Chaos(opt Options) ([]ChaosCell, error) {
 		c.MTTR = onlineStat(m)
 	}
 	return cells, nil
-}
-
-func onlineStat(o stats.Online) TrialStat {
-	return TrialStat{
-		N:    o.N(),
-		Mean: o.Mean(),
-		CI95: o.ConfidenceInterval95(),
-		Min:  o.Min(),
-		Max:  o.Max(),
-	}
 }
 
 // ChaosReport renders the chaos cells as a table.

@@ -1,36 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
-
-// TestChaosSerialParallelIdentical is the fault-layer half of the
-// driver-equivalence guarantee: the chaos experiment must produce
-// byte-identical cells whether trials run on one worker or many.
-func TestChaosSerialParallelIdentical(t *testing.T) {
-	render := func(workers int) string {
-		cells, err := Chaos(Options{Trials: 3, Seed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := ""
-		for _, c := range cells {
-			s += fmt.Sprintf("%s f=%.9f±%.9f lost=%.9f mttr=%.9f done=%d\n",
-				c.Name, c.Factor.Mean, c.Factor.CI95, c.KeysLost.Mean,
-				c.MTTR.Mean, c.Completed)
-		}
-		return s
-	}
-	serial := render(1)
-	par := render(4)
-	if serial != par {
-		t.Errorf("serial and parallel chaos runs differ:\n%s\n%s", serial, par)
-	}
-	if serial == "" {
-		t.Fatal("chaos experiment produced no cells")
-	}
-}
+import "testing"
 
 // TestChaosReplicationContrast pins the experiment's headline contrast:
 // replicated cells lose nothing, unreplicated cells lose keys.

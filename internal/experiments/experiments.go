@@ -66,54 +66,46 @@ func (s TrialStat) String() string {
 	return fmt.Sprintf("%.3f ±%.3f [%d trials]", s.Mean, s.CI95, s.N)
 }
 
-// ConfigFn builds the simulation configuration for one trial. It must
-// return a fresh strategy instance each call: strategies carry per-run
-// state.
-type ConfigFn func(seed uint64) sim.Config
-
-// Spec names one experiment cell: the paper's variables that matter for
-// reporting.
-type Spec struct {
-	Name           string
-	Nodes          int
-	Tasks          int
-	StrategyName   string // for strategy.ByName; "" means none
-	ChurnRate      float64
-	Heterogeneous  bool
-	WorkByStrength bool
-	MaxSybils      int
-	SybilThreshold int
-	NumSuccessors  int
+// A Cell is one experiment configuration. Config is the template every
+// trial copies; its Seed, Strategy and Trace are set per trial. Strategy
+// names the strategy.ByName policy of which each trial runs a fresh
+// instance, since strategies keep per-run state; "" runs none.
+type Cell struct {
+	Strategy string
+	Config   sim.Config
+	// perTrial, when non-nil, derives further settings of a trial's
+	// config from its finished seed.
+	perTrial func(*sim.Config)
 }
 
-// Config builds the sim configuration for one trial of this spec.
-func (sp Spec) Config(seed uint64) sim.Config {
-	var strat strategy.Strategy
-	if sp.StrategyName != "" {
-		s, ok := strategy.ByName(sp.StrategyName)
+// trialConfig builds trial i of c, numbered cell in its experiment.
+func (c Cell) trialConfig(opt Options, cell, i int) (sim.Config, error) {
+	cfg := c.Config
+	cfg.Seed = trialSeed(opt.Seed, cell, i)
+	cfg.Strategy = nil
+	if c.Strategy != "" {
+		s, ok := strategy.ByName(c.Strategy)
 		if !ok {
-			panic(fmt.Sprintf("experiments: unknown strategy %q", sp.StrategyName))
+			return sim.Config{}, fmt.Errorf("experiments: unknown strategy %q", c.Strategy)
 		}
-		strat = s
+		cfg.Strategy = s
 	}
-	return sim.Config{
-		Nodes:          sp.Nodes,
-		Tasks:          sp.Tasks,
-		Strategy:       strat,
-		ChurnRate:      sp.ChurnRate,
-		Heterogeneous:  sp.Heterogeneous,
-		WorkByStrength: sp.WorkByStrength,
-		MaxSybils:      sp.MaxSybils,
-		SybilThreshold: sp.SybilThreshold,
-		NumSuccessors:  sp.NumSuccessors,
-		Seed:           seed,
+	if c.perTrial != nil {
+		c.perTrial(&cfg)
 	}
+	return cfg, nil
 }
 
-// FactorStat runs trials of one cell and aggregates the runtime factor.
-func FactorStat(fn ConfigFn, cell int, opt Options) (TrialStat, error) {
-	results, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (float64, error) {
-		cfg := fn(trialSeed(opt.Seed, cell, i))
+// runTrials runs opt.Trials trials of c, numbered cell, on opt.Workers
+// workers, each traced through opt.Trace when it is set, and hands every
+// result to fold in trial order, so a fold sums floats in the same order
+// on any number of workers.
+func runTrials(c Cell, cell int, opt Options, fold func(i int, res *sim.Result) error) error {
+	results, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (*sim.Result, error) {
+		cfg, err := c.trialConfig(opt, cell, i)
+		if err != nil {
+			return nil, err
+		}
 		if opt.Trace != nil {
 			cfg.Trace = opt.Trace(cell, i)
 		}
@@ -121,31 +113,42 @@ func FactorStat(fn ConfigFn, cell int, opt Options) (TrialStat, error) {
 		if cerr := cfg.Trace.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("experiments: closing trial %d trace: %w", i, cerr)
 		}
-		if err != nil {
-			return 0, err
+		return res, err
+	})
+	if err != nil {
+		return err
+	}
+	for i, res := range results {
+		if err := fold(i, res); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// FactorStat runs trials of one cell and aggregates the runtime factor;
+// a trial that does not complete is an error.
+func FactorStat(c Cell, cell int, opt Options) (TrialStat, error) {
+	var o stats.Online
+	err := runTrials(c, cell, opt, func(i int, res *sim.Result) error {
 		if !res.Completed {
-			return 0, fmt.Errorf("experiments: trial %d did not complete in %d ticks", i, res.Ticks)
+			return fmt.Errorf("experiments: trial %d did not complete in %d ticks", i, res.Ticks)
 		}
-		return res.RuntimeFactor, nil
+		o.Add(res.RuntimeFactor)
+		return nil
 	})
 	if err != nil {
 		return TrialStat{}, err
 	}
-	var o stats.Online
-	for _, f := range results {
-		o.Add(f)
-	}
+	return onlineStat(o), nil
+}
+
+func onlineStat(o stats.Online) TrialStat {
 	return TrialStat{
 		N:    o.N(),
 		Mean: o.Mean(),
 		CI95: o.ConfidenceInterval95(),
 		Min:  o.Min(),
 		Max:  o.Max(),
-	}, nil
-}
-
-// SpecFactor is FactorStat for a Spec.
-func SpecFactor(sp Spec, cell int, opt Options) (TrialStat, error) {
-	return FactorStat(sp.Config, cell, opt)
+	}
 }

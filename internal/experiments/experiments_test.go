@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"chordbalance/internal/ring"
 	"chordbalance/internal/sim"
 	"chordbalance/internal/stats"
 )
@@ -27,42 +29,63 @@ func TestTrialSeedIndependence(t *testing.T) {
 	}
 }
 
-func TestSpecConfig(t *testing.T) {
-	sp := Spec{Nodes: 10, Tasks: 100, StrategyName: "random", ChurnRate: 0.5,
+// TestTrialConfig checks the per-trial config: a copy of the cell's
+// template with the trial's seed, a fresh strategy instance per trial,
+// and perTrial applied last.
+func TestTrialConfig(t *testing.T) {
+	c := Cell{Strategy: "random", Config: sim.Config{Nodes: 10, Tasks: 100, ChurnRate: 0.5,
 		Heterogeneous: true, WorkByStrength: true, MaxSybils: 7,
-		SybilThreshold: 3, NumSuccessors: 9}
-	cfg := sp.Config(99)
-	if cfg.Nodes != 10 || cfg.Tasks != 100 || cfg.Seed != 99 ||
-		cfg.ChurnRate != 0.5 || !cfg.Heterogeneous || !cfg.WorkByStrength ||
-		cfg.MaxSybils != 7 || cfg.SybilThreshold != 3 || cfg.NumSuccessors != 9 {
-		t.Errorf("config = %+v", cfg)
+		SybilThreshold: 3, NumSuccessors: 9, InviteThreshold: 4, DecisionEvery: 2,
+		AvoidRepeats: true, ConsumeMode: ring.ConsumeAlternate}}
+	opt := Options{Seed: 99}
+	cfg, err := c.trialConfig(opt, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.Config
+	want.Seed = trialSeed(99, 2, 3)
+	want.Strategy = cfg.Strategy
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("config = %+v, want %+v", cfg, want)
 	}
 	if cfg.Strategy == nil || cfg.Strategy.Name() != "random" {
 		t.Error("strategy not constructed")
 	}
-	// Fresh instances per call (observable for stateful strategies, which
-	// are pointer-typed; stateless ones are value types and compare equal).
-	nsp := Spec{Nodes: 1, Tasks: 1, StrategyName: "neighbor"}
-	if nsp.Config(1).Strategy == nsp.Config(1).Strategy {
-		t.Error("Config must build fresh strategy instances")
+	if c.Config.Seed != 0 || c.Config.Strategy != nil {
+		t.Error("trialConfig wrote to the cell's template")
 	}
-	if (Spec{Nodes: 1, Tasks: 1}).Config(0).Strategy != nil {
+	// Fresh instances per trial (observable for stateful strategies, which
+	// are pointer-typed; stateless ones are value types and compare equal).
+	n := Cell{Strategy: "neighbor", Config: sim.Config{Nodes: 1, Tasks: 1}}
+	a, _ := n.trialConfig(opt, 0, 0)
+	b, _ := n.trialConfig(opt, 0, 0)
+	if a.Strategy == b.Strategy {
+		t.Error("trialConfig must build a fresh strategy instance for every trial")
+	}
+	// An empty name runs no strategy, even over a template that holds one.
+	none := Cell{Config: sim.Config{Nodes: 1, Tasks: 1, Strategy: a.Strategy}}
+	if cfg, _ := none.trialConfig(opt, 0, 0); cfg.Strategy != nil {
 		t.Error("empty strategy name must mean nil (baseline)")
+	}
+	hooked := Cell{perTrial: func(cfg *sim.Config) { cfg.MaxTicks = int(cfg.Seed % 1000) }}
+	if cfg, _ := hooked.trialConfig(opt, 1, 1); cfg.MaxTicks != int(trialSeed(99, 1, 1)%1000) {
+		t.Errorf("perTrial saw MaxTicks %d: it must run after the seed is set", cfg.MaxTicks)
 	}
 }
 
-func TestSpecConfigUnknownStrategyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown strategy must panic")
-		}
-	}()
-	Spec{Nodes: 1, Tasks: 1, StrategyName: "bogus"}.Config(0)
+func TestTrialConfigUnknownStrategy(t *testing.T) {
+	c := Cell{Strategy: "bogus", Config: sim.Config{Nodes: 1, Tasks: 1}}
+	if _, err := c.trialConfig(Options{}, 0, 0); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("unknown strategy: err = %v, want one naming it", err)
+	}
+	if _, err := FactorStat(c, 0, Options{Trials: 1}); err == nil {
+		t.Error("FactorStat ran a cell with an unknown strategy")
+	}
 }
 
 func TestFactorStat(t *testing.T) {
-	sp := Spec{Nodes: 50, Tasks: 2500} // deterministic baseline
-	st, err := SpecFactor(sp, 0, Options{Trials: 4, Seed: 5})
+	c := Cell{Config: sim.Config{Nodes: 50, Tasks: 2500}} // deterministic baseline
+	st, err := FactorStat(c, 0, Options{Trials: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +102,7 @@ func TestFactorStat(t *testing.T) {
 		t.Errorf("String() = %q", st.String())
 	}
 	// Same options reproduce exactly.
-	st2, err := SpecFactor(sp, 0, Options{Trials: 4, Seed: 5})
+	st2, err := FactorStat(c, 0, Options{Trials: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +112,9 @@ func TestFactorStat(t *testing.T) {
 }
 
 func TestFactorStatFailurePropagates(t *testing.T) {
-	fn := func(seed uint64) sim.Config {
-		// MaxTicks too small to finish: every trial fails.
-		return sim.Config{Nodes: 1, Tasks: 100, MaxTicks: 1, Seed: seed}
-	}
-	if _, err := FactorStat(fn, 0, Options{Trials: 2}); err == nil {
+	// MaxTicks too small to finish: every trial fails.
+	c := Cell{Config: sim.Config{Nodes: 1, Tasks: 100, MaxTicks: 1}}
+	if _, err := FactorStat(c, 0, Options{Trials: 2}); err == nil {
 		t.Error("incomplete trials must surface as errors")
 	}
 }
@@ -268,7 +289,7 @@ func TestFiguresIndexComplete(t *testing.T) {
 		if fig.Number != n {
 			t.Errorf("figure %d numbered %d", n, fig.Number)
 		}
-		if fig.SpecA.Nodes != 1000 || fig.SpecA.Tasks != 100000 {
+		if fig.CellA.Config.Nodes != 1000 || fig.CellA.Config.Tasks != 100000 {
 			t.Errorf("figure %d wrong network", n)
 		}
 	}
@@ -276,8 +297,8 @@ func TestFiguresIndexComplete(t *testing.T) {
 
 func TestSummaryMachinery(t *testing.T) {
 	cells := []SummaryCell{
-		{Name: "tiny baseline", Spec: Spec{Nodes: 50, Tasks: 2500}, Paper: 5.0},
-		{Name: "tiny random", Spec: Spec{Nodes: 50, Tasks: 2500, StrategyName: "random"}},
+		{Name: "tiny baseline", Cell: Cell{Config: sim.Config{Nodes: 50, Tasks: 2500}}, Paper: 5.0},
+		{Name: "tiny random", Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 50, Tasks: 2500}}},
 	}
 	out, err := runSummary(cells, Options{Trials: 3, Seed: 8})
 	if err != nil {

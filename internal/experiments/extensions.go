@@ -20,47 +20,44 @@ import (
 // targeted injection on the homogeneous reference network.
 func ExtensionsSummary(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	hetero := func(name string) Spec {
-		return Spec{Nodes: 1000, Tasks: 100000, StrategyName: name,
-			Heterogeneous: true, WorkByStrength: true}
-	}
+	hetero := sim.Config{Nodes: 1000, Tasks: 100000, Heterogeneous: true, WorkByStrength: true}
 	cells := []SummaryCell{
 		{
 			Name: "invitation hetero (baseline)",
 			Note: "the §VII problem: balanced but slow",
-			Spec: hetero("invitation"),
+			Cell: Cell{Strategy: "invitation", Config: hetero},
 		},
 		{
 			Name: "strength-invitation hetero (§VII)",
 			Note: "strongest qualifying predecessor helps",
-			Spec: hetero("strength-invitation"),
+			Cell: Cell{Strategy: "strength-invitation", Config: hetero},
 		},
 		{
 			Name: "random hetero (baseline)",
-			Spec: hetero("random"),
+			Cell: Cell{Strategy: "random", Config: hetero},
 		},
 		{
 			Name: "strength-random hetero (§VII)",
 			Note: "weak hosts act with probability strength/max",
-			Spec: hetero("strength-random"),
+			Cell: Cell{Strategy: "strength-random", Config: hetero},
 		},
 		{
 			Name: "smart-neighbor homogeneous (baseline)",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "smart-neighbor"},
+			Cell: Cell{Strategy: "smart-neighbor", Config: sim.Config{Nodes: 1000, Tasks: 100000}},
 		},
 		{
 			Name: "targeted homogeneous (§VII chosen IDs)",
 			Note: "Sybil lands on the exact median remaining key",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "targeted"},
+			Cell: Cell{Strategy: "targeted", Config: sim.Config{Nodes: 1000, Tasks: 100000}},
 		},
 		{
 			Name: "random homogeneous (paper's best)",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random"},
+			Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 100000}},
 		},
 		{
 			Name: "oracle homogeneous (global upper bound)",
 			Note: "omniscient rebalancer; not decentralized",
-			Spec: Spec{Nodes: 1000, Tasks: 100000, StrategyName: "oracle"},
+			Cell: Cell{Strategy: "oracle", Config: sim.Config{Nodes: 1000, Tasks: 100000}},
 		},
 	}
 	return runSummary(cells, opt)
@@ -78,13 +75,17 @@ func ChurnCurve(opt Options) (*report.Table, error) {
 		"Churn-rate curve, 1000 nodes / 100k tasks (paper footnote 2)",
 		"churn rate", "factor", "±95%", "turnover msgs/tick")
 	for ci, rate := range rates {
-		spec := Spec{Nodes: 1000, Tasks: 100000, ChurnRate: rate}
-		st, err := SpecFactor(spec, ci, opt)
+		c := Cell{Config: sim.Config{Nodes: 1000, Tasks: 100000, ChurnRate: rate}}
+		st, err := FactorStat(c, ci, opt)
 		if err != nil {
 			return nil, err
 		}
 		// One extra instrumented run for the message estimate.
-		res, err := sim.Run(spec.Config(trialSeed(opt.Seed, ci, 1000)))
+		cfg, err := c.trialConfig(opt, ci, 1000)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -107,15 +108,10 @@ func StrengthShare(opt Options) (*report.Table, error) {
 	for ci, strat := range []string{"random", "invitation", "strength-invitation"} {
 		hostsBy := map[int]int{}
 		doneBy := map[int]int{}
-		for trial := 0; trial < opt.Trials; trial++ {
-			cfg := (Spec{Nodes: 1000, Tasks: 100000, StrategyName: strat,
-				Heterogeneous: true, WorkByStrength: true}).Config(trialSeed(opt.Seed, ci, trial))
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
+		c := Cell{Strategy: strat, Config: sim.Config{Nodes: 1000, Tasks: 100000, Heterogeneous: true, WorkByStrength: true}}
+		err := runTrials(c, ci, opt, func(i int, res *sim.Result) error {
 			if !res.Completed {
-				return nil, fmt.Errorf("strengthshare: %s trial %d incomplete", strat, trial)
+				return fmt.Errorf("strengthshare: %s trial %d incomplete", strat, i)
 			}
 			for class, n := range res.CompletedByStrength {
 				doneBy[class] += n
@@ -123,6 +119,10 @@ func StrengthShare(opt Options) (*report.Table, error) {
 			for class, n := range res.HostsByStrength {
 				hostsBy[class] += n
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		totalDone, totalCap := 0, 0
 		for class, n := range hostsBy {
@@ -151,35 +151,20 @@ func StrengthShare(opt Options) (*report.Table, error) {
 // crowds) on the Table II reference network.
 func AblationChurnModel(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	models := []struct {
+	var cells []SummaryCell
+	for _, m := range []struct {
 		name  string
 		model sim.ChurnModel
-	}{{"constant", sim.ChurnConstant}, {"bursty p=50 duty=0.2", sim.ChurnBursty}}
-	var out []SummaryCell
-	cell := 0
-	for _, m := range models {
+	}{{"constant", sim.ChurnConstant}, {"bursty p=50 duty=0.2", sim.ChurnBursty}} {
 		for _, rate := range []float64{0.001, 0.01} {
-			spec := Spec{Nodes: 1000, Tasks: 100000, ChurnRate: rate}
-			model := m.model
-			fn := func(seed uint64) sim.Config {
-				cfg := spec.Config(seed)
-				cfg.ChurnModel = model
-				return cfg
-			}
-			st, err := FactorStat(fn, cell, opt)
-			if err != nil {
-				return nil, fmt.Errorf("churn model %s rate %g: %w", m.name, rate, err)
-			}
-			out = append(out, SummaryCell{
+			cells = append(cells, SummaryCell{
 				Name: fmt.Sprintf("churn %g, %s", rate, m.name),
 				Note: "same average turnover, different arrival pattern",
-				Spec: spec,
-				Stat: st,
+				Cell: Cell{Config: sim.Config{Nodes: 1000, Tasks: 100000, ChurnRate: rate, ChurnModel: m.model}},
 			})
-			cell++
 		}
 	}
-	return out, nil
+	return runSummary(cells, opt)
 }
 
 // WorkSeries captures the paper's §V-C "average work per tick" output:
@@ -190,32 +175,32 @@ func WorkSeries(ticks int, opt Options) (*report.Table, error) {
 	if ticks <= 0 {
 		ticks = 50
 	}
+	base := sim.Config{Nodes: 1000, Tasks: 100000, RecordWorkPerTick: true, MaxTicks: ticks}
+	churn := base
+	churn.ChurnRate = 0.01
 	strategies := []struct {
 		label string
-		spec  Spec
+		cell  Cell
 	}{
-		{"none", Spec{Nodes: 1000, Tasks: 100000}},
-		{"churn-0.01", Spec{Nodes: 1000, Tasks: 100000, ChurnRate: 0.01}},
-		{"random", Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random"}},
-		{"smart-neighbor", Spec{Nodes: 1000, Tasks: 100000, StrategyName: "smart-neighbor"}},
-		{"invitation", Spec{Nodes: 1000, Tasks: 100000, StrategyName: "invitation"}},
+		{"none", Cell{Config: base}},
+		{"churn-0.01", Cell{Config: churn}},
+		{"random", Cell{Strategy: "random", Config: base}},
+		{"smart-neighbor", Cell{Strategy: "smart-neighbor", Config: base}},
+		{"invitation", Cell{Strategy: "invitation", Config: base}},
 	}
 	series := make([][]float64, len(strategies))
 	for si, s := range strategies {
 		sums := make([]float64, ticks)
-		for trial := 0; trial < opt.Trials; trial++ {
-			cfg := s.spec.Config(trialSeed(opt.Seed, si, trial))
-			cfg.RecordWorkPerTick = true
-			cfg.MaxTicks = ticks
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("work series %s: %w", s.label, err)
-			}
+		err := runTrials(s.cell, si, opt, func(_ int, res *sim.Result) error {
 			for i, w := range res.WorkPerTick {
 				if i < ticks {
 					sums[i] += float64(w)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("work series %s: %w", s.label, err)
 		}
 		for i := range sums {
 			sums[i] /= float64(opt.Trials)
@@ -290,18 +275,14 @@ func Traffic(opt Options) (*report.Table, error) {
 		"strategy", "factor", "sybils", "lookup msgs", "query msgs", "msgs/task")
 	strategies := []string{"none", "churn", "random", "neighbor", "smart-neighbor", "invitation", "targeted"}
 	for ci, name := range strategies {
-		spec := Spec{Nodes: 1000, Tasks: 100000, StrategyName: name}
+		c := Cell{Strategy: name, Config: sim.Config{Nodes: 1000, Tasks: 100000}}
 		if name == "churn" {
-			spec.ChurnRate = 0.01
+			c.Config.ChurnRate = 0.01
 		}
 		var factor, sybils, lookups, queries stats.Online
-		for trial := 0; trial < opt.Trials; trial++ {
-			res, err := sim.Run(spec.Config(trialSeed(opt.Seed, ci, trial)))
-			if err != nil {
-				return nil, err
-			}
+		err := runTrials(c, ci, opt, func(i int, res *sim.Result) error {
 			if !res.Completed {
-				return nil, fmt.Errorf("traffic: %s trial %d incomplete", name, trial)
+				return fmt.Errorf("traffic: %s trial %d incomplete", name, i)
 			}
 			factor.Add(res.RuntimeFactor)
 			sybils.Add(float64(res.Messages.SybilsCreated))
@@ -311,8 +292,12 @@ func Traffic(opt Options) (*report.Table, error) {
 				q += n
 			}
 			queries.Add(float64(q))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		perTask := (lookups.Mean() + queries.Mean()) / float64(spec.Tasks)
+		perTask := (lookups.Mean() + queries.Mean()) / float64(c.Config.Tasks)
 		t.AddRowf(name, factor.Mean(), sybils.Mean(), lookups.Mean(),
 			queries.Mean(), perTask)
 	}

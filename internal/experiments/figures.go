@@ -70,32 +70,32 @@ type WorkloadFigure struct {
 	Number int
 	Tick   int
 	LabelA string
-	SpecA  Spec
+	CellA  Cell
 	LabelB string
-	SpecB  Spec
+	CellB  Cell
 }
 
-// wlSpec builds the 1000-node/100k-task spec every histogram figure uses.
-func wlSpec(strategyName string, churn float64, hetero bool) Spec {
-	return Spec{
-		Nodes: 1000, Tasks: 100000,
-		StrategyName: strategyName, ChurnRate: churn, Heterogeneous: hetero,
-	}
-}
+// The networks the histogram figures compare: 1000 hosts and 100k tasks,
+// homogeneous or heterogeneous, without or with churn 0.01.
+var (
+	figNet    = sim.Config{Nodes: 1000, Tasks: 100000}
+	figChurn  = sim.Config{Nodes: 1000, Tasks: 100000, ChurnRate: 0.01}
+	figHetero = sim.Config{Nodes: 1000, Tasks: 100000, Heterogeneous: true}
+)
 
 // Figures indexes the paper's workload-distribution figures by number.
 var Figures = map[int]WorkloadFigure{
-	4:  {Number: 4, Tick: 0, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "churn 0.01", SpecB: wlSpec("", 0.01, false)},
-	5:  {Number: 5, Tick: 5, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "churn 0.01", SpecB: wlSpec("", 0.01, false)},
-	6:  {Number: 6, Tick: 35, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "churn 0.01", SpecB: wlSpec("", 0.01, false)},
-	7:  {Number: 7, Tick: 5, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "random injection", SpecB: wlSpec("random", 0, false)},
-	8:  {Number: 8, Tick: 35, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "random injection", SpecB: wlSpec("random", 0, false)},
-	9:  {Number: 9, Tick: 35, LabelA: "churn 0.01", SpecA: wlSpec("", 0.01, false), LabelB: "random injection", SpecB: wlSpec("random", 0, false)},
-	10: {Number: 10, Tick: 35, LabelA: "hetero, no strategy", SpecA: wlSpec("", 0, true), LabelB: "hetero, random injection", SpecB: wlSpec("random", 0, true)},
-	11: {Number: 11, Tick: 35, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "neighbor injection", SpecB: wlSpec("neighbor", 0, false)},
-	12: {Number: 12, Tick: 35, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "smart neighbor", SpecB: wlSpec("smart-neighbor", 0, false)},
-	13: {Number: 13, Tick: 35, LabelA: "no strategy", SpecA: wlSpec("", 0, false), LabelB: "invitation", SpecB: wlSpec("invitation", 0, false)},
-	14: {Number: 14, Tick: 35, LabelA: "smart neighbor", SpecA: wlSpec("smart-neighbor", 0, false), LabelB: "invitation", SpecB: wlSpec("invitation", 0, false)},
+	4:  {Number: 4, Tick: 0, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "churn 0.01", CellB: Cell{Config: figChurn}},
+	5:  {Number: 5, Tick: 5, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "churn 0.01", CellB: Cell{Config: figChurn}},
+	6:  {Number: 6, Tick: 35, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "churn 0.01", CellB: Cell{Config: figChurn}},
+	7:  {Number: 7, Tick: 5, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "random injection", CellB: Cell{Strategy: "random", Config: figNet}},
+	8:  {Number: 8, Tick: 35, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "random injection", CellB: Cell{Strategy: "random", Config: figNet}},
+	9:  {Number: 9, Tick: 35, LabelA: "churn 0.01", CellA: Cell{Config: figChurn}, LabelB: "random injection", CellB: Cell{Strategy: "random", Config: figNet}},
+	10: {Number: 10, Tick: 35, LabelA: "hetero, no strategy", CellA: Cell{Config: figHetero}, LabelB: "hetero, random injection", CellB: Cell{Strategy: "random", Config: figHetero}},
+	11: {Number: 11, Tick: 35, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "neighbor injection", CellB: Cell{Strategy: "neighbor", Config: figNet}},
+	12: {Number: 12, Tick: 35, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "smart neighbor", CellB: Cell{Strategy: "smart-neighbor", Config: figNet}},
+	13: {Number: 13, Tick: 35, LabelA: "no strategy", CellA: Cell{Config: figNet}, LabelB: "invitation", CellB: Cell{Strategy: "invitation", Config: figNet}},
+	14: {Number: 14, Tick: 35, LabelA: "smart neighbor", CellA: Cell{Strategy: "smart-neighbor", Config: figNet}, LabelB: "invitation", CellB: Cell{Strategy: "invitation", Config: figNet}},
 }
 
 // FigureResult holds the two histograms of one workload figure plus the
@@ -111,7 +111,9 @@ type FigureResult struct {
 // RunWorkloadFigure executes the two networks of a figure with matched
 // seeds and returns the host-workload histograms at the figure's tick.
 // Trials are aggregated into the same histogram (the paper plots a single
-// run; more trials smooth the picture without changing its shape).
+// run; more trials smooth the picture without changing its shape). Both
+// sides run as cell 0, so opt.Trace is called twice for each trial,
+// side A first.
 func RunWorkloadFigure(fig WorkloadFigure, opt Options) (*FigureResult, error) {
 	opt = opt.withDefaults(3)
 	res := &FigureResult{
@@ -119,15 +121,12 @@ func RunWorkloadFigure(fig WorkloadFigure, opt Options) (*FigureResult, error) {
 		HistA:  newWorkloadHistogram(),
 		HistB:  newWorkloadHistogram(),
 	}
-	run := func(sp Spec, h *stats.Histogram, idle, max, alive *int, cell int) error {
-		for i := 0; i < opt.Trials; i++ {
-			cfg := sp.Config(trialSeed(opt.Seed, cell, i))
-			cfg.SnapshotTicks = []int{fig.Tick}
-			cfg.MaxTicks = fig.Tick + 1 // only the snapshot matters
-			r, err := sim.Run(cfg)
-			if err != nil {
-				return err
-			}
+	run := func(c Cell, h *stats.Histogram, idle, max, alive *int) error {
+		c.Config.SnapshotTicks = []int{fig.Tick}
+		c.Config.MaxTicks = fig.Tick + 1 // only the snapshot matters
+		// Matched seeds: both sides of a figure start from the same
+		// network (the paper: "identical starting configurations").
+		return runTrials(c, 0, opt, func(_ int, r *sim.Result) error {
 			if len(r.Snapshots) != 1 {
 				return fmt.Errorf("experiments: figure %d expected 1 snapshot, got %d (run ended at tick %d)",
 					fig.Number, len(r.Snapshots), r.Ticks)
@@ -143,15 +142,13 @@ func RunWorkloadFigure(fig WorkloadFigure, opt Options) (*FigureResult, error) {
 					*max = w
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	}
-	// Matched seeds: both sides of a figure start from the same network
-	// (the paper: "identical starting configurations").
-	if err := run(fig.SpecA, res.HistA, &res.IdleA, &res.MaxA, &res.AliveA, 0); err != nil {
+	if err := run(fig.CellA, res.HistA, &res.IdleA, &res.MaxA, &res.AliveA); err != nil {
 		return nil, err
 	}
-	if err := run(fig.SpecB, res.HistB, &res.IdleB, &res.MaxB, &res.AliveB, 0); err != nil {
+	if err := run(fig.CellB, res.HistB, &res.IdleB, &res.MaxB, &res.AliveB); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -15,11 +15,9 @@ import (
 	"fmt"
 
 	"chordbalance/internal/adversary"
-	"chordbalance/internal/parallel"
 	"chordbalance/internal/report"
 	"chordbalance/internal/sim"
 	"chordbalance/internal/stats"
-	"chordbalance/internal/strategy"
 )
 
 // SybilwarCell is one sweep cell: a (budget, puzzle, threshold) triple
@@ -97,24 +95,19 @@ func sybilwarCells() []SybilwarCell {
 	return out
 }
 
-// sybilwarConfig builds one trial of one cell: the paper's headline
-// random strategy balancing under churn, with the cell's attack and
-// defense doses applied. MaxTicks is explicit because an un-defended
-// eclipse never lets the job finish; the snapshot ladder feeds the Gini
-// and eclipse trajectories.
-func sybilwarConfig(c *SybilwarCell, seed uint64) sim.Config {
-	st, ok := strategy.ByName("random")
-	if !ok {
-		panic("experiments: random strategy missing")
-	}
+// cell is the cell's simulation: the paper's headline random strategy
+// balancing under churn, with the cell's attack and defense doses
+// applied. MaxTicks is explicit because an un-defended eclipse never
+// lets the job finish; the snapshot ladder feeds the Gini and eclipse
+// trajectories.
+func (c *SybilwarCell) cell() Cell {
 	cfg := sim.Config{
 		Nodes:         150,
 		Tasks:         12000,
-		Strategy:      st,
 		ChurnRate:     0.01,
-		Seed:          seed,
 		MaxTicks:      2000,
 		SnapshotTicks: []int{0, 100, 400, 1200, 2000},
+		Defense:       adversary.DefenseConfig{PuzzleBits: c.PuzzleBits, Threshold: c.Threshold},
 	}
 	if c.Budget > 0 {
 		cfg.Attack = adversary.AttackConfig{
@@ -125,8 +118,7 @@ func sybilwarConfig(c *SybilwarCell, seed uint64) sim.Config {
 			WorkRate:    16,
 		}
 	}
-	cfg.Defense = adversary.DefenseConfig{PuzzleBits: c.PuzzleBits, Threshold: c.Threshold}
-	return cfg
+	return Cell{Strategy: "random", Config: cfg}
 }
 
 // Sybilwar runs the attack/defense grid. Unlike FactorStat it does not
@@ -137,43 +129,26 @@ func Sybilwar(opt Options) ([]SybilwarCell, error) {
 	cells := sybilwarCells()
 	for ci := range cells {
 		c := &cells[ci]
-		type outcome struct {
-			probe, eclipse, factor, falseEvict, gini0, giniEnd float64
-			completed                                          bool
-		}
-		results, err := parallel.MapErr(opt.Trials, opt.Workers, func(i int) (outcome, error) {
-			cfg := sybilwarConfig(c, trialSeed(opt.Seed, ci, i))
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			o := outcome{
-				probe:      eclipseAtOrBefore(res.Adversary.EclipseSamples, eclipseProbeTick),
-				eclipse:    res.Adversary.FinalEclipse,
-				factor:     res.RuntimeFactor,
-				falseEvict: res.Adversary.FalseEvictionRate(),
-				completed:  res.Completed,
-			}
+		var p, e, f, fe, g0, g1 stats.Online
+		err := runTrials(c.cell(), ci, opt, func(_ int, res *sim.Result) error {
+			p.Add(eclipseAtOrBefore(res.Adversary.EclipseSamples, eclipseProbeTick))
+			e.Add(res.Adversary.FinalEclipse)
+			f.Add(res.RuntimeFactor)
+			fe.Add(res.Adversary.FalseEvictionRate())
+			var gini0, giniEnd float64
 			if n := len(res.Snapshots); n > 0 {
-				o.gini0 = stats.GiniInts(res.Snapshots[0].HostWorkloads)
-				o.giniEnd = stats.GiniInts(res.Snapshots[n-1].HostWorkloads)
+				gini0 = stats.GiniInts(res.Snapshots[0].HostWorkloads)
+				giniEnd = stats.GiniInts(res.Snapshots[n-1].HostWorkloads)
 			}
-			return o, nil
+			g0.Add(gini0)
+			g1.Add(giniEnd)
+			if res.Completed {
+				c.Completed++
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
-		}
-		var p, e, f, fe, g0, g1 stats.Online
-		for _, r := range results {
-			p.Add(r.probe)
-			e.Add(r.eclipse)
-			f.Add(r.factor)
-			fe.Add(r.falseEvict)
-			g0.Add(r.gini0)
-			g1.Add(r.giniEnd)
-			if r.completed {
-				c.Completed++
-			}
 		}
 		c.Trials = opt.Trials
 		c.EclipseProbe = onlineStat(p)

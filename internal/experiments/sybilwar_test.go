@@ -1,46 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
-
-// renderSybilwar flattens cells into a byte-comparable string covering
-// every aggregated field.
-func renderSybilwar(t *testing.T, opt Options) string {
-	t.Helper()
-	cells, err := Sybilwar(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ""
-	for _, c := range cells {
-		s += fmt.Sprintf("%s probe=%.9f ecl=%.9f±%.9f f=%.9f±%.9f fe=%.9f g=%.9f→%.9f done=%d\n",
-			c.Name, c.EclipseProbe.Mean, c.Eclipse.Mean, c.Eclipse.CI95,
-			c.Factor.Mean, c.Factor.CI95,
-			c.FalseEvict.Mean, c.GiniStart.Mean, c.GiniEnd.Mean, c.Completed)
-	}
-	return s
-}
-
-// TestSybilwarSerialParallelIdentical is the hostile half of the
-// driver-equivalence guarantee: the sybilwar sweep must produce
-// byte-identical cells whether trials run on one worker or many.
-func TestSybilwarSerialParallelIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep grid in -short mode")
-	}
-	opt := Options{Trials: 2, Seed: 11}
-	serial := renderSybilwar(t, opt)
-	opt.Workers = 4
-	par := renderSybilwar(t, opt)
-	if serial != par {
-		t.Errorf("serial and parallel sybilwar runs differ:\n%s\n%s", serial, par)
-	}
-	if serial == "" {
-		t.Fatal("sybilwar experiment produced no cells")
-	}
-}
+import "testing"
 
 // TestSybilwarHeadlineContrast pins the experiment's headline shape at
 // the common probe tick: undefended attack cells achieve nonzero

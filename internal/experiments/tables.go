@@ -7,6 +7,7 @@ import (
 	"chordbalance/internal/parallel"
 	"chordbalance/internal/report"
 	"chordbalance/internal/ring"
+	"chordbalance/internal/sim"
 	"chordbalance/internal/stats"
 )
 
@@ -120,12 +121,8 @@ func Table2(opt Options) ([]Table2Cell, error) {
 	cell := 0
 	for ri, rate := range Table2Rates {
 		for ni, net := range Table2Networks {
-			sp := Spec{
-				Nodes:     net.Nodes,
-				Tasks:     net.Tasks,
-				ChurnRate: rate,
-			}
-			st, err := SpecFactor(sp, cell, opt)
+			c := Cell{Config: sim.Config{Nodes: net.Nodes, Tasks: net.Tasks, ChurnRate: rate}}
+			st, err := FactorStat(c, cell, opt)
 			if err != nil {
 				return nil, fmt.Errorf("table2 rate=%v net=%d/%d: %w", rate, net.Nodes, net.Tasks, err)
 			}

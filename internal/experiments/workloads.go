@@ -14,8 +14,7 @@ import (
 // factor.
 func AblationWorkloadSkew(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	var out []SummaryCell
-	cell := 0
+	var cells []SummaryCell
 	for _, wl := range []struct {
 		name    string
 		objects int
@@ -26,32 +25,22 @@ func AblationWorkloadSkew(opt Options) ([]SummaryCell, error) {
 		{"zipf s=1.1, 10k objects", 10000, 1.1},
 	} {
 		for _, strat := range []string{"", "random"} {
-			label := strat
-			if label == "" {
-				label = "none"
-			}
-			spec := Spec{Nodes: 1000, Tasks: 100000, StrategyName: strat}
-			objects, s := wl.objects, wl.s
-			fn := func(seed uint64) sim.Config {
-				cfg := spec.Config(seed)
-				cfg.ZipfObjects = objects
-				cfg.ZipfExponent = s
-				return cfg
-			}
-			st, err := FactorStat(fn, cell, opt)
-			if err != nil {
-				return nil, fmt.Errorf("skew %s/%s: %w", wl.name, label, err)
-			}
-			out = append(out, SummaryCell{
-				Name: fmt.Sprintf("%s, %s", label, wl.name),
+			cells = append(cells, SummaryCell{
+				Name: fmt.Sprintf("%s, %s", strategyLabel(strat), wl.name),
 				Note: "hot objects cannot be split across nodes",
-				Spec: spec,
-				Stat: st,
+				Cell: Cell{Strategy: strat, Config: sim.Config{Nodes: 1000, Tasks: 100000, ZipfObjects: wl.objects, ZipfExponent: wl.s}},
 			})
-			cell++
 		}
 	}
-	return out, nil
+	return runSummary(cells, opt)
+}
+
+// strategyLabel names strat in a table: "" runs no strategy.
+func strategyLabel(strat string) string {
+	if strat == "" {
+		return "none"
+	}
+	return strat
 }
 
 // VirtualServers compares the literature's classic static remedy — every
@@ -62,45 +51,20 @@ func AblationWorkloadSkew(opt Options) ([]SummaryCell, error) {
 // maintenance load for the entire lifetime of the network.
 func VirtualServers(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	var out []SummaryCell
-	cell := 0
-	addStatic := func(k int) error {
-		spec := Spec{Nodes: 1000, Tasks: 100000}
-		fn := func(seed uint64) sim.Config {
-			cfg := spec.Config(seed)
-			cfg.StaticVNodes = k
-			return cfg
-		}
-		st, err := FactorStat(fn, cell, opt)
-		if err != nil {
-			return err
-		}
-		out = append(out, SummaryCell{
+	var cells []SummaryCell
+	for _, k := range []int{0, 2, 5, 10} {
+		cells = append(cells, SummaryCell{
 			Name: fmt.Sprintf("static virtual servers k=%d", k),
 			Note: fmt.Sprintf("%d permanent vnodes/host, no dynamics", k+1),
-			Spec: spec,
-			Stat: st,
+			Cell: Cell{Config: sim.Config{Nodes: 1000, Tasks: 100000, StaticVNodes: k}},
 		})
-		cell++
-		return nil
 	}
-	for _, k := range []int{0, 2, 5, 10} {
-		if err := addStatic(k); err != nil {
-			return nil, err
-		}
-	}
-	dyn := Spec{Nodes: 1000, Tasks: 100000, StrategyName: "random"}
-	st, err := SpecFactor(dyn, cell, opt)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, SummaryCell{
+	cells = append(cells, SummaryCell{
 		Name: "dynamic random injection (paper)",
 		Note: "at most 5 Sybils/host, only while needed",
-		Spec: dyn,
-		Stat: st,
+		Cell: Cell{Strategy: "random", Config: sim.Config{Nodes: 1000, Tasks: 100000}},
 	})
-	return out, nil
+	return runSummary(cells, opt)
 }
 
 // AblationStreaming compares the paper's static job (all tasks present
@@ -111,8 +75,7 @@ func VirtualServers(opt Options) ([]SummaryCell, error) {
 // the paper's speedup depends on the static-job assumption.
 func AblationStreaming(opt Options) ([]SummaryCell, error) {
 	opt = opt.withDefaults(5)
-	var out []SummaryCell
-	cell := 0
+	var cells []SummaryCell
 	for _, mode := range []struct {
 		name         string
 		stream, rate int
@@ -122,30 +85,12 @@ func AblationStreaming(opt Options) ([]SummaryCell, error) {
 		{"streaming 1000/tick", 90000, 1000, 10000},
 	} {
 		for _, strat := range []string{"", "random"} {
-			label := strat
-			if label == "" {
-				label = "none"
-			}
-			spec := Spec{Nodes: 1000, Tasks: mode.tasks, StrategyName: strat}
-			stream, rate := mode.stream, mode.rate
-			fn := func(seed uint64) sim.Config {
-				cfg := spec.Config(seed)
-				cfg.StreamTasks = stream
-				cfg.StreamRate = rate
-				return cfg
-			}
-			st, err := FactorStat(fn, cell, opt)
-			if err != nil {
-				return nil, fmt.Errorf("streaming %s/%s: %w", mode.name, label, err)
-			}
-			out = append(out, SummaryCell{
-				Name: fmt.Sprintf("%s, %s", label, mode.name),
+			cells = append(cells, SummaryCell{
+				Name: fmt.Sprintf("%s, %s", strategyLabel(strat), mode.name),
 				Note: "100k total tasks either way",
-				Spec: spec,
-				Stat: st,
+				Cell: Cell{Strategy: strat, Config: sim.Config{Nodes: 1000, Tasks: mode.tasks, StreamTasks: mode.stream, StreamRate: mode.rate}},
 			})
-			cell++
 		}
 	}
-	return out, nil
+	return runSummary(cells, opt)
 }

@@ -123,7 +123,7 @@ func (r *Runner) Check(pkgs ...*Package) []Finding {
 // lists //lint:ignore directives that suppressed nothing during this
 // run — either the code they excused is gone, or the named rule no
 // longer fires there. Stale directives are reported under the
-// "lint-stale" pseudo-rule so `dhtlint -suppressions` can surface them.
+// "lint-stale" pseudo-rule, which dhtlint reports as findings.
 // A directive is only meaningfully audited when the rules it names
 // actually ran, so the audit should be driven with the full registry.
 func (r *Runner) Run(pkgs ...*Package) (findings, stale []Finding) {

@@ -81,6 +81,7 @@ func TestDedupeRefs(t *testing.T) {
 		{"first occurrence kept", []wire.NodeRef{ref(1, "a"), ref(2, "b"), ref(1, "a2")}, 4, []wire.NodeRef{ref(1, "a"), ref(2, "b")}},
 		{"truncated at max", []wire.NodeRef{ref(1, "a"), ref(2, "b"), ref(3, "c")}, 2, []wire.NodeRef{ref(1, "a"), ref(2, "b")}},
 		{"dropped entries do not count", []wire.NodeRef{ref(9, "s"), ref(1, "a"), ref(1, "a"), ref(2, "b")}, 2, []wire.NodeRef{ref(1, "a"), ref(2, "b")}},
+		{"max 0", []wire.NodeRef{ref(1, "a"), ref(2, "b")}, 0, nil},
 	} {
 		dst := make([]wire.NodeRef, 1, 8) // stale contents are overwritten
 		got := dedupeRefs(dst, c.list, self, c.max)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"chordbalance/internal/faults"
 	"chordbalance/internal/ids"
 	"chordbalance/internal/obs"
 	"chordbalance/internal/wire"
@@ -182,6 +183,25 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	}
 	if a.Stats().AntiEntropyRounds == 0 && b.Stats().AntiEntropyRounds == 0 {
 		t.Fatal("converged with zero anti-entropy rounds recorded")
+	}
+}
+
+// TestSingleReplicaKeepsOneCopy checks that Replicas 1 means one copy:
+// a write goes to its owner only, and anti-entropy, which syncs an arc
+// with its first Replicas-1 successors, asks no peer for a digest.
+func TestSingleReplicaKeepsOneCopy(t *testing.T) {
+	l := lockstepRing(t, Config{Replicas: 1}, faults.Plan{}, 6, 1)
+	putKeys(t, l, 64, 2)
+	for range 8 {
+		l.Round()
+	}
+	copies, digests := 0, int64(0)
+	for _, n := range l.Nodes() {
+		copies += n.KeyCount()
+		digests += n.Stats().Served[wire.TSyncDigest]
+	}
+	if copies != 64 || digests != 0 {
+		t.Errorf("64 keys at Replicas 1: %d stored copies, %d sync_digest requests served; want 64 and 0", copies, digests)
 	}
 }
 

@@ -1486,14 +1486,17 @@ func errorMsg(reply *wire.Msg, code uint64, text string) {
 
 // dedupeRefs returns list with self, addressless entries and
 // duplicate IDs removed, first occurrence kept, in dst's memory; dst
-// and list must not overlap. The output stops once it holds max
-// entries, and it keeps the first entry even when max is 0 or less. A list holds
-// at most SuccessorListLen+1 entries, so a linear scan of the output
-// finds duplicates without a map.
+// and list must not overlap. The output holds at most max entries, so
+// max 0 or less returns none. A list holds at most SuccessorListLen+1
+// entries, so a linear scan of the output finds duplicates without a
+// map.
 func dedupeRefs(dst, list []wire.NodeRef, self ids.ID, max int) []wire.NodeRef {
 	out := dst[:0]
 next:
 	for _, r := range list {
+		if len(out) >= max {
+			break
+		}
 		if r.ID == self || r.Addr == "" {
 			continue
 		}
@@ -1503,9 +1506,6 @@ next:
 			}
 		}
 		out = append(out, r)
-		if len(out) >= max {
-			break
-		}
 	}
 	return out
 }

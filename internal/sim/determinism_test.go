@@ -271,12 +271,11 @@ func loadGolden(t *testing.T, path string) map[string]string {
 func TestSerialParallelIdentical(t *testing.T) {
 	for _, name := range determinismStrategies {
 		t.Run(name, func(t *testing.T) {
-			fn := func(seed uint64) sim.Config {
-				return determinismConfig(t, name, seed)
-			}
+			// The cell replaces the template's strategy and seed per trial.
+			cell := experiments.Cell{Strategy: name, Config: determinismConfig(t, name, 0)}
 			var got [2]string
 			for i, workers := range []int{1, 4} {
-				stat, err := experiments.FactorStat(fn, 0,
+				stat, err := experiments.FactorStat(cell, 0,
 					experiments.Options{Trials: 6, Seed: 7, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
